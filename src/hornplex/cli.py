@@ -1,7 +1,7 @@
 """Command-line interface: train, eval, rules, fewshot, verify, diagnostics.
 
-Every command takes ``--config`` (INI run file) plus ``--seed``, ``--threads``
-and ``--output-dir`` overrides, and writes its artifacts with the resolved
+Every command takes ``--config`` (INI run file) plus ``--seed`` and
+``--output-dir`` overrides, and writes its artifacts with the resolved
 configuration embedded. All commands are deterministic under fixed config and
 seed.
 """
@@ -25,7 +25,6 @@ class CliError(Exception):
 def _overrides(args):
     return {
         "seed": args.seed,
-        "threads": args.threads,
         "output_dir": args.output_dir,
     }
 
@@ -55,6 +54,20 @@ def _load_rules(cfg, kg, required):
             raise CliError(f"rules file not found: {cfg.rules_path}")
         return []
     return rules_mod.parse_rules(cfg.rules_path, kg.relation_ids)
+
+
+def _load_table(path, kg):
+    """The embedding table of a checkpoint, which must match the graph's
+    entity and relation counts."""
+    table = model.load_table(path)
+    found = (table.num_entities, table.num_relations)
+    expected = (kg.num_entities, kg.num_relations)
+    if found != expected:
+        raise CliError(
+            f"checkpoint {path} holds {found[0]} entities and {found[1]} relations, "
+            f"but the graph has {expected[0]} entities and {expected[1]} relations"
+        )
+    return table
 
 
 def _write_resolved(cfg, out_dir):
@@ -94,7 +107,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
-    table = model.load_table(args.checkpoint)
+    table = _load_table(args.checkpoint, kg)
     split = {"train": kg.train, "valid": kg.valid, "test": kg.test}[
         args.split or cfg.eval_split
     ]
@@ -194,7 +207,7 @@ def cmd_diagnostics(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
     parsed = _load_rules(cfg, kg, required=True)
-    table = model.load_table(args.checkpoint)
+    table = _load_table(args.checkpoint, kg)
     diags = evaluation.relation_rule_diagnostics(table, parsed)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -223,7 +236,6 @@ def build_parser():
     )
     parser.add_argument("--config", help="INI run configuration file")
     parser.add_argument("--seed", type=int, help="override every seed in the config")
-    parser.add_argument("--threads", type=int, help="cap worker threads")
     parser.add_argument("--output-dir", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -264,10 +276,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as err:
+    except (CliError, OSError, ValueError, KeyError, training.TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,6 @@ class RunConfig:
     verify_seed: int = 0
     verify_dims: tuple = (2, 8, 32)
     verify_ks: tuple = (1, 2, 3)
-    threads: int = 1
 
     def echo(self):
         """Flat dict embedded into output artifacts for provenance."""
@@ -43,7 +42,7 @@ def _ints(text):
 
 def load_run_config(path=None, overrides=None):
     """Read an INI run configuration; ``overrides`` maps flat keys (e.g.
-    ``seed``, ``output_dir``, ``threads``) from command-line flags."""
+    ``seed``, ``output_dir``) from command-line flags."""
     parser = configparser.ConfigParser()
     if path is not None:
         with open(path, encoding="utf-8") as handle:
@@ -111,8 +110,6 @@ def load_run_config(path=None, overrides=None):
     overrides = overrides or {}
     if overrides.get("output_dir") is not None:
         cfg.output_dir = overrides["output_dir"]
-    if overrides.get("threads") is not None:
-        cfg.threads = overrides["threads"]
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
         from dataclasses import replace

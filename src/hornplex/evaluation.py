@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import RuleArrays, body_vectors, prefix_products, rule_gaps
 from .model import score_all_heads, score_all_tails
 
 __all__ = [
@@ -130,21 +131,13 @@ def relation_rule_diagnostics(table, rules):
     A rule whose constraints hold exactly has all delta_re <= 0 and all
     delta_im == 0.
     """
-    from .training import body_product
-
-    R = table.bound
+    rules = list(rules)
+    arrays = RuleArrays.from_rules(rules)
     out = []
-    for rule_id, rule in enumerate(rules):
-        hb_re, hb_im = body_product(table, rule.body)
-        rk = R**rule.length
-        out.append(
-            RuleDiagnostics(
-                rule_id=rule_id,
-                rule=rule,
-                delta_re=hb_re / rk - table.rel_re[rule.head] / R,
-                delta_im=hb_im / rk - table.rel_im[rule.head] / R,
-            )
-        )
+    for lo, hi in arrays.blocks(table.dim):
+        pre_re, pre_im = prefix_products(*body_vectors(table, arrays, lo, hi))
+        delta_re, delta_im = rule_gaps(table, arrays, lo, hi, pre_re[-1], pre_im[-1])
+        out.extend(map(RuleDiagnostics, range(lo, hi), rules[lo:hi], delta_re, delta_im))
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "score_all_heads",
     "project",
     "project_relation_components",
-    "check_feasible",
     "is_feasible",
     "save_table",
     "load_table",
@@ -167,11 +166,6 @@ def is_feasible(table):
         and (np.hypot(table.rel_re, table.rel_im) <= table.bound).all()
     )
     return bool(ents_ok and rels_ok)
-
-
-def check_feasible(table):
-    if not is_feasible(table):
-        raise AssertionError("embedding table violates the feasibility constraints")
 
 
 def save_table(path_or_file, table):

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .evaluation import evaluate
+from .kernel import RuleArrays, body_vectors, cmul, prefix_products, rule_gaps, suffix_products
 from .kg import Triple
 from .model import init_table, project, save_table, load_table
 
@@ -31,11 +32,13 @@ __all__ = [
     "AdagradState",
     "RowGrads",
     "Gradients",
+    "CompiledRules",
     "EpochRecord",
     "TrainingDiverged",
     "sample_negatives",
     "sample_negatives_batch",
     "logistic_loss",
+    "compile_rules",
     "rule_penalty",
     "n3_regularization",
     "adagrad_step",
@@ -262,17 +265,35 @@ def logistic_loss(table, batch):
     return loss, Gradients(entities, relations)
 
 
-def _cmul(a_re, a_im, b_re, b_im):
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+@dataclass(frozen=True)
+class CompiledRules:
+    """A rule list packed for ``rule_penalty``: the kernel's gather arrays,
+    the confidences, the sorted relation rows the rules touch, and per rule
+    the position in those rows of its head and then of each body relation."""
+
+    arrays: RuleArrays
+    confidences: np.ndarray  # (n,) float64
+    rows: np.ndarray  # (u,) sorted relation ids
+    slots: np.ndarray  # (n, K+1) int64 positions in rows; head first
+    used: np.ndarray  # (n, K+1) bool, False past a body's end
+
+    def __len__(self):
+        return len(self.arrays)
 
 
-def body_product(table, body):
-    """Element-wise complex product of the body relation vectors."""
-    hb_re = table.rel_re[body[0]].copy()
-    hb_im = table.rel_im[body[0]].copy()
-    for rel in body[1:]:
-        hb_re, hb_im = _cmul(hb_re, hb_im, table.rel_re[rel], table.rel_im[rel])
-    return hb_re, hb_im
+def compile_rules(rules):
+    """Pack ``rules`` into the index arrays ``rule_penalty`` works on."""
+    rules = list(rules)
+    arrays = RuleArrays.from_rules(rules)
+    confidences = np.array([rule.confidence for rule in rules], dtype=np.float64)
+    ids = np.concatenate([arrays.heads[:, None], arrays.body.T], axis=1)
+    used = np.concatenate(
+        [np.ones((len(arrays), 1), dtype=bool), ~arrays.pad.T], axis=1
+    )
+    rows, inverse = np.unique(ids[used], return_inverse=True)
+    slots = np.zeros(ids.shape, dtype=np.int64)
+    slots[used] = inverse
+    return CompiledRules(arrays, confidences, rows, slots, used)
 
 
 def rule_penalty(table, rules):
@@ -282,66 +303,57 @@ def rule_penalty(table, rules):
       lam * sum_l max(0, Re(hb_l)/R^k - Re(r_l)/R)      (real part, hinge)
     + lam * sum_l (Im(hb_l)/R^k - Im(r_l)/R)^2          (imaginary part)
 
+    ``rules`` is a list of HornRule or the ``compile_rules`` packing of one.
     The caller applies the global coefficient mu. The subgradient of the
     hinge at zero is taken as zero, so exactly satisfied rules contribute no
     gradient. Returns (loss, RowGrads over the touched relation rows).
+
+    Rules run in blocks of the body-product kernel. Per-rule losses are
+    added in rule order, and each row's gradient sums its terms in rule
+    order (head, then body positions), so the result does not depend on the
+    block size.
     """
+    if not isinstance(rules, CompiledRules):
+        rules = compile_rules(rules)
     dim = table.dim
-    R = table.bound
-    loss = 0.0
-    acc: dict = {}
-
-    def add(rel, d_re, d_im):
-        slot = acc.get(rel)
-        if slot is None:
-            acc[rel] = [d_re.copy(), d_im.copy()]
-        else:
-            slot[0] += d_re
-            slot[1] += d_im
-
-    for rule in rules:
-        k = rule.length
-        rk = R**k
-        lam = rule.confidence
-        body = rule.body
-
-        # prefix[i] = product of body[:i]; suffix[i] = product of body[i:]
-        pre_re = np.empty((k + 1, dim))
-        pre_im = np.empty((k + 1, dim))
-        suf_re = np.empty((k + 1, dim))
-        suf_im = np.empty((k + 1, dim))
-        pre_re[0], pre_im[0] = 1.0, 0.0
-        suf_re[k], suf_im[k] = 1.0, 0.0
-        for i in range(k):
-            pre_re[i + 1], pre_im[i + 1] = _cmul(
-                pre_re[i], pre_im[i], table.rel_re[body[i]], table.rel_im[body[i]]
-            )
-        for i in reversed(range(k)):
-            suf_re[i], suf_im[i] = _cmul(
-                table.rel_re[body[i]], table.rel_im[body[i]], suf_re[i + 1], suf_im[i + 1]
-            )
-        hb_re, hb_im = pre_re[k], pre_im[k]
-
-        u = hb_re / rk - table.rel_re[rule.head] / R
-        v = hb_im / rk - table.rel_im[rule.head] / R
-        active = (u > 0).astype(np.float64)
-        loss += lam * (float(np.sum(u * active)) + float(np.sum(v * v)))
-
-        add(rule.head, lam * (-active / R), lam * (-2.0 * v / R))
-        for j in range(k):
-            c_re, c_im = _cmul(pre_re[j], pre_im[j], suf_re[j + 1], suf_im[j + 1])
-            add(
-                body[j],
-                lam * (active * c_re + 2.0 * v * c_im) / rk,
-                lam * (-active * c_im + 2.0 * v * c_re) / rk,
-            )
-
-    if not acc:
+    if len(rules) == 0:
         return 0.0, RowGrads.empty(dim)
-    rows = np.array(sorted(acc), dtype=np.int64)
-    re = np.stack([acc[r][0] for r in rows])
-    im = np.stack([acc[r][1] for r in rows])
-    return loss, RowGrads(rows, re, im)
+    R = table.bound
+    arrays = rules.arrays
+    k = arrays.body.shape[0]
+    loss = 0.0
+    acc_re = np.zeros((rules.rows.size, dim))
+    acc_im = np.zeros((rules.rows.size, dim))
+
+    for lo, hi in arrays.blocks(dim):
+        b_re, b_im = body_vectors(table, arrays, lo, hi)
+        pre_re, pre_im = prefix_products(b_re, b_im)
+        suf_re, suf_im = suffix_products(b_re, b_im)
+        u, v = rule_gaps(table, arrays, lo, hi, pre_re[k], pre_im[k])
+        rk = arrays.scale(R, lo, hi)
+        lam = rules.confidences[lo:hi, None]
+        active = (u > 0).astype(np.float64)
+        for term in (lam[:, 0] * (np.sum(u * active, axis=1) + np.sum(v * v, axis=1))).tolist():
+            loss += term
+
+        # (K+1, rules, d) gradients: the head, then each body position
+        # j, whose partial derivative is the product of the other factors.
+        g_re = np.empty((k + 1, hi - lo, dim))
+        g_im = np.empty_like(g_re)
+        g_re[0] = lam * (-active / R)
+        g_im[0] = lam * (-2.0 * v / R)
+        c_re, c_im = cmul(pre_re[:k], pre_im[:k], suf_re[1:], suf_im[1:])
+        g_re[1:] = lam * (active * c_re + 2.0 * v * c_im) / rk
+        g_im[1:] = lam * (-active * c_im + 2.0 * v * c_re) / rk
+
+        # Scatter in rule order through flat indices: np.add.at runs far
+        # faster on 1-d arrays, and adds in index order all the same.
+        used = rules.used[lo:hi]
+        flat = (rules.slots[lo:hi][used][:, None] * dim + np.arange(dim)).ravel()
+        np.add.at(acc_re.reshape(-1), flat, g_re.transpose(1, 0, 2)[used].reshape(-1))
+        np.add.at(acc_im.reshape(-1), flat, g_im.transpose(1, 0, 2)[used].reshape(-1))
+
+    return loss, RowGrads(rules.rows, acc_re, acc_im)
 
 
 def n3_regularization(table, ent_rows, rel_rows):
@@ -415,7 +427,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     rows touched by the batch. ``step_callback(table, epoch, step)`` runs
     after each projection. Deterministic for fixed inputs and seed.
     """
-    rules = list(rules)
+    rules = compile_rules(rules) if config.mu > 0 else None
     ss = np.random.SeedSequence(config.seed)
     init_ss, loop_ss = ss.spawn(2)
     table = init_table(
@@ -442,7 +454,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
             )
 
             l_loss, l_grads = logistic_loss(table, batch)
-            if config.mu > 0 and rules:
+            if rules:
                 r_loss, r_grads = rule_penalty(table, rules)
             else:
                 r_loss, r_grads = 0.0, None

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import cmul
 from .model import project_relation_components
 
 __all__ = [
@@ -61,13 +62,9 @@ class TheoremReport:
         return self.violations == 0
 
 
-def _cmul(a_re, a_im, b_re, b_im):
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
 def _phi(z0_re, z0_im, r_re, r_im, z1_re, z1_im):
     """Re(z0 * r * conj(z1)) element-wise."""
-    p_re, p_im = _cmul(z0_re, z0_im, r_re, r_im)
+    p_re, p_im = cmul(z0_re, z0_im, r_re, r_im)
     return p_re * z1_re + p_im * z1_im
 
 
@@ -103,7 +100,7 @@ def _construct_head(rng, r_re, r_im, bound, negative_control):
     hb_re = r_re[:, :, 0].copy()
     hb_im = r_im[:, :, 0].copy()
     for i in range(1, k):
-        hb_re, hb_im = _cmul(hb_re, hb_im, r_re[:, :, i], r_im[:, :, i])
+        hb_re, hb_im = cmul(hb_re, hb_im, r_re[:, :, i], r_im[:, :, i])
     # normalized product R * prod(r_i / R)
     hat_re = hb_re / bound ** (k - 1)
     hat_im = hb_im / bound ** (k - 1)

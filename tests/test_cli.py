@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hornplex import training
 from hornplex.cli import main
 from hornplex.kg import load_graph
+from hornplex.model import init_table, load_table, save_table
 from hornplex.training import read_training_log
 
 from conftest import make_random_kg
@@ -205,3 +207,34 @@ def test_missing_config_is_an_error(capsys):
     rc = main(["train"])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnostics"])
+@pytest.mark.parametrize("extra_entities, extra_relations", [(5, 0), (-3, 0), (0, 1)])
+def test_checkpoint_not_matching_graph_is_rejected(
+    workspace, capsys, command, extra_entities, extra_relations
+):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    trained = load_table(workspace["out"] / "checkpoint.bin")
+    shape = (trained.num_entities + extra_entities, trained.num_relations + extra_relations)
+    other = workspace["tmp"] / "other.bin"
+    save_table(other, init_table(*shape, trained.dim, trained.bound, seed=0))
+    capsys.readouterr()
+    rc = main(["--config", str(workspace["config"]), command, "--checkpoint", str(other)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(other) in err
+    assert f"{shape[0]} entities and {shape[1]} relations" in err
+    assert f"{trained.num_entities} entities and {trained.num_relations} relations" in err
+
+
+def test_training_divergence_exits_with_its_message(workspace, capsys, monkeypatch):
+    logistic_loss = training.logistic_loss
+
+    def non_finite(table, batch):
+        return float("nan"), logistic_loss(table, batch)[1]
+
+    monkeypatch.setattr(training, "logistic_loss", non_finite)
+    rc = main(["--config", str(workspace["config"]), "train"])
+    assert rc == 2
+    assert "non-finite loss at epoch 1 batch 0" in capsys.readouterr().err
