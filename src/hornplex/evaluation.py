@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import RuleArrays, body_vectors, prefix_products, rule_gaps
-from .model import score_all_heads, score_all_tails
+from .kernel import RuleArrays, body_product, body_vectors, rule_gaps
+from .model import replacing, score_all_heads, score_all_tails
 
 __all__ = [
     "RankEntry",
@@ -135,8 +135,8 @@ def relation_rule_diagnostics(table, rules):
     arrays = RuleArrays.from_rules(rules)
     out = []
     for lo, hi in arrays.blocks(table.dim):
-        pre_re, pre_im = prefix_products(*body_vectors(table, arrays, lo, hi))
-        delta_re, delta_im = rule_gaps(table, arrays, lo, hi, pre_re[-1], pre_im[-1])
+        hb_re, hb_im = body_product(*body_vectors(table, arrays, lo, hi))
+        delta_re, delta_im = rule_gaps(table, arrays, lo, hi, hb_re, hb_im)
         out.extend(map(RuleDiagnostics, range(lo, hi), rules[lo:hi], delta_re, delta_im))
     return out
 
@@ -150,8 +150,9 @@ def mean_hinge_violation(diagnostics):
 
 def write_metrics(path, report, extra=None):
     """Structured text metrics file; ``extra`` rows (e.g. the resolved config)
-    are embedded as comment lines."""
-    with open(path, "w", encoding="utf-8") as handle:
+    are embedded as comment lines. Written to a temporary file that then
+    replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         if extra:
             for key in sorted(extra):
                 handle.write(f"# {key} = {extra[key]}\n")

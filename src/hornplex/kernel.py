@@ -23,6 +23,7 @@ __all__ = [
     "cmul",
     "RuleArrays",
     "body_vectors",
+    "body_product",
     "prefix_products",
     "suffix_products",
     "rule_gaps",
@@ -89,6 +90,16 @@ def body_vectors(table, rules, lo, hi):
     b_re[pad] = 1.0
     b_im[pad] = 0.0
     return b_re, b_im
+
+
+def body_product(b_re, b_im):
+    """b[0] x ... x b[K-1] along the body axis, multiplied in the order of
+    ``prefix_products`` (its last slice) but with one running product;
+    returns (rules, d) arrays."""
+    hb_re, hb_im = b_re[0], b_im[0]
+    for i in range(1, b_re.shape[0]):
+        hb_re, hb_im = cmul(hb_re, hb_im, b_re[i], b_im[i])
+    return hb_re, hb_im
 
 
 def prefix_products(b_re, b_im):

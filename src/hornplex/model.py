@@ -7,7 +7,11 @@ score of a triple (h, r, t) is Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which
 under the constraints is bounded by 2 * bound * dim in absolute value.
 """
 
+import io
+import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,8 @@ __all__ = [
     "is_feasible",
     "save_table",
     "load_table",
+    "read_array",
+    "replacing",
     "export_table_csv",
 ]
 
@@ -144,11 +150,16 @@ def project_relation_components(rel_re, rel_im, bound):
     raise RuntimeError("relation modulus projection did not converge")
 
 
-def project(table):
-    """Clamp entity components into [0, 1] and project relation rows; in place."""
-    np.clip(table.ent_re, 0.0, 1.0, out=table.ent_re)
-    np.clip(table.ent_im, 0.0, 1.0, out=table.ent_im)
-    project_relation_components(table.rel_re, table.rel_im, table.bound)
+def project(table, ent_rows=slice(None), rel_rows=slice(None)):
+    """Clamp entity components into [0, 1] and project relation components;
+    in place. ``ent_rows`` and ``rel_rows`` (unique row ids) limit it to
+    those rows; by default it covers every row. Each component is projected
+    on its own, so a row gets the same bits either way."""
+    for arr in (table.ent_re, table.ent_im):
+        arr[ent_rows] = np.clip(arr[ent_rows], 0.0, 1.0)
+    rel_re, rel_im = table.rel_re[rel_rows], table.rel_im[rel_rows]
+    project_relation_components(rel_re, rel_im, table.bound)
+    table.rel_re[rel_rows], table.rel_im[rel_rows] = rel_re, rel_im
     return table
 
 
@@ -191,33 +202,71 @@ def save_table(path_or_file, table):
             handle.close()
 
 
+def _read_exact(handle, size, what):
+    """``size`` bytes of ``what`` from a binary ``handle``. A short file is a
+    ValueError that names the file and the byte offset; it is found before
+    reading, so a corrupt size never allocates."""
+    offset = handle.tell()
+    end = handle.seek(0, io.SEEK_END)
+    handle.seek(offset)
+    if end - offset < size:
+        name = getattr(handle, "name", "<stream>")
+        raise ValueError(
+            f"{name}: truncated at byte {end}: {what} needs {size} bytes from byte {offset}"
+        )
+    return handle.read(size)
+
+
+def read_array(handle, shape, what):
+    """A float64 array of ``shape`` from a binary ``handle`` (see ``_read_exact``)."""
+    buf = _read_exact(handle, 8 * math.prod(shape), what)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+
+
 def load_table(path_or_file):
     """Read a table written by ``save_table``; trailing bytes (e.g. optimizer
-    state in a checkpoint) are left unread."""
+    state in a checkpoint) are left unread. A bad magic, a header with a
+    count below 1 or a bound that is not finite and positive, and a short
+    file are ValueErrors that name the file and the byte offset."""
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     handle = open(path_or_file, "rb") if own else path_or_file
     try:
-        magic = handle.read(4)
+        name = getattr(handle, "name", "<stream>")
+        magic = _read_exact(handle, 4, "the magic")
         if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}; not an embedding dump")
-        n, m, d, bound = struct.unpack("<qqqd", handle.read(32))
-
-        def read_array(rows):
-            buf = handle.read(rows * d * 8)
-            if len(buf) != rows * d * 8:
-                raise ValueError("truncated embedding dump")
-            return np.frombuffer(buf, dtype=np.float64).reshape(rows, d).copy()
-
-        return EmbeddingTable(
-            ent_re=read_array(n),
-            ent_im=read_array(n),
-            rel_re=read_array(m),
-            rel_im=read_array(m),
-            bound=bound,
+            raise ValueError(f"{name}: bad magic {magic!r} at byte 0; not an embedding dump")
+        n, m, d, bound = struct.unpack("<qqqd", _read_exact(handle, 32, "the header"))
+        for offset, field, value in ((4, "n", n), (12, "m", m), (20, "d", d)):
+            if value < 1:
+                raise ValueError(f"{name}: bad header at byte {offset}: {field}={value} is below 1")
+        if not (math.isfinite(bound) and bound > 0):
+            raise ValueError(
+                f"{name}: bad header at byte 28: bound={bound} is not finite and positive"
+            )
+        ent_re, ent_im, rel_re, rel_im = (
+            read_array(handle, (rows, d), what)
+            for rows, what in ((n, "ent_re"), (n, "ent_im"), (m, "rel_re"), (m, "rel_im"))
         )
+        return EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
     finally:
         if own:
             handle.close()
+
+
+@contextmanager
+def replacing(path, mode="w", **kwargs):
+    """Open a temporary file beside ``path`` for writing. When the block
+    ends normally the file replaces ``path`` in one ``os.replace``; when it
+    raises, the temporary file is removed and ``path`` keeps its content."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def export_table_csv(table, entities_path, relations_path):

@@ -24,14 +24,13 @@ import numpy as np
 from .evaluation import evaluate
 from .kernel import RuleArrays, body_vectors, cmul, prefix_products, rule_gaps, suffix_products
 from .kg import Triple
-from .model import init_table, project, save_table, load_table
+from .model import init_table, load_table, project, read_array, replacing, save_table
 
 __all__ = [
     "TrainConfig",
     "LabeledBatch",
     "AdagradState",
     "RowGrads",
-    "Gradients",
     "CompiledRules",
     "EpochRecord",
     "TrainingDiverged",
@@ -41,8 +40,9 @@ __all__ = [
     "compile_rules",
     "rule_penalty",
     "n3_regularization",
-    "adagrad_step",
     "merge_row_grads",
+    "step_gradients",
+    "adagrad_step",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -102,9 +102,10 @@ class LabeledBatch:
 
 @dataclass
 class RowGrads:
-    """Gradient blocks for a set of unique rows of one embedding matrix."""
+    """Gradient terms for rows of one embedding matrix. Rows may repeat; a
+    row's gradient is the sum of its terms (``merge_row_grads``)."""
 
-    rows: np.ndarray  # (u,) unique int row indices
+    rows: np.ndarray  # (u,) int row indices
     re: np.ndarray  # (u, d)
     im: np.ndarray  # (u, d)
 
@@ -112,11 +113,8 @@ class RowGrads:
     def empty(cls, dim):
         return cls(np.empty(0, dtype=np.int64), np.empty((0, dim)), np.empty((0, dim)))
 
-
-@dataclass
-class Gradients:
-    entities: RowGrads
-    relations: RowGrads
+    def scaled(self, factor):
+        return RowGrads(self.rows, self.re * factor, self.im * factor)
 
 
 @dataclass
@@ -221,18 +219,11 @@ def sample_negatives(kg, positive, count, rng):
     return [Triple(int(h), int(r), int(t)) for h, r, t in out[0]]
 
 
-def _compact(indices, grads_re, grads_im):
-    rows, inverse = np.unique(indices, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(rows.size))
-    re = np.add.reduceat(grads_re[order], starts, axis=0)
-    im = np.add.reduceat(grads_im[order], starts, axis=0)
-    return RowGrads(rows, re, im)
-
-
 def logistic_loss(table, batch):
-    """Sum of log(1 + exp(-y * score)) over the batch, with gradients for the
-    touched entity and relation rows. Stable for large |y * score|."""
+    """Sum of log(1 + exp(-y * score)) over the batch, with one gradient term
+    per occurrence: returns (loss, entity RowGrads over the heads then the
+    tails, relation RowGrads over the relations). Stable for large
+    |y * score|."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     h, r, t = batch.triples[:, 0], batch.triples[:, 1], batch.triples[:, 2]
@@ -256,13 +247,12 @@ def logistic_loss(table, batch):
     g_t_re = coeff * (a * c - b * d)
     g_t_im = coeff * (a * d + b * c)
 
-    entities = _compact(
+    entities = RowGrads(
         np.concatenate([h, t]),
         np.concatenate([g_h_re, g_t_re]),
         np.concatenate([g_h_im, g_t_im]),
     )
-    relations = _compact(r, g_r_re, g_r_im)
-    return loss, Gradients(entities, relations)
+    return loss, entities, RowGrads(r, g_r_re, g_r_im)
 
 
 @dataclass(frozen=True)
@@ -358,7 +348,9 @@ def rule_penalty(table, rules):
 
 def n3_regularization(table, ent_rows, rel_rows):
     """Sum of cubed component moduli over the given rows; the gradient of
-    |c|^3 is 3|c|*(re, im), zero at the origin. The caller applies eta."""
+    |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, entity
+    RowGrads, relation RowGrads) over the given rows. The caller applies
+    eta."""
     ent_rows = np.asarray(ent_rows, dtype=np.int64)
     rel_rows = np.asarray(rel_rows, dtype=np.int64)
     loss = 0.0
@@ -371,41 +363,76 @@ def n3_regularization(table, ent_rows, rel_rows):
         mod = np.hypot(re, im)
         loss += float(np.sum(mod**3))
         blocks.append(RowGrads(rows, 3.0 * mod * re, 3.0 * mod * im))
-    return loss, Gradients(blocks[0], blocks[1])
+    return loss, blocks[0], blocks[1]
 
 
-def merge_row_grads(dim, parts):
-    """Sum scaled RowGrads blocks: ``parts`` is a list of (RowGrads, scale)."""
-    parts = [(g, s) for g, s in parts if g is not None and g.rows.size and s != 0.0]
-    if not parts:
-        return RowGrads.empty(dim)
-    rows, inverse = np.unique(np.concatenate([g.rows for g, _ in parts]), return_inverse=True)
-    re = np.zeros((rows.size, dim))
-    im = np.zeros((rows.size, dim))
+def merge_row_grads(blocks):
+    """The gradient of each row the RowGrads ``blocks`` of one matrix touch,
+    as RowGrads over the sorted unique rows. One ``np.unique`` covers every
+    block. Within a block a row's terms are summed in order (stable sort,
+    then ``np.add.reduceat``); the blocks' sums are then added to the row's
+    total block by block."""
+    rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
+    re = np.zeros((rows.size, blocks[0].re.shape[1]))
+    im = np.zeros_like(re)
     offset = 0
-    for g, s in parts:
-        sl = inverse[offset : offset + g.rows.size]
-        re[sl] += g.re * s
-        im[sl] += g.im * s
-        offset += g.rows.size
+    for block in blocks:
+        slots = inverse[offset : offset + block.rows.size]
+        offset += block.rows.size
+        order = np.argsort(slots, kind="stable")
+        counts = np.bincount(slots)
+        present = np.flatnonzero(counts)
+        counts = counts[present]
+        firsts = order[np.cumsum(counts) - counts]
+        # reduceat pays per row and column however few terms a row has, so
+        # only rows with several terms go through it; the rest are copied.
+        multi = counts > 1
+        terms = order[np.repeat(multi, counts)]
+        starts = np.cumsum(counts[multi]) - counts[multi]
+        for total, values in ((re, block.re), (im, block.im)):
+            sums = values[firsts]
+            if starts.size:
+                sums[multi] = np.add.reduceat(values[terms], starts, axis=0)
+            total[present] += sums
     return RowGrads(rows, re, im)
 
 
-def adagrad_step(table, grads, state, lr):
-    """Sparse AdaGrad: per touched coordinate, acc += g^2 then
-    p -= lr * g / (sqrt(acc) + eps)."""
+def step_gradients(table, batch, rules, mu, eta):
+    """Losses and gradients of one step on logistic + mu * rule_penalty +
+    eta * N3 over ``batch``; ``rules`` is a ``compile_rules`` packing, or
+    None. Returns ((logistic, rule, N3) losses, entity RowGrads, relation
+    RowGrads), the gradients summed over the sorted unique rows the step
+    touches: each row sums its logistic terms, then mu times its rule term,
+    then eta times its N3 term. N3 covers every touched row."""
+    l_loss, l_ent, l_rel = logistic_loss(table, batch)
+    r_loss, rel_blocks = 0.0, [l_rel]
+    if mu > 0 and rules:
+        r_loss, r_rel = rule_penalty(table, rules)
+        rel_blocks.append(r_rel.scaled(mu))
+    ent, rel = merge_row_grads([l_ent]), merge_row_grads(rel_blocks)
+    n_loss = 0.0
+    if eta > 0:
+        n_loss, n_ent, n_rel = n3_regularization(table, ent.rows, rel.rows)
+        for g, n in ((ent, n_ent), (rel, n_rel)):
+            g.re += n.re * eta
+            g.im += n.im * eta
+    return (l_loss, r_loss, n_loss), ent, rel
+
+
+def adagrad_step(table, entities, relations, state, lr):
+    """Sparse AdaGrad on summed gradients (RowGrads with unique rows, or
+    None): per coordinate, acc += g^2 then p -= lr * g / (sqrt(acc) + eps)."""
     updates = (
-        (grads.entities, table.ent_re, table.ent_im, state.ent_re_acc, state.ent_im_acc),
-        (grads.relations, table.rel_re, table.rel_im, state.rel_re_acc, state.rel_im_acc),
+        (entities, table.ent_re, table.ent_im, state.ent_re_acc, state.ent_im_acc),
+        (relations, table.rel_re, table.rel_im, state.rel_re_acc, state.rel_im_acc),
     )
     for g, p_re, p_im, acc_re, acc_im in updates:
         if g is None or g.rows.size == 0:
             continue
-        rows = g.rows
-        acc_re[rows] += g.re * g.re
-        p_re[rows] -= lr * g.re / (np.sqrt(acc_re[rows]) + state.epsilon)
-        acc_im[rows] += g.im * g.im
-        p_im[rows] -= lr * g.im / (np.sqrt(acc_im[rows]) + state.epsilon)
+        for grad, p, acc in ((g.re, p_re, acc_re), (g.im, p_im, acc_im)):
+            total = acc[g.rows] + grad * grad
+            acc[g.rows] = total
+            p[g.rows] -= lr * grad / (np.sqrt(total) + state.epsilon)
 
 
 @dataclass
@@ -423,9 +450,9 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
 
     Per epoch the train triples are shuffled (seeded), split into batches,
     each batch is extended with sampled negatives, and one AdaGrad step plus
-    projection is taken on logistic + mu*rule_penalty + eta*N3. N3 covers the
-    rows touched by the batch. ``step_callback(table, epoch, step)`` runs
-    after each projection. Deterministic for fixed inputs and seed.
+    projection is taken on logistic + mu*rule_penalty + eta*N3, on only the
+    rows the step touches. ``step_callback(table, epoch, step)`` runs after
+    each projection. Deterministic for fixed inputs and seed.
     """
     rules = compile_rules(rules) if config.mu > 0 else None
     ss = np.random.SeedSequence(config.seed)
@@ -453,25 +480,9 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
                 np.concatenate([np.ones(pos.shape[0]), -np.ones(negs.shape[0])]),
             )
 
-            l_loss, l_grads = logistic_loss(table, batch)
-            if rules:
-                r_loss, r_grads = rule_penalty(table, rules)
-            else:
-                r_loss, r_grads = 0.0, None
-            if config.eta > 0:
-                # N3 covers every row this step touches: batch rows, plus the
-                # rule-touched relation rows when the penalty is active.
-                ent_rows = np.unique(batch.triples[:, (0, 2)])
-                if r_grads is not None and r_grads.rows.size:
-                    rel_rows = np.unique(
-                        np.concatenate([batch.triples[:, 1], r_grads.rows])
-                    )
-                else:
-                    rel_rows = np.unique(batch.triples[:, 1])
-                n_loss, n_grads = n3_regularization(table, ent_rows, rel_rows)
-            else:
-                n_loss, n_grads = 0.0, None
-
+            (l_loss, r_loss, n_loss), ent, rel = step_gradients(
+                table, batch, rules, config.mu, config.eta
+            )
             total = l_loss + config.mu * r_loss + config.eta * n_loss
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -479,25 +490,9 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
                     f"logistic={l_loss} rule_penalty={r_loss} n3={n_loss}"
                 )
 
-            merged = Gradients(
-                entities=merge_row_grads(
-                    config.dim,
-                    [
-                        (l_grads.entities, 1.0),
-                        (n_grads.entities if n_grads else None, config.eta),
-                    ],
-                ),
-                relations=merge_row_grads(
-                    config.dim,
-                    [
-                        (l_grads.relations, 1.0),
-                        (r_grads, config.mu),
-                        (n_grads.relations if n_grads else None, config.eta),
-                    ],
-                ),
-            )
-            adagrad_step(table, merged, state, config.learning_rate)
-            project(table)
+            # Only the rows the step touched can have left the feasible set.
+            adagrad_step(table, ent, rel, state, config.learning_rate)
+            project(table, ent.rows, rel.rows)
             if step_callback is not None:
                 step_callback(table, epoch, step)
 
@@ -522,8 +517,9 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
 
 
 def save_checkpoint(path, table, state):
-    """Embedding dump followed by the AdaGrad accumulator arrays."""
-    with open(path, "wb") as handle:
+    """Embedding dump followed by the AdaGrad accumulator arrays, written to
+    a temporary file that then replaces ``path``."""
+    with replacing(path, "wb") as handle:
         save_table(handle, table)
         handle.write(struct.pack("<d", state.epsilon))
         for arr in (state.ent_re_acc, state.ent_im_acc, state.rel_re_acc, state.rel_im_acc):
@@ -531,21 +527,17 @@ def save_checkpoint(path, table, state):
 
 
 def load_checkpoint(path):
+    """The table and AdaGrad state of ``save_checkpoint``; a bad or short
+    file is a ValueError that names it and the byte offset."""
     with open(path, "rb") as handle:
         table = load_table(handle)
-        (epsilon,) = struct.unpack("<d", handle.read(8))
+        epsilon = float(read_array(handle, (), "the AdaGrad epsilon"))
         n, m, d = table.num_entities, table.num_relations, table.dim
-
-        def read_array(rows):
-            buf = handle.read(rows * d * 8)
-            if len(buf) != rows * d * 8:
-                raise ValueError("truncated checkpoint")
-            return np.frombuffer(buf, dtype=np.float64).reshape(rows, d).copy()
-
-        state = AdagradState(
-            read_array(n), read_array(n), read_array(m), read_array(m), epsilon
-        )
-    return table, state
+        accumulators = [
+            read_array(handle, (rows, d), what)
+            for rows, what in ((n, "ent_re_acc"), (n, "ent_im_acc"), (m, "rel_re_acc"), (m, "rel_im_acc"))
+        ]
+    return table, AdagradState(*accumulators, epsilon)
 
 
 def write_training_log(path, records, config_echo=None):

@@ -314,21 +314,18 @@ def _unflatten_into(table, x):
     table.rel_im = x[offsets[3] : offsets[4]].reshape(m, d).copy()
 
 
-def _dense_gradient(table, ent_grads, rel_grads):
-    n, m, d = table.num_entities, table.num_relations, table.dim
-    g_ent_re = np.zeros((n, d))
-    g_ent_im = np.zeros((n, d))
-    g_rel_re = np.zeros((m, d))
-    g_rel_im = np.zeros((m, d))
-    if ent_grads is not None and ent_grads.rows.size:
-        g_ent_re[ent_grads.rows] += ent_grads.re
-        g_ent_im[ent_grads.rows] += ent_grads.im
-    if rel_grads is not None and rel_grads.rows.size:
-        g_rel_re[rel_grads.rows] += rel_grads.re
-        g_rel_im[rel_grads.rows] += rel_grads.im
-    return np.concatenate(
-        [g_ent_re.ravel(), g_ent_im.ravel(), g_rel_re.ravel(), g_rel_im.ravel()]
-    )
+def _dense_gradient(table, ent_blocks, rel_blocks):
+    """The flat gradient of every coordinate from RowGrads blocks, whose
+    rows may repeat."""
+    flat = []
+    for num_rows, blocks in ((table.num_entities, ent_blocks), (table.num_relations, rel_blocks)):
+        g_re = np.zeros((num_rows, table.dim))
+        g_im = np.zeros((num_rows, table.dim))
+        for g in blocks:
+            np.add.at(g_re, g.rows, g.re)
+            np.add.at(g_im, g.rows, g.im)
+        flat += [g_re.ravel(), g_im.ravel()]
+    return np.concatenate(flat)
 
 
 def gradient_check(
@@ -353,32 +350,30 @@ def gradient_check(
         rel_rows = np.arange(table.num_relations)
 
     def parts(tbl):
+        """(loss, entity RowGrads blocks, relation RowGrads blocks)."""
         if function == "logistic":
-            loss, grads = training.logistic_loss(tbl, batch)
-            return loss, grads.entities, grads.relations
+            loss, ent, rel = training.logistic_loss(tbl, batch)
+            return loss, [ent], [rel]
         if function == "rule_penalty":
             loss, rel = training.rule_penalty(tbl, rules)
-            return loss, None, rel
+            return loss, [], [rel]
         if function == "n3":
-            loss, grads = training.n3_regularization(tbl, ent_rows, rel_rows)
-            return loss, grads.entities, grads.relations
+            loss, ent, rel = training.n3_regularization(tbl, ent_rows, rel_rows)
+            return loss, [ent], [rel]
         if function == "total":
-            l_loss, l_grads = training.logistic_loss(tbl, batch)
-            r_loss, r_grads = training.rule_penalty(tbl, rules)
-            n_loss, n_grads = training.n3_regularization(tbl, ent_rows, rel_rows)
-            ent = training.merge_row_grads(
-                tbl.dim, [(l_grads.entities, 1.0), (n_grads.entities, eta)]
+            l_loss, l_ent, l_rel = training.logistic_loss(tbl, batch)
+            r_loss, r_rel = training.rule_penalty(tbl, rules)
+            n_loss, n_ent, n_rel = training.n3_regularization(tbl, ent_rows, rel_rows)
+            return (
+                l_loss + mu * r_loss + eta * n_loss,
+                [l_ent, n_ent.scaled(eta)],
+                [l_rel, r_rel.scaled(mu), n_rel.scaled(eta)],
             )
-            rel = training.merge_row_grads(
-                tbl.dim,
-                [(l_grads.relations, 1.0), (r_grads, mu), (n_grads.relations, eta)],
-            )
-            return l_loss + mu * r_loss + eta * n_loss, ent, rel
         raise ValueError(f"unknown function {function!r}")
 
     work = table.copy()
-    loss, ent_g, rel_g = parts(work)
-    analytic = _dense_gradient(work, ent_g, rel_g)
+    loss, ent_blocks, rel_blocks = parts(work)
+    analytic = _dense_gradient(work, ent_blocks, rel_blocks)
 
     def loss_at(x):
         probe = table.copy()

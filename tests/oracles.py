@@ -4,13 +4,16 @@ These deliberately avoid the indices and vectorized formulas of the library:
 membership is a linear scan over the raw split lists, ranking materializes
 and sorts whole candidate lists, and rule confidence enumerates entity tuples
 exhaustively. The rule penalty and the rule diagnostics loop over rules one
-at a time, multiplying each body out on its own.
+at a time, multiplying each body out on its own. The optimizer step sums
+gradients per loss term, merges the terms per table, and projects the whole
+table.
 """
 
 import numpy as np
 
+from hornplex import training
 from hornplex.kg import Triple
-from hornplex.model import score
+from hornplex.model import project, score
 from hornplex.training import RowGrads
 
 
@@ -156,3 +159,65 @@ def rule_penalty(table, rules):
     re = np.stack([acc[r][0] for r in rows])
     im = np.stack([acc[r][1] for r in rows])
     return loss, RowGrads(rows, re, im)
+
+
+def _compact(indices, grads_re, grads_im):
+    """Per-row sums of one loss term's gradient terms, over the sorted rows."""
+    rows, inverse = np.unique(indices, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(rows.size))
+    re = np.add.reduceat(grads_re[order], starts, axis=0)
+    im = np.add.reduceat(grads_im[order], starts, axis=0)
+    return RowGrads(rows, re, im)
+
+
+def _merge(dim, parts):
+    """Sum scaled per-row sums: ``parts`` is a list of (RowGrads, scale)."""
+    parts = [(g, s) for g, s in parts if g is not None and g.rows.size and s != 0.0]
+    rows, inverse = np.unique(np.concatenate([g.rows for g, _ in parts]), return_inverse=True)
+    re = np.zeros((rows.size, dim))
+    im = np.zeros((rows.size, dim))
+    offset = 0
+    for g, s in parts:
+        sl = inverse[offset : offset + g.rows.size]
+        re[sl] += g.re * s
+        im[sl] += g.im * s
+        offset += g.rows.size
+    return RowGrads(rows, re, im)
+
+
+def sparse_step(table, state, batch, rules, mu, eta, lr):
+    """One step of ``hornplex.training.train`` on ``batch``, taken term by
+    term: the logistic gradients compacted per row, merged per table with mu
+    times the rule gradients and eta times N3 over the rows the batch and the
+    rules touch, AdaGrad on the merged rows, then a projection of the whole
+    table. ``rules`` is a rule list or None. Returns a copy of the table as
+    it was before the projection."""
+    _, l_ent, l_rel = training.logistic_loss(table, batch)
+    ent = _compact(l_ent.rows, l_ent.re, l_ent.im)
+    rel = _compact(l_rel.rows, l_rel.re, l_rel.im)
+    r_grads = training.rule_penalty(table, rules)[1] if mu > 0 and rules else None
+    n_ent = n_rel = None
+    if eta > 0:
+        rel_rows = batch.triples[:, 1]
+        if r_grads is not None:
+            rel_rows = np.concatenate([rel_rows, r_grads.rows])
+        _, n_ent, n_rel = training.n3_regularization(
+            table, np.unique(batch.triples[:, (0, 2)]), np.unique(rel_rows)
+        )
+    ent = _merge(table.dim, [(ent, 1.0), (n_ent, eta)])
+    rel = _merge(table.dim, [(rel, 1.0), (r_grads, mu), (n_rel, eta)])
+
+    updates = (
+        (ent, table.ent_re, table.ent_im, state.ent_re_acc, state.ent_im_acc),
+        (rel, table.rel_re, table.rel_im, state.rel_re_acc, state.rel_im_acc),
+    )
+    for g, p_re, p_im, acc_re, acc_im in updates:
+        rows = g.rows
+        acc_re[rows] += g.re * g.re
+        p_re[rows] -= lr * g.re / (np.sqrt(acc_re[rows]) + state.epsilon)
+        acc_im[rows] += g.im * g.im
+        p_im[rows] -= lr * g.im / (np.sqrt(acc_im[rows]) + state.epsilon)
+    before = table.copy()
+    project(table)
+    return before

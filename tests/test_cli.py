@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -232,9 +233,30 @@ def test_training_divergence_exits_with_its_message(workspace, capsys, monkeypat
     logistic_loss = training.logistic_loss
 
     def non_finite(table, batch):
-        return float("nan"), logistic_loss(table, batch)[1]
+        return (float("nan"),) + logistic_loss(table, batch)[1:]
 
     monkeypatch.setattr(training, "logistic_loss", non_finite)
     rc = main(["--config", str(workspace["config"]), "train"])
     assert rc == 2
     assert "non-finite loss at epoch 1 batch 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        (lambda ckpt: ckpt[:20], "truncated at byte 20"),
+        (lambda ckpt: ckpt[:100], "truncated at byte 100"),
+        (lambda ckpt: ckpt[:4] + struct.pack("<q", -1) + ckpt[12:], "bad header at byte 4"),
+    ],
+    ids=["cut-in-header", "cut-in-arrays", "negative-count"],
+)
+def test_eval_rejects_damaged_checkpoint(workspace, capsys, damage, expected):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    damaged = workspace["tmp"] / "damaged.bin"
+    damaged.write_bytes(damage((workspace["out"] / "checkpoint.bin").read_bytes()))
+    capsys.readouterr()
+    rc = main(["--config", str(workspace["config"]), "eval", "--checkpoint", str(damaged)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(damaged) in err
+    assert expected in err

@@ -202,3 +202,20 @@ def test_metrics_file_round_trip(tmp_path):
     assert values["mrr"] == pytest.approx(report.mrr)
     assert values["hits@10"] == pytest.approx(report.hits_at[10])
     assert values["count"] == report.count
+
+
+def test_failed_metrics_write_keeps_previous_file(tmp_path):
+    kg = make_random_kg(seed=15, num_test=4)
+    report = evaluate(make_feasible_table(seed=15), kg, kg.test)
+    p = tmp_path / "metrics.txt"
+    write_metrics(p, report)
+    previous = p.read_text()
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_metrics(p, report, extra={"a": 1, "b": Unprintable()})
+    assert p.read_text() == previous
+    assert sorted(tmp_path.iterdir()) == [p]

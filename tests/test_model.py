@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,36 @@ def test_load_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_table(p)
+
+
+def damaged_dumps():
+    """Damaged embedding dumps and the parts their error must name; the
+    intact dump (5 entities, 2 relations, d=3) is 36 + 14 * 24 = 372 bytes."""
+    buf = io.BytesIO()
+    save_table(buf, init_table(5, 2, 3, seed=0))
+    dump = buf.getvalue()
+    cases = [
+        ("cut-in-header", dump[:20], ["truncated at byte 20", "header", "from byte 4"]),
+        ("cut-in-arrays", dump[:100], ["truncated at byte 100", "ent_re", "from byte 36"]),
+        ("negative-count", dump[:4] + struct.pack("<q", -1) + dump[12:], ["byte 4", "n=-1"]),
+        ("zero-dimension", dump[:20] + struct.pack("<q", 0) + dump[28:], ["byte 20", "d=0"]),
+        ("infinite-bound", dump[:28] + struct.pack("<d", np.inf) + dump[36:], ["byte 28", "bound=inf"]),
+        ("zero-bound", dump[:28] + struct.pack("<d", 0.0) + dump[36:], ["byte 28", "bound=0.0"]),
+        ("huge-count", dump[:4] + struct.pack("<q", 2**60) + dump[12:], ["truncated at byte 372"]),
+    ]
+    return [pytest.param(blob, parts, id=label) for label, blob, parts in cases]
+
+
+@pytest.mark.parametrize("blob, parts", damaged_dumps())
+def test_load_rejects_damaged_dump_naming_file_and_offset(tmp_path, blob, parts):
+    p = tmp_path / "damaged.bin"
+    p.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        load_table(p)
+    message = str(err.value)
+    assert str(p) in message
+    for part in parts:
+        assert part in message
 
 
 def test_csv_export(tmp_path):

@@ -1,0 +1,146 @@
+"""The fused optimizer step against the term-by-term step in ``oracles``.
+
+The fused step sums each row's terms in the same order as the oracle and
+projects only the rows it touched, which were the only rows a whole-table
+projection could move. Tables and AdaGrad accumulators must therefore be
+equal byte for byte, not merely close.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from hornplex.model import init_table, project
+from hornplex.rules import HornRule
+from hornplex.training import (
+    AdagradState,
+    LabeledBatch,
+    adagrad_step,
+    compile_rules,
+    step_gradients,
+)
+
+ARRAYS = ("ent_re", "ent_im", "rel_re", "rel_im")
+ACCUMULATORS = ("ent_re_acc", "ent_im_acc", "rel_re_acc", "rel_im_acc")
+
+
+def fused_step(table, state, batch, rules, mu, eta, lr):
+    """One step as ``train`` takes it; ``rules`` is a rule list."""
+    _, ent, rel = step_gradients(table, batch, compile_rules(rules), mu, eta)
+    adagrad_step(table, ent, rel, state, lr)
+    project(table, ent.rows, rel.rows)
+
+
+def random_batch(rng, num_entities, batch_relations, size):
+    """``size`` triples over few ids, so rows repeat within the batch."""
+    triples = np.column_stack(
+        [
+            rng.integers(0, num_entities, size),
+            rng.integers(0, batch_relations, size),
+            rng.integers(0, num_entities, size),
+        ]
+    )
+    return LabeledBatch(triples, np.where(rng.random(size) < 0.5, 1.0, -1.0))
+
+
+def random_rules(rng, num_relations, count):
+    """``count`` rules of length 1-3; the first has the last relation as its
+    head, which no batch of ``run_both`` holds."""
+    rules = []
+    for i in range(count):
+        body = tuple(int(r) for r in rng.integers(0, num_relations, rng.integers(1, 4)))
+        head = num_relations - 1 if i == 0 else int(rng.integers(0, num_relations))
+        rules.append(HornRule(body=body, head=head, confidence=float(rng.uniform(0.2, 1.0))))
+    return rules
+
+
+def run_both(seed, num_entities, num_relations, dim, bound, num_rules, mu, eta, lr, steps):
+    """Take ``steps`` steps with the fused and the oracle step from the same
+    start and require byte-identical tables and accumulators after each. Returns what
+    the inputs covered: repeated rows in a batch, rule rows absent from the
+    batch, and pre-projection entity components above 1 and relation moduli
+    above the bound."""
+    rng = np.random.default_rng(seed)
+    fused = init_table(num_entities, num_relations, dim, bound, seed=seed)
+    slow = fused.copy()
+    fused_state = AdagradState.zeros(num_entities, num_relations, dim)
+    slow_state = AdagradState.zeros(num_entities, num_relations, dim)
+    rules = random_rules(rng, num_relations, num_rules)
+    covered = dict.fromkeys(("repeats", "rule_rows_off_batch", "above_one", "above_bound"), False)
+    for _ in range(steps):
+        batch = random_batch(rng, num_entities, max(num_relations - 1, 1), int(rng.integers(1, 30)))
+        fused_step(fused, fused_state, batch, rules, mu, eta, lr)
+        before = oracles.sparse_step(slow, slow_state, batch, rules, mu, eta, lr)
+        for name in ARRAYS:
+            assert getattr(fused, name).tobytes() == getattr(slow, name).tobytes(), name
+        for name in ACCUMULATORS:
+            assert getattr(fused_state, name).tobytes() == getattr(slow_state, name).tobytes(), name
+
+        ents = batch.triples[:, (0, 2)].ravel()
+        covered["repeats"] |= np.unique(ents).size < ents.size
+        covered["rule_rows_off_batch"] |= bool(
+            rules and mu > 0 and num_relations - 1 not in batch.triples[:, 1]
+        )
+        covered["above_one"] |= bool((before.ent_re > 1.0).any() or (before.ent_im > 1.0).any())
+        covered["above_bound"] |= bool((np.hypot(before.rel_re, before.rel_im) > bound).any())
+    return covered
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_entities=st.integers(1, 12),
+    num_relations=st.integers(1, 6),
+    dim=st.integers(1, 5),
+    bound=st.sampled_from([0.5, 1.0, 2.0]),
+    num_rules=st.integers(0, 4),
+    mu=st.sampled_from([0.0, 0.5, 1.0]),
+    eta=st.sampled_from([0.0, 0.02, 1.0]),
+    lr=st.sampled_from([0.05, 0.5, 5.0]),
+    steps=st.integers(1, 4),
+)
+def test_fused_step_equals_term_by_term_step(**kw):
+    run_both(**kw)
+
+
+@pytest.mark.parametrize("mu, eta", [(1.0, 0.02), (0.0, 0.02), (1.0, 0.0), (0.0, 0.0)])
+def test_fused_step_covers_repeats_off_batch_rules_and_infeasible_updates(mu, eta):
+    covered = run_both(
+        seed=3, num_entities=6, num_relations=4, dim=4, bound=1.0, num_rules=3,
+        mu=mu, eta=eta, lr=5.0, steps=4,
+    )
+    assert covered == {
+        "repeats": True,
+        "rule_rows_off_batch": mu > 0,
+        "above_one": True,
+        "above_bound": True,
+    }
+
+
+def test_step_leaves_untouched_rows_byte_identical():
+    """Rows outside the batch and the rules keep every byte, even when they
+    lie outside the feasible set, in the table and in the accumulators."""
+    rng = np.random.default_rng(4)
+    table = init_table(10, 6, 4, 1.0, seed=4)
+    state = AdagradState.zeros(10, 6, 4)
+    for name in ACCUMULATORS:
+        getattr(state, name)[:] = rng.random(getattr(state, name).shape)
+    table.ent_re[7:] = 1.5  # infeasible, untouched
+    table.rel_re[5] = table.rel_im[5] = 0.9  # modulus above the bound, untouched
+    batch = random_batch(rng, 6, 3, 40)  # entities 0-5, relations 0-2
+    rules = [HornRule(body=(1, 3), head=2, confidence=0.8)]  # touches relation 3
+    before = table.copy()
+    acc_before = {name: getattr(state, name).copy() for name in ACCUMULATORS}
+
+    fused_step(table, state, batch, rules, mu=1.0, eta=0.02, lr=0.5)
+
+    untouched = {"ent": np.arange(6, 10), "rel": np.array([4, 5])}
+    for name in ARRAYS:
+        rows = untouched[name[:3]]
+        assert getattr(table, name)[rows].tobytes() == getattr(before, name)[rows].tobytes()
+    for name in ACCUMULATORS:
+        rows = untouched[name[:3]]
+        assert getattr(state, name)[rows].tobytes() == acc_before[name][rows].tobytes()
+    touched = np.unique(batch.triples[:, (0, 2)])
+    assert not np.array_equal(table.ent_re[touched], before.ent_re[touched])

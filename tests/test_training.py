@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hornplex import training
 from hornplex.kg import Triple, build_graph
 from hornplex.model import EmbeddingTable, is_feasible
 from hornplex.rules import HornRule
 from hornplex.training import (
     AdagradState,
-    Gradients,
     LabeledBatch,
     RowGrads,
     TrainConfig,
@@ -65,21 +65,21 @@ class TestLogisticLoss:
         batch = LabeledBatch(
             np.array([[0, 0, 1], [2, 0, 3], [4, 0, 5]]), np.array([1.0, -1.0, 1.0])
         )
-        loss, _ = logistic_loss(table, batch)
+        loss, _, _ = logistic_loss(table, batch)
         assert loss == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_large_positive_score_is_stable(self):
         table = relation_table([[1.0]], [[0.0]])
         table.ent_re[0, 0] = 50.0
         batch = LabeledBatch(np.array([[0, 0, 1]]), np.array([1.0]))
-        loss, _ = logistic_loss(table, batch)
+        loss, _, _ = logistic_loss(table, batch)
         assert 0.0 < loss < 1e-20
 
     def test_large_negative_score_no_overflow(self):
         table = relation_table([[1.0]], [[0.0]])
         table.ent_re[0, 0] = 500.0
         batch = LabeledBatch(np.array([[0, 0, 1]]), np.array([-1.0]))
-        loss, _ = logistic_loss(table, batch)
+        loss, _, _ = logistic_loss(table, batch)
         assert loss == pytest.approx(500.0, rel=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -99,9 +99,9 @@ class TestLogisticLoss:
     def test_gradients_touch_only_batch_rows(self):
         table = make_feasible_table(seed=3)
         batch = LabeledBatch(np.array([[0, 1, 2]]), np.array([1.0]))
-        _, grads = logistic_loss(table, batch)
-        assert set(grads.entities.rows) == {0, 2}
-        assert set(grads.relations.rows) == {1}
+        _, entities, relations = logistic_loss(table, batch)
+        assert set(entities.rows) == {0, 2}
+        assert set(relations.rows) == {1}
 
 
 class TestRulePenalty:
@@ -171,14 +171,14 @@ class TestRulePenalty:
 class TestN3:
     def test_single_component(self):
         table = relation_table([[0.3]], [[0.4]])
-        loss, _ = n3_regularization(table, np.array([], dtype=int), np.array([0]))
+        loss, _, _ = n3_regularization(table, np.array([], dtype=int), np.array([0]))
         assert loss == pytest.approx(0.125, abs=1e-15)
 
     def test_zero_row(self):
         table = relation_table([[0.0]], [[0.0]])
-        loss, grads = n3_regularization(table, np.array([], dtype=int), np.array([0]))
+        loss, _, relations = n3_regularization(table, np.array([], dtype=int), np.array([0]))
         assert loss == 0.0
-        assert np.all(grads.relations.re == 0.0)
+        assert np.all(relations.re == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         table = make_feasible_table(seed=8, num_entities=5, num_relations=3, dim=8)
@@ -195,26 +195,25 @@ class TestAdagrad:
         return table, state
 
     def grads(self, value, dim=1):
-        g = RowGrads(np.array([0]), np.full((1, dim), float(value)), np.zeros((1, dim)))
-        return Gradients(RowGrads.empty(dim), g)
+        return RowGrads(np.array([0]), np.full((1, dim), float(value)), np.zeros((1, dim)))
 
     def test_first_step(self):
         table, state = self.make()
-        adagrad_step(table, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
         assert table.rel_re[0, 0] == pytest.approx(-0.5, abs=1e-9)
         assert state.rel_re_acc[0, 0] == 1.0
 
     def test_zero_gradient_is_noop(self):
         table, state = self.make()
-        adagrad_step(table, self.grads(0.0), state, lr=0.5)
+        adagrad_step(table, None, self.grads(0.0), state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0
         assert state.rel_re_acc[0, 0] == 0.0
 
     def test_accumulation_shrinks_steps(self):
         table, state = self.make()
-        adagrad_step(table, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
         first = table.rel_re[0, 0]
-        adagrad_step(table, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
         second = table.rel_re[0, 0] - first
         assert abs(second) == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-9)
 
@@ -222,7 +221,7 @@ class TestAdagrad:
         table, state = self.make(dim=3)
         for value in (0.5, -1.0, 2.0):
             before = state.rel_re_acc.copy()
-            adagrad_step(table, self.grads(value, dim=3), state, lr=0.1)
+            adagrad_step(table, None, self.grads(value, dim=3), state, lr=0.1)
             assert np.all(state.rel_re_acc >= before)
 
 
@@ -344,6 +343,34 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(table.ent_re, table2.ent_re)
     assert np.array_equal(state.rel_im_acc, state2.rel_im_acc)
     assert state2.epsilon == state.epsilon
+
+
+def test_checkpoint_with_cut_accumulators_names_file_and_offset(tmp_path):
+    table = make_feasible_table(seed=12, num_entities=4, num_relations=2, dim=3)
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, table, AdagradState.zeros(4, 2, 3))
+    # 36-byte header, 12 rows of 24 bytes, epsilon, then 4 accumulator rows
+    p.write_bytes(p.read_bytes()[: 36 + 12 * 24 + 8 + 4 * 24 + 5])
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(p)
+    assert str(err.value) == f"{p}: truncated at byte 433: ent_im_acc needs 96 bytes from byte 428"
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    table = make_feasible_table(seed=13, num_entities=4, num_relations=2, dim=3)
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, table, AdagradState.zeros(4, 2, 3))
+    previous = p.read_bytes()
+
+    def fail_midway(handle, table):
+        handle.write(b"HPX1 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training, "save_table", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(p, table, AdagradState.zeros(4, 2, 3))
+    assert p.read_bytes() == previous
+    assert sorted(tmp_path.iterdir()) == [p]
 
 
 def test_training_log_round_trip(tmp_path):
