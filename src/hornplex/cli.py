@@ -13,7 +13,7 @@ import sys
 
 from . import evaluation, fewshot, model, rules as rules_mod, training, verify
 from .config import load_run_config
-from .kg import load_graph, write_dictionary
+from .kg import check_dictionary, load_graph, write_dictionary
 
 __all__ = ["main", "entry_point"]
 
@@ -58,7 +58,8 @@ def _load_rules(cfg, kg, required):
 
 def _load_table(path, kg):
     """The embedding table of a checkpoint, which must match the graph's
-    entity and relation counts."""
+    entity and relation counts, and the names of the ``entities.dict`` and
+    ``relations.dict`` beside it, where they exist."""
     table = model.load_table(path)
     found = (table.num_entities, table.num_relations)
     expected = (kg.num_entities, kg.num_relations)
@@ -67,12 +68,16 @@ def _load_table(path, kg):
             f"checkpoint {path} holds {found[0]} entities and {found[1]} relations, "
             f"but the graph has {expected[0]} entities and {expected[1]} relations"
         )
+    folder = os.path.dirname(os.path.abspath(path))
+    for name, names in (("entities.dict", kg.entity_names), ("relations.dict", kg.relation_names)):
+        if os.path.exists(os.path.join(folder, name)):
+            check_dictionary(os.path.join(folder, name), names)
     return table
 
 
 def _write_resolved(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
+    with model.replacing(os.path.join(out_dir, "resolved_config.json"), encoding="utf-8") as fh:
         json.dump(cfg.echo(), fh, indent=2, sort_keys=True)
 
 

@@ -5,20 +5,34 @@ split (other than the evaluated triple itself) are removed before ranking.
 Ties are scored as the mean of the optimistic and pessimistic rank, i.e.
 rank = 1 + #{strictly better} + #{equal}/2, which is robust against
 degenerate constant-score models.
+
+Queries are ranked a block at a time (``rank_queries``): one matrix product
+scores every entity for every query of the block, and a forward-error bound
+decides which scores the product cannot order against the true score. Only
+those are scored again, with the arithmetic of ``model.score``, so the ranks
+are those of scoring every candidate with ``model.score``.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernel import RuleArrays, body_product, body_vectors, rule_gaps
-from .model import replacing, score_all_heads, score_all_tails
+from .kg import Triple
+from .model import head_factors, replacing, score_triples, tail_factors
+
+# Not called here: the benchmark's tracer (bench/pipeline.py) looks these
+# two up in this module, so they stay importable from it.
+from .model import score_all_heads, score_all_tails  # noqa: F401
 
 __all__ = [
     "RankEntry",
     "RankingReport",
     "RuleDiagnostics",
     "filtered_rank",
+    "rank_queries",
     "evaluate",
     "relation_rule_diagnostics",
     "mean_hinge_violation",
@@ -29,6 +43,14 @@ __all__ = [
 ]
 
 DEFAULT_HITS = (1, 3, 10)
+SIDES = {"both": ("head", "tail"), "head": ("head",), "tail": ("tail",)}
+# At most this many (query, entity) scores are held at once: a block ranks
+# BLOCK_ELEMENTS // n queries (at least one).
+BLOCK_ELEMENTS = 2**20
+# Entity components gathered at once when comparing rows of the tie band
+# (256 KiB): small enough to stay in cache, which halved the time of a
+# constant n=20k table against gathering every row at once.
+COMPARE_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -51,29 +73,9 @@ class RankingReport:
 
 def filtered_rank(table, kg, triple, side):
     """Filtered rank of ``triple`` when corrupting ``side`` ('head' or 'tail')."""
-    if triple not in kg.filter_index:
-        raise ValueError(f"{triple} is not a known triple; filtered rank undefined")
-    if side == "tail":
-        scores = score_all_tails(table, triple.head, triple.relation)
-        known = kg.tails_of.get((triple.head, triple.relation), ())
-        true_entity = triple.tail
-    elif side == "head":
-        scores = score_all_heads(table, triple.relation, triple.tail)
-        known = kg.heads_of.get((triple.relation, triple.tail), ())
-        true_entity = triple.head
-    else:
+    if side not in ("head", "tail"):
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-
-    mask = np.ones(scores.shape[0], dtype=bool)
-    for entity in known:
-        mask[entity] = False
-    mask[true_entity] = False
-
-    s_true = scores[true_entity]
-    others = scores[mask]
-    greater = int(np.count_nonzero(others > s_true))
-    equal = int(np.count_nonzero(others == s_true))
-    return 1.0 + greater + equal / 2.0
+    return float(rank_queries(table, kg, [triple], [side == "tail"])[0])
 
 
 def evaluate(table, kg, split, side="both", hits=DEFAULT_HITS):
@@ -85,24 +87,156 @@ def evaluate(table, kg, split, side="both", hits=DEFAULT_HITS):
     triples = list(split)
     if not triples:
         raise ValueError("cannot evaluate an empty split")
-    if side == "both":
-        sides = ("head", "tail")
-    elif side in ("head", "tail"):
-        sides = (side,)
-    else:
+    sides = SIDES.get(side)
+    if sides is None:
         raise ValueError(f"side must be 'both', 'head' or 'tail', got {side!r}")
 
-    entries = []
-    for triple in triples:
-        for s in sides:
-            entries.append(RankEntry(triple, s, filtered_rank(table, kg, triple, s)))
-
-    ranks = np.array([e.rank for e in entries])
+    ranks = rank_queries(
+        table,
+        kg,
+        np.repeat(np.asarray(triples, dtype=np.int64), len(sides), axis=0),
+        np.tile([s == "tail" for s in sides], len(triples)),
+    )
+    queries = itertools.product(triples, sides)
+    entries = [RankEntry(t, s, rank) for (t, s), rank in zip(queries, ranks.tolist())]
     return RankingReport(
         entries=entries,
         mrr=float(np.mean(1.0 / ranks)),
         hits_at={k: float(np.mean(ranks <= k)) for k in hits},
     )
+
+
+def rank_queries(table, kg, triples, tail_side):
+    """Filtered ranks of known ``triples`` (any (Q, 3) int array-like), each
+    corrupting its tail where ``tail_side`` is true and its head otherwise.
+
+    Raises ValueError for a triple outside the filter index and for a table
+    with a NaN or infinite component.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    tail_side = np.asarray(tail_side, dtype=bool).reshape(-1)
+    unknown = np.flatnonzero(~kg.contains(*triples.T))
+    if unknown.size:
+        triple = Triple(*map(int, triples[unknown[0]]))
+        raise ValueError(f"{triple} is not a known triple; filtered rank undefined")
+
+    # The Frobenius norm of the entity matrix bounds every row's norm for the
+    # error bound; one pass over the entities, and NaN or inf if one is.
+    flat = table.ent.reshape(-1)
+    frobenius = math.sqrt(float(np.dot(flat, flat)))
+    if not math.isfinite(frobenius) and not np.isfinite(flat).all():
+        raise ValueError("the entity table holds a NaN or infinite component")
+    if not (np.isfinite(table.rel_re).all() and np.isfinite(table.rel_im).all()):
+        raise ValueError("the relation table holds a NaN or infinite component")
+
+    ranks = np.empty(len(triples))
+    per_block = max(1, BLOCK_ELEMENTS // table.num_entities)
+    for lo in range(0, len(triples), per_block):
+        block = slice(lo, lo + per_block)
+        ranks[block] = _rank_block(table, kg, triples[block], tail_side[block], frobenius)
+    return ranks
+
+
+def _rank_block(table, kg, triples, tail_side, frobenius):
+    """Ranks of one block of queries.
+
+    Row q of ``V @ ent.T`` holds query q's score g_c of every entity c, and
+    the true score o is computed as ``model.score`` does. Let o_c be c's
+    score computed that way, u = 2**-53 and gamma_k = k*u / (1 - k*u). Both
+    g_c and o_c sum the terms of Re(sum_l h_l r_l conj(t_l)), with 2d + 2
+    and d + 3 roundings per term, so without underflow |g_c - o_c| <=
+    gamma_(3d+5) * P, where P = sum_l (|c_re| + |c_im|) w_l <= sqrt(2) *
+    ||ent_c|| * ||w|| over the candidate's row, and w_l = (|r_re| + |r_im|)
+    * (|x_re| + |x_im|) over the query's relation r and its kept entity x.
+    As w_l <= 2 |r_l| |x_l|, and V[q] holds the parts of the products r_l
+    x_l or r_l conj(x_l), ||w|| <= 2 ||V[q]|| up to rounding. ``eps`` is
+    2**-48 * (d + 2) * ||ent||_F * ||V[q]||, at least 3.7 times that bound,
+    plus 2**-1070 * (d + 2) * (1 + ||ent||_F), which covers the products
+    that underflow. A candidate with g_c above o + eps is certainly better,
+    one below o - eps certainly worse, and those in between, the tie band,
+    are scored again as ``model.score`` does.
+    """
+    d = table.dim
+    h, r, t = triples.T
+    factors = np.where(
+        tail_side[:, None], tail_factors(table, h, r), head_factors(table, r, t)
+    )
+    scores = factors @ table.ent.T
+    true_scores = score_triples(table, h, r, t)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", factors, factors))
+        eps = (d + 2) * (2.0**-48 * frobenius * norms + 2.0**-1070 * (1.0 + frobenius))
+        eps[~np.isfinite(eps)] = np.inf  # overflow of finite components: score all again
+        above = scores > np.nextafter(true_scores + eps, np.inf)[:, None]
+        below = scores < np.nextafter(true_scores - eps, -np.inf)[:, None]
+
+    q, c = _known_candidates(kg, triples, tail_side)  # includes the true entity
+    num = len(triples)
+    greater = np.count_nonzero(above, axis=1) - np.bincount(q, above[q, c], minlength=num)
+    band = ~(above | below)
+    band[q, c] = False
+    equal = np.zeros(num)
+    if band.any():
+        extra_greater, equal = _score_band(table, triples, tail_side, true_scores, band)
+        greater = greater + extra_greater
+    return 1.0 + greater + equal / 2.0
+
+
+def _known_candidates(kg, triples, tail_side):
+    """(query, entity) pairs of every fact that fixes the query's kept entity
+    and relation: the candidates the filtered protocol removes."""
+    n, m = kg.num_entities, kg.num_relations
+    h, r, t = triples.T
+    base = np.where(tail_side, (h * m + r) * n, (r * n + t) * n)
+    queries, entities = [], []
+    for codes, side in ((kg.tail_codes, tail_side), (kg.head_codes, ~tail_side)):
+        q = np.flatnonzero(side)
+        start = np.searchsorted(codes, base[q])
+        length = np.searchsorted(codes, base[q] + n) - start
+        q = np.repeat(q, length)
+        pos = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+        queries.append(q)
+        entities.append(codes[pos] - base[q])
+    return np.concatenate(queries), np.concatenate(entities)
+
+
+def _score_band(table, triples, tail_side, true_scores, band):
+    """Counts of band candidates scored above and equal to the true score,
+    per query. Candidates with equal entity rows get equal scores, so each
+    run of equal rows is scored once per query."""
+    cols = np.flatnonzero(band.any(axis=0))
+    # Sorting by a product with a fixed vector brings equal rows together
+    # (where the product gives equal rows unequal bits, a group splits into
+    # runs that are each scored: slower, still exact).
+    key = table.ent @ np.random.default_rng(0).random(2 * table.dim)
+    cols = cols[np.argsort(key[cols], kind="stable")]
+    starts = _run_starts(table.ent, cols)
+    members = np.add.reduceat(band[:, cols], starts, axis=1, dtype=np.int32)
+    q, g = np.nonzero(members)
+    rep = cols[starts[g]]
+    cand = triples[q].copy()
+    tail = tail_side[q]
+    cand[tail, 2], cand[~tail, 0] = rep[tail], rep[~tail]
+    scores = score_triples(table, *cand.T)
+    count = members[q, g]
+    num = len(triples)
+    return (
+        np.bincount(q, count * (scores > true_scores[q]), minlength=num),
+        np.bincount(q, count * (scores == true_scores[q]), minlength=num),
+    )
+
+
+def _run_starts(ent, cols):
+    """Positions i where row ``ent[cols[i]]`` differs from the row before it
+    (and 0). Rows are gathered and compared COMPARE_ELEMENTS at a time, so
+    they are still in cache when compared."""
+    first = np.ones(cols.size, dtype=bool)
+    step = max(1, COMPARE_ELEMENTS // ent.shape[1])
+    for lo in range(1, cols.size, step):
+        rows = ent[cols[lo - 1 : lo + step]]
+        first[lo : lo + step] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(first)
 
 
 @dataclass
@@ -175,8 +309,9 @@ def read_metrics(path):
 
 
 def write_diagnostics_csv(path, diagnostics, extra=None):
-    """Long-format CSV with columns rule_id, dim, delta_re, delta_im."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Long-format CSV with columns rule_id, dim, delta_re, delta_im, written
+    to a temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         if extra:
             for key in sorted(extra):
                 handle.write(f"# {key} = {extra[key]}\n")
@@ -187,8 +322,9 @@ def write_diagnostics_csv(path, diagnostics, extra=None):
 
 
 def write_diagnostics_summary(path, diagnostics, extra=None):
-    """Per-rule summary CSV: max delta_re, mean delta_im^2, hinge sum."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Per-rule summary CSV: max delta_re, mean delta_im^2, hinge sum, written
+    to a temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         if extra:
             for key in sorted(extra):
                 handle.write(f"# {key} = {extra[key]}\n")

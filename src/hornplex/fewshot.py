@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kg import build_graph, write_triples
+from .model import replacing
 
 __all__ = ["FewShotSpec", "make_fewshot_split", "write_fewshot_split"]
 
@@ -108,5 +109,5 @@ def write_fewshot_split(out_dir, graph, task, supports, spec):
             for r in task
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
+    with replacing(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

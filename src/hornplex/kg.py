@@ -6,8 +6,13 @@ reproducible for fixed input files. Duplicate triples are kept in the split
 lists (they weight the loss) but deduplicated in the filter index.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
+
+import numpy as np
+
+from .model import replacing
 
 __all__ = [
     "Triple",
@@ -19,6 +24,7 @@ __all__ = [
     "write_triples",
     "write_dictionary",
     "read_dictionary",
+    "check_dictionary",
 ]
 
 
@@ -86,9 +92,11 @@ class KnowledgeGraph:
     """Immutable-by-convention container for the three splits plus lookup indices.
 
     ``filter_index`` is the deduplicated union of all splits; ``by_relation``
-    maps each relation id to its unique (head, tail) pairs in first-seen order;
-    ``tails_of``/``heads_of`` index the filter set by (head, relation) and
-    (relation, tail) for filtered ranking.
+    maps each relation id to its unique (head, tail) pairs in first-seen order.
+    ``tail_codes`` and ``head_codes`` hold every fact of the filter index once,
+    as sorted int64 codes (h*m + r)*n + t and (r*n + t)*n + h: the tails
+    known for (h, r), or the heads known for (r, t), are one contiguous run
+    of codes, found by ``np.searchsorted``.
     """
 
     entity_ids: dict
@@ -98,8 +106,8 @@ class KnowledgeGraph:
     test: list
     filter_index: frozenset = field(repr=False)
     by_relation: dict = field(repr=False)
-    tails_of: dict = field(repr=False)
-    heads_of: dict = field(repr=False)
+    tail_codes: np.ndarray = field(repr=False)
+    head_codes: np.ndarray = field(repr=False)
 
     @property
     def num_entities(self):
@@ -126,14 +134,29 @@ class KnowledgeGraph:
     def all_triples(self):
         return self.train + self.valid + self.test
 
+    def contains(self, heads, relations, tails):
+        """Whether each (heads[i], relations[i], tails[i]) is a known fact,
+        as a bool array; the arguments are int arrays of one shape."""
+        codes = self.tail_codes
+        wanted = (heads * self.num_relations + relations) * self.num_entities + tails
+        if codes.size == 0:
+            return np.zeros(wanted.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
+        return codes[pos] == wanted
+
 
 def build_graph(train, valid, test, dicts):
     """Assemble a KnowledgeGraph from split triple lists sharing ``dicts``.
 
-    Raises IndexError if any triple index falls outside the dictionaries.
+    Raises IndexError if any triple index falls outside the dictionaries, and
+    ValueError if n*n*m reaches 2**63, where the int64 fact codes overflow.
     """
     entity_ids, relation_ids = dicts
     n, m = len(entity_ids), len(relation_ids)
+    if n * n * m >= 2**63:
+        raise ValueError(
+            f"{n} entities and {m} relations overflow the int64 fact codes (n*n*m >= 2**63)"
+        )
     splits = (train, valid, test)
     for split in splits:
         for t in split:
@@ -144,17 +167,17 @@ def build_graph(train, valid, test, dicts):
 
     filter_index = set()
     by_relation: dict = {r: [] for r in range(m)}
-    tails_of: dict = {}
-    heads_of: dict = {}
     for split in splits:
         for t in split:
             if t in filter_index:
                 continue
             filter_index.add(t)
             by_relation[t.relation].append((t.head, t.tail))
-            tails_of.setdefault((t.head, t.relation), []).append(t.tail)
-            heads_of.setdefault((t.relation, t.tail), []).append(t.head)
 
+    facts = np.fromiter(
+        itertools.chain.from_iterable(filter_index), dtype=np.int64, count=3 * len(filter_index)
+    ).reshape(-1, 3)
+    h, r, t = facts.T
     return KnowledgeGraph(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
@@ -163,8 +186,8 @@ def build_graph(train, valid, test, dicts):
         test=list(test),
         filter_index=frozenset(filter_index),
         by_relation=by_relation,
-        tails_of=tails_of,
-        heads_of=heads_of,
+        tail_codes=np.sort((h * m + r) * n + t),
+        head_codes=np.sort((r * n + t) * n + h),
     )
 
 
@@ -190,8 +213,9 @@ def write_triples(path, triples, entity_names, relation_names):
 
 
 def write_dictionary(path, names: Iterable[str]):
-    """Dump a dictionary as ``<index><TAB><surface-string>`` lines."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Dump a dictionary as ``<index><TAB><surface-string>`` lines, written to
+    a temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         for idx, name in enumerate(names):
             handle.write(f"{idx}\t{name}\n")
 
@@ -209,3 +233,30 @@ def read_dictionary(path):
                 raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
             table[fields[1]] = int(fields[0])
     return table
+
+
+def check_dictionary(path, names):
+    """Require the dictionary dump at ``path`` to list ``names`` with ids 0,
+    1, ... in order. The first difference is a TripleFileError that names the
+    file, the line and both names."""
+    count = lineno = 0
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
+            expected = names[count] if count < len(names) else None
+            if fields != [str(count), expected]:
+                raise TripleFileError(
+                    f"{path}:{lineno}: the dictionary maps id {fields[0]} to {fields[1]!r}, "
+                    f"the graph maps id {count} to {expected!r}"
+                )
+            count += 1
+    if count != len(names):
+        raise TripleFileError(
+            f"{path}:{lineno + 1}: the dictionary ends, "
+            f"the graph maps id {count} to {names[count]!r}"
+        )

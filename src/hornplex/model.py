@@ -1,10 +1,12 @@
 """Complex-valued embedding tables, bilinear scoring, and constraint projection.
 
-Entities and relations are complex vectors stored as separate real/imaginary
-float64 arrays. The feasible set is: entity components in [0, 1], relation
-components non-negative with per-dimension modulus at most ``bound``. The
-score of a triple (h, r, t) is Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which
-under the constraints is bounded by 2 * bound * dim in absolute value.
+Entities and relations are complex vectors stored as real and imaginary
+float64 parts: entities as one (n, 2d) matrix of ``[re | im]`` rows,
+relations as two (m, d) arrays. The feasible set is: entity components in
+[0, 1], relation components non-negative with per-dimension modulus at
+most ``bound``. The score of a triple (h, r, t) is
+Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
+bounded by 2 * bound * dim in absolute value.
 """
 
 import io
@@ -12,7 +14,6 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,10 @@ __all__ = [
     "EmbeddingTable",
     "init_table",
     "score",
+    "score_triples",
     "score_dim",
+    "tail_factors",
+    "head_factors",
     "score_all_tails",
     "score_all_heads",
     "project",
@@ -36,17 +40,70 @@ __all__ = [
 _MAGIC = b"HPX1"
 
 
-@dataclass
+def _entity_half(attr):
+    """A property for a view of half of ``EmbeddingTable.ent``. Setting it
+    to anything but that same view raises; ``table.ent_re += x`` works in
+    place and sets the same view back, so it is allowed."""
+
+    def get(self):
+        return getattr(self, attr)
+
+    def set_(self, value):
+        if value is not getattr(self, attr):
+            raise AttributeError(f"{attr[1:]} is a view of EmbeddingTable.ent; write into it")
+
+    return property(get, set_)
+
+
 class EmbeddingTable:
-    ent_re: np.ndarray
-    ent_im: np.ndarray
-    rel_re: np.ndarray
-    rel_im: np.ndarray
-    bound: float
+    """Entity and relation embeddings with the relation modulus ``bound``.
+
+    Entities live in one C-contiguous (n, 2d) float64 array ``ent`` whose
+    rows are ``[re | im]``, so scoring every entity is one matrix product.
+    ``ent_re`` and ``ent_im`` are views of its two halves: write into them
+    (``table.ent_re[rows] = ...``); rebinding them is an AttributeError.
+    Relations are the (m, d) arrays ``rel_re`` and ``rel_im``. The
+    constructor copies the entity halves into ``ent``.
+    """
+
+    def __init__(self, ent_re, ent_im, rel_re, rel_im, bound):
+        ent_re, ent_im = np.asarray(ent_re), np.asarray(ent_im)
+        if ent_re.ndim != 2 or ent_re.shape != ent_im.shape:
+            raise ValueError(
+                f"ent_re {ent_re.shape} and ent_im {ent_im.shape} must be matching 2-d arrays"
+            )
+        ent = np.empty((ent_re.shape[0], 2 * ent_re.shape[1]))
+        ent[:, : ent_re.shape[1]] = ent_re
+        ent[:, ent_re.shape[1] :] = ent_im
+        self._set_entities(ent)
+        self.rel_re = rel_re
+        self.rel_im = rel_im
+        self.bound = bound
+
+    @classmethod
+    def from_entities(cls, ent, rel_re, rel_im, bound):
+        """A table that takes ``ent`` (C-contiguous, (n, 2d) float64) as is."""
+        table = cls.__new__(cls)
+        table._set_entities(ent)
+        table.rel_re, table.rel_im, table.bound = rel_re, rel_im, bound
+        return table
+
+    def _set_entities(self, ent):
+        if ent.dtype != np.float64 or not ent.flags.c_contiguous or ent.shape[1] % 2:
+            raise ValueError("ent must be a C-contiguous float64 array with an even row length")
+        d = ent.shape[1] // 2
+        self._ent, self._ent_re, self._ent_im = ent, ent[:, :d], ent[:, d:]
+
+    @property
+    def ent(self):
+        return self._ent
+
+    ent_re = _entity_half("_ent_re")
+    ent_im = _entity_half("_ent_im")
 
     @property
     def num_entities(self):
-        return self.ent_re.shape[0]
+        return self._ent.shape[0]
 
     @property
     def num_relations(self):
@@ -54,15 +111,11 @@ class EmbeddingTable:
 
     @property
     def dim(self):
-        return self.ent_re.shape[1]
+        return self._ent_re.shape[1]
 
     def copy(self):
-        return EmbeddingTable(
-            self.ent_re.copy(),
-            self.ent_im.copy(),
-            self.rel_re.copy(),
-            self.rel_im.copy(),
-            self.bound,
+        return EmbeddingTable.from_entities(
+            self._ent.copy(), self.rel_re.copy(), self.rel_im.copy(), self.bound
         )
 
 
@@ -75,12 +128,14 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
         raise ValueError("bound must be positive")
     rng = np.random.default_rng(seed)
     rel_scale = bound / np.sqrt(2.0)
-    return EmbeddingTable(
-        ent_re=rng.random((num_entities, dim)),
-        ent_im=rng.random((num_entities, dim)),
-        rel_re=rng.random((num_relations, dim)) * rel_scale,
-        rel_im=rng.random((num_relations, dim)) * rel_scale,
-        bound=float(bound),
+    ent = np.empty((num_entities, 2 * dim))
+    ent[:, :dim] = rng.random((num_entities, dim))
+    ent[:, dim:] = rng.random((num_entities, dim))
+    return EmbeddingTable.from_entities(
+        ent,
+        rng.random((num_relations, dim)) * rel_scale,
+        rng.random((num_relations, dim)) * rel_scale,
+        float(bound),
     )
 
 
@@ -98,11 +153,18 @@ def _head_factors(table, relation, tail):
     return c * e + d * f, c * f - d * e
 
 
+def score_triples(table, heads, relations, tails):
+    """Re(<e_h, r, conj(e_t)>) for each (heads[i], relations[i], tails[i]).
+
+    Each score is two dot products of length d, one per row: the bits of a
+    score depend only on the three rows, not on the other triples."""
+    v_re, v_im = _tail_factors(table, heads, relations)
+    return np.vecdot(table.ent_re[tails], v_re) + np.vecdot(table.ent_im[tails], v_im)
+
+
 def score(table, triple):
-    """Re(<e_h, r, conj(e_t)>) for one triple."""
-    v_re, v_im = _tail_factors(table, triple[0], triple[1])
-    t = triple[2]
-    return float(np.dot(table.ent_re[t], v_re) + np.dot(table.ent_im[t], v_im))
+    """Re(<e_h, r, conj(e_t)>) for one triple (``score_triples`` of one row)."""
+    return float(score_triples(table, [triple[0]], [triple[1]], [triple[2]])[0])
 
 
 def score_dim(table, triple, l):
@@ -116,16 +178,24 @@ def score_dim(table, triple, l):
     return float((a * c - b * d) * e + (a * d + b * c) * f)
 
 
+def tail_factors(table, heads, relations):
+    """(Q, 2d) rows [v_re | v_im] with score(h, r, j) = ent[j] . row for every entity j."""
+    return np.concatenate(_tail_factors(table, heads, relations), axis=-1)
+
+
+def head_factors(table, relations, tails):
+    """(Q, 2d) rows [v_re | v_im] with score(i, r, t) = ent[i] . row for every entity i."""
+    return np.concatenate(_head_factors(table, relations, tails), axis=-1)
+
+
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
-    v_re, v_im = _tail_factors(table, head, relation)
-    return table.ent_re @ v_re + table.ent_im @ v_im
+    return table.ent @ tail_factors(table, head, relation)
 
 
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
-    v_re, v_im = _head_factors(table, relation, tail)
-    return table.ent_re @ v_re + table.ent_im @ v_im
+    return table.ent @ head_factors(table, relation, tail)
 
 
 def project_relation_components(rel_re, rel_im, bound):
@@ -227,7 +297,8 @@ def load_table(path_or_file):
     """Read a table written by ``save_table``; trailing bytes (e.g. optimizer
     state in a checkpoint) are left unread. A bad magic, a header with a
     count below 1 or a bound that is not finite and positive, and a short
-    file are ValueErrors that name the file and the byte offset."""
+    file are ValueErrors that name the file and the byte offset, and so is
+    a NaN or infinite component (the offset is that of the first one)."""
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     handle = open(path_or_file, "rb") if own else path_or_file
     try:
@@ -243,11 +314,29 @@ def load_table(path_or_file):
             raise ValueError(
                 f"{name}: bad header at byte 28: bound={bound} is not finite and positive"
             )
-        ent_re, ent_im, rel_re, rel_im = (
-            read_array(handle, (rows, d), what)
-            for rows, what in ((n, "ent_re"), (n, "ent_im"), (m, "rel_re"), (m, "rel_im"))
-        )
-        return EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
+        relations = []
+        for rows, what in ((n, "ent_re"), (n, "ent_im"), (m, "rel_re"), (m, "rel_im")):
+            start = handle.tell()
+            buf = _read_exact(handle, 8 * rows * d, what)
+            arr = np.frombuffer(buf, dtype=np.float64).reshape(rows, d)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(
+                    f"{name}: {what} holds the non-finite value {arr.flat[bad[0]]} "
+                    f"at byte {start + 8 * int(bad[0])}"
+                )
+            # The entity halves go straight into ``ent``, allocated once the
+            # first half has been read, so a corrupt n allocates nothing; each
+            # array's bytes are freed before the next array is read.
+            if what == "ent_re":
+                ent = np.empty((n, 2 * d))
+                ent[:, :d] = arr
+            elif what == "ent_im":
+                ent[:, d:] = arr
+            else:
+                relations.append(arr.copy())
+            del buf, arr
+        return EmbeddingTable.from_entities(ent, *relations, bound)
     finally:
         if own:
             handle.close()

@@ -140,32 +140,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def _encoded_filter(kg):
-    """Sorted int64 codes of the filter index, cached on the graph."""
-    codes = getattr(kg, "_filter_codes", None)
-    if codes is None:
-        n, m = kg.num_entities, kg.num_relations
-        codes = np.fromiter(
-            ((t.head * m + t.relation) * n + t.tail for t in kg.filter_index),
-            dtype=np.int64,
-            count=len(kg.filter_index),
-        )
-        codes.sort()
-        kg._filter_codes = codes
-    return codes
-
-
-def _in_filter(kg, heads, rels, tails):
-    codes = _encoded_filter(kg)
-    n, m = kg.num_entities, kg.num_relations
-    queries = (heads * m + rels) * n + tails
-    pos = np.searchsorted(codes, queries)
-    pos_clipped = np.minimum(pos, max(codes.size - 1, 0))
-    if codes.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    return (pos < codes.size) & (codes[pos_clipped] == queries)
-
-
 def sample_negatives_batch(kg, positives, count, rng, max_attempts=100):
     """Corrupt each positive ``count`` times: fair coin per negative picks the
     head or tail slot, the slot entity is replaced by a uniform entity that
@@ -197,7 +171,7 @@ def sample_negatives_batch(kg, positives, count, rng, max_attempts=100):
         ent[idx] = prop
         h = np.where(corrupt_head[idx], prop, heads[idx[0]])
         t = np.where(corrupt_head[idx], tails[idx[0]], prop)
-        collides = _in_filter(kg, h, rels[idx[0]], t)
+        collides = kg.contains(h, rels[idx[0]], t)
         nxt = np.zeros((B, count), dtype=bool)
         nxt[idx] = collides
         active = nxt
@@ -541,8 +515,9 @@ def load_checkpoint(path):
 
 
 def write_training_log(path, records, config_echo=None):
-    """Newline-delimited JSON: an optional config record then one per epoch."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Newline-delimited JSON: an optional config record then one per epoch.
+    Written to a temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         if config_echo is not None:
             handle.write(json.dumps({"config": config_echo}, sort_keys=True) + "\n")
         for rec in records:

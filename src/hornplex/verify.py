@@ -308,10 +308,8 @@ def _unflatten_into(table, x):
     n, m, d = table.num_entities, table.num_relations, table.dim
     sizes = [n * d, n * d, m * d, m * d]
     offsets = np.cumsum([0] + sizes)
-    table.ent_re = x[offsets[0] : offsets[1]].reshape(n, d).copy()
-    table.ent_im = x[offsets[1] : offsets[2]].reshape(n, d).copy()
-    table.rel_re = x[offsets[2] : offsets[3]].reshape(m, d).copy()
-    table.rel_im = x[offsets[3] : offsets[4]].reshape(m, d).copy()
+    for i, arr in enumerate((table.ent_re, table.ent_im, table.rel_re, table.rel_im)):
+        arr[...] = x[offsets[i] : offsets[i + 1]].reshape(arr.shape)
 
 
 def _dense_gradient(table, ent_blocks, rel_blocks):

@@ -6,6 +6,7 @@ import pytest
 
 from hornplex import training
 from hornplex.cli import main
+from hornplex.config import RunConfig
 from hornplex.kg import load_graph
 from hornplex.model import init_table, load_table, save_table
 from hornplex.training import read_training_log
@@ -260,3 +261,53 @@ def test_eval_rejects_damaged_checkpoint(workspace, capsys, damage, expected):
     err = capsys.readouterr().err
     assert str(damaged) in err
     assert expected in err
+
+
+def test_eval_rejects_non_finite_checkpoint(workspace, capsys):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    table = load_table(workspace["out"] / "checkpoint.bin")
+    table.ent_im[2, 1] = np.nan
+    bad = workspace["tmp"] / "nan.bin"
+    save_table(bad, table)
+    capsys.readouterr()
+    rc = main(["--config", str(workspace["config"]), "eval", "--checkpoint", str(bad)])
+    assert rc == 2
+    offset = 36 + 8 * (12 * 6 + 2 * 6 + 1)  # header, ent_re, then ent_im[2, 1]
+    assert f"{bad}: ent_im holds the non-finite value nan at byte {offset}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnostics"])
+@pytest.mark.parametrize("dictionary", ["entities.dict", "relations.dict"])
+def test_dictionary_beside_checkpoint_must_match_graph(workspace, capsys, command, dictionary):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    path = workspace["out"] / dictionary
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0], lines[1] = "0\t" + lines[1].split("\t")[1], "1\t" + lines[0].split("\t")[1]
+    first, second = lines[0].split("\t")[1], lines[1].split("\t")[1]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    checkpoint = str(workspace["out"] / "checkpoint.bin")
+    rc = main(["--config", str(workspace["config"]), command, "--checkpoint", checkpoint])
+    assert rc == 2
+    assert (
+        f"{path}:1: the dictionary maps id 0 to {first!r}, the graph maps id 0 to {second!r}"
+        in capsys.readouterr().err
+    )
+
+
+def test_eval_accepts_the_dictionaries_written_by_train(workspace, capsys):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    checkpoint = str(workspace["out"] / "checkpoint.bin")
+    assert main(["--config", str(workspace["config"]), "eval", "--checkpoint", checkpoint]) == 0
+
+
+def test_failed_resolved_config_write_keeps_previous_file(workspace, capsys, monkeypatch):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    resolved = workspace["out"] / "resolved_config.json"
+    previous = resolved.read_text()
+    echo = RunConfig.echo
+    monkeypatch.setattr(RunConfig, "echo", lambda self: {**echo(self), "zz": object()})
+    with pytest.raises(TypeError):
+        main(["--config", str(workspace["config"]), "train"])
+    assert resolved.read_text() == previous
+    assert not [p for p in workspace["out"].iterdir() if p.name.endswith(".tmp")]

@@ -125,6 +125,18 @@ def test_evaluate_rejects_empty_split():
         evaluate(table, kg, [])
 
 
+@pytest.mark.parametrize(
+    "array, value, message",
+    [("ent_re", np.nan, "entity"), ("ent_im", np.inf, "entity"), ("rel_im", -np.inf, "relation")],
+)
+def test_evaluate_rejects_non_finite_table(array, value, message):
+    kg = make_random_kg(seed=16, num_entities=10, num_relations=2, num_test=4)
+    table = make_feasible_table(seed=16, num_entities=10, num_relations=2)
+    getattr(table, array)[1, 1] = value
+    with pytest.raises(ValueError, match=f"the {message} table holds a NaN or infinite component"):
+        evaluate(table, kg, kg.test)
+
+
 def test_hits_threshold_counting():
     kg = make_random_kg(seed=13, num_entities=18, num_relations=2, num_test=8)
     table = make_feasible_table(seed=13, num_entities=18, num_relations=2)
@@ -135,6 +147,11 @@ def test_hits_threshold_counting():
     ks = sorted(report.hits_at)
     values = [report.hits_at[k] for k in ks]
     assert values == sorted(values)  # nondecreasing in k
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
 
 
 class TestDiagnostics:
@@ -189,6 +206,18 @@ class TestDiagnostics:
         write_diagnostics_summary(summary_path, diags)
         assert "rule_id,max_delta_re,mean_sq_delta_im,hinge_sum" in summary_path.read_text()
 
+    @pytest.mark.parametrize("write", [write_diagnostics_csv, write_diagnostics_summary])
+    def test_failed_write_keeps_previous_file(self, tmp_path, write):
+        table = self.table_with_rows([[0.8], [0.5]], [[0.4], [0.1]])
+        diags = relation_rule_diagnostics(table, [HornRule(body=(0,), head=1, confidence=1.0)])
+        p = tmp_path / "diagnostics.csv"
+        write(p, diags)
+        previous = p.read_text()
+        with pytest.raises(RuntimeError, match="cannot format"):
+            write(p, diags, extra={"a": 1, "b": Unprintable()})
+        assert p.read_text() == previous
+        assert sorted(tmp_path.iterdir()) == [p]
+
 
 def test_metrics_file_round_trip(tmp_path):
     kg = make_random_kg(seed=14, num_test=4)
@@ -210,10 +239,6 @@ def test_failed_metrics_write_keeps_previous_file(tmp_path):
     p = tmp_path / "metrics.txt"
     write_metrics(p, report)
     previous = p.read_text()
-
-    class Unprintable:
-        def __str__(self):
-            raise RuntimeError("cannot format")
 
     with pytest.raises(RuntimeError, match="cannot format"):
         write_metrics(p, report, extra={"a": 1, "b": Unprintable()})

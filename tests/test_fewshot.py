@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from hornplex import fewshot
 from hornplex.fewshot import FewShotSpec, make_fewshot_split, write_fewshot_split
 from hornplex.kg import Triple, build_graph
 
@@ -119,3 +120,26 @@ def test_write_split_files_and_manifest(tmp_path):
     for rel_name, triples in manifest["support"].items():
         assert len(triples) == 1
         assert triples[0][1] == rel_name
+
+
+def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
+    kg = task_kg()
+    spec = FewShotSpec(2, 1, seed=5)
+    graph, task, supports = make_fewshot_split(kg, spec)
+    write_fewshot_split(tmp_path, graph, task, supports, spec)
+    manifest = tmp_path / "manifest.json"
+    previous = manifest.read_text()
+
+    class FailingJson:
+        @staticmethod
+        def dump(obj, handle, **kwargs):
+            handle.write('{"num_task_relations": ')
+            raise OSError("disk full")
+
+    monkeypatch.setattr(fewshot, "json", FailingJson)
+    with pytest.raises(OSError, match="disk full"):
+        write_fewshot_split(tmp_path, graph, task, supports, spec)
+    assert manifest.read_text() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "test.txt", "train.txt", "valid.txt"
+    ]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +6,7 @@ from hornplex.kg import (
     Triple,
     TripleFileError,
     build_graph,
+    check_dictionary,
     load_triples,
     read_dictionary,
     write_dictionary,
@@ -137,3 +139,66 @@ def test_dictionary_dump_round_trip(tmp_path):
     write_dictionary(p, names)
     table = read_dictionary(p)
     assert table == {"alpha": 0, "beta": 1, "gamma": 2}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fact_codes_and_contains_encode_the_filter_index(seed):
+    kg = make_random_kg(seed=seed, num_entities=9, num_relations=3, num_train=60)
+    n, m = kg.num_entities, kg.num_relations
+    facts = sorted(kg.filter_index)
+    tail_keyed = sorted((h * m + r) * n + t for h, r, t in facts)
+    head_keyed = sorted((r * n + t) * n + h for h, r, t in facts)
+    assert kg.tail_codes.dtype == kg.head_codes.dtype == np.int64
+    assert kg.tail_codes.tolist() == tail_keyed
+    assert kg.head_codes.tolist() == head_keyed
+    grid = np.array(np.meshgrid(range(n), range(m), range(n), indexing="ij")).reshape(3, -1)
+    expected = [Triple(*map(int, c)) in kg.filter_index for c in grid.T]
+    assert kg.contains(*grid).tolist() == expected
+
+
+class CountOnly(dict):
+    """An empty dictionary that reports ``size`` entries."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+
+def test_build_graph_rejects_counts_whose_codes_overflow_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        build_graph([], [], [], (CountOnly(2**31), CountOnly(2)))  # n*n*m == 2**63
+    kg = build_graph([], [], [], (CountOnly(2**31), CountOnly(1)))  # 2**62 still fits
+    assert kg.tail_codes.size == kg.head_codes.size == 0
+
+
+def test_check_dictionary_names_file_line_and_both_names(tmp_path):
+    p = tmp_path / "entities.dict"
+    write_dictionary(p, ["a", "b", "c"])
+    check_dictionary(p, ["a", "b", "c"])
+    cases = [
+        (["a", "x", "c"], ":2: the dictionary maps id 1 to 'b', the graph maps id 1 to 'x'"),
+        (["a", "b"], ":3: the dictionary maps id 2 to 'c', the graph maps id 2 to None"),
+        (["a", "b", "c", "d"], ":4: the dictionary ends, the graph maps id 3 to 'd'"),
+    ]
+    for names, expected in cases:
+        with pytest.raises(TripleFileError) as err:
+            check_dictionary(p, names)
+        assert str(err.value) == f"{p}{expected}"
+
+
+def test_failed_dictionary_write_keeps_previous_file(tmp_path):
+    p = tmp_path / "entities.dict"
+    write_dictionary(p, ["a", "b"])
+    previous = p.read_text()
+
+    class Unprintable:
+        def __format__(self, spec):
+            raise RuntimeError("cannot format")
+
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_dictionary(p, ["c", Unprintable()])
+    assert p.read_text() == previous
+    assert sorted(tmp_path.iterdir()) == [p]

@@ -246,6 +246,9 @@ def damaged_dumps():
         ("infinite-bound", dump[:28] + struct.pack("<d", np.inf) + dump[36:], ["byte 28", "bound=inf"]),
         ("zero-bound", dump[:28] + struct.pack("<d", 0.0) + dump[36:], ["byte 28", "bound=0.0"]),
         ("huge-count", dump[:4] + struct.pack("<q", 2**60) + dump[12:], ["truncated at byte 372"]),
+        # ent_im starts at byte 36 + 5 * 24 = 156; its 6th value is at byte 196
+        ("nan-entity", dump[:196] + struct.pack("<d", np.nan) + dump[204:], ["ent_im", "nan", "at byte 196"]),
+        ("inf-relation", dump[:276] + struct.pack("<d", -np.inf) + dump[284:], ["rel_re", "-inf", "at byte 276"]),
     ]
     return [pytest.param(blob, parts, id=label) for label, blob, parts in cases]
 
@@ -260,6 +263,47 @@ def test_load_rejects_damaged_dump_naming_file_and_offset(tmp_path, blob, parts)
     assert str(p) in message
     for part in parts:
         assert part in message
+
+
+def test_entities_are_one_matrix_with_views_for_its_halves():
+    table = init_table(6, 2, 3, seed=4)
+    assert table.ent.shape == (6, 6) and table.ent.flags.c_contiguous
+    assert table.ent_re.base is table.ent and table.ent_im.base is table.ent
+    assert np.array_equal(table.ent, np.hstack([table.ent_re, table.ent_im]))
+    table.ent_re[2] = 0.25
+    table.ent_im += 1.0  # in place, so allowed
+    assert np.all(table.ent[2, :3] == 0.25) and np.all(table.ent[:, 3:] >= 1.0)
+    with pytest.raises(AttributeError, match="view"):
+        table.ent_re = np.zeros((6, 3))
+    with pytest.raises(AttributeError):
+        table.ent = np.zeros((6, 6))
+
+
+def test_init_table_draws_in_the_order_of_the_separate_arrays():
+    rng = np.random.default_rng(8)
+    table = init_table(5, 2, 3, bound=2.0, seed=8)
+    rel_scale = 2.0 / np.sqrt(2.0)
+    for arr, scale in ((table.ent_re, 1.0), (table.ent_im, 1.0), (table.rel_re, rel_scale), (table.rel_im, rel_scale)):
+        assert np.array_equal(arr, rng.random(arr.shape) * scale)
+
+
+def test_constructor_copies_entity_halves_into_one_matrix():
+    ent_re, ent_im = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+    table = EmbeddingTable(ent_re, ent_im, np.ones((1, 2)), np.zeros((1, 2)), 1.0)
+    assert np.array_equal(table.ent, np.hstack([ent_re, ent_im]))
+    ent_re[0, 0] = 99.0
+    assert table.ent[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        EmbeddingTable(ent_re, ent_im[:2], np.ones((1, 2)), np.zeros((1, 2)), 1.0)
+
+
+def test_save_load_save_is_byte_identical():
+    first = io.BytesIO()
+    save_table(first, make_feasible_table(seed=16, num_entities=9, num_relations=4, dim=5))
+    first.seek(0)
+    second = io.BytesIO()
+    save_table(second, load_table(first))
+    assert second.getvalue() == first.getvalue()
 
 
 def test_csv_export(tmp_path):

@@ -373,6 +373,19 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [p]
 
 
+def test_failed_training_log_write_keeps_previous_file(tmp_path):
+    kg = make_random_kg(seed=12, num_train=30)
+    cfg = TrainConfig(epochs=2, batch_size=8, dim=4, seed=1, validate_every=0)
+    _, records, _ = train(kg, [], cfg)
+    p = tmp_path / "log.jsonl"
+    write_training_log(p, records, config_echo={"seed": 1})
+    previous = p.read_text()
+    with pytest.raises(TypeError):
+        write_training_log(p, records + [object()], config_echo={"seed": 2})
+    assert p.read_text() == previous
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
 def test_training_log_round_trip(tmp_path):
     kg = make_random_kg(seed=12, num_train=30)
     cfg = TrainConfig(epochs=3, batch_size=8, dim=4, seed=1, validate_every=0)
