@@ -148,7 +148,7 @@ def cmd_rules_confidence(args):
     names = kg.relation_names
     os.makedirs(cfg.output_dir, exist_ok=True)
     out_path = args.output or os.path.join(cfg.output_dir, "rule_confidence.tsv")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with model.replacing(out_path, encoding="utf-8") as fh:
         fh.write("kind\thead\tbody\tstated\tground\n")
         for rule in parsed:
             ground = rules_mod.ground_confidence(kg, rule)

@@ -3,6 +3,7 @@
 import configparser
 from dataclasses import asdict, dataclass, field
 
+from .kg import read_lines
 from .training import TrainConfig
 
 __all__ = ["RunConfig", "load_run_config"]
@@ -42,11 +43,22 @@ def _ints(text):
 
 def load_run_config(path=None, overrides=None):
     """Read an INI run configuration; ``overrides`` maps flat keys (e.g.
-    ``seed``, ``output_dir``) from command-line flags."""
+    ``seed``, ``output_dir``) from command-line flags. A malformed file is a
+    ValueError naming the file and the line, a malformed value one naming the
+    file, the section and the key."""
     parser = configparser.ConfigParser()
     if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
+        try:
+            parser.read_file(read_lines(path, ValueError), source=str(path))
+        except configparser.Error as err:
+            raise ValueError(str(err)) from None
+
+    def get(section, key, cast):
+        text = parser[section][key]
+        try:
+            return cast(text)
+        except ValueError as err:
+            raise ValueError(f"{path}: [{section}] {key} = {text!r}: {err}") from None
 
     paths = parser["paths"] if parser.has_section("paths") else {}
     cfg = RunConfig(
@@ -73,24 +85,24 @@ def load_run_config(path=None, overrides=None):
             ("seed", int),
         ):
             if key in section:
-                kwargs[key] = cast(section[key])
+                kwargs[key] = get("train", key, cast)
         cfg.train = TrainConfig(**kwargs)
 
     if parser.has_section("eval"):
         section = parser["eval"]
         cfg.eval_side = section.get("side", cfg.eval_side)
         if "hits" in section:
-            cfg.eval_hits = _ints(section["hits"])
+            cfg.eval_hits = get("eval", "hits", _ints)
         cfg.eval_split = section.get("split", cfg.eval_split)
 
     if parser.has_section("fewshot"):
         section = parser["fewshot"]
         if "num_task_relations" in section:
-            cfg.fewshot_num_task_relations = int(section["num_task_relations"])
+            cfg.fewshot_num_task_relations = get("fewshot", "num_task_relations", int)
         if "shots" in section:
-            cfg.fewshot_shots = _ints(section["shots"])
+            cfg.fewshot_shots = get("fewshot", "shots", _ints)
         if "seed" in section:
-            cfg.fewshot_seed = int(section["seed"])
+            cfg.fewshot_seed = get("fewshot", "seed", int)
         if "candidates" in section:
             cfg.fewshot_candidates = tuple(
                 name.strip() for name in section["candidates"].split(",") if name.strip()
@@ -99,13 +111,13 @@ def load_run_config(path=None, overrides=None):
     if parser.has_section("verify"):
         section = parser["verify"]
         if "trials" in section:
-            cfg.verify_trials = int(section["trials"])
+            cfg.verify_trials = get("verify", "trials", int)
         if "seed" in section:
-            cfg.verify_seed = int(section["seed"])
+            cfg.verify_seed = get("verify", "seed", int)
         if "dims" in section:
-            cfg.verify_dims = _ints(section["dims"])
+            cfg.verify_dims = get("verify", "dims", _ints)
         if "ks" in section:
-            cfg.verify_ks = _ints(section["ks"])
+            cfg.verify_ks = get("verify", "ks", _ints)
 
     overrides = overrides or {}
     if overrides.get("output_dir") is not None:

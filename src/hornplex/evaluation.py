@@ -186,19 +186,11 @@ def _rank_block(table, kg, triples, tail_side, frobenius):
 def _known_candidates(kg, triples, tail_side):
     """(query, entity) pairs of every fact that fixes the query's kept entity
     and relation: the candidates the filtered protocol removes."""
-    n, m = kg.num_entities, kg.num_relations
     h, r, t = triples.T
-    base = np.where(tail_side, (h * m + r) * n, (r * n + t) * n)
-    queries, entities = [], []
-    for codes, side in ((kg.tail_codes, tail_side), (kg.head_codes, ~tail_side)):
-        q = np.flatnonzero(side)
-        start = np.searchsorted(codes, base[q])
-        length = np.searchsorted(codes, base[q] + n) - start
-        q = np.repeat(q, length)
-        pos = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
-        queries.append(q)
-        entities.append(codes[pos] - base[q])
-    return np.concatenate(queries), np.concatenate(entities)
+    tails_q, heads_q = np.flatnonzero(tail_side), np.flatnonzero(~tail_side)
+    i, tails = kg.tails_of(h[tails_q], r[tails_q])
+    j, heads = kg.heads_of(r[heads_q], t[heads_q])
+    return np.concatenate((tails_q[i], heads_q[j])), np.concatenate((tails, heads))
 
 
 def _score_band(table, triples, tail_side, true_scores, band):

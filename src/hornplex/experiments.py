@@ -18,6 +18,7 @@ import numpy as np
 from .evaluation import evaluate, mean_hinge_violation, relation_rule_diagnostics, write_metrics
 from .fewshot import FewShotSpec, make_fewshot_split
 from .kg import Triple, build_graph
+from .model import replacing
 from .rules import HornRule
 from .training import TrainConfig, save_checkpoint, train, write_training_log
 
@@ -255,7 +256,7 @@ def run_planted_comparison(out_dir, seed=0, mus=(0.1, 1.0, 10.0), config=None, k
         "selected": best,
         "mrr_gain": best["mrr"] - baseline["mrr"],
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
+    with replacing(os.path.join(out_dir, "summary.json"), encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
     return summary
 
@@ -300,6 +301,6 @@ def run_zero_shot_comparison(
         "injected": injected,
         "mrr_ratio": (injected["mrr"] / baseline["mrr"]) if baseline["mrr"] > 0 else float("inf"),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as handle:
+    with replacing(os.path.join(out_dir, "summary.json"), encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
     return summary

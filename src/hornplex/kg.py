@@ -1,9 +1,9 @@
-"""Knowledge-graph loading, indexing, and the filter index used by filtered evaluation.
+"""Knowledge-graph loading and the sorted fact codes that index the graph.
 
 Triples are stored with dense integer ids. Dictionaries map surface strings to
 ids in first-seen order (train, then valid, then test), so indices are
 reproducible for fixed input files. Duplicate triples are kept in the split
-lists (they weight the loss) but deduplicated in the filter index.
+lists (they weight the loss) but stored once in the sorted fact codes.
 """
 
 import itertools
@@ -25,6 +25,7 @@ __all__ = [
     "write_dictionary",
     "read_dictionary",
     "check_dictionary",
+    "read_lines",
 ]
 
 
@@ -36,6 +37,31 @@ class Triple(NamedTuple):
 
 class TripleFileError(ValueError):
     """Malformed triple file or unresolvable symbol; message carries the line number."""
+
+
+def read_lines(path, error):
+    """The lines of the UTF-8 text file ``path``, as ``open`` reads them. A
+    byte that is not UTF-8 raises ``error`` (an exception class) naming the
+    file, the line and the byte offset."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError as err:
+        raise error(_not_utf8(path, err)) from None
+
+
+def _not_utf8(path, err):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = data[: whole.start]
+        # lines end at "\n", "\r\n" or "\r", as ``open`` splits them
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        byte = data[whole.start]
+        return f"{path}:{lineno}: byte 0x{byte:02x} at offset {whole.start} is not UTF-8"
+    return f"{path}: {err}"  # the file changed since it was read
 
 
 def load_triples(path, dicts=None, frozen=False):
@@ -66,37 +92,34 @@ def load_triples(path, dicts=None, frozen=False):
         return idx
 
     triples = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripleFileError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h, r, t = fields
-            triples.append(
-                Triple(
-                    resolve(entity_ids, h, lineno, "entity"),
-                    resolve(relation_ids, r, lineno, "relation"),
-                    resolve(entity_ids, t, lineno, "entity"),
-                )
+    for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise TripleFileError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
+        h, r, t = fields
+        triples.append(
+            Triple(
+                resolve(entity_ids, h, lineno, "entity"),
+                resolve(relation_ids, r, lineno, "relation"),
+                resolve(entity_ids, t, lineno, "entity"),
+            )
+        )
     return triples, (entity_ids, relation_ids)
 
 
 @dataclass
 class KnowledgeGraph:
-    """Immutable-by-convention container for the three splits plus lookup indices.
+    """Immutable-by-convention container for the three splits and their facts.
 
-    ``filter_index`` is the deduplicated union of all splits; ``by_relation``
-    maps each relation id to its unique (head, tail) pairs in first-seen order.
-    ``tail_codes`` and ``head_codes`` hold every fact of the filter index once,
-    as sorted int64 codes (h*m + r)*n + t and (r*n + t)*n + h: the tails
-    known for (h, r), or the heads known for (r, t), are one contiguous run
-    of codes, found by ``np.searchsorted``.
+    ``tail_codes`` and ``head_codes``, the only fact index, hold every
+    distinct fact once, as sorted int64 codes (h*m + r)*n + t and
+    (r*n + t)*n + h: the tails known for (h, r), or the heads known for
+    (r, t), are one contiguous run of codes, found by ``np.searchsorted``.
     """
 
     entity_ids: dict
@@ -104,8 +127,6 @@ class KnowledgeGraph:
     train: list
     valid: list
     test: list
-    filter_index: frozenset = field(repr=False)
-    by_relation: dict = field(repr=False)
     tail_codes: np.ndarray = field(repr=False)
     head_codes: np.ndarray = field(repr=False)
 
@@ -131,18 +152,37 @@ class KnowledgeGraph:
             names[idx] = name
         return names
 
-    def all_triples(self):
-        return self.train + self.valid + self.test
-
     def contains(self, heads, relations, tails):
         """Whether each (heads[i], relations[i], tails[i]) is a known fact,
-        as a bool array; the arguments are int arrays of one shape."""
+        as a bool array; the arguments are int arrays that broadcast together."""
         codes = self.tail_codes
         wanted = (heads * self.num_relations + relations) * self.num_entities + tails
         if codes.size == 0:
             return np.zeros(wanted.shape, dtype=bool)
         pos = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
         return codes[pos] == wanted
+
+    def tails_of(self, heads, relations):
+        """Arrays (i, t) of every known fact (heads[i], relations[i], t),
+        ordered by i, then t; ``relations`` may be a scalar."""
+        n = self.num_entities
+        return _runs(self.tail_codes, (heads * self.num_relations + relations) * n, n)
+
+    def heads_of(self, relations, tails):
+        """Arrays (i, h) of every known fact (h, relations[i], tails[i]),
+        ordered by i, then h; ``relations`` may be a scalar."""
+        n = self.num_entities
+        return _runs(self.head_codes, (relations * n + tails) * n, n)
+
+
+def _runs(codes, base, n):
+    """(i, codes[j] % n) for every code j in [base[i], base[i] + n)."""
+    start = np.searchsorted(codes, base)
+    stop = np.searchsorted(codes, base + n)
+    length = stop - start
+    # output k of query i is codes[start[i] + k - (cumsum(length)[i] - length[i])]
+    pos = np.arange(length.sum()) + np.repeat(stop - np.cumsum(length), length)
+    return np.repeat(np.arange(base.size), length), codes[pos] % n
 
 
 def build_graph(train, valid, test, dicts):
@@ -157,36 +197,26 @@ def build_graph(train, valid, test, dicts):
         raise ValueError(
             f"{n} entities and {m} relations overflow the int64 fact codes (n*n*m >= 2**63)"
         )
-    splits = (train, valid, test)
-    for split in splits:
-        for t in split:
-            if not (0 <= t.head < n and 0 <= t.tail < n):
-                raise IndexError(f"entity index out of bounds in {t}")
-            if not (0 <= t.relation < m):
-                raise IndexError(f"relation index out of bounds in {t}")
+    triples = [*train, *valid, *test]
+    facts = np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * len(triples))
+    facts = facts.reshape(-1, 3)
+    bad = (facts < 0) | (facts >= (n, m, n))
+    if bad.any():
+        first = int(np.argmax(bad.any(axis=1)))  # the first bad triple
+        what = "entity" if bad[first, ::2].any() else "relation"
+        raise IndexError(f"{what} index out of bounds in {triples[first]}")
 
-    filter_index = set()
-    by_relation: dict = {r: [] for r in range(m)}
-    for split in splits:
-        for t in split:
-            if t in filter_index:
-                continue
-            filter_index.add(t)
-            by_relation[t.relation].append((t.head, t.tail))
-
-    facts = np.fromiter(
-        itertools.chain.from_iterable(filter_index), dtype=np.int64, count=3 * len(filter_index)
-    ).reshape(-1, 3)
     h, r, t = facts.T
+    tail_codes = np.unique((h * m + r) * n + t)
+    h, rest = np.divmod(tail_codes, m * n)
+    r, t = np.divmod(rest, n)
     return KnowledgeGraph(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
         train=list(train),
         valid=list(valid),
         test=list(test),
-        filter_index=frozenset(filter_index),
-        by_relation=by_relation,
-        tail_codes=np.sort((h * m + r) * n + t),
+        tail_codes=tail_codes,
         head_codes=np.sort((r * n + t) * n + h),
     )
 
@@ -204,8 +234,9 @@ def load_graph(train_path, valid_path=None, test_path=None):
 
 
 def write_triples(path, triples, entity_names, relation_names):
-    """Write triples back to the TSV format accepted by ``load_triples``."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write triples back to the TSV format accepted by ``load_triples``, to
+    a temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         for t in triples:
             handle.write(
                 f"{entity_names[t.head]}\t{relation_names[t.relation]}\t{entity_names[t.tail]}\n"
@@ -223,15 +254,17 @@ def write_dictionary(path, names: Iterable[str]):
 def read_dictionary(path):
     """Read a dictionary dump back into a str->int map."""
     table = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
+    for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
+        try:
             table[fields[1]] = int(fields[0])
+        except ValueError:
+            raise TripleFileError(f"{path}:{lineno}: id {fields[0]!r} is not an integer") from None
     return table
 
 
@@ -240,21 +273,20 @@ def check_dictionary(path, names):
     1, ... in order. The first difference is a TripleFileError that names the
     file, the line and both names."""
     count = lineno = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
-            expected = names[count] if count < len(names) else None
-            if fields != [str(count), expected]:
-                raise TripleFileError(
-                    f"{path}:{lineno}: the dictionary maps id {fields[0]} to {fields[1]!r}, "
-                    f"the graph maps id {count} to {expected!r}"
-                )
-            count += 1
+    for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise TripleFileError(f"{path}:{lineno}: expected 2 fields")
+        expected = names[count] if count < len(names) else None
+        if fields != [str(count), expected]:
+            raise TripleFileError(
+                f"{path}:{lineno}: the dictionary maps id {fields[0]} to {fields[1]!r}, "
+                f"the graph maps id {count} to {expected!r}"
+            )
+        count += 1
     if count != len(names):
         raise TripleFileError(
             f"{path}:{lineno + 1}: the dictionary ends, "

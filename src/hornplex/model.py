@@ -360,12 +360,13 @@ def replacing(path, mode="w", **kwargs):
 
 def export_table_csv(table, entities_path, relations_path):
     """CSV export for diagnostics: one row per entity/relation with columns
-    re_0..re_{d-1}, im_0..im_{d-1}."""
+    re_0..re_{d-1}, im_0..im_{d-1}. Each file is written to a temporary file
+    that then replaces it."""
     d = table.dim
     header = ",".join([f"re_{l}" for l in range(d)] + [f"im_{l}" for l in range(d)])
 
     def write(path, re_arr, im_arr):
-        with open(path, "w", encoding="utf-8") as handle:
+        with replacing(path, encoding="utf-8") as handle:
             handle.write(header + "\n")
             for row_re, row_im in zip(re_arr, im_arr):
                 values = np.concatenate([row_re, row_im])

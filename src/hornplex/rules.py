@@ -7,7 +7,10 @@ length-2 rules are compositions.
 
 from dataclasses import dataclass
 
-from .kg import KnowledgeGraph, Triple
+import numpy as np
+
+from .kg import KnowledgeGraph, read_lines
+from .model import replacing
 
 __all__ = [
     "HornRule",
@@ -60,41 +63,39 @@ def parse_rules(path, relation_ids):
     with the offending line number.
     """
     rules = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise RuleFileError(
-                    f"{path}:{lineno}: expected confidence, head, and at least one body relation"
-                )
-            try:
-                confidence = float(fields[0])
-            except ValueError as err:
-                raise RuleFileError(f"{path}:{lineno}: bad confidence {fields[0]!r}") from err
-            if not 0.0 < confidence <= 1.0:
-                raise RuleFileError(
-                    f"{path}:{lineno}: confidence {confidence} outside (0, 1]"
-                )
-            names = fields[1:]
-            for name in names:
-                if name not in relation_ids:
-                    raise RuleFileError(f"{path}:{lineno}: unknown relation {name!r}")
-            rules.append(
-                HornRule(
-                    body=tuple(relation_ids[name] for name in names[1:]),
-                    head=relation_ids[names[0]],
-                    confidence=confidence,
-                )
+    for lineno, line in enumerate(read_lines(path, RuleFileError), start=1):
+        line = line.rstrip("\n")
+        if not line or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise RuleFileError(
+                f"{path}:{lineno}: expected confidence, head, and at least one body relation"
             )
+        try:
+            confidence = float(fields[0])
+        except ValueError as err:
+            raise RuleFileError(f"{path}:{lineno}: bad confidence {fields[0]!r}") from err
+        if not 0.0 < confidence <= 1.0:
+            raise RuleFileError(f"{path}:{lineno}: confidence {confidence} outside (0, 1]")
+        names = fields[1:]
+        for name in names:
+            if name not in relation_ids:
+                raise RuleFileError(f"{path}:{lineno}: unknown relation {name!r}")
+        rules.append(
+            HornRule(
+                body=tuple(relation_ids[name] for name in names[1:]),
+                head=relation_ids[names[0]],
+                confidence=confidence,
+            )
+        )
     return rules
 
 
 def write_rules(path, rules, relation_names):
-    """Serialize rules to the TSV format accepted by ``parse_rules``."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Serialize rules to the TSV format accepted by ``parse_rules``, to a
+    temporary file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         for rule in rules:
             body = "\t".join(relation_names[r] for r in rule.body)
             handle.write(f"{rule.confidence:.17g}\t{relation_names[rule.head]}\t{body}\n")
@@ -118,37 +119,33 @@ def filter_rules(rules, min_confidence=0.5, max_length=2, strict=False):
 def ground_confidence(kg: KnowledgeGraph, rule: HornRule):
     """Standard confidence of ``rule`` against ``kg`` by exhaustive body grounding.
 
-    Counts every chain (z_0, …, z_k) whose steps appear in ``kg.by_relation``
-    (distinct intermediates count separately) and returns the fraction whose
-    head triple (z_0, head, z_k) lies in the filter index. Returns None when
-    the body has no groundings.
+    Counts every chain (z_0, …, z_k) of known facts (distinct intermediates
+    count separately) and returns the fraction whose head triple
+    (z_0, head, z_k) is known. Returns None when the body has no groundings.
+    Chains are counted per (z_0, z_i) pair, exactly (int64, then Python
+    integers past 2**62), extended through ``kg.tails_of`` one body
+    relation at a time.
     """
     for r in rule.body + (rule.head,):
-        if r not in kg.by_relation:
+        if not 0 <= r < kg.num_relations:
             raise KeyError(f"relation {r} not present in graph")
 
-    # Path counting over the chain: counts[(x, z)] = number of body groundings
-    # from x reaching z so far.
-    counts: dict = {}
-    for h, t in kg.by_relation[rule.body[0]]:
-        counts[(h, t)] = counts.get((h, t), 0) + 1
-    for r in rule.body[1:]:
-        adjacency: dict = {}
-        for h, t in kg.by_relation[r]:
-            adjacency.setdefault(h, []).append(t)
-        nxt: dict = {}
-        for (x, z), c in counts.items():
-            for t in adjacency.get(z, ()):
-                key = (x, t)
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-        if not counts:
-            return None
+    n = kg.num_entities
+    x = z = np.arange(n)
+    counts = np.ones(n, dtype=np.int64)
+    for r in rule.body:
+        i, t = kg.tails_of(z, r)
+        counts = counts[i]
+        if counts.dtype != object and counts.sum(dtype=np.float64) >= 2.0**62:
+            counts = counts.astype(object)  # Python integers stay exact past int64
+        pairs, index = np.unique(x[i] * n + t, return_inverse=True)
+        merged = np.zeros(pairs.size, dtype=counts.dtype)
+        np.add.at(merged, index, counts)
+        counts = merged
+        x, z = np.divmod(pairs, n)
 
-    total = sum(counts.values())
+    total = int(counts.sum())
     if total == 0:
         return None
-    supported = sum(
-        c for (x, y), c in counts.items() if Triple(x, rule.head, y) in kg.filter_index
-    )
+    supported = int(counts[kg.contains(x, rule.head, z)].sum())
     return supported / total

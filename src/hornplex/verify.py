@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import cmul
-from .model import project_relation_components
+from .model import project_relation_components, replacing
 
 __all__ = [
     "TheoremReport",
@@ -395,8 +395,9 @@ def format_report(report):
 
 
 def write_reports(path, reports, extra=None):
-    """One structured text record per configuration."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """One structured text record per configuration, written to a temporary
+    file that then replaces ``path``."""
+    with replacing(path, encoding="utf-8") as handle:
         if extra:
             for key in sorted(extra):
                 handle.write(f"# {key} = {extra[key]}\n")

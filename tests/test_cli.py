@@ -211,6 +211,50 @@ def test_missing_config_is_an_error(capsys):
     assert "config" in capsys.readouterr().err
 
 
+def spoil_line(path, lineno, old, new):
+    """Replace ``old`` by ``new`` (bytes) in line ``lineno`` of ``path``;
+    returns the byte offset of the replacement."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    offset = sum(map(len, lines[: lineno - 1])) + lines[lineno - 1].index(old)
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    path.write_bytes(b"".join(lines))
+    return offset
+
+
+@pytest.mark.parametrize(
+    "file, lineno, old, new, expected",
+    [
+        ("train.txt", 3, b"e", b"\xffe", "{path}:3: byte 0xff at offset {offset} is not UTF-8"),
+        ("test.txt", 6, b"\t", b"\xc3\t", "{path}:6: byte 0xc3 at offset {offset} is not UTF-8"),
+        ("rules.tsv", 2, b"r2", b"\xffr2", "{path}:2: byte 0xff at offset {offset} is not UTF-8"),
+        ("run.ini", 1, b"[paths]", b"[p\xffths]", "{path}:1: byte 0xff at offset 2 is not UTF-8"),
+        (
+            "run.ini",
+            10,
+            b"16",
+            b"abc",
+            "{path}: [train] batch_size = 'abc': invalid literal for int() with base 10: 'abc'",
+        ),
+        (
+            "run.ini",
+            22,
+            b"1,3,10",
+            b"1,3,ten",
+            "{path}: [eval] hits = '1,3,ten': invalid literal for int() with base 10: 'ten'",
+        ),
+        ("run.ini", 1, b"[paths]", b"paths", "File contains no section headers.\nfile: '{path}', line: 1"),
+    ],
+    ids=["triples", "triples-cut", "rules", "ini-bytes", "ini-int", "ini-ints", "ini-section"],
+)
+def test_bad_input_exits_2_naming_the_file_and_line(workspace, capsys, file, lineno, old, new, expected):
+    path = workspace["config"] if file == "run.ini" else workspace["data"] / file
+    offset = spoil_line(path, lineno, old, new)
+    assert main(["--config", str(workspace["config"]), "rules", "confidence"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: " + expected.format(path=path, offset=offset)
+    )
+
+
 @pytest.mark.parametrize("command", ["eval", "diagnostics"])
 @pytest.mark.parametrize("extra_entities, extra_relations", [(5, 0), (-3, 0), (0, 1)])
 def test_checkpoint_not_matching_graph_is_rejected(

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hornplex import fewshot
@@ -103,7 +104,11 @@ def test_valid_task_triples_move_to_test():
 def test_filter_index_rebuilt_consistently():
     kg = task_kg()
     graph, _, _ = make_fewshot_split(kg, FewShotSpec(2, 1, seed=9))
-    assert graph.filter_index == frozenset(graph.train + graph.valid + graph.test)
+    known = set(graph.train + graph.valid + graph.test)
+    n, m = graph.num_entities, graph.num_relations
+    grid = np.array(np.meshgrid(range(n), range(m), range(n), indexing="ij")).reshape(3, -1)
+    assert graph.contains(*grid).tolist() == [Triple(*c) in known for c in grid.T.tolist()]
+    assert graph.tail_codes.size == graph.head_codes.size == len(known)
 
 
 def test_write_split_files_and_manifest(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -44,7 +46,8 @@ def test_duplicate_lines_kept_in_list_deduped_in_filter(tmp_path):
     triples, dicts = load_triples(p)
     assert len(triples) == 2
     kg = build_graph(triples, [], [], dicts)
-    assert len(kg.filter_index) == 1
+    assert kg.tail_codes.size == kg.head_codes.size == 1
+    assert kg.contains(0, 0, 1)
 
 
 def test_malformed_line_reports_line_number(tmp_path):
@@ -52,6 +55,25 @@ def test_malformed_line_reports_line_number(tmp_path):
     write_lines(p, ["a\tr\tb", "a\tr"])
     with pytest.raises(TripleFileError, match=":2:"):
         load_triples(p)
+
+
+def test_byte_that_is_not_utf8_names_file_line_and_offset(tmp_path):
+    p = tmp_path / "bad.txt"
+    # lines end in "\r\n", "\r" and "\n", as text mode splits them
+    data = b"a\tr\tb\r\nb\tr\tc\rc\tr\t\xffd\n"
+    p.write_bytes(data)
+    with pytest.raises(TripleFileError) as err:
+        load_triples(p)
+    offset = data.index(b"\xff")
+    assert str(err.value) == f"{p}:3: byte 0xff at offset {offset} is not UTF-8"
+
+
+def test_read_dictionary_rejects_a_non_integer_id(tmp_path):
+    p = tmp_path / "entities.dict"
+    p.write_text("0\ta\nx1\tb\n", encoding="utf-8")
+    with pytest.raises(TripleFileError) as err:
+        read_dictionary(p)
+    assert str(err.value) == f"{p}:2: id 'x1' is not an integer"
 
 
 def test_frozen_dicts_reject_unknown_symbol(tmp_path):
@@ -73,7 +95,7 @@ def test_first_seen_order_is_deterministic(tmp_path):
 def test_build_graph_union_dedup():
     dicts = ({"a": 0, "b": 1}, {"r": 0})
     kg = build_graph([Triple(0, 0, 1)], [], [Triple(0, 0, 1)], dicts)
-    assert len(kg.filter_index) == 1
+    assert kg.tail_codes.size == kg.head_codes.size == 1
 
 
 def test_build_graph_disjoint_counts():
@@ -82,7 +104,8 @@ def test_build_graph_disjoint_counts():
     valid = [Triple(3, 0, 4)]
     test = [Triple(4, 0, 5)]
     kg = build_graph(train, valid, test, dicts)
-    assert len(kg.filter_index) == 5
+    assert kg.tail_codes.size == kg.head_codes.size == 5
+    assert kg.contains(*np.array(train + valid + test).T).all()
 
 
 def test_build_graph_bounds_check():
@@ -91,24 +114,67 @@ def test_build_graph_bounds_check():
         build_graph([Triple(0, 0, 5)], [], [], dicts)
     with pytest.raises(IndexError):
         build_graph([Triple(0, 3, 0)], [], [], dicts)
+    with pytest.raises(IndexError):
+        build_graph([Triple(-1, 0, 0)], [], [], dicts)
+
+
+def test_build_graph_bounds_error_names_the_first_bad_triple():
+    dicts = ({"a": 0, "b": 1}, {"r": 0})
+    good = [Triple(0, 0, 1)]
+    with pytest.raises(IndexError, match=r"^relation index out of bounds in "
+                       r"Triple\(head=1, relation=2, tail=0\)$"):
+        build_graph(good, [Triple(1, 2, 0), Triple(0, 0, 7)], [Triple(5, 0, 0)], dicts)
+    with pytest.raises(IndexError, match=r"^entity index out of bounds in "
+                       r"Triple\(head=0, relation=9, tail=2\)$"):
+        build_graph(good, [], [Triple(0, 9, 2), Triple(0, 1, 0)], dicts)
 
 
 def test_filter_index_matches_naive_scan_exhaustively():
     kg = make_random_kg(seed=3, num_entities=20, num_relations=2, num_train=40)
-    for h in range(kg.num_entities):
-        for r in range(kg.num_relations):
-            for t in range(kg.num_entities):
-                cand = Triple(h, r, t)
-                assert (cand in kg.filter_index) == naive_contains(kg, cand)
+    grid = np.array(np.meshgrid(range(20), range(2), range(20), indexing="ij")).reshape(3, -1)
+    found = kg.contains(*grid)
+    for cand, known in zip(grid.T.tolist(), found.tolist()):
+        assert known == naive_contains(kg, Triple(*cand))
 
 
-def test_by_relation_consistent_with_lists():
-    kg = make_random_kg(seed=5)
-    pairs = {(t.head, t.relation, t.tail) for t in kg.all_triples()}
-    listed = {
-        (h, r, t) for r, group in kg.by_relation.items() for h, t in group
-    }
-    assert listed == pairs
+def scanned_runs(kg, queries, tail_side):
+    """``tails_of``/``heads_of`` output by a scan of the split lists."""
+    pairs = []
+    for i, (a, r) in enumerate(queries):
+        found = set()
+        for split in (kg.train, kg.valid, kg.test):
+            for t in split:
+                if t.relation == r and (t.head if tail_side else t.tail) == a:
+                    found.add(t.tail if tail_side else t.head)
+        pairs.extend((i, e) for e in sorted(found))
+    return pairs
+
+
+def test_tails_of_and_heads_of_match_a_scan_of_the_splits():
+    for seed, tail_side in itertools.product(range(3), (True, False)):
+        kg = make_random_kg(seed=seed, num_entities=7, num_relations=3, num_train=50)
+        rng = np.random.default_rng(seed)
+        # every (entity, relation) pair, then a random batch with repeats
+        queries = [(a, r) for a in range(7) for r in range(3)]
+        queries += [tuple(map(int, q)) for q in rng.integers(0, [7, 3], size=(30, 2))]
+        a, r = np.array(queries).T
+        method = kg.tails_of if tail_side else kg.heads_of
+        i, e = method(a, r) if tail_side else method(r, a)
+        assert i.dtype == e.dtype == np.int64
+        assert list(zip(i.tolist(), e.tolist())) == scanned_runs(kg, queries, tail_side)
+        # a scalar relation broadcasts over the entities
+        i, e = method(np.arange(7), 1) if tail_side else method(1, np.arange(7))
+        pairs = list(zip(i.tolist(), e.tolist()))
+        assert pairs == scanned_runs(kg, [(x, 1) for x in range(7)], tail_side)
+        i, e = method(np.arange(0), 0) if tail_side else method(0, np.arange(0))
+        assert i.size == e.size == 0
+
+
+def test_runs_of_a_graph_without_facts_are_empty():
+    kg = build_graph([], [], [], ({"a": 0, "b": 1}, {"r": 0}))
+    for i, e in (kg.tails_of(np.arange(2), 0), kg.heads_of(0, np.arange(2))):
+        assert i.size == e.size == 0
+    assert not kg.contains(np.arange(2), 0, np.arange(2)).any()
 
 
 def test_round_trip_triples(tmp_path):
@@ -145,15 +211,36 @@ def test_dictionary_dump_round_trip(tmp_path):
 def test_fact_codes_and_contains_encode_the_filter_index(seed):
     kg = make_random_kg(seed=seed, num_entities=9, num_relations=3, num_train=60)
     n, m = kg.num_entities, kg.num_relations
-    facts = sorted(kg.filter_index)
+    known = set(kg.train) | set(kg.valid) | set(kg.test)
+    facts = sorted(known)
     tail_keyed = sorted((h * m + r) * n + t for h, r, t in facts)
     head_keyed = sorted((r * n + t) * n + h for h, r, t in facts)
     assert kg.tail_codes.dtype == kg.head_codes.dtype == np.int64
     assert kg.tail_codes.tolist() == tail_keyed
     assert kg.head_codes.tolist() == head_keyed
     grid = np.array(np.meshgrid(range(n), range(m), range(n), indexing="ij")).reshape(3, -1)
-    expected = [Triple(*map(int, c)) in kg.filter_index for c in grid.T]
+    expected = [Triple(*map(int, c)) in known for c in grid.T]
     assert kg.contains(*grid).tolist() == expected
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), max_size=25),
+        min_size=3,
+        max_size=3,
+    )
+)
+def test_fact_codes_store_each_fact_of_the_splits_once(splits):
+    """Duplicates within and across splits: each distinct fact gets one code
+    of each kind, in sorted order."""
+    n, m = 6, 3
+    dicts = ({f"e{i}": i for i in range(n)}, {f"r{i}": i for i in range(m)})
+    splits = [[Triple(*t) for t in split] for split in splits]
+    kg = build_graph(*splits, dicts)
+    facts = {t for split in splits for t in split}
+    assert kg.tail_codes.tolist() == sorted((h * m + r) * n + t for h, r, t in facts)
+    assert kg.head_codes.tolist() == sorted((r * n + t) * n + h for h, r, t in facts)
+    assert [kg.train, kg.valid, kg.test] == splits
 
 
 class CountOnly(dict):

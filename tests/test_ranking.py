@@ -67,7 +67,7 @@ def rank_and_compare(seed, num_entities, num_relations, dim, kind, per_block, co
 
     covered = dict.fromkeys(("several_blocks", "tie_with_true", "known_tie_with_true"), False)
     covered["several_blocks"] = report.count > per_block
-    known = set(kg.filter_index)
+    known = set(kg.train) | set(kg.valid) | set(kg.test)
     for entry in report.entries:
         assert entry.rank == brute_force_filtered_rank(table, kg, entry.triple, entry.side)
         h, r, t = entry.triple

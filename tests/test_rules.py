@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hornplex.kg import Triple, build_graph
 from hornplex.rules import (
@@ -144,12 +144,13 @@ def test_hierarchy_confidence_equals_pair_intersection():
     kg = make_random_kg(seed=9, num_entities=8, num_relations=3, num_train=40)
     rule = HornRule(body=(0,), head=1, confidence=0.5)
     value = ground_confidence(kg, rule)
-    body_pairs = set(kg.by_relation[0])
-    head_pairs = set(kg.by_relation[1])
+    facts = kg.train + kg.valid + kg.test
+    body_pairs = {(t.head, t.tail) for t in facts if t.relation == 0}
+    head_pairs = {(t.head, t.tail) for t in facts if t.relation == 1}
     if not body_pairs:
         assert value is None
     else:
-        assert value == pytest.approx(len(body_pairs & head_pairs) / len(body_pairs))
+        assert value == len(body_pairs & head_pairs) / len(body_pairs)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -162,5 +163,66 @@ def test_ground_confidence_matches_enumeration(seed, body):
     if slow is None:
         assert fast is None
     else:
-        assert fast == pytest.approx(slow)
+        assert fast == slow
         assert 0.0 <= fast <= 1.0
+
+
+@st.composite
+def graphs_and_rules(draw):
+    """A graph with duplicates within and across splits, and relation m
+    declared without facts; a rule of body length 1-4 over relations 0..m,
+    with repeats, whose head is often one of its body relations."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    triple = st.builds(
+        Triple, st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, n - 1)
+    )
+    train = draw(st.lists(triple, min_size=2 * n * m, max_size=4 * n * m))
+    valid, test = (draw(st.lists(triple, max_size=10)) for _ in range(2))
+    if train:
+        test = test + draw(st.lists(st.sampled_from(train), max_size=5))
+    body = tuple(draw(st.lists(st.integers(0, m), min_size=1, max_size=4)))
+    head = draw(st.sampled_from(body) | st.integers(0, m))
+    dicts = ({f"e{i}": i for i in range(n)}, {f"r{i}": i for i in range(m + 1)})
+    return build_graph(train, valid, test, dicts), HornRule(body, head, 1.0)
+
+
+@settings(max_examples=150)
+@given(graphs_and_rules())
+def test_ground_confidence_equals_enumeration_property(case):
+    kg, rule = case
+    assert ground_confidence(kg, rule) == enumerate_confidence(kg, rule)
+
+
+@pytest.mark.parametrize("body, head", [((4,), 0), ((0, 1), 4), ((0, -1), 2), ((0,), 9)])
+def test_ground_confidence_rejects_a_relation_outside_the_graph(body, head):
+    kg = hand_kg()  # relations 0..3
+    with pytest.raises(KeyError, match="not present in graph"):
+        ground_confidence(kg, HornRule(body=body, head=head, confidence=0.5))
+
+
+def test_ground_confidence_counts_stay_exact_past_int64():
+    """Relation 0 links 0 -> 1, 0 -> 2, 1 -> 0 and 2 -> 0, so a body of 131
+    steps has more than 2**65 groundings; the exact counts come from powers
+    of the adjacency matrix in Python integers."""
+    dicts = ({"a": 0, "b": 1, "c": 2}, {"r": 0, "s": 1})
+    train = [Triple(0, 0, 1), Triple(0, 0, 2), Triple(1, 0, 0), Triple(2, 0, 0)]
+    head = [Triple(0, 1, 1), Triple(2, 1, 0), Triple(1, 1, 1)]
+    kg = build_graph(train, [], head, dicts)
+    adjacency = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    chains = [[int(x == y) for y in range(3)] for x in range(3)]
+    for _ in range(131):
+        chains = [[sum(row[k] * adjacency[k][y] for k in range(3)) for y in range(3)] for row in chains]
+    total = sum(map(sum, chains))
+    supported = sum(chains[t.head][t.tail] for t in head)
+    assert total > 2**65
+    rule = HornRule(body=(0,) * 131, head=1, confidence=1.0)
+    assert ground_confidence(kg, rule) == supported / total
+
+
+def test_parse_rules_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    p = tmp_path / "rules.tsv"
+    p.write_bytes(b"0.9\trH\trB\n# \xc3\xa9t\xc3\xa9\n0.8\trH\tr\xff1\n")
+    with pytest.raises(RuleFileError) as err:
+        parse_rules(p, RELS)
+    assert str(err.value) == f"{p}:3: byte 0xff at offset 26 is not UTF-8"
