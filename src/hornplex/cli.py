@@ -95,7 +95,7 @@ def cmd_train(args):
     )
     write_dictionary(os.path.join(out, "entities.dict"), kg.entity_names)
     write_dictionary(os.path.join(out, "relations.dict"), kg.relation_names)
-    if kg.valid:
+    if len(kg.valid):
         report = evaluation.evaluate(
             table, kg, kg.valid, side=cfg.eval_side, hits=cfg.eval_hits
         )

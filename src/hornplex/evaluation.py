@@ -13,14 +13,14 @@ those are scored again, with the arithmetic of ``model.score``, so the ranks
 are those of scoring every candidate with ``model.score``.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .kernel import RuleArrays, body_product, body_vectors, rule_gaps
-from .kg import Triple
+from .kg import Triple, read_lines
 from .model import head_factors, replacing, score_triples, tail_factors
 
 # Not called here: the benchmark's tracer (bench/pipeline.py) looks these
@@ -55,20 +55,31 @@ COMPARE_ELEMENTS = 2**15
 
 @dataclass(frozen=True)
 class RankEntry:
-    triple: tuple
+    triple: Triple
     side: str
     rank: float
 
 
 @dataclass
 class RankingReport:
-    entries: list
+    """Ranks of the queries ``triples[i]`` (an (Q, 3) int64 array), each
+    corrupting its tail where ``tail_side[i]`` and its head otherwise."""
+
+    triples: np.ndarray
+    tail_side: np.ndarray
+    ranks: np.ndarray
     mrr: float
     hits_at: dict = field(default_factory=dict)
 
     @property
     def count(self):
-        return len(self.entries)
+        return len(self.ranks)
+
+    @cached_property
+    def entries(self):
+        """One RankEntry per query, in query order, built on first use."""
+        queries = zip(self.triples.tolist(), self.tail_side.tolist(), self.ranks.tolist())
+        return [RankEntry(Triple(*t), "tail" if s else "head", rank) for t, s, rank in queries]
 
 
 def filtered_rank(table, kg, triple, side):
@@ -79,31 +90,24 @@ def filtered_rank(table, kg, triple, side):
 
 
 def evaluate(table, kg, split, side="both", hits=DEFAULT_HITS):
-    """Rank every triple of ``split`` on the requested side(s) and aggregate.
+    """Rank every triple of ``split`` (an (N, 3) int array-like) on the
+    requested side(s) and aggregate.
 
     ``side`` is 'both', 'head', or 'tail'. MRR is the mean reciprocal rank
     over all (triple, side) pairs; hits_at[k] the fraction of ranks <= k.
     """
-    triples = list(split)
-    if not triples:
+    triples = np.asarray(split, dtype=np.int64).reshape(-1, 3)
+    if not len(triples):
         raise ValueError("cannot evaluate an empty split")
     sides = SIDES.get(side)
     if sides is None:
         raise ValueError(f"side must be 'both', 'head' or 'tail', got {side!r}")
 
-    ranks = rank_queries(
-        table,
-        kg,
-        np.repeat(np.asarray(triples, dtype=np.int64), len(sides), axis=0),
-        np.tile([s == "tail" for s in sides], len(triples)),
-    )
-    queries = itertools.product(triples, sides)
-    entries = [RankEntry(t, s, rank) for (t, s), rank in zip(queries, ranks.tolist())]
-    return RankingReport(
-        entries=entries,
-        mrr=float(np.mean(1.0 / ranks)),
-        hits_at={k: float(np.mean(ranks <= k)) for k in hits},
-    )
+    triples = np.repeat(triples, len(sides), axis=0)
+    tail_side = np.tile([s == "tail" for s in sides], len(triples) // len(sides))
+    ranks = rank_queries(table, kg, triples, tail_side)
+    hits_at = {k: float(np.mean(ranks <= k)) for k in hits}
+    return RankingReport(triples, tail_side, ranks, float(np.mean(1.0 / ranks)), hits_at)
 
 
 def rank_queries(table, kg, triples, tail_side):
@@ -289,14 +293,18 @@ def write_metrics(path, report, extra=None):
 
 
 def read_metrics(path):
+    """The ``key = number`` lines of a ``write_metrics`` file, as a dict. A
+    malformed line is a ValueError naming the file and the line."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
+    for lineno, line in enumerate(read_lines(path, ValueError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")  # no "=": value "" fails below
+        try:
             values[key.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'key = number', got {line!r}") from None
     return values
 
 

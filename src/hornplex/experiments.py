@@ -17,7 +17,7 @@ import numpy as np
 
 from .evaluation import evaluate, mean_hinge_violation, relation_rule_diagnostics, write_metrics
 from .fewshot import FewShotSpec, make_fewshot_split
-from .kg import Triple, build_graph
+from .kg import build_graph
 from .model import replacing
 from .rules import HornRule
 from .training import TrainConfig, save_checkpoint, train, write_training_log
@@ -31,24 +31,6 @@ __all__ = [
 
 # (body_1, body_2) -> head wiring over the four base relations
 PLANTED_COMPOSITIONS = ((0, 1), (1, 2), (2, 3), (3, 0))
-
-
-def _sample_pairs(rng, num_entities, count):
-    """``count`` distinct (head, tail) pairs, deterministic under ``rng``."""
-    pairs = []
-    seen = set()
-    while len(pairs) < count:
-        need = count - len(pairs)
-        heads = rng.integers(0, num_entities, size=2 * need)
-        tails = rng.integers(0, num_entities, size=2 * need)
-        for h, t in zip(heads, tails):
-            key = (int(h), int(t))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-                if len(pairs) == count:
-                    break
-    return pairs
 
 
 def _sample_block_pairs(rng, blocks, src, dst, count):
@@ -110,21 +92,16 @@ def make_planted_kg(
     relation_ids = {name: i for i, name in enumerate(names)}
 
     if style == "uniform":
-        blocks = None
-        base_pairs = [
-            _sample_pairs(rng, num_entities, edges_per_relation) for _ in range(num_base)
-        ]
+        blocks = [range(num_entities)] * num_base  # every relation spans all entities
     elif style == "bipartite":
         block_size = num_entities // num_base
-        blocks = [
-            list(range(b * block_size, (b + 1) * block_size)) for b in range(num_base)
-        ]
-        base_pairs = [
-            _sample_block_pairs(rng, blocks, i, (i + 1) % num_base, edges_per_relation)
-            for i in range(num_base)
-        ]
+        blocks = [range(b * block_size, (b + 1) * block_size) for b in range(num_base)]
     else:
         raise ValueError(f"unknown style {style!r}")
+    base_pairs = [
+        _sample_block_pairs(rng, blocks, i, (i + 1) % num_base, edges_per_relation)
+        for i in range(num_base)
+    ]
 
     rules = []
     implied = {}  # relation id -> list of (h, t)
@@ -149,7 +126,7 @@ def make_planted_kg(
 
     train_t, valid_t, test_t = [], [], []
     for i in range(num_base):
-        train_t.extend(Triple(h, i, t) for h, t in base_pairs[i])
+        train_t.extend((h, i, t) for h, t in base_pairs[i])
     for head in sorted(implied):
         facts = implied[head]
         perm = rng.permutation(len(facts))
@@ -157,7 +134,7 @@ def make_planted_kg(
         n_valid = int(round(valid_fraction * len(facts)))
         for pos, idx in enumerate(perm):
             h, t = facts[idx]
-            triple = Triple(h, head, t)
+            triple = (h, head, t)
             if pos < n_test:
                 test_t.append(triple)
             elif pos < n_test + n_valid:
@@ -169,21 +146,17 @@ def make_planted_kg(
         added = 0
         while added < n_noise:
             need = n_noise - added
-            if blocks is None:
-                hs = rng.integers(0, num_entities, size=2 * need)
-                ts = rng.integers(0, num_entities, size=2 * need)
-            else:
-                # keep noise inside the relation's block pair
-                src = (head - num_base) % num_base if head < 2 * num_base else head - 2 * num_base
-                hop = 1 if head < 2 * num_base else 2
-                bs, bd = blocks[src], blocks[(src + hop) % num_base]
-                hs = np.asarray(bs)[rng.integers(0, len(bs), size=2 * need)]
-                ts = np.asarray(bd)[rng.integers(0, len(bd), size=2 * need)]
+            # keep noise inside the relation's block pair
+            src = (head - num_base) % num_base if head < 2 * num_base else head - 2 * num_base
+            hop = 1 if head < 2 * num_base else 2
+            bs, bd = blocks[src], blocks[(src + hop) % num_base]
+            hs = np.asarray(bs)[rng.integers(0, len(bs), size=2 * need)]
+            ts = np.asarray(bd)[rng.integers(0, len(bd), size=2 * need)]
             for h, t in zip(hs, ts):
                 key = (int(h), int(t))
                 if key not in have:
                     have.add(key)
-                    train_t.append(Triple(key[0], head, key[1]))
+                    train_t.append((key[0], head, key[1]))
                     added += 1
                     if added == n_noise:
                         break

@@ -9,6 +9,7 @@ only in how much supervision they keep.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,14 @@ class FewShotSpec:
 
 
 def make_fewshot_split(kg, spec: FewShotSpec):
-    """Return ``(new_graph, task_relations)`` built from ``kg`` per ``spec``.
+    """Return ``(new_graph, task_relations, supports)`` built from ``kg`` per ``spec``.
 
     Task relations are drawn uniformly without replacement (from
     ``spec.candidates`` when given, otherwise all relations). A selected
     relation with no more triples than ``shots`` raises, naming the relation.
     Non-task triples keep their original split; the multiset union of the
-    splits is preserved.
+    splits is preserved. ``supports`` maps each task relation to the (k, 3)
+    int64 array of its support rows.
     """
     pool = spec.candidates if spec.candidates is not None else tuple(range(kg.num_relations))
     if spec.num_task_relations > len(pool):
@@ -51,24 +53,21 @@ def make_fewshot_split(kg, spec: FewShotSpec):
         )
     rng = np.random.default_rng(spec.seed)
     task = sorted(int(r) for r in rng.choice(pool, size=spec.num_task_relations, replace=False))
-    task_set = set(task)
 
-    # Gather task-relation occurrences in deterministic scan order (train,
-    # valid, test). Duplicate occurrences of one triple value travel together
-    # so train and test stay disjoint as sets while the multiset is conserved.
-    occurrences = {r: [] for r in task}
-    new_train, new_valid, new_test = [], [], []
-    for split, keep in ((kg.train, new_train), (kg.valid, new_valid), (kg.test, new_test)):
-        for t in split:
-            if t.relation in task_set:
-                occurrences[t.relation].append(t)
-            else:
-                keep.append(t)
-
+    # Task-relation rows leave their split in scan order (train, valid,
+    # test). Duplicate rows of one triple travel together, so train and test
+    # stay disjoint as sets while the multiset is conserved.
+    splits = (kg.train, kg.valid, kg.test)
+    new_train, new_valid, new_test = (split[~np.isin(split[:, 1], task)] for split in splits)
+    n = kg.num_entities
     names = kg.relation_names
     supports = {}
+    held_out = []
     for r in task:
-        distinct = list(dict.fromkeys(occurrences[r]))  # first-seen order
+        rows = np.concatenate([split[split[:, 1] == r] for split in splits])
+        pairs = rows[:, 0] * n + rows[:, 2]
+        # the distinct triples, in first-seen order
+        distinct = pairs[np.sort(np.unique(pairs, return_index=True)[1])]
         if len(distinct) <= spec.shots:
             raise ValueError(
                 f"task relation {names[r]!r} ({r}) has {len(distinct)} triples, "
@@ -76,11 +75,12 @@ def make_fewshot_split(kg, spec: FewShotSpec):
             )
         # One permutation per (seed, relation): prefixes give nested supports.
         perm = np.random.default_rng((spec.seed, r)).permutation(len(distinct))
-        support_set = set(distinct[int(i)] for i in perm[: spec.shots])
-        supports[r] = [t for t in occurrences[r] if t in support_set]
-        new_train.extend(supports[r])
-        new_test.extend(t for t in occurrences[r] if t not in support_set)
+        in_support = np.isin(pairs, distinct[perm[: spec.shots]])
+        supports[r] = rows[in_support]
+        held_out.append(rows[~in_support])
 
+    new_train = np.concatenate([new_train, *supports.values()])
+    new_test = np.concatenate([new_test, *held_out])
     graph = build_graph(new_train, new_valid, new_test, (kg.entity_ids, kg.relation_ids))
     return graph, task, supports
 
@@ -88,8 +88,6 @@ def make_fewshot_split(kg, spec: FewShotSpec):
 def write_fewshot_split(out_dir, graph, task, supports, spec):
     """Emit train/valid/test files plus a manifest of task relations and
     support triples."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     ent_names = graph.entity_names
     rel_names = graph.relation_names
@@ -103,8 +101,8 @@ def write_fewshot_split(out_dir, graph, task, supports, spec):
         "task_relations": [rel_names[r] for r in task],
         "support": {
             rel_names[r]: [
-                [ent_names[t.head], rel_names[t.relation], ent_names[t.tail]]
-                for t in supports[r]
+                [ent_names[h], rel_names[rel], ent_names[t]]
+                for h, rel, t in supports[r].tolist()
             ]
             for r in task
         },

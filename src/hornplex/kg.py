@@ -1,12 +1,12 @@
 """Knowledge-graph loading and the sorted fact codes that index the graph.
 
-Triples are stored with dense integer ids. Dictionaries map surface strings to
+Triples are stored with dense integer ids, each split as one (N, 3) int64
+array of (head, relation, tail) rows. Dictionaries map surface strings to
 ids in first-seen order (train, then valid, then test), so indices are
 reproducible for fixed input files. Duplicate triples are kept in the split
-lists (they weight the loss) but stored once in the sorted fact codes.
+arrays (they weight the loss) but stored once in the sorted fact codes.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -70,9 +70,10 @@ def load_triples(path, dicts=None, frozen=False):
     ``dicts`` is an optional ``(entity_ids, relation_ids)`` pair of str->int
     maps. Unknown symbols extend the maps in first-seen order unless
     ``frozen`` is set, in which case they raise. Line order is preserved and
-    duplicate lines yield duplicate triples.
+    duplicate lines yield duplicate rows.
 
-    Returns ``(triples, (entity_ids, relation_ids))``.
+    Returns ``(triples, (entity_ids, relation_ids))``, ``triples`` an (N, 3)
+    int64 array.
     """
     if dicts is None:
         entity_ids: dict = {}
@@ -81,17 +82,13 @@ def load_triples(path, dicts=None, frozen=False):
         entity_ids, relation_ids = dicts
 
     def resolve(table, name, lineno, what):
-        idx = table.get(name)
-        if idx is None:
-            if frozen:
-                raise TripleFileError(
-                    f"{path}:{lineno}: unknown {what} {name!r} with frozen dictionaries"
-                )
-            idx = len(table)
-            table[name] = idx
-        return idx
+        if frozen and name not in table:
+            raise TripleFileError(
+                f"{path}:{lineno}: unknown {what} {name!r} with frozen dictionaries"
+            )
+        return table.setdefault(name, len(table))
 
-    triples = []
+    ids = []
     for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
         line = line.rstrip("\n")
         if not line:
@@ -102,14 +99,10 @@ def load_triples(path, dicts=None, frozen=False):
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
         h, r, t = fields
-        triples.append(
-            Triple(
-                resolve(entity_ids, h, lineno, "entity"),
-                resolve(relation_ids, r, lineno, "relation"),
-                resolve(entity_ids, t, lineno, "entity"),
-            )
-        )
-    return triples, (entity_ids, relation_ids)
+        ids.append(resolve(entity_ids, h, lineno, "entity"))
+        ids.append(resolve(relation_ids, r, lineno, "relation"))
+        ids.append(resolve(entity_ids, t, lineno, "entity"))
+    return np.array(ids, dtype=np.int64).reshape(-1, 3), (entity_ids, relation_ids)
 
 
 @dataclass
@@ -124,9 +117,9 @@ class KnowledgeGraph:
 
     entity_ids: dict
     relation_ids: dict
-    train: list
-    valid: list
-    test: list
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     tail_codes: np.ndarray = field(repr=False)
     head_codes: np.ndarray = field(repr=False)
 
@@ -174,6 +167,15 @@ class KnowledgeGraph:
         n = self.num_entities
         return _runs(self.head_codes, (relations * n + tails) * n, n)
 
+    def pairs_of(self, relation):
+        """Arrays (heads, tails) of every known fact (heads[i], relation,
+        tails[i]), ordered by head, then tail: the relation's run of
+        ``head_codes``, re-keyed by head."""
+        n = self.num_entities
+        lo, hi = np.searchsorted(self.head_codes, [relation * n * n, (relation + 1) * n * n])
+        run = self.head_codes[lo:hi]  # codes (relation*n + t)*n + h, ordered by t, then h
+        return np.divmod(np.sort(run % n * n + run // n % n), n)
+
 
 def _runs(codes, base, n):
     """(i, codes[j] % n) for every code j in [base[i], base[i] + n)."""
@@ -186,7 +188,7 @@ def _runs(codes, base, n):
 
 
 def build_graph(train, valid, test, dicts):
-    """Assemble a KnowledgeGraph from split triple lists sharing ``dicts``.
+    """Assemble a KnowledgeGraph from (N, 3) int split arrays sharing ``dicts``.
 
     Raises IndexError if any triple index falls outside the dictionaries, and
     ValueError if n*n*m reaches 2**63, where the int64 fact codes overflow.
@@ -197,25 +199,26 @@ def build_graph(train, valid, test, dicts):
         raise ValueError(
             f"{n} entities and {m} relations overflow the int64 fact codes (n*n*m >= 2**63)"
         )
-    triples = [*train, *valid, *test]
-    facts = np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * len(triples))
-    facts = facts.reshape(-1, 3)
+    splits = [np.asarray(split, dtype=np.int64).reshape(-1, 3) for split in (train, valid, test)]
+    facts = np.concatenate(splits)
     bad = (facts < 0) | (facts >= (n, m, n))
     if bad.any():
         first = int(np.argmax(bad.any(axis=1)))  # the first bad triple
         what = "entity" if bad[first, ::2].any() else "relation"
-        raise IndexError(f"{what} index out of bounds in {triples[first]}")
+        raise IndexError(f"{what} index out of bounds in {Triple(*facts[first].tolist())}")
 
     h, r, t = facts.T
-    tail_codes = np.unique((h * m + r) * n + t)
+    # sort, then keep each code once (np.unique hashes, which took 20x as long)
+    codes = np.sort((h * m + r) * n + t)
+    tail_codes = codes[np.diff(codes, prepend=-1) != 0]
     h, rest = np.divmod(tail_codes, m * n)
     r, t = np.divmod(rest, n)
     return KnowledgeGraph(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
-        train=list(train),
-        valid=list(valid),
-        test=list(test),
+        train=splits[0],
+        valid=splits[1],
+        test=splits[2],
         tail_codes=tail_codes,
         head_codes=np.sort((r * n + t) * n + h),
     )
@@ -224,23 +227,20 @@ def build_graph(train, valid, test, dicts):
 def load_graph(train_path, valid_path=None, test_path=None):
     """Load up to three split files into a KnowledgeGraph (shared dictionaries)."""
     train, dicts = load_triples(train_path)
-    valid = []
+    valid = test = ()
     if valid_path is not None:
         valid, dicts = load_triples(valid_path, dicts)
-    test = []
     if test_path is not None:
         test, dicts = load_triples(test_path, dicts)
     return build_graph(train, valid, test, dicts)
 
 
 def write_triples(path, triples, entity_names, relation_names):
-    """Write triples back to the TSV format accepted by ``load_triples``, to
-    a temporary file that then replaces ``path``."""
+    """Write the (N, 3) id rows ``triples`` back to the TSV format accepted by
+    ``load_triples``, to a temporary file that then replaces ``path``."""
     with replacing(path, encoding="utf-8") as handle:
-        for t in triples:
-            handle.write(
-                f"{entity_names[t.head]}\t{relation_names[t.relation]}\t{entity_names[t.tail]}\n"
-            )
+        for h, r, t in np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist():
+            handle.write(f"{entity_names[h]}\t{relation_names[r]}\t{entity_names[t]}\n")
 
 
 def write_dictionary(path, names: Iterable[str]):

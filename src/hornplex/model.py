@@ -298,7 +298,8 @@ def load_table(path_or_file):
     state in a checkpoint) are left unread. A bad magic, a header with a
     count below 1 or a bound that is not finite and positive, and a short
     file are ValueErrors that name the file and the byte offset, and so is
-    a NaN or infinite component (the offset is that of the first one)."""
+    a component that is NaN, infinite or outside the feasible set of
+    ``is_feasible`` (the offset is that of the first one)."""
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     handle = open(path_or_file, "rb") if own else path_or_file
     try:
@@ -319,11 +320,21 @@ def load_table(path_or_file):
             start = handle.tell()
             buf = _read_exact(handle, 8 * rows * d, what)
             arr = np.frombuffer(buf, dtype=np.float64).reshape(rows, d)
-            bad = np.flatnonzero(~np.isfinite(arr))
+            # the test of ``is_feasible``, which NaN and inf fail too; a
+            # relation component above the bound puts its modulus above it
+            if what.startswith("ent"):
+                ok, rule = (arr >= 0.0) & (arr <= 1.0), "entity components lie in [0, 1]"
+            else:
+                modulus = arr if what == "rel_re" else np.hypot(relations[0], arr)
+                ok = (arr >= 0.0) & (modulus <= bound)
+                rule = f"relation components are non-negative, with modulus at most {bound}"
+            bad = np.flatnonzero(~ok)
             if bad.size:
+                value = arr.flat[bad[0]]
+                kind = "infeasible" if np.isfinite(value) else "non-finite"
                 raise ValueError(
-                    f"{name}: {what} holds the non-finite value {arr.flat[bad[0]]} "
-                    f"at byte {start + 8 * int(bad[0])}"
+                    f"{name}: {what} holds the {kind} value {value} "
+                    f"at byte {start + 8 * int(bad[0])} ({rule})"
                 )
             # The entity halves go straight into ``ent``, allocated once the
             # first half has been read, so a corrupt n allocates nothing; each
@@ -335,7 +346,7 @@ def load_table(path_or_file):
                 ent[:, d:] = arr
             else:
                 relations.append(arr.copy())
-            del buf, arr
+            del buf, arr, ok
         return EmbeddingTable.from_entities(ent, *relations, bound)
     finally:
         if own:

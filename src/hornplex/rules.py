@@ -123,17 +123,18 @@ def ground_confidence(kg: KnowledgeGraph, rule: HornRule):
     count separately) and returns the fraction whose head triple
     (z_0, head, z_k) is known. Returns None when the body has no groundings.
     Chains are counted per (z_0, z_i) pair, exactly (int64, then Python
-    integers past 2**62), extended through ``kg.tails_of`` one body
-    relation at a time.
+    integers past 2**62): one per fact of the first body relation
+    (``kg.pairs_of``), extended through ``kg.tails_of`` one body relation at
+    a time.
     """
     for r in rule.body + (rule.head,):
         if not 0 <= r < kg.num_relations:
             raise KeyError(f"relation {r} not present in graph")
 
     n = kg.num_entities
-    x = z = np.arange(n)
-    counts = np.ones(n, dtype=np.int64)
-    for r in rule.body:
+    x, z = kg.pairs_of(rule.body[0])
+    counts = np.ones(x.size, dtype=np.int64)
+    for r in rule.body[1:]:
         i, t = kg.tails_of(z, r)
         counts = counts[i]
         if counts.dtype != object and counts.sum(dtype=np.float64) >= 2.0**62:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluation import evaluate
 from .kernel import RuleArrays, body_vectors, cmul, prefix_products, rule_gaps, suffix_products
-from .kg import Triple
+from .kg import Triple, read_lines
 from .model import init_table, load_table, project, read_array, replacing, save_table
 
 __all__ = [
@@ -437,15 +437,14 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     state = AdagradState.zeros(kg.num_entities, kg.num_relations, config.dim)
     rng = np.random.default_rng(loop_ss)
 
-    train_arr = np.asarray(kg.train, dtype=np.int64).reshape(-1, 3)
-    num_train = train_arr.shape[0]
+    num_train = len(kg.train)
     records = []
 
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(num_train)
         sums = {"logistic": 0.0, "rule": 0.0, "n3": 0.0}
         for step, start in enumerate(range(0, num_train, config.batch_size)):
-            pos = train_arr[perm[start : start + config.batch_size]]
+            pos = kg.train[perm[start : start + config.batch_size]]
             negs = sample_negatives_batch(
                 kg, pos, config.negatives_per_positive, rng
             ).reshape(-1, 3)
@@ -475,7 +474,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
             sums["n3"] += n_loss
 
         valid_mrr = None
-        if config.validate_every >= 1 and epoch % config.validate_every == 0 and kg.valid:
+        if config.validate_every >= 1 and epoch % config.validate_every == 0 and len(kg.valid):
             valid_mrr = evaluate(table, kg, kg.valid).mrr
         records.append(
             EpochRecord(
@@ -525,16 +524,21 @@ def write_training_log(path, records, config_echo=None):
 
 
 def read_training_log(path):
+    """The epoch records and the config echo of a ``write_training_log``
+    file. A line that is not such a record is a ValueError naming the file
+    and the line."""
     records = []
     config = None
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(read_lines(path, ValueError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             obj = json.loads(line)
             if "config" in obj:
                 config = obj["config"]
             else:
                 records.append(EpochRecord(**obj))
+        except (ValueError, TypeError) as err:
+            raise ValueError(f"{path}:{lineno}: not a training-log record: {err}") from None
     return records, config

@@ -1,9 +1,9 @@
 """Independent slow-path oracles used to cross-check the package's fast paths.
 
 These deliberately avoid the indices and vectorized formulas of the library:
-membership is a linear scan over the raw split lists, ranking materializes
-and sorts whole candidate lists, and rule confidence enumerates entity tuples
-exhaustively. The rule penalty and the rule diagnostics loop over rules one
+membership is a linear scan over the rows of the raw splits, ranking
+materializes and sorts whole candidate lists, and rule confidence enumerates
+entity tuples exhaustively. The rule penalty and the rule diagnostics loop over rules one
 at a time, multiplying each body out on its own. The optimizer step sums
 gradients per loss term, merges the terms per table, and projects the whole
 table.
@@ -17,19 +17,25 @@ from hornplex.model import project, score
 from hornplex.training import RowGrads
 
 
+def split_rows(kg):
+    """Every row of the three splits, in order, as Python int tuples."""
+    return [tuple(row) for split in (kg.train, kg.valid, kg.test) for row in split.tolist()]
+
+
 def naive_contains(kg, triple):
-    """Linear scan over the concatenated split lists."""
-    for split in (kg.train, kg.valid, kg.test):
-        for t in split:
-            if t == triple:
-                return True
+    """Linear scan over the concatenated split rows."""
+    triple = tuple(map(int, triple))
+    for row in split_rows(kg):
+        if row == triple:
+            return True
     return False
 
 
 def brute_force_filtered_rank(table, kg, triple, side):
     """Materialize, filter, and sort the full candidate list; ties scored as
     the mean of the optimistic and pessimistic placement."""
-    known = set(kg.train) | set(kg.valid) | set(kg.test)
+    known = set(split_rows(kg))
+    triple = Triple(*map(int, triple))
     true_entity = triple.tail if side == "tail" else triple.head
     kept_scores = []
     for c in range(kg.num_entities):
@@ -60,7 +66,7 @@ def brute_force_report(table, kg, split, sides=("head", "tail"), hits=(1, 3, 10)
 
 def enumerate_confidence(kg, rule):
     """Exhaustive enumeration of body groundings over all entity tuples."""
-    known = set(kg.train) | set(kg.valid) | set(kg.test)
+    known = set(split_rows(kg))
     n = kg.num_entities
     chains = [(x,) for x in range(n)]
     for rel in rule.body:

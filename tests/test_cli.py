@@ -168,7 +168,8 @@ def test_fewshot_command_nesting(workspace):
     # the split files reload cleanly and stay disjoint
     d = out / "shots_1"
     graph = load_graph(d / "train.txt", d / "valid.txt", d / "test.txt")
-    assert not (set(graph.train) & set(graph.test))
+    train, test = ({tuple(t) for t in split.tolist()} for split in (graph.train, graph.test))
+    assert not (train & test)
 
 
 def test_verify_command(workspace, capsys):
@@ -318,6 +319,20 @@ def test_eval_rejects_non_finite_checkpoint(workspace, capsys):
     assert rc == 2
     offset = 36 + 8 * (12 * 6 + 2 * 6 + 1)  # header, ent_re, then ent_im[2, 1]
     assert f"{bad}: ent_im holds the non-finite value nan at byte {offset}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnostics"])
+def test_infeasible_checkpoint_exits_2(workspace, capsys, command):
+    assert main(["--config", str(workspace["config"]), "train"]) == 0
+    table = load_table(workspace["out"] / "checkpoint.bin")
+    table.rel_re[1, 2] = 7.0  # the bound is 1
+    bad = workspace["tmp"] / "infeasible.bin"
+    save_table(bad, table)
+    capsys.readouterr()
+    rc = main(["--config", str(workspace["config"]), command, "--checkpoint", str(bad)])
+    assert rc == 2
+    offset = 36 + 8 * (2 * 12 * 6 + 1 * 6 + 2)  # header, ent_re, ent_im, then rel_re[1, 2]
+    assert f"{bad}: rel_re holds the infeasible value 7.0 at byte {offset}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "diagnostics"])

@@ -233,6 +233,15 @@ def test_metrics_file_round_trip(tmp_path):
     assert values["count"] == report.count
 
 
+def test_read_metrics_names_the_file_and_line_of_a_malformed_line(tmp_path):
+    p = tmp_path / "metrics.txt"
+    for bad in ("hits@1 = many", "count"):
+        p.write_text(f"# seed = 1\nmrr = 0.5\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_metrics(p)
+        assert str(err.value) == f"{p}:3: expected 'key = number', got {bad!r}"
+
+
 def test_failed_metrics_write_keeps_previous_file(tmp_path):
     kg = make_random_kg(seed=15, num_test=4)
     report = evaluate(make_feasible_table(seed=15), kg, kg.test)

@@ -9,6 +9,12 @@ from hornplex.fewshot import FewShotSpec, make_fewshot_split, write_fewshot_spli
 from hornplex.kg import Triple, build_graph
 
 from conftest import make_random_kg
+from oracles import split_rows
+
+
+def rows(triples):
+    """The rows of an (N, 3) array as a list of Python int tuples."""
+    return [tuple(row) for row in triples.tolist()]
 
 
 def task_kg(per_relation=40, num_relations=4, seed=0, with_valid=True):
@@ -39,8 +45,8 @@ def test_zero_shots_removes_all_task_triples_from_train():
     graph, task, supports = make_fewshot_split(kg, FewShotSpec(2, 0, seed=1))
     assert len(task) == 2
     task_set = set(task)
-    assert all(t.relation not in task_set for t in graph.train)
-    assert all(not s for s in supports.values())
+    assert all(relation not in task_set for _, relation, _ in rows(graph.train))
+    assert all(len(s) == 0 for s in supports.values())
 
 
 def test_shot_counting():
@@ -48,8 +54,8 @@ def test_shot_counting():
     graph, task, supports = make_fewshot_split(kg, FewShotSpec(1, 5, seed=2))
     (r,) = task
     assert len(supports[r]) == 5
-    assert sum(1 for t in graph.train if t.relation == r) == 5
-    assert sum(1 for t in graph.test if t.relation == r) == 35
+    assert sum(1 for _, relation, _ in rows(graph.train) if relation == r) == 5
+    assert sum(1 for _, relation, _ in rows(graph.test) if relation == r) == 35
 
 
 def test_deterministic_and_nested_supports():
@@ -57,13 +63,15 @@ def test_deterministic_and_nested_supports():
     spec1 = FewShotSpec(2, 1, seed=3)
     g1a, task1a, sup1a = make_fewshot_split(kg, spec1)
     g1b, task1b, sup1b = make_fewshot_split(kg, spec1)
-    assert task1a == task1b and sup1a == sup1b
-    assert g1a.train == g1b.train and g1a.test == g1b.test
+    assert task1a == task1b and {r: rows(s) for r, s in sup1a.items()} == {
+        r: rows(s) for r, s in sup1b.items()
+    }
+    assert rows(g1a.train) == rows(g1b.train) and rows(g1a.test) == rows(g1b.test)
 
     _, task3, sup3 = make_fewshot_split(kg, FewShotSpec(2, 3, seed=3))
     assert task3 == task1a
     for r in task1a:
-        assert set(sup1a[r]) <= set(sup3[r])
+        assert set(rows(sup1a[r])) <= set(rows(sup3[r]))
 
 
 def test_candidate_pool_restricts_choice():
@@ -83,9 +91,9 @@ def test_error_names_starved_relation():
 def test_disjointness_and_conservation():
     kg = make_random_kg(seed=6, num_entities=15, num_relations=3, num_train=60, num_valid=8, num_test=8)
     graph, _, _ = make_fewshot_split(kg, FewShotSpec(1, 2, seed=6))
-    assert not (set(graph.train) & set(graph.test))
-    before = Counter(kg.train) + Counter(kg.valid) + Counter(kg.test)
-    after = Counter(graph.train) + Counter(graph.valid) + Counter(graph.test)
+    assert not (set(rows(graph.train)) & set(rows(graph.test)))
+    before = Counter(split_rows(kg))
+    after = Counter(split_rows(graph))
     assert before == after
 
 
@@ -96,15 +104,15 @@ def test_valid_task_triples_move_to_test():
     kg = build_graph(train, valid, [], dicts)
     graph, task, _ = make_fewshot_split(kg, FewShotSpec(1, 0, seed=1, candidates=(0,)))
     assert task == [0]
-    assert all(t.relation != 0 for t in graph.valid)
-    assert Triple(7, 0, 8) in graph.test
-    assert Triple(7, 1, 8) in graph.valid
+    assert all(relation != 0 for _, relation, _ in rows(graph.valid))
+    assert Triple(7, 0, 8) in rows(graph.test)
+    assert Triple(7, 1, 8) in rows(graph.valid)
 
 
 def test_filter_index_rebuilt_consistently():
     kg = task_kg()
     graph, _, _ = make_fewshot_split(kg, FewShotSpec(2, 1, seed=9))
-    known = set(graph.train + graph.valid + graph.test)
+    known = set(split_rows(graph))
     n, m = graph.num_entities, graph.num_relations
     grid = np.array(np.meshgrid(range(n), range(m), range(n), indexing="ij")).reshape(3, -1)
     assert graph.contains(*grid).tolist() == [Triple(*c) in known for c in grid.T.tolist()]

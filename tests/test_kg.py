@@ -15,7 +15,7 @@ from hornplex.kg import (
     write_triples,
 )
 
-from oracles import naive_contains
+from oracles import naive_contains, split_rows
 from conftest import make_random_kg
 
 
@@ -27,7 +27,8 @@ def test_load_two_lines(tmp_path):
     p = tmp_path / "t.txt"
     write_lines(p, ["a\tr\tb", "b\tr\tc"])
     triples, (ents, rels) = load_triples(p)
-    assert triples == [Triple(0, 0, 1), Triple(1, 0, 2)]
+    assert triples.dtype == np.int64
+    assert triples.tolist() == [[0, 0, 1], [1, 0, 2]]
     assert len(ents) == 3 and len(rels) == 1
 
 
@@ -36,7 +37,7 @@ def test_load_empty_file(tmp_path):
     p.write_text("", encoding="utf-8")
     dicts = ({"a": 0}, {"r": 0})
     triples, out = load_triples(p, dicts)
-    assert triples == []
+    assert triples.dtype == np.int64 and triples.shape == (0, 3)
     assert out == ({"a": 0}, {"r": 0})
 
 
@@ -138,19 +139,25 @@ def test_filter_index_matches_naive_scan_exhaustively():
 
 
 def scanned_runs(kg, queries, tail_side):
-    """``tails_of``/``heads_of`` output by a scan of the split lists."""
+    """``tails_of``/``heads_of`` output by a scan of the split rows."""
     pairs = []
     for i, (a, r) in enumerate(queries):
         found = set()
-        for split in (kg.train, kg.valid, kg.test):
-            for t in split:
-                if t.relation == r and (t.head if tail_side else t.tail) == a:
-                    found.add(t.tail if tail_side else t.head)
+        for head, relation, tail in split_rows(kg):
+            if relation == r and (head if tail_side else tail) == a:
+                found.add(tail if tail_side else head)
         pairs.extend((i, e) for e in sorted(found))
     return pairs
 
 
 def test_tails_of_and_heads_of_match_a_scan_of_the_splits():
+    for seed in range(3):
+        kg = make_random_kg(seed=seed, num_entities=7, num_relations=3, num_train=50)
+        for r in range(3):
+            heads, tails = kg.pairs_of(r)
+            assert heads.dtype == tails.dtype == np.int64
+            scanned = sorted({(h, t) for h, relation, t in split_rows(kg) if relation == r})
+            assert list(zip(heads.tolist(), tails.tolist())) == scanned
     for seed, tail_side in itertools.product(range(3), (True, False)):
         kg = make_random_kg(seed=seed, num_entities=7, num_relations=3, num_train=50)
         rng = np.random.default_rng(seed)
@@ -172,7 +179,7 @@ def test_tails_of_and_heads_of_match_a_scan_of_the_splits():
 
 def test_runs_of_a_graph_without_facts_are_empty():
     kg = build_graph([], [], [], ({"a": 0, "b": 1}, {"r": 0}))
-    for i, e in (kg.tails_of(np.arange(2), 0), kg.heads_of(0, np.arange(2))):
+    for i, e in (kg.tails_of(np.arange(2), 0), kg.heads_of(0, np.arange(2)), kg.pairs_of(0)):
         assert i.size == e.size == 0
     assert not kg.contains(np.arange(2), 0, np.arange(2)).any()
 
@@ -182,7 +189,7 @@ def test_round_trip_triples(tmp_path):
     p = tmp_path / "round.txt"
     write_triples(p, kg.train, kg.entity_names, kg.relation_names)
     reloaded, dicts = load_triples(p, (dict(kg.entity_ids), dict(kg.relation_ids)), frozen=True)
-    assert reloaded == kg.train
+    assert np.array_equal(reloaded, kg.train)
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)), max_size=30))
@@ -196,7 +203,7 @@ def test_round_trip_property(tmp_path_factory, raw):
     reloaded, _ = load_triples(
         p, ({n: i for i, n in enumerate(ents)}, {n: i for i, n in enumerate(rels)}), frozen=True
     )
-    assert reloaded == triples
+    assert reloaded.tolist() == [list(t) for t in triples]
 
 
 def test_dictionary_dump_round_trip(tmp_path):
@@ -211,7 +218,7 @@ def test_dictionary_dump_round_trip(tmp_path):
 def test_fact_codes_and_contains_encode_the_filter_index(seed):
     kg = make_random_kg(seed=seed, num_entities=9, num_relations=3, num_train=60)
     n, m = kg.num_entities, kg.num_relations
-    known = set(kg.train) | set(kg.valid) | set(kg.test)
+    known = set(split_rows(kg))
     facts = sorted(known)
     tail_keyed = sorted((h * m + r) * n + t for h, r, t in facts)
     head_keyed = sorted((r * n + t) * n + h for h, r, t in facts)
@@ -240,7 +247,9 @@ def test_fact_codes_store_each_fact_of_the_splits_once(splits):
     facts = {t for split in splits for t in split}
     assert kg.tail_codes.tolist() == sorted((h * m + r) * n + t for h, r, t in facts)
     assert kg.head_codes.tolist() == sorted((r * n + t) * n + h for h, r, t in facts)
-    assert [kg.train, kg.valid, kg.test] == splits
+    assert [s.tolist() for s in (kg.train, kg.valid, kg.test)] == [
+        [list(t) for t in split] for split in splits
+    ]
 
 
 class CountOnly(dict):

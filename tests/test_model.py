@@ -249,6 +249,11 @@ def damaged_dumps():
         # ent_im starts at byte 36 + 5 * 24 = 156; its 6th value is at byte 196
         ("nan-entity", dump[:196] + struct.pack("<d", np.nan) + dump[204:], ["ent_im", "nan", "at byte 196"]),
         ("inf-relation", dump[:276] + struct.pack("<d", -np.inf) + dump[284:], ["rel_re", "-inf", "at byte 276"]),
+        # finite but outside the feasible set: ent_re[1, 0] is at byte 60,
+        # rel_re[0, 1] at byte 284 and rel_im[0, 0] at byte 324
+        ("entity-above-1", dump[:60] + struct.pack("<d", 1.5) + dump[68:], ["ent_re", "1.5", "at byte 60", "[0, 1]"]),
+        ("relation-modulus-7", dump[:284] + struct.pack("<d", 7.0) + dump[292:], ["rel_re", "7.0", "at byte 284", "modulus at most 1.0"]),
+        ("relation-modulus-of-both", dump[:276] + struct.pack("<d", 0.9) + dump[284:324] + struct.pack("<d", 0.9) + dump[332:], ["rel_im", "0.9", "at byte 324", "modulus at most 1.0"]),
     ]
     return [pytest.param(blob, parts, id=label) for label, blob, parts in cases]
 
@@ -263,6 +268,30 @@ def test_load_rejects_damaged_dump_naming_file_and_offset(tmp_path, blob, parts)
     assert str(p) in message
     for part in parts:
         assert part in message
+
+
+EDGES = [-1e-300, -0.0, 0.0, 0.5, 0.7071067811865476, 0.7071067811865477, 1.0, 1.0000000000000002]
+
+
+@given(
+    st.lists(st.sampled_from(EDGES), min_size=4, max_size=4),
+    st.lists(st.sampled_from(EDGES + [7.0]), min_size=4, max_size=4),
+)
+def test_load_accepts_exactly_the_tables_is_feasible_accepts(ent, rel):
+    """Entity components on both sides of 0 and 1, relation pairs whose
+    modulus falls on both sides of the bound 1: ``load_table`` raises just
+    when ``is_feasible`` is false."""
+    ent = np.array(ent).reshape(1, 4)
+    rel = np.array(rel).reshape(2, 1, 2)
+    table = EmbeddingTable.from_entities(ent, rel[0], rel[1], 1.0)
+    buf = io.BytesIO()
+    save_table(buf, table)
+    buf.seek(0)
+    if is_feasible(table):
+        assert np.array_equal(load_table(buf).ent, ent)
+    else:
+        with pytest.raises(ValueError, match="infeasible value"):
+            load_table(buf)
 
 
 def test_entities_are_one_matrix_with_views_for_its_halves():

@@ -20,7 +20,7 @@ from hornplex import evaluation
 from hornplex.kg import Triple, build_graph
 from hornplex.model import init_table, project
 
-from oracles import brute_force_filtered_rank
+from oracles import brute_force_filtered_rank, split_rows
 
 KINDS = ("random", "duplicates", "zero", "constant", "clipped")
 
@@ -67,7 +67,7 @@ def rank_and_compare(seed, num_entities, num_relations, dim, kind, per_block, co
 
     covered = dict.fromkeys(("several_blocks", "tie_with_true", "known_tie_with_true"), False)
     covered["several_blocks"] = report.count > per_block
-    known = set(kg.train) | set(kg.valid) | set(kg.test)
+    known = set(split_rows(kg))
     for entry in report.entries:
         assert entry.rank == brute_force_filtered_rank(table, kg, entry.triple, entry.side)
         h, r, t = entry.triple

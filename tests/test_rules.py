@@ -11,7 +11,7 @@ from hornplex.rules import (
     write_rules,
 )
 
-from oracles import enumerate_confidence
+from oracles import enumerate_confidence, split_rows
 from conftest import make_random_kg
 
 RELS = {"rH": 0, "rB": 1, "r1": 2, "r2": 3, "r3": 4}
@@ -144,9 +144,9 @@ def test_hierarchy_confidence_equals_pair_intersection():
     kg = make_random_kg(seed=9, num_entities=8, num_relations=3, num_train=40)
     rule = HornRule(body=(0,), head=1, confidence=0.5)
     value = ground_confidence(kg, rule)
-    facts = kg.train + kg.valid + kg.test
-    body_pairs = {(t.head, t.tail) for t in facts if t.relation == 0}
-    head_pairs = {(t.head, t.tail) for t in facts if t.relation == 1}
+    facts = split_rows(kg)
+    body_pairs = {(h, t) for h, r, t in facts if r == 0}
+    head_pairs = {(h, t) for h, r, t in facts if r == 1}
     if not body_pairs:
         assert value is None
     else:

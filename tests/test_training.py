@@ -230,7 +230,7 @@ class TestNegativeSampling:
     def test_exact_count_and_one_slot_difference(self):
         kg = make_random_kg(seed=1)
         rng = np.random.default_rng(0)
-        positive = kg.train[0]
+        positive = Triple(*kg.train[0].tolist())
         negs = sample_negatives(kg, positive, 5, rng)
         assert len(negs) == 5
         for neg in negs:
@@ -396,3 +396,13 @@ def test_training_log_round_trip(tmp_path):
     loaded, echo = read_training_log(p)
     assert loaded == records
     assert echo == {"seed": 1}
+
+
+def test_read_training_log_names_the_file_and_line_of_a_bad_record(tmp_path):
+    p = tmp_path / "log.jsonl"
+    good = '{"config": {"seed": 1}}\n\n'
+    for bad in ('{"epoch": 1, "logistic": ', '{"epoch": 1, "speed": 2}', "[1, 2]", "3"):
+        p.write_text(good + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_training_log(p)
+        assert str(err.value).startswith(f"{p}:3: not a training-log record: ")
