@@ -1,7 +1,7 @@
 """Run configuration files: flat INI with sections, CLI flags override values."""
 
 import configparser
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .kg import read_lines
 from .training import TrainConfig
@@ -41,11 +41,17 @@ def _ints(text):
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+def _names(text):
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def load_run_config(path=None, overrides=None):
     """Read an INI run configuration; ``overrides`` maps flat keys (e.g.
     ``seed``, ``output_dir``) from command-line flags. A malformed file is a
-    ValueError naming the file and the line, a malformed value one naming the
-    file, the section and the key."""
+    ValueError naming the file and the line. A malformed value (one that
+    fails its cast or its "%" interpolation) is one naming the file, the
+    section and the key, and training values that ``TrainConfig`` rejects
+    are one naming the file and the section."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -53,24 +59,25 @@ def load_run_config(path=None, overrides=None):
         except configparser.Error as err:
             raise ValueError(str(err)) from None
 
-    def get(section, key, cast):
-        text = parser[section][key]
+    def get(section, key, cast=str, default=None):
+        if not parser.has_option(section, key):
+            return default
         try:
+            text = parser[section][key]
             return cast(text)
-        except ValueError as err:
-            raise ValueError(f"{path}: [{section}] {key} = {text!r}: {err}") from None
+        except (ValueError, configparser.Error) as err:
+            raw = parser.get(section, key, raw=True)
+            raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
 
-    paths = parser["paths"] if parser.has_section("paths") else {}
     cfg = RunConfig(
-        train_path=paths.get("train"),
-        valid_path=paths.get("valid"),
-        test_path=paths.get("test"),
-        rules_path=paths.get("rules"),
-        output_dir=paths.get("output_dir", "out"),
+        train_path=get("paths", "train"),
+        valid_path=get("paths", "valid"),
+        test_path=get("paths", "test"),
+        rules_path=get("paths", "rules"),
+        output_dir=get("paths", "output_dir", default="out"),
     )
 
     if parser.has_section("train"):
-        section = parser["train"]
         kwargs = {}
         for key, cast in (
             ("learning_rate", float),
@@ -84,48 +91,34 @@ def load_run_config(path=None, overrides=None):
             ("dim", int),
             ("seed", int),
         ):
-            if key in section:
+            if parser.has_option("train", key):
                 kwargs[key] = get("train", key, cast)
-        cfg.train = TrainConfig(**kwargs)
+        try:
+            cfg.train = TrainConfig(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{path}: [train] {err}") from None
 
-    if parser.has_section("eval"):
-        section = parser["eval"]
-        cfg.eval_side = section.get("side", cfg.eval_side)
-        if "hits" in section:
-            cfg.eval_hits = get("eval", "hits", _ints)
-        cfg.eval_split = section.get("split", cfg.eval_split)
+    cfg.eval_side = get("eval", "side", default=cfg.eval_side)
+    cfg.eval_hits = get("eval", "hits", _ints, cfg.eval_hits)
+    cfg.eval_split = get("eval", "split", default=cfg.eval_split)
 
-    if parser.has_section("fewshot"):
-        section = parser["fewshot"]
-        if "num_task_relations" in section:
-            cfg.fewshot_num_task_relations = get("fewshot", "num_task_relations", int)
-        if "shots" in section:
-            cfg.fewshot_shots = get("fewshot", "shots", _ints)
-        if "seed" in section:
-            cfg.fewshot_seed = get("fewshot", "seed", int)
-        if "candidates" in section:
-            cfg.fewshot_candidates = tuple(
-                name.strip() for name in section["candidates"].split(",") if name.strip()
-            )
+    cfg.fewshot_num_task_relations = get(
+        "fewshot", "num_task_relations", int, cfg.fewshot_num_task_relations
+    )
+    cfg.fewshot_shots = get("fewshot", "shots", _ints, cfg.fewshot_shots)
+    cfg.fewshot_seed = get("fewshot", "seed", int, cfg.fewshot_seed)
+    cfg.fewshot_candidates = get("fewshot", "candidates", _names, cfg.fewshot_candidates)
 
-    if parser.has_section("verify"):
-        section = parser["verify"]
-        if "trials" in section:
-            cfg.verify_trials = get("verify", "trials", int)
-        if "seed" in section:
-            cfg.verify_seed = get("verify", "seed", int)
-        if "dims" in section:
-            cfg.verify_dims = get("verify", "dims", _ints)
-        if "ks" in section:
-            cfg.verify_ks = get("verify", "ks", _ints)
+    cfg.verify_trials = get("verify", "trials", int, cfg.verify_trials)
+    cfg.verify_seed = get("verify", "seed", int, cfg.verify_seed)
+    cfg.verify_dims = get("verify", "dims", _ints, cfg.verify_dims)
+    cfg.verify_ks = get("verify", "ks", _ints, cfg.verify_ks)
 
     overrides = overrides or {}
     if overrides.get("output_dir") is not None:
         cfg.output_dir = overrides["output_dir"]
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
-        from dataclasses import replace
-
         cfg.train = replace(cfg.train, seed=seed)
         cfg.fewshot_seed = seed
         cfg.verify_seed = seed

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import RuleArrays, body_product, body_vectors, rule_gaps
+from .kernel import body_product, body_vectors, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines
 from .model import head_factors, replacing, score_triples, tail_factors
 
@@ -259,15 +259,23 @@ def relation_rule_diagnostics(table, rules):
     """Per-rule, per-dimension gaps between the body product and the head.
 
     A rule whose constraints hold exactly has all delta_re <= 0 and all
-    delta_im == 0.
+    delta_im == 0. A relation id outside the table is a ValueError naming
+    the rule.
     """
     rules = list(rules)
-    arrays = RuleArrays.from_rules(rules)
-    out = []
-    for lo, hi in arrays.blocks(table.dim):
-        hb_re, hb_im = body_product(*body_vectors(table, arrays, lo, hi))
-        delta_re, delta_im = rule_gaps(table, arrays, lo, hi, hb_re, hb_im)
-        out.extend(map(RuleDiagnostics, range(lo, hi), rules[lo:hi], delta_re, delta_im))
+    ids, groups = length_groups(rules)
+    check_relations(ids, groups, table.num_relations)
+    vectors = body_vectors(table, ids)
+    out = [None] * len(rules)
+    start = 0
+    for members, group_ids in groups:
+        # The group's relation vectors: its heads, then each body position.
+        b = vectors[:, start : start + group_ids.size].reshape((2,) + group_ids.shape + (-1,))
+        start += group_ids.size
+        rk = table.bound ** (group_ids.shape[0] - 1)
+        deltas = rule_gaps(table, b[:, 0], body_product(b[:, 1:]), rk)
+        for i, delta_re, delta_im in zip(members.tolist(), *deltas):
+            out[i] = RuleDiagnostics(i, rules[i], delta_re, delta_im)
     return out
 
 

@@ -1,35 +1,56 @@
 """Array kernel for the complex products of Horn-rule bodies.
 
-A rule list is packed once into index arrays (``RuleArrays``): the body
-relation ids of all n rules as one (K, n) array, K the longest body, with
-shorter bodies padded at the end. The kernel gathers the body vectors of a
-block of consecutive rules, puts the identity 1+0i at the padded positions
-and multiplies along the body axis. Multiplying a finite product by 1+0i
-leaves its value unchanged (at most the sign of a zero flips), so each rule
-gets exactly the products it would get on its own. The training penalty (``training.rule_penalty``) and
-the rule diagnostics (``evaluation.relation_rule_diagnostics``) share it.
+A rule list is packed once into index arrays (``RuleArrays``), with one
+``LengthGroup`` per body length k (``length_groups``). A group holds, in
+rule order, the ids of its rules, their relation ids as a (k+1, r) array
+(the heads, then each body position), their confidences, and the rows their
+gradient terms take in the rule-major term sequence of the whole list: each
+rule's head term, then one term per body position. Nothing is padded, so a
+group of length k does only the products its bodies need.
 
-Blocks hold at most ``BLOCK_ELEMENTS`` elements per (K+1, rules, d) working
-array, so the memory a call needs does not grow with the rule count.
+For a table of dimension d the rules are cut into windows of consecutive
+rules (``RuleArrays.windows``) whose Σ(k+1)·d gradient terms fit
+``WINDOW_ELEMENTS``, or hold one rule. A window is the slice of each length
+group that falls into it. The training penalty (``training.rule_penalty``)
+works a window at a time in buffers sized by that budget, so the memory a
+call needs does not grow with the rule count. The rule diagnostics
+(``evaluation.relation_rule_diagnostics``) gather the vectors of every group
+in one call and take each length group whole.
+
+Products follow the per-rule formulas: the body product is
+((b[0] x b[1]) x b[2]) x ..., and the factor of body position j in its
+gradient is the prefix b[0] x ... x b[j-1], multiplied left to right, times
+the suffix b[j+1] x ... x b[k-1], multiplied right to left. Where a formula
+multiplies by the identity 1+0i (the empty prefix of position 0, the empty
+suffix of position k-1, both of them when k = 1), the kernel takes the other
+factor as it is. That can change at most the sign of a zero, and the
+penalty's gradient sums start at +0, where +0 + (-0) is +0, so no summed
+byte changes. A division by a bound or power that is exactly 1.0 is
+skipped, since x / 1.0 is x. Complex arrays are stacked [re, im] on their
+first axis, so one call works on both parts.
 """
 
-from dataclasses import dataclass
-from itertools import chain
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "BLOCK_ELEMENTS",
+    "WINDOW_ELEMENTS",
     "cmul",
+    "cmul_into",
+    "LengthGroup",
     "RuleArrays",
+    "length_groups",
+    "check_relations",
+    "Scratch",
     "body_vectors",
     "body_product",
-    "prefix_products",
-    "suffix_products",
+    "gradient_factors",
     "rule_gaps",
 ]
 
-BLOCK_ELEMENTS = 1 << 14
+WINDOW_ELEMENTS = 1 << 15
 
 
 def cmul(a_re, a_im, b_re, b_im):
@@ -37,104 +58,216 @@ def cmul(a_re, a_im, b_re, b_im):
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
+def cmul_into(a, b, out, scratch):
+    """The products of ``cmul`` for complex arrays stacked as [re, im] on
+    the first axis, written to ``out``. ``scratch`` has the shape of ``out``;
+    neither may overlap ``a`` or ``b``."""
+    np.multiply(a, b, out=scratch)  # a_re*b_re, a_im*b_im
+    np.subtract(scratch[0], scratch[1], out=out[0])
+    np.multiply(a, b[::-1], out=scratch)  # a_re*b_im, a_im*b_re
+    np.add(scratch[0], scratch[1], out=out[1])
+    return out
+
+
+def length_groups(rules):
+    """``rules`` grouped by body length k, shortest first, as (ids, groups).
+    Each group is (its rule indices in rule order, a (k+1, r) int64 array of
+    their relation ids, each rule's head above its body); the arrays are
+    views, one after another, of the flat array ``ids``."""
+    members = {}
+    for i, rule in enumerate(rules):
+        members.setdefault(len(rule.body), []).append(i)
+    flat = []
+    for _, group in sorted(members.items()):
+        for position in zip(*[(rules[i].head, *rules[i].body) for i in group]):
+            flat.extend(position)
+    ids = np.array(flat, dtype=np.int64)
+    groups = []
+    start = 0
+    for k, group in sorted(members.items()):
+        end = start + (k + 1) * len(group)
+        groups.append((np.array(group), ids[start:end].reshape(k + 1, len(group))))
+        start = end
+    return ids, groups
+
+
+def check_relations(ids, groups, num_relations):
+    """Raise ValueError naming the first rule, in rule order, that has a
+    relation id outside [0, num_relations). ``ids`` holds the rules'
+    smallest and largest relation ids; ``groups`` are as ``length_groups``
+    returns them."""
+    if ids.size == 0 or (ids.min() >= 0 and ids.max() < num_relations):
+        return
+    bad = []
+    for members, group_ids in groups:
+        wrong = (group_ids < 0) | (group_ids >= num_relations)
+        if wrong.any():
+            column = int(np.flatnonzero(wrong.any(axis=0))[0])
+            bad.append((int(members[column]), int(group_ids[wrong[:, column], column][0])))
+    rule, relation = min(bad)
+    raise ValueError(f"rule {rule}: relation id {relation} outside [0, {num_relations})")
+
+
+@dataclass(frozen=True)
+class LengthGroup:
+    """The rules of one body length k, in rule order."""
+
+    rules: np.ndarray  # (r,) int64 rule indices, ascending
+    ids: np.ndarray  # (k+1, r) int64 relation ids: the head, then each body position
+    confidences: np.ndarray  # (r, 1) float64
+    terms: np.ndarray  # (k+1, r) int64 rows of the same terms in the term sequence
+
+    @property
+    def length(self):
+        return self.ids.shape[0] - 1
+
+
 @dataclass(frozen=True)
 class RuleArrays:
-    """The relation ids of Horn rules as index arrays, one column or entry
-    per rule, in rule order."""
+    """Horn rules as index arrays: their length groups, where each rule's
+    terms start in the rule-major term sequence (a rule's head, then its
+    body), and the sorted relation ids the rules touch with, per term, the
+    position of its relation among them."""
 
-    body: np.ndarray  # (K, n) int64 body relation ids, 0 past a body's end
-    pad: np.ndarray  # (K, n) bool, True past a body's end
-    lengths: np.ndarray  # (n,) int64
-    heads: np.ndarray  # (n,) int64
+    groups: tuple  # LengthGroup per body length present, shortest first
+    starts: np.ndarray  # (n+1,) int64; rule i's terms are rows starts[i]:starts[i+1]
+    rows: np.ndarray  # (u,) int64 sorted relation ids of heads and bodies
+    slots: np.ndarray  # (starts[n],) int64 position in rows of each term's relation
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rules(cls, rules):
         rules = list(rules)
-        bodies = [rule.body for rule in rules]
-        lengths = np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies))
-        longest = int(lengths.max()) if rules else 0
-        pad = np.arange(longest)[:, None] >= lengths
-        body = np.zeros(pad.shape, dtype=np.int64)
-        # The transposed views run rule by rule, so the flat ids fill in order.
-        body.T[~pad.T] = np.fromiter(chain.from_iterable(bodies), dtype=np.int64)
-        return cls(
-            body=body,
-            pad=pad,
-            lengths=lengths,
-            heads=np.array([rule.head for rule in rules], dtype=np.int64),
-        )
+        lengths = np.fromiter((len(rule.body) for rule in rules), np.int64, len(rules))
+        starts = np.zeros(len(rules) + 1, dtype=np.int64)
+        np.cumsum(lengths + 1, out=starts[1:])
+        relations = np.empty(starts[-1], dtype=np.int64)
+        groups = []
+        for members, ids in length_groups(rules)[1]:
+            terms = starts[members] + np.arange(ids.shape[0])[:, None]
+            relations[terms] = ids
+            confidences = np.array([[rules[i].confidence] for i in members.tolist()])
+            groups.append(LengthGroup(members, ids, confidences, terms))
+        rows, slots = np.unique(relations, return_inverse=True)
+        return cls(tuple(groups), starts, rows, slots.reshape(-1))
 
     def __len__(self):
-        return self.heads.size
+        return self.starts.size - 1
 
-    def blocks(self, dim):
-        """(lo, hi) bounds of consecutive rule blocks; a block's (K+1, rules,
-        dim) arrays hold at most BLOCK_ELEMENTS elements, or one rule."""
-        size = max(1, BLOCK_ELEMENTS // ((self.body.shape[0] + 1) * dim))
-        return [(lo, min(lo + size, len(self))) for lo in range(0, len(self), size)]
+    def check_relations(self, num_relations):
+        """``check_relations`` on the groups, with the sorted relation ids."""
+        groups = [(group.rules, group.ids) for group in self.groups]
+        check_relations(self.rows, groups, num_relations)
 
-    def scale(self, bound, lo, hi):
-        """R^k per rule of the block as a (rules, 1) column; the powers are
-        Python floats, as in the per-rule formula."""
-        powers = np.array([bound**k for k in range(self.body.shape[0] + 1)])
-        return powers[self.lengths[lo:hi], None]
-
-
-def body_vectors(table, rules, lo, hi):
-    """Body relation vectors of rules lo:hi as (K, rules, d) real and
-    imaginary arrays, 1+0i past each body's end."""
-    ids = rules.body[:, lo:hi]
-    pad = rules.pad[:, lo:hi]
-    b_re = table.rel_re.take(ids, axis=0)
-    b_im = table.rel_im.take(ids, axis=0)
-    b_re[pad] = 1.0
-    b_im[pad] = 0.0
-    return b_re, b_im
-
-
-def body_product(b_re, b_im):
-    """b[0] x ... x b[K-1] along the body axis, multiplied in the order of
-    ``prefix_products`` (its last slice) but with one running product;
-    returns (rules, d) arrays."""
-    hb_re, hb_im = b_re[0], b_im[0]
-    for i in range(1, b_re.shape[0]):
-        hb_re, hb_im = cmul(hb_re, hb_im, b_re[i], b_im[i])
-    return hb_re, hb_im
-
-
-def prefix_products(b_re, b_im):
-    """pre[i] = b[0] x ... x b[i-1] along the body axis, pre[0] = 1+0i;
-    returns (K+1, rules, d) arrays."""
-    k = b_re.shape[0]
-    pre_re = np.empty((k + 1,) + b_re.shape[1:])
-    pre_im = np.empty_like(pre_re)
-    pre_re[0], pre_im[0] = 1.0, 0.0
-    pre_re[1], pre_im[1] = b_re[0], b_im[0]
-    for i in range(1, k):
-        pre_re[i + 1], pre_im[i + 1] = cmul(pre_re[i], pre_im[i], b_re[i], b_im[i])
-    return pre_re, pre_im
+    def windows(self, dim):
+        """The rules cut into windows of consecutive rules for a table of
+        dimension ``dim``, in rule order, as (first, count, parts): the
+        window's terms are rows first:first+count of the term sequence, and
+        ``parts`` lists (group, lo, hi) for each group with rules lo:hi in it.
+        A window holds at most WINDOW_ELEMENTS // dim terms, or one rule."""
+        cap = max(1, WINDOW_ELEMENTS // dim)
+        cached = self._windows.get(cap)
+        if cached is None:
+            starts = self.starts
+            cuts = [0]
+            while cuts[-1] < len(self):
+                lo = cuts[-1]
+                hi = int(np.searchsorted(starts, starts[lo] + cap, side="right")) - 1
+                cuts.append(max(hi, lo + 1))
+            bounds = [np.searchsorted(group.rules, cuts).tolist() for group in self.groups]
+            cached = self._windows[cap] = [
+                (
+                    int(starts[lo]),
+                    int(starts[hi] - starts[lo]),
+                    [
+                        (group, at[w], at[w + 1])
+                        for group, at in zip(self.groups, bounds)
+                        if at[w] < at[w + 1]
+                    ],
+                )
+                for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+            ]
+        return cached
 
 
-def suffix_products(b_re, b_im):
-    """suf[i] = b[i] x ... x b[K-1] along the body axis, suf[K] = 1+0i;
-    returns (K+1, rules, d) arrays."""
-    k = b_re.shape[0]
-    suf_re = np.empty((k + 1,) + b_re.shape[1:])
-    suf_im = np.empty_like(suf_re)
-    suf_re[k], suf_im[k] = 1.0, 0.0
-    suf_re[k - 1], suf_im[k - 1] = b_re[k - 1], b_im[k - 1]
-    for i in reversed(range(k - 1)):
-        suf_re[i], suf_im[i] = cmul(b_re[i], b_im[i], suf_re[i + 1], suf_im[i + 1])
-    return suf_re, suf_im
+class Scratch:
+    """Arrays carved in turn from one flat buffer of ``size`` elements;
+    ``reset`` hands the whole buffer out again. A request that no longer fits
+    gets a fresh array."""
+
+    def __init__(self, size):
+        self.buffer = np.empty(size)
+        self.used = 0
+
+    def __call__(self, shape):
+        size = math.prod(shape)
+        if self.used + size > self.buffer.size:
+            return np.empty(shape)
+        self.used += size
+        return self.buffer[self.used - size : self.used].reshape(shape)
+
+    def reset(self):
+        self.used = 0
 
 
-def rule_gaps(table, rules, lo, hi, hb_re, hb_im):
+def body_vectors(table, ids, alloc=np.empty):
+    """Relation vectors of the ids ``ids``, stacked [re, im] on a new first
+    axis: a (2, k, r, d) array from ``alloc(shape)`` for (k, r) ids."""
+    b = alloc((2,) + ids.shape + (table.dim,))
+    # The ids are in range (``RuleArrays.check_relations``); with
+    # mode="clip", take writes to ``out`` without a buffer.
+    table.rel_re.take(ids, axis=0, out=b[0], mode="clip")
+    table.rel_im.take(ids, axis=0, out=b[1], mode="clip")
+    return b
+
+
+def body_product(b):
+    """b[0] x ... x b[k-1] of (2, k, r, d) body vectors, multiplied left to
+    right; a (2, r, d) array."""
+    hb = b[:, 0]
+    for i in range(1, b.shape[1]):
+        hb = cmul_into(hb, b[:, i], np.empty(hb.shape), np.empty(hb.shape))
+    return hb
+
+
+def gradient_factors(b, alloc):
+    """The body product of (2, k, r, d) body vectors, k >= 2, multiplied as
+    in ``body_product``, and for each position j the product of the other
+    factors: the prefix pre[j] = b[0] x ... x b[j-1] times the suffix
+    suf[j+1] = b[j+1] x ... x b[k-1]. Returns (hb, c): hb a (2, r, d) array,
+    c a (2, k, r, d) one whose c[:, 0] is suf[1] and c[:, k-1] is pre[k-1].
+    New arrays come from ``alloc(shape)``."""
+    k = b.shape[1]
+    shape = (2,) + b.shape[2:]
+    scratch = alloc(shape)
+
+    def product(x, y, out=None):
+        return cmul_into(x, y, alloc(shape) if out is None else out, scratch)
+
+    if k == 2:
+        return product(b[:, 0], b[:, 1]), b[:, ::-1]
+    c = alloc(b.shape)
+    pre = [None, b[:, 0]]
+    for i in range(2, k):
+        pre.append(product(pre[i - 1], b[:, i - 1], c[:, k - 1] if i == k - 1 else None))
+    hb = product(pre[k - 1], b[:, k - 1])
+    suf = {k - 1: b[:, k - 1]}
+    for i in range(k - 2, 0, -1):
+        suf[i] = product(b[:, i], suf[i + 1], c[:, 0] if i == 1 else None)
+    for j in range(1, k - 1):
+        product(pre[j], suf[j + 1], c[:, j])
+    return hb, c
+
+
+def rule_gaps(table, head, hb, rk, alloc=np.empty):
     """Per-dimension gaps Re(hb)/R^k - Re(r)/R and Im(hb)/R^k - Im(r)/R of
-    rules lo:hi, from their body products hb; (rules, d) arrays."""
-    R = table.bound
-    rk = rules.scale(R, lo, hi)
-    heads = rules.heads[lo:hi]
-    return (
-        hb_re / rk - table.rel_re.take(heads, axis=0) / R,
-        hb_im / rk - table.rel_im.take(heads, axis=0) / R,
-    )
+    rules with (2, r, d) head vectors r, which this overwrites, and body
+    products hb, rk = R**k; a (2, r, d) array, ``head`` or one from
+    ``alloc(shape)``."""
+    if table.bound != 1.0:  # x / 1.0 is x
+        head /= table.bound
+    if rk == 1.0:
+        return np.subtract(hb, head, out=head)
+    gap = np.divide(hb, rk, out=alloc(hb.shape))
+    gap -= head
+    return gap

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RuleArrays, body_vectors, cmul, prefix_products, rule_gaps, suffix_products
+from .kernel import RuleArrays, Scratch, body_vectors, gradient_factors, rule_gaps
 from .kg import Triple, read_lines
 from .model import init_table, load_table, project, read_array, replacing, save_table
 
@@ -31,7 +31,6 @@ __all__ = [
     "LabeledBatch",
     "AdagradState",
     "RowGrads",
-    "CompiledRules",
     "EpochRecord",
     "TrainingDiverged",
     "sample_negatives",
@@ -229,35 +228,9 @@ def logistic_loss(table, batch):
     return loss, entities, RowGrads(r, g_r_re, g_r_im)
 
 
-@dataclass(frozen=True)
-class CompiledRules:
-    """A rule list packed for ``rule_penalty``: the kernel's gather arrays,
-    the confidences, the sorted relation rows the rules touch, and per rule
-    the position in those rows of its head and then of each body relation."""
-
-    arrays: RuleArrays
-    confidences: np.ndarray  # (n,) float64
-    rows: np.ndarray  # (u,) sorted relation ids
-    slots: np.ndarray  # (n, K+1) int64 positions in rows; head first
-    used: np.ndarray  # (n, K+1) bool, False past a body's end
-
-    def __len__(self):
-        return len(self.arrays)
-
-
 def compile_rules(rules):
     """Pack ``rules`` into the index arrays ``rule_penalty`` works on."""
-    rules = list(rules)
-    arrays = RuleArrays.from_rules(rules)
-    confidences = np.array([rule.confidence for rule in rules], dtype=np.float64)
-    ids = np.concatenate([arrays.heads[:, None], arrays.body.T], axis=1)
-    used = np.concatenate(
-        [np.ones((len(arrays), 1), dtype=bool), ~arrays.pad.T], axis=1
-    )
-    rows, inverse = np.unique(ids[used], return_inverse=True)
-    slots = np.zeros(ids.shape, dtype=np.int64)
-    slots[used] = inverse
-    return CompiledRules(arrays, confidences, rows, slots, used)
+    return RuleArrays.from_rules(rules)
 
 
 def rule_penalty(table, rules):
@@ -270,54 +243,90 @@ def rule_penalty(table, rules):
     ``rules`` is a list of HornRule or the ``compile_rules`` packing of one.
     The caller applies the global coefficient mu. The subgradient of the
     hinge at zero is taken as zero, so exactly satisfied rules contribute no
-    gradient. Returns (loss, RowGrads over the touched relation rows).
+    gradient. Returns (loss, RowGrads over the touched relation rows). A
+    relation id outside the table is a ValueError naming the rule.
 
-    Rules run in blocks of the body-product kernel. Per-rule losses are
-    added in rule order, and each row's gradient sums its terms in rule
-    order (head, then body positions), so the result does not depend on the
-    block size.
+    Rules run a window at a time, and within a window one body length at a
+    time (see ``hornplex.kernel``). Per-rule losses are added in rule order,
+    and each row's gradient sums its terms in rule order (head, then body
+    positions), so the result does not depend on the windows.
     """
-    if not isinstance(rules, CompiledRules):
+    if not isinstance(rules, RuleArrays):
         rules = compile_rules(rules)
+    rules.check_relations(table.num_relations)
     dim = table.dim
     if len(rules) == 0:
         return 0.0, RowGrads.empty(dim)
-    R = table.bound
-    arrays = rules.arrays
-    k = arrays.body.shape[0]
-    loss = 0.0
-    acc_re = np.zeros((rules.rows.size, dim))
-    acc_im = np.zeros((rules.rows.size, dim))
+    windows = rules.windows(dim)
+    width = max(count for _, count, _ in windows)
+    # The rule-major gradient terms of a window, [re, im], their flat target
+    # indices, and the arrays of one length group in a window: 8 arrays of
+    # the window's size hold those of any group with bodies of up to 4
+    # relations; a longer one takes fresh arrays for what does not fit.
+    terms = np.empty((2, width, dim))
+    flat = np.empty((width, dim), dtype=np.int64)
+    scratch = Scratch(8 * width * dim)
+    span = np.arange(dim)
+    losses = np.empty(len(rules))
+    acc = np.zeros((2, rules.rows.size, dim))
 
-    for lo, hi in arrays.blocks(dim):
-        b_re, b_im = body_vectors(table, arrays, lo, hi)
-        pre_re, pre_im = prefix_products(b_re, b_im)
-        suf_re, suf_im = suffix_products(b_re, b_im)
-        u, v = rule_gaps(table, arrays, lo, hi, pre_re[k], pre_im[k])
-        rk = arrays.scale(R, lo, hi)
-        lam = rules.confidences[lo:hi, None]
-        active = (u > 0).astype(np.float64)
-        for term in (lam[:, 0] * (np.sum(u * active, axis=1) + np.sum(v * v, axis=1))).tolist():
-            loss += term
-
-        # (K+1, rules, d) gradients: the head, then each body position
-        # j, whose partial derivative is the product of the other factors.
-        g_re = np.empty((k + 1, hi - lo, dim))
-        g_im = np.empty_like(g_re)
-        g_re[0] = lam * (-active / R)
-        g_im[0] = lam * (-2.0 * v / R)
-        c_re, c_im = cmul(pre_re[:k], pre_im[:k], suf_re[1:], suf_im[1:])
-        g_re[1:] = lam * (active * c_re + 2.0 * v * c_im) / rk
-        g_im[1:] = lam * (-active * c_im + 2.0 * v * c_re) / rk
-
+    for first, count, parts in windows:
+        for group, lo, hi in parts:
+            scratch.reset()
+            terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
         # Scatter in rule order through flat indices: np.add.at runs far
         # faster on 1-d arrays, and adds in index order all the same.
-        used = rules.used[lo:hi]
-        flat = (rules.slots[lo:hi][used][:, None] * dim + np.arange(dim)).ravel()
-        np.add.at(acc_re.reshape(-1), flat, g_re.transpose(1, 0, 2)[used].reshape(-1))
-        np.add.at(acc_im.reshape(-1), flat, g_im.transpose(1, 0, 2)[used].reshape(-1))
+        index = flat[:count]
+        np.multiply(rules.slots[first : first + count, None], dim, out=index)
+        index += span
+        for half in range(2):
+            np.add.at(acc[half].reshape(-1), index.reshape(-1), terms[half, :count].reshape(-1))
 
-    return loss, RowGrads(rules.rows, acc_re, acc_im)
+    loss = 0.0
+    for term in losses.tolist():
+        loss += term
+    return loss, RowGrads(rules.rows, acc[0], acc[1])
+
+
+def _rule_terms(table, group, lo, hi, losses, alloc):
+    """The penalty of rules lo:hi of a length group: their losses go into
+    ``losses`` at their rule ids, and their gradient terms are returned as a
+    (2, k+1, r, d) array, [re, im] of the head's term and then of each body
+    position's. Arrays come from ``alloc(shape)``."""
+    R = table.bound
+    k = group.length
+    rk = R**k
+    lam = group.confidences[lo:hi]
+    b = body_vectors(table, group.ids[:, lo:hi], alloc)
+    body = b[:, 1:]
+    hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
+    u, v = rule_gaps(table, b[:, 0], hb, rk, alloc)
+    g = alloc((2, k + 1) + u.shape)
+    aw = alloc((2,) + u.shape)  # active = [u > 0], then w = 2v
+    np.greater(u, 0.0, out=aw[0], casting="unsafe")
+    np.multiply(u, aw[0], out=g[0, 0])
+    np.multiply(v, v, out=g[1, 0])
+    sums = g[:, 0].sum(axis=2)
+    losses[group.rules[lo:hi]] = lam[:, 0] * (sums[0] + sums[1])
+
+    # The head's term is lam * (-active/R, -2v/R), taken as (active, 2v) /
+    # -R, the same bits. Body position j's is lam * (active*c_re + 2v*c_im,
+    # -active*c_im + 2v*c_re) / R^k, with c the product of the other
+    # factors: 1+0i when k = 1.
+    np.multiply(v, 2.0, out=aw[1])
+    np.divide(aw, -R, out=g[:, 0])
+    if c is None:
+        g[:, 1] = aw
+    else:
+        t = body if k > 2 else alloc(c.shape)  # spent once c is made, unless k = 2
+        np.multiply(c, aw[:, None], out=t)  # c_re*active, c_im*w
+        np.add(t[0], t[1], out=g[0, 1:])
+        np.multiply(c, aw[::-1, None], out=t)  # c_re*w, c_im*active
+        np.subtract(t[0], t[1], out=g[1, 1:])
+    g *= lam
+    if rk != 1.0:
+        g[:, 1:] /= rk
+    return g
 
 
 def n3_regularization(table, ent_rows, rel_rows):
@@ -426,9 +435,14 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     each batch is extended with sampled negatives, and one AdaGrad step plus
     projection is taken on logistic + mu*rule_penalty + eta*N3, on only the
     rows the step touches. ``step_callback(table, epoch, step)`` runs after
-    each projection. Deterministic for fixed inputs and seed.
+    each projection. Deterministic for fixed inputs and seed. With mu > 0,
+    a rule relation id outside the graph is a ValueError naming the rule.
     """
-    rules = compile_rules(rules) if config.mu > 0 else None
+    if config.mu > 0:
+        rules = compile_rules(rules)
+        rules.check_relations(kg.num_relations)
+    else:
+        rules = None
     ss = np.random.SeedSequence(config.seed)
     init_ss, loop_ss = ss.spawn(2)
     table = init_table(

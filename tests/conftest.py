@@ -5,7 +5,9 @@ import pytest
 from hornplex.kg import Triple, build_graph
 from hornplex.model import init_table, project
 
+# "ci" is the default; select "thorough" with --hypothesis-profile=thorough.
 hypothesis.settings.register_profile("ci", max_examples=40, deadline=None)
+hypothesis.settings.register_profile("thorough", max_examples=500, deadline=None)
 hypothesis.settings.load_profile("ci")
 
 

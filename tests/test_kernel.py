@@ -1,34 +1,41 @@
-"""The blocked rule kernel against the per-rule loops in ``oracles``.
+"""The rule kernel, in windows and length groups, against the per-rule
+loops in ``oracles``.
 
 The kernel multiplies and sums in the same order as the loops, so losses,
 gradients and gaps must be equal, not merely close.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import make_random_kg
+from hornplex import kernel
 from hornplex.evaluation import relation_rule_diagnostics
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
-from hornplex.training import compile_rules, rule_penalty
+from hornplex.training import TrainConfig, compile_rules, rule_penalty, train
 
 
 @st.composite
 def rule_sets(draw):
-    """A feasible table and 1-30 rules of length 1-4 over a few relations,
+    """A feasible table and 1-30 rules of length 1-6 over a few relations,
     so bodies repeat relations and heads often appear in their own body."""
     num_relations = draw(st.integers(1, 5))
     dim = draw(st.integers(1, 8))
-    bound = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    # 0.7 and 1.3 are not powers of two, so lam / R^k as one coefficient
+    # would round differently from lam * (...) / R^k.
+    bound = draw(st.sampled_from([0.5, 1.0, 2.0, 0.7, 1.3]))
     table = project(init_table(2, num_relations, dim, bound, seed=draw(st.integers(0, 2**32 - 1))))
     relation = st.integers(0, num_relations - 1)
     rules = []
     for _ in range(draw(st.integers(1, 30))):
-        body = draw(st.lists(relation, min_size=1, max_size=4))
+        body = draw(st.lists(relation, min_size=1, max_size=6))
         head = draw(st.one_of(st.sampled_from(body), relation))
         confidence = draw(st.sampled_from([1.0, 0.9, 0.5, 0.25, 0.1]))
         rules.append(HornRule(body=tuple(body), head=head, confidence=confidence))
@@ -56,6 +63,66 @@ def test_diagnostics_equal_per_rule_products(case):
         assert diag.rule is rule
         assert np.array_equal(diag.delta_re, delta_re)
         assert np.array_equal(diag.delta_im, delta_im)
+
+
+@given(rule_sets(), st.sampled_from([8, 64]))
+def test_small_windows_change_nothing(case, budget):
+    """A budget of 8 or 64 elements cuts the rules into windows of one to a
+    few rules, which end inside length groups and hold several of them."""
+    table, rules = case
+    with mock.patch.object(kernel, "WINDOW_ELEMENTS", budget):
+        loss, grads = rule_penalty(table, rules)
+        diagnostics = relation_rule_diagnostics(table, rules)
+    expected_loss, expected = oracles.rule_penalty(table, rules)
+    assert loss == expected_loss
+    for part in ("rows", "re", "im"):
+        assert np.array_equal(getattr(grads, part), getattr(expected, part))
+    for diag, rule in zip(diagnostics, rules, strict=True):
+        delta_re, delta_im = oracles.rule_deltas(table, rule)
+        assert np.array_equal(diag.delta_re, delta_re)
+        assert np.array_equal(diag.delta_im, delta_im)
+
+
+def test_windows_cut_the_length_groups_in_rule_order():
+    lengths = [1, 2, 1, 3, 3, 1, 4, 2, 2, 1, 6]
+    arrays = compile_rules(
+        HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths
+    )
+    with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
+        windows = arrays.windows(2)
+    seen = []
+    for first, count, parts in windows:
+        ids = sorted(i for group, lo, hi in parts for i in group.rules[lo:hi].tolist())
+        assert first == arrays.starts[ids[0]]
+        assert count == sum(lengths[i] + 1 for i in ids)
+        assert count <= 6 or len(ids) == 1
+        seen += ids
+    assert seen == list(range(len(lengths)))
+    cut = [(group.length, lo, hi) for _, _, parts in windows for group, lo, hi in parts]
+    assert any(lo > 0 for _, lo, _ in cut)  # a group split between windows
+    assert any(len(parts) > 1 for _, _, parts in windows)  # a window of several lengths
+    assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
+
+
+@pytest.mark.parametrize("where", ["head", "body"])
+@pytest.mark.parametrize("bad", ["-1", "m"])
+def test_relation_ids_outside_the_table_are_rejected(where, bad):
+    kg = make_random_kg(num_relations=3)
+    table = project(init_table(kg.num_entities, 3, 4, 1.0, seed=0))
+    bad_id = -1 if bad == "-1" else 3
+    odd = (
+        HornRule(body=(0, 1), head=bad_id, confidence=0.5)
+        if where == "head"
+        else HornRule(body=(0, bad_id), head=1, confidence=0.5)
+    )
+    rules = [HornRule(body=(0,), head=1, confidence=1.0), odd]
+    message = rf"rule 1: relation id {bad_id} outside \[0, 3\)"
+    with pytest.raises(ValueError, match=message):
+        rule_penalty(table, rules)
+    with pytest.raises(ValueError, match=message):
+        relation_rule_diagnostics(table, rules)
+    with pytest.raises(ValueError, match=message):
+        train(kg, rules, TrainConfig(epochs=1, dim=4, mu=1.0))
 
 
 def test_empty_rule_list():
