@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import body_product, body_vectors, check_relations, length_groups, rule_gaps
-from .kg import Triple, read_lines
-from .model import head_factors, replacing, score_triples, tail_factors
+from .kg import Triple, read_lines, run_positions
+from .model import query_factors, replacing, score_triples
 
 # Not called here: the benchmark's tracer (bench/pipeline.py) looks these
 # two up in this module, so they stay importable from it.
@@ -44,13 +44,17 @@ __all__ = [
 
 DEFAULT_HITS = (1, 3, 10)
 SIDES = {"both": ("head", "tail"), "head": ("head",), "tail": ("tail",)}
-# At most this many (query, entity) scores are held at once: a block ranks
-# BLOCK_ELEMENTS // n queries (at least one).
+# A block of queries holds at most BLOCK_ELEMENTS (query, entity) scores and
+# FACTOR_ELEMENTS factor components, so it ranks min(BLOCK_ELEMENTS // n,
+# FACTOR_ELEMENTS // 2d) queries (at least one). The second cap keeps the
+# block's (Q, 2d) temporaries in cache: 512 queries at d=64.
 BLOCK_ELEMENTS = 2**20
+FACTOR_ELEMENTS = 2**16
 # Entity components gathered at once when comparing rows of the tie band
 # (256 KiB): small enough to stay in cache, which halved the time of a
 # constant n=20k table against gathering every row at once.
 COMPARE_ELEMENTS = 2**15
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -103,26 +107,32 @@ def evaluate(table, kg, split, side="both", hits=DEFAULT_HITS):
     if sides is None:
         raise ValueError(f"side must be 'both', 'head' or 'tail', got {side!r}")
 
+    tail_side = np.empty((len(triples), len(sides)), dtype=bool)
+    tail_side[:] = [s == "tail" for s in sides]
+    tail_side = tail_side.reshape(-1)
     triples = np.repeat(triples, len(sides), axis=0)
-    tail_side = np.tile([s == "tail" for s in sides], len(triples) // len(sides))
     ranks = rank_queries(table, kg, triples, tail_side)
-    hits_at = {k: float(np.mean(ranks <= k)) for k in hits}
-    return RankingReport(triples, tail_side, ranks, float(np.mean(1.0 / ranks)), hits_at)
+    # Integer counts over the size have the bits of np.mean over the bools,
+    # and the sum of 1 / rank over the size those of np.mean of 1 / rank.
+    at_most = np.searchsorted(np.sort(ranks), hits, side="right").tolist()
+    hits_at = {k: count / ranks.size for k, count in zip(hits, at_most)}
+    mrr = float((1.0 / ranks).sum() / ranks.size)
+    return RankingReport(triples, tail_side, ranks, mrr, hits_at)
 
 
 def rank_queries(table, kg, triples, tail_side):
     """Filtered ranks of known ``triples`` (any (Q, 3) int array-like), each
-    corrupting its tail where ``tail_side`` is true and its head otherwise.
+    corrupting its tail where ``tail_side`` (Q bools) is true and its head
+    otherwise.
 
-    Raises ValueError for a triple outside the filter index and for a table
-    with a NaN or infinite component.
+    Raises ValueError for a ``tail_side`` of another length, for a table
+    with a NaN or infinite component and for a triple outside the filter
+    index; no rank is returned then.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     tail_side = np.asarray(tail_side, dtype=bool).reshape(-1)
-    unknown = np.flatnonzero(~kg.contains(*triples.T))
-    if unknown.size:
-        triple = Triple(*map(int, triples[unknown[0]]))
-        raise ValueError(f"{triple} is not a known triple; filtered rank undefined")
+    if tail_side.size != len(triples):
+        raise ValueError(f"{tail_side.size} tail_side values for {len(triples)} triples")
 
     # The Frobenius norm of the entity matrix bounds every row's norm for the
     # error bound; one pass over the entities, and NaN or inf if one is.
@@ -134,7 +144,8 @@ def rank_queries(table, kg, triples, tail_side):
         raise ValueError("the relation table holds a NaN or infinite component")
 
     ranks = np.empty(len(triples))
-    per_block = max(1, BLOCK_ELEMENTS // table.num_entities)
+    n, width = table.ent.shape
+    per_block = max(1, min(BLOCK_ELEMENTS // n, FACTOR_ELEMENTS // width))
     for lo in range(0, len(triples), per_block):
         block = slice(lo, lo + per_block)
         ranks[block] = _rank_block(table, kg, triples[block], tail_side[block], frobenius)
@@ -156,45 +167,84 @@ def _rank_block(table, kg, triples, tail_side, frobenius):
     x_l or r_l conj(x_l), ||w|| <= 2 ||V[q]|| up to rounding. ``eps`` is
     2**-48 * (d + 2) * ||ent||_F * ||V[q]||, at least 3.7 times that bound,
     plus 2**-1070 * (d + 2) * (1 + ||ent||_F), which covers the products
-    that underflow. A candidate with g_c above o + eps is certainly better,
-    one below o - eps certainly worse, and those in between, the tie band,
-    are scored again as ``model.score`` does.
+    that underflow. (eps is computed as ||V[q]|| * a + b, with the scalars a
+    and b rounded first: a few ulps against the ratio of eps to the bound,
+    32 (d + 2) / (2 sqrt(2) (3d + 5)), which falls with d towards 3.77.) A
+    candidate with g_c above o + eps is certainly better, one below o - eps
+    certainly worse, and those in between, the tie band, are scored again
+    as ``model.score`` does. The band is built only when it holds a
+    candidate that is not filtered: the true entity is always in it, but it
+    is a known fact.
     """
-    d = table.dim
-    h, r, t = triples.T
-    factors = np.where(
-        tail_side[:, None], tail_factors(table, h, r), head_factors(table, r, t)
-    )
-    scores = factors @ table.ent.T
-    true_scores = score_triples(table, h, r, t)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", factors, factors))
-        eps = (d + 2) * (2.0**-48 * frobenius * norms + 2.0**-1070 * (1.0 + frobenius))
-        eps[~np.isfinite(eps)] = np.inf  # overflow of finite components: score all again
-        above = scores > np.nextafter(true_scores + eps, np.inf)[:, None]
-        below = scores < np.nextafter(true_scores - eps, -np.inf)[:, None]
-
     q, c = _known_candidates(kg, triples, tail_side)  # includes the true entity
+    factors, true_scores = query_factors(table, triples, tail_side)
+    scores = factors @ table.ent.T
+
+    d = table.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(factors, factors))
+        eps = norms * ((d + 2) * 2.0**-48 * frobenius) + (d + 2) * 2.0**-1070 * (1.0 + frobenius)
+        # o + eps and o - eps, each rounded away from o. Where finite
+        # components overflow, eps or o is inf or NaN: no candidate is then
+        # above or below, and all are scored again.
+        hi, lo = np.nextafter(true_scores + eps * _SIGNS, _SIGNS * np.inf)
+        above = scores > hi[:, None]
+        below = scores < lo[:, None]
+
+    # Per-row counts of a bool matrix: popcounts of its packed bytes, which
+    # skips count_nonzero(axis=1)'s cast of every element to intp.
     num = len(triples)
-    greater = np.count_nonzero(above, axis=1) - np.bincount(q, above[q, c], minlength=num)
+    known_above = above[q, c]
+    greater = np.bitwise_count(np.packbits(above, axis=1)).sum(axis=1) - np.bincount(
+        q, known_above, minlength=num
+    )
+    # above and below are disjoint, so the band holds this many unfiltered
+    # candidates: all minus those outside it, then minus the known ones in it.
+    outside = greater.sum() + np.count_nonzero(below) - np.count_nonzero(below[q, c])
+    if outside + q.size == scores.size:
+        return 1.0 + greater
     band = ~(above | below)
     band[q, c] = False
-    equal = np.zeros(num)
-    if band.any():
-        extra_greater, equal = _score_band(table, triples, tail_side, true_scores, band)
-        greater = greater + extra_greater
-    return 1.0 + greater + equal / 2.0
+    extra_greater, equal = _score_band(table, triples, tail_side, true_scores, band)
+    return 1.0 + (greater + extra_greater) + equal / 2.0
 
 
 def _known_candidates(kg, triples, tail_side):
     """(query, entity) pairs of every fact that fixes the query's kept entity
-    and relation: the candidates the filtered protocol removes."""
-    h, r, t = triples.T
-    tails_q, heads_q = np.flatnonzero(tail_side), np.flatnonzero(~tail_side)
-    i, tails = kg.tails_of(h[tails_q], r[tails_q])
-    j, heads = kg.heads_of(r[heads_q], t[heads_q])
-    return np.concatenate((tails_q[i], heads_q[j])), np.concatenate((tails, heads))
+    and relation: the candidates the filtered protocol removes, the true
+    entity among them. A ValueError names the first triple that is not a
+    known fact.
+
+    The tails known for (h, r) are the codes in [base, base + n) of
+    ``kg.tail_codes``, base = (h*m + r)*n, and the heads known for (r, t)
+    those of ``kg.head_codes``, base = (r*n + t)*n. One product gives every
+    query's bounds and fact code in both keyings; each side's bounds are
+    looked up in one ``searchsorted``, the query's own side is kept, and
+    the runs are expanded once. The triple is known if its own code is in
+    its run."""
+    n, m = kg.num_entities, kg.num_relations
+    # columns: tail base, base + n and code (h*m + r)*n + t; the same for heads
+    keys = triples @ np.array(
+        [[m * n, m * n, m * n, 0, 0, 1], [n, n, n, n * n, n * n, n * n], [0, 0, 1, n, n, n]]
+    ) + (0, n, 0, 0, n, 0)
+    start, stop = np.where(
+        tail_side[:, None],
+        np.searchsorted(kg.tail_codes, keys[:, :2]),
+        np.searchsorted(kg.head_codes, keys[:, 3:5]),
+    ).T
+    q, pos = run_positions(start, stop)
+    # mode="clip": a position is valid only in its own side's codes
+    codes = np.where(
+        tail_side[q], kg.tail_codes.take(pos, mode="clip"), kg.head_codes.take(pos, mode="clip")
+    )
+    own = np.where(tail_side, keys[:, 2], keys[:, 5])
+    found = codes == own[q]  # at most once per query, as codes are distinct
+    if np.count_nonzero(found) != len(triples):
+        known = np.zeros(len(triples), dtype=bool)
+        known[q[found]] = True
+        triple = Triple(*map(int, triples[np.argmin(known)]))
+        raise ValueError(f"{triple} is not a known triple; filtered rank undefined")
+    return q, codes % n
 
 
 def _score_band(table, triples, tail_side, true_scores, band):

@@ -26,6 +26,7 @@ __all__ = [
     "read_dictionary",
     "check_dictionary",
     "read_lines",
+    "run_positions",
 ]
 
 
@@ -177,14 +178,19 @@ class KnowledgeGraph:
         return np.divmod(np.sort(run % n * n + run // n % n), n)
 
 
+def run_positions(start, stop):
+    """Arrays (i, p) of every position p in [start[i], stop[i]), ordered by
+    i, then p: the runs expanded at once."""
+    length = stop - start
+    i = np.repeat(np.arange(length.size), length)
+    # output k of run i is start[i] + k - (cumsum(length)[i] - length[i])
+    return i, np.arange(i.size) + np.repeat(stop - np.cumsum(length), length)
+
+
 def _runs(codes, base, n):
     """(i, codes[j] % n) for every code j in [base[i], base[i] + n)."""
-    start = np.searchsorted(codes, base)
-    stop = np.searchsorted(codes, base + n)
-    length = stop - start
-    # output k of query i is codes[start[i] + k - (cumsum(length)[i] - length[i])]
-    pos = np.arange(length.sum()) + np.repeat(stop - np.cumsum(length), length)
-    return np.repeat(np.arange(base.size), length), codes[pos] % n
+    i, pos = run_positions(np.searchsorted(codes, base), np.searchsorted(codes, base + n))
+    return i, codes[pos] % n
 
 
 def build_graph(train, valid, test, dicts):

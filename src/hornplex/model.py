@@ -25,6 +25,7 @@ __all__ = [
     "score_dim",
     "tail_factors",
     "head_factors",
+    "query_factors",
     "score_all_tails",
     "score_all_heads",
     "project",
@@ -124,7 +125,7 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     uniform on [0, bound/sqrt(2)] so every row is feasible by construction."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
-    if bound <= 0:
+    if not bound > 0:  # NaN fails too
         raise ValueError("bound must be positive")
     rng = np.random.default_rng(seed)
     rel_scale = bound / np.sqrt(2.0)
@@ -139,18 +140,21 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     )
 
 
-def _tail_factors(table, head, relation):
-    """Vectors v_re, v_im such that score(h, r, t) = e_t_re . v_re + e_t_im . v_im."""
-    a, b = table.ent_re[head], table.ent_im[head]
-    c, d = table.rel_re[relation], table.rel_im[relation]
+def _tail_factors(a, b, c, d):
+    """Halves v_re, v_im of (a + ib)(c + id), from a head's halves a, b and a
+    relation's c, d: score(h, r, t) = e_t_re . v_re + e_t_im . v_im."""
     return a * c - b * d, a * d + b * c
 
 
-def _head_factors(table, relation, tail):
-    """Vectors v_re, v_im such that score(h, r, t) = e_h_re . v_re + e_h_im . v_im."""
-    c, d = table.rel_re[relation], table.rel_im[relation]
-    e, f = table.ent_re[tail], table.ent_im[tail]
+def _head_factors(c, d, e, f):
+    """Halves v_re, v_im of (c - id)(e + if), from a relation's halves c, d
+    and a tail's e, f: score(h, r, t) = e_h_re . v_re + e_h_im . v_im."""
     return c * e + d * f, c * f - d * e
+
+
+def _tail_dot(e_re, e_im, v_re, v_im):
+    """Row-wise e_re . v_re + e_im . v_im: two dot products of length d."""
+    return np.vecdot(e_re, v_re) + np.vecdot(e_im, v_im)
 
 
 def score_triples(table, heads, relations, tails):
@@ -158,8 +162,10 @@ def score_triples(table, heads, relations, tails):
 
     Each score is two dot products of length d, one per row: the bits of a
     score depend only on the three rows, not on the other triples."""
-    v_re, v_im = _tail_factors(table, heads, relations)
-    return np.vecdot(table.ent_re[tails], v_re) + np.vecdot(table.ent_im[tails], v_im)
+    v_re, v_im = _tail_factors(
+        table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
+    )
+    return _tail_dot(table.ent_re[tails], table.ent_im[tails], v_re, v_im)
 
 
 def score(table, triple):
@@ -180,12 +186,45 @@ def score_dim(table, triple, l):
 
 def tail_factors(table, heads, relations):
     """(Q, 2d) rows [v_re | v_im] with score(h, r, j) = ent[j] . row for every entity j."""
-    return np.concatenate(_tail_factors(table, heads, relations), axis=-1)
+    return np.concatenate(
+        _tail_factors(
+            table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
+        ),
+        axis=-1,
+    )
 
 
 def head_factors(table, relations, tails):
     """(Q, 2d) rows [v_re | v_im] with score(i, r, t) = ent[i] . row for every entity i."""
-    return np.concatenate(_head_factors(table, relations, tails), axis=-1)
+    return np.concatenate(
+        _head_factors(
+            table.rel_re[relations], table.rel_im[relations], table.ent_re[tails], table.ent_im[tails]
+        ),
+        axis=-1,
+    )
+
+
+def query_factors(table, triples, tail_side):
+    """Factor rows and true scores of ranking queries, each row built once.
+
+    Row q of the (Q, 2d) ``rows`` is [v_re | v_im] with ent[j] . row the
+    score of ``triples[q]`` (an (Q, 3) int array) with its tail replaced by
+    j where ``tail_side[q]``, and its head otherwise. ``true[q]`` is the
+    score of ``triples[q]`` itself, with the bits of ``score_triples``: it
+    is taken from the tail factors that every row holds first."""
+    h, r, t = triples.T
+    # Gathered halves are contiguous: elementwise calls on the strided halves
+    # of gathered ``ent`` rows cost about twice as much. (``ent_re.take``
+    # would first copy the whole strided half.)
+    c, s = table.rel_re[r], table.rel_im[r]
+    e, f = table.ent_re[t], table.ent_im[t]
+    v_re, v_im = _tail_factors(table.ent_re[h], table.ent_im[h], c, s)
+    true = _tail_dot(e, f, v_re, v_im)
+    rows = np.concatenate((v_re, v_im), axis=1)
+    head = np.nonzero(~tail_side)[0]
+    if head.size:
+        rows[head] = np.concatenate(_head_factors(c[head], s[head], e[head], f[head]), axis=1)
+    return rows, true
 
 
 def score_all_tails(table, head, relation):

@@ -66,19 +66,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ValueError("epochs must be non-negative")
-        if self.mu < 0 or self.eta < 0:
+        if not (self.mu >= 0 and self.eta >= 0):
             raise ValueError("mu and eta must be non-negative")
-        if self.negatives_per_positive < 1:
+        if not self.negatives_per_positive >= 1:
             raise ValueError("negatives_per_positive must be at least 1")
-        if self.bound <= 0:
+        if not self.bound > 0:
             raise ValueError("bound must be positive")
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ValueError("dim must be at least 1")
 
 
@@ -352,9 +353,10 @@ def n3_regularization(table, ent_rows, rel_rows):
 def merge_row_grads(blocks):
     """The gradient of each row the RowGrads ``blocks`` of one matrix touch,
     as RowGrads over the sorted unique rows. One ``np.unique`` covers every
-    block. Within a block a row's terms are summed in order (stable sort,
-    then ``np.add.reduceat``); the blocks' sums are then added to the row's
-    total block by block."""
+    block. Within a block a stable sort keeps a row's terms in order, and
+    ``np.add.reduceat`` adds the first term to numpy's pairwise sum of the
+    rest (which is sequential below 8 terms); the blocks' sums are then
+    added to the row's total block by block."""
     rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
     re = np.zeros((rows.size, blocks[0].re.shape[1]))
     im = np.zeros_like(re)

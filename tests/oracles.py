@@ -168,7 +168,9 @@ def rule_penalty(table, rules):
 
 
 def _compact(indices, grads_re, grads_im):
-    """Per-row sums of one loss term's gradient terms, over the sorted rows."""
+    """Per-row sums of one loss term's gradient terms, over the sorted rows.
+    A stable sort keeps each row's terms in order; ``np.add.reduceat`` then
+    adds the first term to numpy's pairwise sum of the rest."""
     rows, inverse = np.unique(indices, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     starts = np.searchsorted(inverse[order], np.arange(rows.size))

@@ -192,6 +192,8 @@ def test_init_validates_arguments():
         init_table(0, 1, 4)
     with pytest.raises(ValueError):
         init_table(1, 1, 4, bound=0.0)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        init_table(1, 1, 4, bound=float("nan"))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -56,14 +56,16 @@ def make_case(seed, num_entities, num_relations, dim, kind):
     return kg, split, table
 
 
-def rank_and_compare(seed, num_entities, num_relations, dim, kind, per_block, compare_rows):
-    """Evaluate with blocks of ``per_block`` queries and row comparisons of
-    ``compare_rows`` rows, require the oracle's ranks, and return what the
-    case covered."""
+def rank_and_compare(
+    seed, num_entities, num_relations, dim, kind, per_block, compare_rows, side="both"
+):
+    """Evaluate ``side`` with blocks of ``per_block`` queries and row
+    comparisons of ``compare_rows`` rows, require the oracle's ranks, and
+    return what the case covered."""
     kg, split, table = make_case(seed, num_entities, num_relations, dim, kind)
     with mock.patch.object(evaluation, "BLOCK_ELEMENTS", per_block * num_entities), \
             mock.patch.object(evaluation, "COMPARE_ELEMENTS", compare_rows * 2 * table.dim):
-        report = evaluation.evaluate(table, kg, split)
+        report = evaluation.evaluate(table, kg, split, side=side)
 
     covered = dict.fromkeys(("several_blocks", "tie_with_true", "known_tie_with_true"), False)
     covered["several_blocks"] = report.count > per_block
@@ -88,9 +90,55 @@ def rank_and_compare(seed, num_entities, num_relations, dim, kind, per_block, co
     kind=st.sampled_from(KINDS),
     per_block=st.integers(1, 20),
     compare_rows=st.integers(1, 30),
+    side=st.sampled_from(("both", "head", "tail")),
 )
 def test_evaluate_ranks_equal_brute_force_oracle(**case):
     rank_and_compare(**case)
+
+
+def assert_rank_queries_equal_oracle(kg, table, triples, tail_side, per_block):
+    """rank_queries with blocks of ``per_block`` queries gives every query
+    the oracle's rank."""
+    with mock.patch.object(evaluation, "BLOCK_ELEMENTS", per_block * kg.num_entities):
+        ranks = evaluation.rank_queries(table, kg, triples, tail_side)
+    assert len(ranks) == len(triples)
+    for triple, tail, rank in zip(triples, tail_side, ranks.tolist()):
+        assert rank == brute_force_filtered_rank(table, kg, triple, "tail" if tail else "head")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_entities=st.integers(2, 25),
+    num_relations=st.integers(1, 3),
+    dim=st.integers(1, 4),
+    kind=st.sampled_from(KINDS),
+    per_block=st.integers(1, 20),
+    data=st.data(),
+)
+def test_rank_queries_with_any_side_mask_equal_brute_force_oracle(
+    seed, num_entities, num_relations, dim, kind, per_block, data
+):
+    """Any order of queries and any mask of sides: a block may hold one side
+    only, or both in any pattern."""
+    kg, split, table = make_case(seed, num_entities, num_relations, dim, kind)
+    picks = data.draw(st.lists(st.integers(0, len(split) - 1), min_size=1, max_size=24))
+    tail_side = data.draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    assert_rank_queries_equal_oracle(kg, table, [split[i] for i in picks], tail_side, per_block)
+
+
+@pytest.mark.parametrize("mask", ["all-tail", "all-head", "one-side-blocks", "uneven"])
+@pytest.mark.parametrize("kind", ["random", "duplicates"])
+def test_rank_queries_blocks_of_one_side_and_uneven_masks(mask, kind):
+    kg, split, table = make_case(11, 15, 2, 3, kind)
+    triples = split * 3
+    q = len(triples)
+    tail_side = {
+        "all-tail": [True] * q,
+        "all-head": [False] * q,
+        "one-side-blocks": [(i // 4) % 2 == 0 for i in range(q)],  # blocks of 4 below
+        "uneven": (np.random.default_rng(3).random(q) < 0.3).tolist(),
+    }[mask]
+    assert_rank_queries_equal_oracle(kg, table, triples, tail_side, per_block=4)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hornplex import training
+from hornplex.config import load_run_config
 from hornplex.kg import Triple, build_graph
 from hornplex.model import EmbeddingTable, is_feasible
 from hornplex.rules import HornRule
@@ -50,6 +51,20 @@ class TestTrainConfig:
             TrainConfig(mu=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(negatives_per_positive=0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "mu", "eta", "bound"])
+    def test_nan_is_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "mu", "eta", "bound"])
+    def test_nan_in_a_config_file_names_the_file(self, tmp_path, field):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[train]\n{field} = nan\n")
+        with pytest.raises(ValueError) as err:
+            load_run_config(path)
+        assert str(err.value).startswith(f"{path}: [train] ")
+        assert field in str(err.value)
 
     def test_labeled_batch_validation(self):
         with pytest.raises(ValueError):
