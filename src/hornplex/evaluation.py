@@ -193,13 +193,11 @@ def _rank_block(table, kg, triples, tail_side, frobenius):
 
     # Per-row counts of a bool matrix: popcounts of its packed bytes, which
     # skips count_nonzero(axis=1)'s cast of every element to intp.
-    num = len(triples)
-    known_above = above[q, c]
     greater = np.bitwise_count(np.packbits(above, axis=1)).sum(axis=1) - np.bincount(
-        q, known_above, minlength=num
+        q, above[q, c], minlength=len(triples)
     )
-    # above and below are disjoint, so the band holds this many unfiltered
-    # candidates: all minus those outside it, then minus the known ones in it.
+    # Unfiltered candidates above or below (the two are disjoint): unless
+    # they and the known ones are all of them, the band holds one to score.
     outside = greater.sum() + np.count_nonzero(below) - np.count_nonzero(below[q, c])
     if outside + q.size == scores.size:
         return 1.0 + greater

@@ -135,7 +135,7 @@ def test_rank_queries_blocks_of_one_side_and_uneven_masks(mask, kind):
     tail_side = {
         "all-tail": [True] * q,
         "all-head": [False] * q,
-        "one-side-blocks": [(i // 4) % 2 == 0 for i in range(q)],  # blocks of 4 below
+        "one-side-blocks": [(i // 4) % 2 == 0 for i in range(q)],  # per_block=4 below
         "uneven": (np.random.default_rng(3).random(q) < 0.3).tolist(),
     }[mask]
     assert_rank_queries_equal_oracle(kg, table, triples, tail_side, per_block=4)
