@@ -1,7 +1,7 @@
 """Run configuration files: flat INI with sections, CLI flags override values."""
 
 import configparser
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .kg import read_lines
 from .training import TrainConfig
@@ -45,74 +45,82 @@ def _names(text):
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
+def _one_of(*choices):
+    """A cast that returns its text if it is one of ``choices``."""
+
+    def cast(text):
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+
+    return cast
+
+
+# Every setting a file may hold, as section -> key -> cast. The [train] keys
+# are the fields of TrainConfig, cast to their types; any other key is the
+# RunConfig field ``_field`` names.
+SETTINGS = {
+    "paths": {"train": str, "valid": str, "test": str, "rules": str, "output_dir": str},
+    "train": {f.name: f.type for f in fields(TrainConfig)},
+    "eval": {
+        "side": _one_of("both", "head", "tail"),
+        "hits": _ints,
+        "split": _one_of("train", "valid", "test"),
+    },
+    "fewshot": {"num_task_relations": int, "shots": _ints, "seed": int, "candidates": _names},
+    "verify": {"trials": int, "seed": int, "dims": _ints, "ks": _ints},
+}
+
+
+def _field(section, key):
+    """The RunConfig field of a setting outside [train]."""
+    if section == "paths":
+        return key if key == "output_dir" else f"{key}_path"
+    return f"{section}_{key}"
+
+
 def load_run_config(path=None, overrides=None):
     """Read an INI run configuration; ``overrides`` maps flat keys (e.g.
     ``seed``, ``output_dir``) from command-line flags. A malformed file is a
-    ValueError naming the file and the line. A malformed value (one that
-    fails its cast or its "%" interpolation) is one naming the file, the
-    section and the key, and training values that ``TrainConfig`` rejects
-    are one naming the file and the section."""
+    ValueError naming the file and the line. A section or key outside
+    ``SETTINGS`` is one naming the file and the section or key, and so is a
+    malformed value (one that fails its cast, its choices or its "%"
+    interpolation); training values that ``TrainConfig`` rejects are one
+    naming the file and the section."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
             parser.read_file(read_lines(path, ValueError), source=str(path))
         except configparser.Error as err:
             raise ValueError(str(err)) from None
+    if parser.defaults():
+        raise ValueError(f"{path}: [{parser.default_section}]: unknown section")
 
-    def get(section, key, cast=str, default=None):
-        if not parser.has_option(section, key):
-            return default
-        try:
-            text = parser[section][key]
-            return cast(text)
-        except (ValueError, configparser.Error) as err:
-            raw = parser.get(section, key, raw=True)
-            raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
-
-    cfg = RunConfig(
-        train_path=get("paths", "train"),
-        valid_path=get("paths", "valid"),
-        test_path=get("paths", "test"),
-        rules_path=get("paths", "rules"),
-        output_dir=get("paths", "output_dir", default="out"),
-    )
-
-    if parser.has_section("train"):
-        kwargs = {}
-        for key, cast in (
-            ("learning_rate", float),
-            ("batch_size", int),
-            ("epochs", int),
-            ("validate_every", int),
-            ("mu", float),
-            ("eta", float),
-            ("negatives_per_positive", int),
-            ("bound", float),
-            ("dim", int),
-            ("seed", int),
-        ):
-            if parser.has_option("train", key):
-                kwargs[key] = get("train", key, cast)
-        try:
-            cfg.train = TrainConfig(**kwargs)
-        except ValueError as err:
-            raise ValueError(f"{path}: [train] {err}") from None
-
-    cfg.eval_side = get("eval", "side", default=cfg.eval_side)
-    cfg.eval_hits = get("eval", "hits", _ints, cfg.eval_hits)
-    cfg.eval_split = get("eval", "split", default=cfg.eval_split)
-
-    cfg.fewshot_num_task_relations = get(
-        "fewshot", "num_task_relations", int, cfg.fewshot_num_task_relations
-    )
-    cfg.fewshot_shots = get("fewshot", "shots", _ints, cfg.fewshot_shots)
-    cfg.fewshot_seed = get("fewshot", "seed", int, cfg.fewshot_seed)
-    cfg.fewshot_candidates = get("fewshot", "candidates", _names, cfg.fewshot_candidates)
-
-    cfg.verify_trials = get("verify", "trials", int, cfg.verify_trials)
-    cfg.verify_seed = get("verify", "seed", int, cfg.verify_seed)
-    cfg.verify_dims = get("verify", "dims", _ints, cfg.verify_dims)
-    cfg.verify_ks = get("verify", "ks", _ints, cfg.verify_ks)
+    run, train = {}, {}
+    for section in parser.sections():
+        casts = SETTINGS.get(section)
+        if casts is None:
+            raise ValueError(
+                f"{path}: [{section}]: unknown section; the sections are {', '.join(SETTINGS)}"
+            )
+        for key in parser.options(section):
+            if key not in casts:
+                raise ValueError(
+                    f"{path}: [{section}] {key}: unknown key; [{section}] takes {', '.join(casts)}"
+                )
+            try:
+                value = casts[key](parser[section][key])
+            except (ValueError, configparser.Error) as err:
+                raw = parser.get(section, key, raw=True)
+                raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
+            if section == "train":
+                train[key] = value
+            else:
+                run[_field(section, key)] = value
+    try:
+        cfg = RunConfig(train=TrainConfig(**train), **run)
+    except ValueError as err:
+        raise ValueError(f"{path}: [train] {err}") from None
 
     overrides = overrides or {}
     if overrides.get("output_dir") is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .kernel import body_product, body_vectors, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
-from .model import query_factors, replacing, score_triples
+from .model import query_factors, replacing, score_triples, write_provenance
 
 # Not called here: the benchmark's tracer (bench/pipeline.py) looks these
 # two up in this module, so they stay importable from it.
@@ -339,9 +339,7 @@ def write_metrics(path, report, extra=None):
     are embedded as comment lines. Written to a temporary file that then
     replaces ``path``."""
     with replacing(path, encoding="utf-8") as handle:
-        if extra:
-            for key in sorted(extra):
-                handle.write(f"# {key} = {extra[key]}\n")
+        write_provenance(handle, extra)
         handle.write(f"mrr = {report.mrr:.17g}\n")
         for k in sorted(report.hits_at):
             handle.write(f"hits@{k} = {report.hits_at[k]:.17g}\n")
@@ -368,9 +366,7 @@ def write_diagnostics_csv(path, diagnostics, extra=None):
     """Long-format CSV with columns rule_id, dim, delta_re, delta_im, written
     to a temporary file that then replaces ``path``."""
     with replacing(path, encoding="utf-8") as handle:
-        if extra:
-            for key in sorted(extra):
-                handle.write(f"# {key} = {extra[key]}\n")
+        write_provenance(handle, extra)
         handle.write("rule_id,dim,delta_re,delta_im\n")
         for diag in diagnostics:
             for l, (dre, dim_) in enumerate(zip(diag.delta_re, diag.delta_im)):
@@ -381,9 +377,7 @@ def write_diagnostics_summary(path, diagnostics, extra=None):
     """Per-rule summary CSV: max delta_re, mean delta_im^2, hinge sum, written
     to a temporary file that then replaces ``path``."""
     with replacing(path, encoding="utf-8") as handle:
-        if extra:
-            for key in sorted(extra):
-                handle.write(f"# {key} = {extra[key]}\n")
+        write_provenance(handle, extra)
         handle.write("rule_id,max_delta_re,mean_sq_delta_im,hinge_sum\n")
         for diag in diagnostics:
             handle.write(

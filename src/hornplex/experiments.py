@@ -33,10 +33,11 @@ __all__ = [
 PLANTED_COMPOSITIONS = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
-def _sample_block_pairs(rng, blocks, src, dst, count):
-    """``count`` distinct pairs from blocks[src] x blocks[dst]."""
+def _sample_block_pairs(rng, blocks, src, dst, count, taken=()):
+    """``count`` distinct pairs from blocks[src] x blocks[dst], none of them
+    in ``taken``."""
     pairs = []
-    seen = set()
+    seen = set(taken)
     while len(pairs) < count:
         need = count - len(pairs)
         heads = rng.integers(0, len(blocks[src]), size=2 * need)
@@ -141,25 +142,12 @@ def make_planted_kg(
                 valid_t.append(triple)
             else:
                 train_t.append(triple)
+        # keep noise inside the relation's block pair
+        src = (head - num_base) % num_base if head < 2 * num_base else head - 2 * num_base
+        hop = 1 if head < 2 * num_base else 2
         n_noise = int(round(noise_fraction * len(facts)))
-        have = set(facts)
-        added = 0
-        while added < n_noise:
-            need = n_noise - added
-            # keep noise inside the relation's block pair
-            src = (head - num_base) % num_base if head < 2 * num_base else head - 2 * num_base
-            hop = 1 if head < 2 * num_base else 2
-            bs, bd = blocks[src], blocks[(src + hop) % num_base]
-            hs = np.asarray(bs)[rng.integers(0, len(bs), size=2 * need)]
-            ts = np.asarray(bd)[rng.integers(0, len(bd), size=2 * need)]
-            for h, t in zip(hs, ts):
-                key = (int(h), int(t))
-                if key not in have:
-                    have.add(key)
-                    train_t.append((key[0], head, key[1]))
-                    added += 1
-                    if added == n_noise:
-                        break
+        noise = _sample_block_pairs(rng, blocks, src, (src + hop) % num_base, n_noise, facts)
+        train_t.extend((h, head, t) for h, t in noise)
 
     kg = build_graph(train_t, valid_t, test_t, (entity_ids, relation_ids))
     return kg, rules

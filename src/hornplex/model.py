@@ -35,6 +35,7 @@ __all__ = [
     "load_table",
     "read_array",
     "replacing",
+    "write_provenance",
     "export_table_csv",
 ]
 
@@ -125,8 +126,8 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     uniform on [0, bound/sqrt(2)] so every row is feasible by construction."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
-    if not bound > 0:  # NaN fails too
-        raise ValueError("bound must be positive")
+    if not 0 < bound < math.inf:  # NaN fails too
+        raise ValueError("bound must be positive and finite")
     rng = np.random.default_rng(seed)
     rel_scale = bound / np.sqrt(2.0)
     ent = np.empty((num_entities, 2 * dim))
@@ -407,6 +408,13 @@ def replacing(path, mode="w", **kwargs):
             os.remove(tmp)
         raise
 
+
+
+def write_provenance(handle, extra):
+    """The ``extra`` rows (e.g. the resolved config) as ``# key = value``
+    comment lines, in key order; ``extra`` may be None."""
+    for key in sorted(extra or ()):
+        handle.write(f"# {key} = {extra[key]}\n")
 
 def export_table_csv(table, entities_path, relations_path):
     """CSV export for diagnostics: one row per entity/relation with columns

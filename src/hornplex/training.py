@@ -16,6 +16,7 @@ constraints hold exactly throughout training.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -36,7 +37,6 @@ __all__ = [
     "sample_negatives",
     "sample_negatives_batch",
     "logistic_loss",
-    "compile_rules",
     "rule_penalty",
     "n3_regularization",
     "merge_row_grads",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 ADAGRAD_EPS = 1e-10
+NEGATIVE_ROUNDS = 100  # resampling rounds of sample_negatives_batch
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it.
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        # Each check is written so that NaN and inf fail it.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not self.batch_size >= 1:
             raise ValueError("batch_size must be at least 1")
         if not self.epochs >= 0:
             raise ValueError("epochs must be non-negative")
-        if not (self.mu >= 0 and self.eta >= 0):
-            raise ValueError("mu and eta must be non-negative")
+        if not (0 <= self.mu < math.inf and 0 <= self.eta < math.inf):
+            raise ValueError("mu and eta must be non-negative and finite")
         if not self.negatives_per_positive >= 1:
             raise ValueError("negatives_per_positive must be at least 1")
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
+        if not 0 < self.bound < math.inf:
+            raise ValueError("bound must be positive and finite")
         if not self.dim >= 1:
             raise ValueError("dim must be at least 1")
 
@@ -126,13 +127,12 @@ class AdagradState:
     epsilon: float = ADAGRAD_EPS
 
     @classmethod
-    def zeros(cls, num_entities, num_relations, dim, epsilon=ADAGRAD_EPS):
+    def zeros(cls, num_entities, num_relations, dim):
         return cls(
             np.zeros((num_entities, dim)),
             np.zeros((num_entities, dim)),
             np.zeros((num_relations, dim)),
             np.zeros((num_relations, dim)),
-            epsilon,
         )
 
 
@@ -140,11 +140,11 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def sample_negatives_batch(kg, positives, count, rng, max_attempts=100):
+def sample_negatives_batch(kg, positives, count, rng):
     """Corrupt each positive ``count`` times: fair coin per negative picks the
     head or tail slot, the slot entity is replaced by a uniform entity that
     differs from the original, and proposals colliding with the filter index
-    are resampled up to ``max_attempts`` rounds (then accepted as-is).
+    are resampled up to NEGATIVE_ROUNDS rounds (then accepted as-is).
 
     Returns an (B, count, 3) int array. Deterministic for a given ``rng``.
     """
@@ -158,7 +158,7 @@ def sample_negatives_batch(kg, positives, count, rng, max_attempts=100):
     ent = orig.copy()
 
     active = np.ones((B, count), dtype=bool)
-    for _ in range(max_attempts):
+    for _ in range(NEGATIVE_ROUNDS):
         idx = np.nonzero(active)
         k = idx[0].size
         if k == 0:
@@ -229,11 +229,6 @@ def logistic_loss(table, batch):
     return loss, entities, RowGrads(r, g_r_re, g_r_im)
 
 
-def compile_rules(rules):
-    """Pack ``rules`` into the index arrays ``rule_penalty`` works on."""
-    return RuleArrays.from_rules(rules)
-
-
 def rule_penalty(table, rules):
     """Hinge + squared penalty for a collection of Horn rules.
 
@@ -241,7 +236,7 @@ def rule_penalty(table, rules):
       lam * sum_l max(0, Re(hb_l)/R^k - Re(r_l)/R)      (real part, hinge)
     + lam * sum_l (Im(hb_l)/R^k - Im(r_l)/R)^2          (imaginary part)
 
-    ``rules`` is a list of HornRule or the ``compile_rules`` packing of one.
+    ``rules`` is a list of HornRule or the ``RuleArrays`` packing of one.
     The caller applies the global coefficient mu. The subgradient of the
     hinge at zero is taken as zero, so exactly satisfied rules contribute no
     gradient. Returns (loss, RowGrads over the touched relation rows). A
@@ -253,7 +248,7 @@ def rule_penalty(table, rules):
     positions), so the result does not depend on the windows.
     """
     if not isinstance(rules, RuleArrays):
-        rules = compile_rules(rules)
+        rules = RuleArrays.from_rules(rules)
     rules.check_relations(table.num_relations)
     dim = table.dim
     if len(rules) == 0:
@@ -384,7 +379,7 @@ def merge_row_grads(blocks):
 
 def step_gradients(table, batch, rules, mu, eta):
     """Losses and gradients of one step on logistic + mu * rule_penalty +
-    eta * N3 over ``batch``; ``rules`` is a ``compile_rules`` packing, or
+    eta * N3 over ``batch``; ``rules`` is a ``RuleArrays`` packing, or
     None. Returns ((logistic, rule, N3) losses, entity RowGrads, relation
     RowGrads), the gradients summed over the sorted unique rows the step
     touches: each row sums its logistic terms, then mu times its rule term,
@@ -441,7 +436,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     a rule relation id outside the graph is a ValueError naming the rule.
     """
     if config.mu > 0:
-        rules = compile_rules(rules)
+        rules = RuleArrays.from_rules(rules)
         rules.check_relations(kg.num_relations)
     else:
         rules = None

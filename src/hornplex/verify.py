@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import cmul
-from .model import project_relation_components, replacing
+from .kernel import body_product, cmul
+from .model import project_relation_components, replacing, write_provenance
 
 __all__ = [
     "TheoremReport",
@@ -62,19 +62,29 @@ class TheoremReport:
         return self.violations == 0
 
 
-def _phi(z0_re, z0_im, r_re, r_im, z1_re, z1_im):
-    """Re(z0 * r * conj(z1)) element-wise."""
-    p_re, p_im = cmul(z0_re, z0_im, r_re, r_im)
-    return p_re * z1_re + p_im * z1_im
+# Left side minus right side of each inequality form, per trial and
+# dimension, from the body scores phi (trials, d, k) and the head score
+# phi_h (trials, d) of a chain, and the bound R.
+_FORMS = {
+    # prod_i |phi_i/(2R)| <= |phi_h/(2R)|: the two-step composition form
+    "2R": lambda phi, phi_h, R: np.abs(phi / (2 * R)).prod(axis=2) - np.abs(phi_h / (2 * R)),
+    # prod_i (phi_i/R) <= phi_h/R: the chain form
+    "R": lambda phi, phi_h, R: (phi / R).prod(axis=2) - phi_h / R,
+    # prod_i |phi_i/R| <= phi_h/R
+    "R-abs": lambda phi, phi_h, R: np.abs(phi / R).prod(axis=2) - phi_h / R,
+}
 
 
-def _entity_max_modulus(theta):
-    """Largest modulus keeping both components of exp(i*theta) within [0, 1]."""
-    return 1.0 / np.maximum(np.cos(theta), np.sin(theta))
+def _phi(z0, r, z1):
+    """Re(z0 * r * conj(z1)) element-wise, for complex arrays stacked
+    [re, im] on their first axis."""
+    p_re, p_im = cmul(*z0, *r)
+    return p_re * z1[0] + p_im * z1[1]
 
 
 def _sample_chain(rng, trials, k, d, bound):
-    """Feasible body relations whose per-dimension phases sum to at most pi/2.
+    """Feasible body relations whose per-dimension phases sum to at most pi/2,
+    as (theta_total, theta_r, r) with r a (2, trials, d, k) [re, im] array.
 
     The budgeted phases guarantee that entities realizing all body triples
     with aligned phases exist inside the entity box, which is the regime the
@@ -87,23 +97,18 @@ def _sample_chain(rng, trials, k, d, bound):
         weights = rng.dirichlet(np.ones(k), size=(trials, d))
     theta_r = weights * theta_total[:, :, None]  # (trials, d, k)
     moduli = rng.uniform(0.0, bound, size=(trials, d, k))
-    r_re = moduli * np.cos(theta_r)
-    r_im = moduli * np.sin(theta_r)
-    return theta_total, theta_r, r_re, r_im
+    return theta_total, theta_r, moduli * np.stack([np.cos(theta_r), np.sin(theta_r)])
 
 
-def _construct_head(rng, r_re, r_im, bound, negative_control):
+def _construct_head(rng, r, bound, negative_control):
     """Head relation from the body product: real part gets non-negative slack
     (capped at the bound), imaginary part matches exactly. Dimensions the
-    projection has to alter (modulus above the bound) invalidate the trial."""
-    trials, d, k = r_re.shape
-    hb_re = r_re[:, :, 0].copy()
-    hb_im = r_im[:, :, 0].copy()
-    for i in range(1, k):
-        hb_re, hb_im = cmul(hb_re, hb_im, r_re[:, :, i], r_im[:, :, i])
+    projection has to alter (modulus above the bound) invalidate the trial.
+    Returns the projected head, a (2, trials, d) [re, im] array, and the
+    trials to skip."""
+    k = r.shape[3]
     # normalized product R * prod(r_i / R)
-    hat_re = hb_re / bound ** (k - 1)
-    hat_im = hb_im / bound ** (k - 1)
+    hat_re, hat_im = body_product(r.transpose(0, 3, 1, 2)) / bound ** (k - 1)
 
     if negative_control:
         head_re = np.zeros_like(hat_re)
@@ -112,61 +117,62 @@ def _construct_head(rng, r_re, r_im, bound, negative_control):
         # construction stays feasible (projection then only bites on
         # floating-point edge cases, which are skipped).
         headroom = np.maximum(np.sqrt(np.maximum(bound**2 - hat_im**2, 0.0)) - hat_re, 0.0)
-        slack = np.minimum(rng.uniform(0.0, bound / 10.0, size=(trials, d)), headroom)
+        slack = np.minimum(rng.uniform(0.0, bound / 10.0, size=hat_re.shape), headroom)
         head_re = np.minimum(bound, hat_re + slack)
-    head_im = hat_im.copy()
-
-    projected_re = head_re.copy()
-    projected_im = head_im.copy()
-    project_relation_components(projected_re, projected_im, bound)
-    broken = (projected_re != head_re) | (projected_im != head_im)
-    skip_trial = broken.any(axis=1)
-    return hat_re, hat_im, projected_re, projected_im, skip_trial
+    head = np.stack([head_re, hat_im])
+    projected = head.copy()
+    project_relation_components(*projected, bound)
+    return projected, (projected != head).any(axis=(0, 2))
 
 
-def _aligned_entities(rng, theta_total, theta_r, cap_intermediate):
-    """Entity chain z_0..z_k with telescoping phases: each body step's phase
-    sum r_i + z_{i-1} - z_i is exactly zero. Intermediate moduli can be capped
-    at 1 (the regime in which the R-normalized chain product is dominated)."""
+def _entities(rng, theta_total, theta_r, draw):
+    """Entity chain z_0..z_k inside the entity box, a (2, trials, d, k+1)
+    [re, im] array. ``draw`` is "aligned", "capped" or "unaligned". Aligned
+    chains have telescoping phases: each body step's phase sum
+    r_i + z_{i-1} - z_i is exactly zero. Capped ones are aligned with the
+    intermediate moduli capped at 1 (the regime in which the R-normalized
+    chain product is dominated). Unaligned ones draw every phase on
+    [0, pi/2]."""
     trials, d, k = theta_r.shape
-    theta_z0 = rng.uniform(0.0, 1.0, size=(trials, d)) * (np.pi / 2.0 - theta_total)
-    theta_z = np.empty((trials, d, k + 1))
-    theta_z[:, :, 0] = theta_z0
-    theta_z[:, :, 1:] = theta_z0[:, :, None] + np.cumsum(theta_r, axis=2)
+    if draw == "unaligned":
+        theta_z = rng.uniform(0.0, np.pi / 2.0, size=(trials, d, k + 1))
+    else:
+        theta_z0 = rng.uniform(0.0, 1.0, size=(trials, d)) * (np.pi / 2.0 - theta_total)
+        theta_z = np.empty((trials, d, k + 1))
+        theta_z[:, :, 0] = theta_z0
+        theta_z[:, :, 1:] = theta_z0[:, :, None] + np.cumsum(theta_r, axis=2)
 
-    max_mod = _entity_max_modulus(theta_z)
-    if cap_intermediate and k > 1:
+    # the largest modulus keeping both components of exp(i*theta) within [0, 1]
+    max_mod = 1.0 / np.maximum(np.cos(theta_z), np.sin(theta_z))
+    if draw == "capped" and k > 1:
         max_mod[:, :, 1:k] = np.minimum(max_mod[:, :, 1:k], 1.0)
     moduli = rng.uniform(0.0, 1.0, size=(trials, d, k + 1)) * max_mod
-    return moduli * np.cos(theta_z), moduli * np.sin(theta_z)
+    return moduli * np.stack([np.cos(theta_z), np.sin(theta_z)])
 
 
-def _body_scores(z_re, z_im, r_re, r_im):
-    k = r_re.shape[2]
-    return np.stack(
-        [
-            _phi(
-                z_re[:, :, i],
-                z_im[:, :, i],
-                r_re[:, :, i],
-                r_im[:, :, i],
-                z_re[:, :, i + 1],
-                z_im[:, :, i + 1],
-            )
-            for i in range(k)
-        ],
-        axis=2,
-    )  # (trials, d, k)
+def _chain_check(kind, k, d, bound, trials, seed, tolerance, negative_control, draw, forms):
+    """The seeded chain check behind every public checker: sample the body
+    relations, build the head, draw the entities as ``_entities`` does for
+    ``draw``, score the body and head triples and count the trials with a
+    dimension whose primary form of ``forms`` (a pair of ``_FORMS`` keys,
+    primary first) exceeds ``tolerance``."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    rng = np.random.default_rng(seed)
+    theta_total, theta_r, r = _sample_chain(rng, trials, k, d, bound)
+    head, skip = _construct_head(rng, r, bound, negative_control)
+    z = _entities(rng, theta_total, theta_r, draw)
 
+    phi_body = _phi(z[..., :k], r, z[..., 1:])  # (trials, d, k)
+    phi_head = _phi(z[..., 0], head, z[..., k])
+    excess, excess_alt = (_FORMS[form](phi_body, phi_head, bound) for form in forms)
 
-def _finish(kind, k, d, bound, seed, trials, skip, excess, excess_alt, tolerance):
     keep = ~skip
     viol_dim = (excess > tolerance) & keep[:, None]
     viol_alt_dim = (excess_alt > tolerance) & keep[:, None]
     violations = int(viol_dim.any(axis=1).sum())
-    max_violation = float(excess[viol_dim].max()) if violations else 0.0
     return TheoremReport(
-        kind=kind,
+        kind=kind + ("-control" if negative_control else ""),
         k=k,
         d=d,
         bound=bound,
@@ -175,7 +181,7 @@ def _finish(kind, k, d, bound, seed, trials, skip, excess, excess_alt, tolerance
         skipped=int(skip.sum()),
         violations=violations,
         violations_alt=int(viol_alt_dim.any(axis=1).sum()),
-        max_violation=max_violation,
+        max_violation=float(excess[viol_dim].max()) if violations else 0.0,
         tolerance=tolerance,
     )
 
@@ -187,32 +193,9 @@ def check_sufficient_condition_composition(
     per dimension, with the head satisfying the entailment construction and
     phase-aligned entities. The R-normalized variant is counted as
     ``violations_alt``."""
-    rng = np.random.default_rng(seed)
-    k = 2
-    theta_total, theta_r, r_re, r_im = _sample_chain(rng, trials, k, d, bound)
-    _, _, head_re, head_im, skip = _construct_head(rng, r_re, r_im, bound, negative_control)
-    z_re, z_im = _aligned_entities(rng, theta_total, theta_r, cap_intermediate=False)
-
-    phi_body = _body_scores(z_re, z_im, r_re, r_im)
-    phi_head = _phi(
-        z_re[:, :, 0], z_im[:, :, 0], head_re, head_im, z_re[:, :, k], z_im[:, :, k]
-    )
-
-    lhs = np.abs(phi_body[:, :, 0] / (2 * bound)) * np.abs(phi_body[:, :, 1] / (2 * bound))
-    rhs = np.abs(phi_head / (2 * bound))
-    lhs_alt = np.abs(phi_body / bound).prod(axis=2)
-    rhs_alt = phi_head / bound
-    return _finish(
-        "composition" if not negative_control else "composition-control",
-        k,
-        d,
-        bound,
-        seed,
-        trials,
-        skip,
-        lhs - rhs,
-        lhs_alt - rhs_alt,
-        tolerance,
+    return _chain_check(
+        "composition", 2, d, bound, trials, seed, tolerance, negative_control, "aligned",
+        ("2R", "R-abs"),
     )
 
 
@@ -225,33 +208,8 @@ def check_sufficient_condition_horn(
     up a factor |z_i|^2 per intermediate entity, so moduli above 1 escape the
     regime the inequality is proved in (the 2R-normalized variant, counted as
     ``violations_alt``, tolerates moduli up to sqrt(2))."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = np.random.default_rng(seed)
-    theta_total, theta_r, r_re, r_im = _sample_chain(rng, trials, k, d, bound)
-    _, _, head_re, head_im, skip = _construct_head(rng, r_re, r_im, bound, negative_control)
-    z_re, z_im = _aligned_entities(rng, theta_total, theta_r, cap_intermediate=True)
-
-    phi_body = _body_scores(z_re, z_im, r_re, r_im)
-    phi_head = _phi(
-        z_re[:, :, 0], z_im[:, :, 0], head_re, head_im, z_re[:, :, k], z_im[:, :, k]
-    )
-
-    lhs = (phi_body / bound).prod(axis=2)
-    rhs = phi_head / bound
-    lhs_alt = np.abs(phi_body / (2 * bound)).prod(axis=2)
-    rhs_alt = np.abs(phi_head / (2 * bound))
-    return _finish(
-        "horn" if not negative_control else "horn-control",
-        k,
-        d,
-        bound,
-        seed,
-        trials,
-        skip,
-        lhs - rhs,
-        lhs_alt - rhs_alt,
-        tolerance,
+    return _chain_check(
+        "horn", k, d, bound, trials, seed, tolerance, negative_control, "capped", ("R", "2R")
     )
 
 
@@ -262,28 +220,8 @@ def counterexample_search_unrestricted(
     phase alignment; reports how often prod_i |phi_i/R| exceeds the signed
     phi_head/R. Informational: the alignment is a premise of the proof, not a
     consequence of the constraints."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = np.random.default_rng(seed)
-    _, _, r_re, r_im = _sample_chain(rng, trials, k, d, bound)
-    _, _, head_re, head_im, skip = _construct_head(rng, r_re, r_im, bound, False)
-
-    theta_z = rng.uniform(0.0, np.pi / 2.0, size=(trials, d, k + 1))
-    moduli = rng.uniform(0.0, 1.0, size=(trials, d, k + 1)) * _entity_max_modulus(theta_z)
-    z_re = moduli * np.cos(theta_z)
-    z_im = moduli * np.sin(theta_z)
-
-    phi_body = _body_scores(z_re, z_im, r_re, r_im)
-    phi_head = _phi(
-        z_re[:, :, 0], z_im[:, :, 0], head_re, head_im, z_re[:, :, k], z_im[:, :, k]
-    )
-
-    lhs = np.abs(phi_body / bound).prod(axis=2)
-    rhs = phi_head / bound
-    lhs_alt = np.abs(phi_body / (2 * bound)).prod(axis=2)
-    rhs_alt = np.abs(phi_head / (2 * bound))
-    return _finish(
-        "unrestricted", k, d, bound, seed, trials, skip, lhs - rhs, lhs_alt - rhs_alt, tolerance
+    return _chain_check(
+        "unrestricted", k, d, bound, trials, seed, tolerance, False, "unaligned", ("R-abs", "2R")
     )
 
 
@@ -398,9 +336,7 @@ def write_reports(path, reports, extra=None):
     """One structured text record per configuration, written to a temporary
     file that then replaces ``path``."""
     with replacing(path, encoding="utf-8") as handle:
-        if extra:
-            for key in sorted(extra):
-                handle.write(f"# {key} = {extra[key]}\n")
+        write_provenance(handle, extra)
         for report in reports:
             handle.write(format_report(report) + "\n")
 

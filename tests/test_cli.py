@@ -256,6 +256,42 @@ def test_bad_input_exits_2_naming_the_file_and_line(workspace, capsys, file, lin
     )
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        (b"mu = 0.5", b"mu_ = 5.0", "[train] mu_: unknown key; [train] takes learning_rate,"),
+        (b"[fewshot]", b"[fewsht]", "[fewsht]: unknown section; the sections are paths,"),
+        (b"[paths]", b"[DEFAULT]\nseed = 1\n[paths]", "[DEFAULT]: unknown section"),
+        (
+            b"side = both",
+            b"side = sideways",
+            "[eval] side = 'sideways': expected one of both, head, tail",
+        ),
+    ],
+    ids=["unknown-key", "unknown-section", "default-section", "bad-side"],
+)
+def test_unknown_or_invalid_setting_stops_train_before_any_work(
+    workspace, capsys, old, new, expected
+):
+    config = workspace["config"]
+    config.write_bytes(config.read_bytes().replace(old, new, 1))
+    assert main(["--config", str(config), "train"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: {expected}")
+    assert not workspace["out"].exists()
+
+
+def test_unknown_split_in_the_config_names_the_file_and_key(workspace, capsys):
+    config = workspace["config"]
+    assert main(["--config", str(config), "train"]) == 0
+    config.write_bytes(config.read_bytes().replace(b"[eval]", b"[eval]\nsplit = tset", 1))
+    capsys.readouterr()
+    checkpoint = str(workspace["out"] / "checkpoint.bin")
+    assert main(["--config", str(config), "eval", "--checkpoint", checkpoint]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: [eval] split = 'tset': expected one of train, valid, test\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["eval", "diagnostics"])
 @pytest.mark.parametrize("extra_entities, extra_relations", [(5, 0), (-3, 0), (0, 1)])
 def test_checkpoint_not_matching_graph_is_rejected(

@@ -19,7 +19,7 @@ from hornplex import kernel
 from hornplex.evaluation import relation_rule_diagnostics
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
-from hornplex.training import TrainConfig, compile_rules, rule_penalty, train
+from hornplex.training import TrainConfig, rule_penalty, train
 
 
 @st.composite
@@ -85,7 +85,7 @@ def test_small_windows_change_nothing(case, budget):
 
 def test_windows_cut_the_length_groups_in_rule_order():
     lengths = [1, 2, 1, 3, 3, 1, 4, 2, 2, 1, 6]
-    arrays = compile_rules(
+    arrays = kernel.RuleArrays.from_rules(
         HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths
     )
     with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
@@ -136,7 +136,7 @@ def test_empty_rule_list():
 def _penalty_peak_bytes(table, num_rules):
     rng = np.random.default_rng(num_rules)
     m = table.num_relations
-    rules = compile_rules(
+    rules = kernel.RuleArrays.from_rules(
         HornRule(body=tuple(rng.integers(0, m, rng.integers(1, 5))), head=int(rng.integers(m)),
                  confidence=0.8)
         for _ in range(num_rules)

@@ -196,6 +196,11 @@ def test_init_validates_arguments():
         init_table(1, 1, 4, bound=float("nan"))
 
 
+
+def test_init_rejects_an_infinite_bound():
+    with pytest.raises(ValueError, match="bound must be positive and finite"):
+        init_table(2, 1, 2, bound=float("inf"))
+
 @given(st.integers(0, 2**32 - 1))
 def test_score_dim_bounded(seed):
     table = make_feasible_table(seed=seed, num_entities=6, num_relations=2, dim=4)

@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from hornplex.kernel import RuleArrays
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
 from hornplex.training import (
     AdagradState,
     LabeledBatch,
     adagrad_step,
-    compile_rules,
     step_gradients,
 )
 
@@ -28,7 +28,7 @@ ACCUMULATORS = ("ent_re_acc", "ent_im_acc", "rel_re_acc", "rel_im_acc")
 
 def fused_step(table, state, batch, rules, mu, eta, lr):
     """One step as ``train`` takes it; ``rules`` is a rule list."""
-    _, ent, rel = step_gradients(table, batch, compile_rules(rules), mu, eta)
+    _, ent, rel = step_gradients(table, batch, RuleArrays.from_rules(rules), mu, eta)
     adagrad_step(table, ent, rel, state, lr)
     project(table, ent.rows, rel.rows)
 

@@ -66,6 +66,20 @@ class TestTrainConfig:
         assert str(err.value).startswith(f"{path}: [train] ")
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "mu", "eta", "bound"])
+    def test_inf_is_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "mu", "eta", "bound"])
+    def test_inf_in_a_config_file_names_the_file(self, tmp_path, field):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[train]\n{field} = inf\n")
+        with pytest.raises(ValueError) as err:
+            load_run_config(path)
+        assert str(err.value).startswith(f"{path}: [train] ")
+        assert field in str(err.value)
+
     def test_labeled_batch_validation(self):
         with pytest.raises(ValueError):
             LabeledBatch(np.zeros((2, 3), dtype=int), np.array([1.0, 0.5]))

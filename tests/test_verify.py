@@ -146,6 +146,40 @@ class TestReports:
         assert all(isinstance(r, TheoremReport) for r in reports + controls)
 
 
+# (kind, k, d, skipped, violations, violations_alt) of every report of
+# default_suite(trials=500, seed=5, dims=(2, 8), ks=(1, 2, 3)), checks then
+# controls; any change to the order or number of draws moves them.
+PINNED_SUITE = [
+    ("composition", 2, 2, 0, 0, 59),
+    ("horn", 1, 2, 0, 0, 0),
+    ("horn", 2, 2, 0, 0, 0),
+    ("horn", 3, 2, 0, 0, 0),
+    ("composition", 2, 8, 0, 0, 201),
+    ("horn", 1, 8, 0, 0, 0),
+    ("horn", 2, 8, 0, 0, 0),
+    ("horn", 3, 8, 0, 0, 0),
+    ("composition-control", 2, 2, 0, 270, 358),
+    ("horn-control", 3, 2, 0, 171, 95),
+]
+# k -> (skipped, violations, violations_alt) of
+# counterexample_search_unrestricted(k, 4, trials=500, seed=3)
+PINNED_UNRESTRICTED = {1: (0, 223, 223), 2: (0, 252, 45), 3: (0, 140, 10)}
+
+
+class TestPinnedDraws:
+    def test_default_suite(self):
+        reports, controls, _ = default_suite(trials=500, seed=5, dims=(2, 8), ks=(1, 2, 3))
+        found = [
+            (r.kind, r.k, r.d, r.skipped, r.violations, r.violations_alt)
+            for r in reports + controls
+        ]
+        assert found == PINNED_SUITE
+
+    @pytest.mark.parametrize("k", sorted(PINNED_UNRESTRICTED))
+    def test_unrestricted_search(self, k):
+        r = counterexample_search_unrestricted(k, 4, trials=500, seed=3)
+        assert (r.skipped, r.violations, r.violations_alt) == PINNED_UNRESTRICTED[k]
+
 class TestGradientMachinery:
     def test_quadratic_probe_is_exact(self):
         x = np.array([0.3, -1.2, 2.0, 0.0])
