@@ -37,8 +37,29 @@ class RunConfig:
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in flat.items()}
 
 
-def _ints(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _at_least(least):
+    """A cast to an int of at least ``least``."""
+
+    def cast(text):
+        value = int(text)
+        if value < least:
+            raise ValueError(f"expected an integer of at least {least}")
+        return value
+
+    return cast
+
+
+def _list_of(cast):
+    """A cast to a non-empty tuple of ``cast``'s values, separated by commas
+    or spaces."""
+
+    def cast_all(text):
+        values = tuple(cast(x) for x in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("expected at least one value")
+        return values
+
+    return cast_all
 
 
 def _names(text):
@@ -64,11 +85,21 @@ SETTINGS = {
     "train": {f.name: f.type for f in fields(TrainConfig)},
     "eval": {
         "side": _one_of("both", "head", "tail"),
-        "hits": _ints,
+        "hits": _list_of(_at_least(1)),
         "split": _one_of("train", "valid", "test"),
     },
-    "fewshot": {"num_task_relations": int, "shots": _ints, "seed": int, "candidates": _names},
-    "verify": {"trials": int, "seed": int, "dims": _ints, "ks": _ints},
+    "fewshot": {
+        "num_task_relations": _at_least(1),
+        "shots": _list_of(_at_least(0)),
+        "seed": int,
+        "candidates": _names,
+    },
+    "verify": {
+        "trials": _at_least(1),
+        "seed": int,
+        "dims": _list_of(_at_least(1)),
+        "ks": _list_of(_at_least(1)),
+    },
 }
 
 

@@ -11,7 +11,7 @@ rule penalty switched on.
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def make_planted_kg(
     return kg, rules
 
 
-def default_experiment_config(seed=0):
+def default_experiment_config(seed):
     return TrainConfig(
         learning_rate=0.2,
         batch_size=64,
@@ -193,15 +193,14 @@ def _run_one(out_dir, name, kg, rules, config, eval_split):
     }
 
 
-def run_planted_comparison(out_dir, seed=0, mus=(0.1, 1.0, 10.0), config=None, kg_kwargs=None):
+def run_planted_comparison(out_dir, seed=0, mus=(0.1, 1.0, 10.0)):
     """Train the mu=0 baseline and one injected run per mu on a planted-rule
     graph (identical seeds), evaluate on the held-out rule-implied test set,
     and select the injected run by validation MRR. Writes per-run checkpoints,
     logs, and metrics plus a summary.json; returns the summary dict."""
     os.makedirs(out_dir, exist_ok=True)
-    kg, rules = make_planted_kg(seed=seed, **(kg_kwargs or {}))
-    config = config or default_experiment_config(seed)
-    config = replace(config, mu=0.0, seed=seed)
+    kg, rules = make_planted_kg(seed=seed)
+    config = default_experiment_config(seed)
 
     baseline = _run_one(out_dir, "baseline", kg, rules, config, kg.test)
     injected_runs = [
@@ -222,10 +221,8 @@ def run_planted_comparison(out_dir, seed=0, mus=(0.1, 1.0, 10.0), config=None, k
     return summary
 
 
-def run_zero_shot_comparison(
-    out_dir, seed=1, mu=1.0, num_task_relations=2, shots=0, config=None
-):
-    """Hold out task relations (drawn among planted rule heads) at the given
+def run_zero_shot_comparison(out_dir, seed=1, mu=1.0, shots=0):
+    """Hold out two task relations (drawn among planted rule heads) at the given
     shot count, then train baseline vs injected with identical seeds and
     evaluate on the held-out task triples.
 
@@ -244,13 +241,10 @@ def run_zero_shot_comparison(
     # the head of an injected rule, and a single body relation carries its
     # full fact set, which is what a cold-start relation can inherit.
     heads = tuple(rule.head for rule in rules if rule.length == 1)
-    spec = FewShotSpec(
-        num_task_relations=num_task_relations, shots=shots, seed=seed, candidates=heads
-    )
+    spec = FewShotSpec(num_task_relations=2, shots=shots, seed=seed, candidates=heads)
     kg, task, _supports = make_fewshot_split(full, spec)
 
-    config = config or default_experiment_config(seed)
-    config = replace(config, mu=0.0, seed=seed)
+    config = default_experiment_config(seed)
     baseline = _run_one(out_dir, "baseline", kg, rules, config, kg.test)
     injected = _run_one(out_dir, "injected", kg, rules, replace(config, mu=mu), kg.test)
 

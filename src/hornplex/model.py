@@ -23,8 +23,6 @@ __all__ = [
     "score",
     "score_triples",
     "score_dim",
-    "tail_factors",
-    "head_factors",
     "query_factors",
     "score_all_tails",
     "score_all_heads",
@@ -185,26 +183,6 @@ def score_dim(table, triple, l):
     return float((a * c - b * d) * e + (a * d + b * c) * f)
 
 
-def tail_factors(table, heads, relations):
-    """(Q, 2d) rows [v_re | v_im] with score(h, r, j) = ent[j] . row for every entity j."""
-    return np.concatenate(
-        _tail_factors(
-            table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
-        ),
-        axis=-1,
-    )
-
-
-def head_factors(table, relations, tails):
-    """(Q, 2d) rows [v_re | v_im] with score(i, r, t) = ent[i] . row for every entity i."""
-    return np.concatenate(
-        _head_factors(
-            table.rel_re[relations], table.rel_im[relations], table.ent_re[tails], table.ent_im[tails]
-        ),
-        axis=-1,
-    )
-
-
 def query_factors(table, triples, tail_side):
     """Factor rows and true scores of ranking queries, each row built once.
 
@@ -230,12 +208,14 @@ def query_factors(table, triples, tail_side):
 
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
-    return table.ent @ tail_factors(table, head, relation)
+    c, s = table.rel_re[relation], table.rel_im[relation]
+    return table.ent @ np.concatenate(_tail_factors(table.ent_re[head], table.ent_im[head], c, s))
 
 
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
-    return table.ent @ head_factors(table, relation, tail)
+    c, s = table.rel_re[relation], table.rel_im[relation]
+    return table.ent @ np.concatenate(_head_factors(c, s, table.ent_re[tail], table.ent_im[tail]))
 
 
 def project_relation_components(rel_re, rel_im, bound):

@@ -17,6 +17,7 @@ constraints hold exactly throughout training.
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -67,6 +68,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "validate_every", "negatives_per_positive", "dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         # Each check is written so that NaN and inf fail it.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")

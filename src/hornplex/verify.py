@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import body_product, cmul
+from . import training
+from .kernel import RuleArrays, body_product, cmul
 from .model import project_relation_components, replacing, write_provenance
 
 __all__ = [
@@ -226,97 +227,60 @@ def counterexample_search_unrestricted(
 
 
 def numerical_gradient(f, x, step=1e-6):
-    """Central finite differences of a scalar function, coordinate by coordinate."""
+    """Central finite differences of a scalar function ``f(x)``, coordinate by
+    coordinate. Each coordinate of the float64 array ``x`` is moved in place
+    and restored after its two calls, so ``f`` may read ``x`` through a view."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift.flat[i] = step
-        grad.flat[i] = (f(x + shift) - f(x - shift)) / (2.0 * step)
+        value = x.flat[i]
+        x.flat[i] = value + step
+        up = f(x)
+        x.flat[i] = value - step
+        down = f(x)
+        x.flat[i] = value
+        grad.flat[i] = (up - down) / (2.0 * step)
     return grad
 
 
-def _flatten_table(table):
-    return np.concatenate(
-        [table.ent_re.ravel(), table.ent_im.ravel(), table.rel_re.ravel(), table.rel_im.ravel()]
-    )
-
-
-def _unflatten_into(table, x):
-    n, m, d = table.num_entities, table.num_relations, table.dim
-    sizes = [n * d, n * d, m * d, m * d]
-    offsets = np.cumsum([0] + sizes)
-    for i, arr in enumerate((table.ent_re, table.ent_im, table.rel_re, table.rel_im)):
-        arr[...] = x[offsets[i] : offsets[i + 1]].reshape(arr.shape)
-
-
-def _dense_gradient(table, ent_blocks, rel_blocks):
-    """The flat gradient of every coordinate from RowGrads blocks, whose
-    rows may repeat."""
-    flat = []
-    for num_rows, blocks in ((table.num_entities, ent_blocks), (table.num_relations, rel_blocks)):
-        g_re = np.zeros((num_rows, table.dim))
-        g_im = np.zeros((num_rows, table.dim))
-        for g in blocks:
-            np.add.at(g_re, g.rows, g.re)
-            np.add.at(g_im, g.rows, g.im)
-        flat += [g_re.ravel(), g_im.ravel()]
-    return np.concatenate(flat)
-
-
-def gradient_check(
-    function,
-    table,
-    step=1e-6,
-    batch=None,
-    rules=None,
-    ent_rows=None,
-    rel_rows=None,
-    mu=1.0,
-    eta=1.0,
-):
+def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     """Max relative error |analytic - numeric| / max(1, |analytic|) over all
     embedding coordinates, for ``function`` in {'logistic', 'rule_penalty',
-    'n3', 'total'}. Raises on non-finite values."""
-    from . import training
-
-    if ent_rows is None:
-        ent_rows = np.arange(table.num_entities)
-    if rel_rows is None:
-        rel_rows = np.arange(table.num_relations)
+    'n3', 'total'}. N3 covers every row; 'total' is the objective of one
+    training step, ``training.step_gradients``, whose N3 covers the rows the
+    step touches. The analytic gradient is ``training.merge_row_grads`` of
+    the loss's own RowGrads. The numeric one moves one coordinate of a copy
+    of ``table`` at a time. Raises on non-finite values."""
+    if rules is not None:
+        rules = RuleArrays.from_rules(rules)
+    every_entity = np.arange(table.num_entities)
+    every_relation = np.arange(table.num_relations)
 
     def parts(tbl):
-        """(loss, entity RowGrads blocks, relation RowGrads blocks)."""
+        """(loss, entity RowGrads, relation RowGrads)."""
         if function == "logistic":
-            loss, ent, rel = training.logistic_loss(tbl, batch)
-            return loss, [ent], [rel]
+            return training.logistic_loss(tbl, batch)
         if function == "rule_penalty":
             loss, rel = training.rule_penalty(tbl, rules)
-            return loss, [], [rel]
+            return loss, training.RowGrads.empty(tbl.dim), rel
         if function == "n3":
-            loss, ent, rel = training.n3_regularization(tbl, ent_rows, rel_rows)
-            return loss, [ent], [rel]
+            return training.n3_regularization(tbl, every_entity, every_relation)
         if function == "total":
-            l_loss, l_ent, l_rel = training.logistic_loss(tbl, batch)
-            r_loss, r_rel = training.rule_penalty(tbl, rules)
-            n_loss, n_ent, n_rel = training.n3_regularization(tbl, ent_rows, rel_rows)
-            return (
-                l_loss + mu * r_loss + eta * n_loss,
-                [l_ent, n_ent.scaled(eta)],
-                [l_rel, r_rel.scaled(mu), n_rel.scaled(eta)],
-            )
+            (l_loss, r_loss, n_loss), ent, rel = training.step_gradients(tbl, batch, rules, mu, eta)
+            return l_loss + mu * r_loss + eta * n_loss, ent, rel
         raise ValueError(f"unknown function {function!r}")
 
     work = table.copy()
-    loss, ent_blocks, rel_blocks = parts(work)
-    analytic = _dense_gradient(work, ent_blocks, rel_blocks)
-
-    def loss_at(x):
-        probe = table.copy()
-        _unflatten_into(probe, x)
-        return parts(probe)[0]
-
-    numeric = numerical_gradient(loss_at, _flatten_table(table), step)
+    loss, ent, rel = parts(work)
+    ent, rel = training.merge_row_grads([ent]), training.merge_row_grads([rel])
+    analytic = [np.zeros_like(x) for x in (work.ent, work.rel_re, work.rel_im)]
+    analytic[0][ent.rows] = np.hstack((ent.re, ent.im))
+    analytic[1][rel.rows], analytic[2][rel.rows] = rel.re, rel.im
+    numeric = [
+        numerical_gradient(lambda _: parts(work)[0], x)
+        for x in (work.ent, work.rel_re, work.rel_im)
+    ]
+    analytic, numeric = np.concatenate(analytic, None), np.concatenate(numeric, None)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all() and np.isfinite(loss)):
         raise ValueError("non-finite values encountered during gradient check")
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))

@@ -292,6 +292,16 @@ def test_unknown_split_in_the_config_names_the_file_and_key(workspace, capsys):
     )
 
 
+def test_empty_verify_dims_exits_2_with_the_file_and_key(workspace, capsys):
+    config = workspace["config"]
+    config.write_bytes(config.read_bytes().replace(b"dims = 2", b"dims =", 1))
+    assert main(["--config", str(config), "verify"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: [verify] dims = '': expected at least one value\n"
+    )
+    assert not workspace["out"].exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "diagnostics"])
 @pytest.mark.parametrize("extra_entities, extra_relations", [(5, 0), (-3, 0), (0, 1)])
 def test_checkpoint_not_matching_graph_is_rejected(

@@ -39,19 +39,39 @@ def tsv(*extra):
     return st.one_of(st.binary(max_size=120), st.lists(line, max_size=8).map(b"\n".join))
 
 
-def ini(sections, keys, *values):
-    """Arbitrary bytes, or sections with distinct names, each a header and
-    ``key = value`` lines with distinct keys, the values made of ``values``."""
+def ini(sections, *values):
+    """Sections with distinct names, each a header and ``key = value`` lines
+    with distinct keys from the section's list in the dict ``sections``, the
+    values made of ``values``."""
     value = st.lists(st.sampled_from([v.encode() for v in values]), max_size=2).map(b"".join)
-    pairs = st.dictionaries(st.sampled_from([key.encode() for key in keys]), value, max_size=4)
-    section = st.tuples(st.sampled_from([name.encode() for name in sections]), pairs)
-    text = st.lists(section, max_size=4, unique_by=lambda s: s[0]).map(
+
+    def section(name):
+        keys = st.sampled_from([key.encode() for key in sections[name]])
+        return st.tuples(st.just(name.encode()), st.dictionaries(keys, value, max_size=4))
+
+    return st.lists(
+        st.sampled_from(list(sections)).flatmap(section), max_size=4, unique_by=lambda s: s[0]
+    ).map(
         lambda parts: b"\n".join(
             b"[%s]\n" % name + b"".join(b"%s = %s\n" % pair for pair in body.items())
             for name, body in parts
         )
     )
-    return st.one_of(st.binary(max_size=120), text)
+
+
+def load_run_config_in_range(path):
+    """``load_run_config``, asserting that every list and count it loads
+    holds values in its range."""
+    cfg = load_run_config(path)
+    for values, least in (
+        (cfg.eval_hits, 1),
+        (cfg.verify_dims, 1),
+        (cfg.verify_ks, 1),
+        (cfg.fewshot_shots, 0),
+        ((cfg.verify_trials, cfg.fewshot_num_task_relations), 1),
+    ):
+        assert values and min(values) >= least, (values, least)
+    return cfg
 
 
 READERS = {
@@ -68,14 +88,33 @@ READERS = {
     ),
     "dictionary": (read_dictionary, TripleFileError, tsv("a", "2", "١", "+3", "0x1")),
     "run-config": (
-        load_run_config,
+        load_run_config_in_range,
         ValueError,
-        ini(
-            ["train", "paths", "eval", "fewshot", "verify", "other", ""],
-            ["learning_rate", "batch_size", "epochs", "mu", "bound", "dim", "seed", "hits",
-             "side", "split", "num_task_relations", "shots", "candidates", "trials", "ks",
-             "train", "output_dir"],
-            "%", "%%", "%(x)s", "%(mu)s", ",", "0", "1", "-1", "0.5", "1e9", "nan", "x", " ",
+        st.one_of(
+            st.binary(max_size=120),
+            # each section draws its own keys and one that belongs elsewhere
+            ini(
+                {
+                    "train": ["learning_rate", "batch_size", "epochs", "mu", "bound", "dim",
+                              "seed", "hits"],
+                    "paths": ["train", "output_dir", "mu"],
+                    "eval": ["hits", "side", "split", "seed"],
+                    "fewshot": ["num_task_relations", "shots", "seed", "candidates", "ks"],
+                    "verify": ["trials", "seed", "dims", "ks", "shots"],
+                    "other": ["mu"],
+                    "": ["mu"],
+                },
+                "%", "%%", "%(x)s", "%(mu)s", ",", "0", "1", "-1", "0.5", "1e9", "nan", "x", " ",
+            ),
+            # non-empty files of the integer lists and counts alone, most of which load
+            ini(
+                {
+                    "eval": ["hits"],
+                    "fewshot": ["num_task_relations", "shots"],
+                    "verify": ["trials", "dims", "ks"],
+                },
+                ",", "0", "1", "-1", " ",
+            ).filter(bool),
         ),
     ),
 }
@@ -131,8 +170,38 @@ def test_load_table_returns_or_raises_on_patched_dumps(scratch_file, patches, cu
         ("[train]\nmu = %\n", ["[train] mu = '%'", "'%' must be followed"]),
         ("[paths]\ntrain = %(x)s\n", ["[paths] train = '%(x)s'", "interpolation key 'x'"]),
         ("[train]\nbound = -1\n", ["[train] bound must be positive"]),
+        ("[eval]\nhits =\n", ["[eval] hits = '': expected at least one value"]),
+        ("[eval]\nhits = 0,-3\n", ["[eval] hits = '0,-3': expected an integer of at least 1"]),
+        ("[verify]\ndims =\n", ["[verify] dims = '': expected at least one value"]),
+        ("[verify]\ndims = 2,0\n", ["[verify] dims = '2,0': expected an integer of at least 1"]),
+        ("[verify]\nks =\n", ["[verify] ks = '': expected at least one value"]),
+        ("[verify]\nks = 0\n", ["[verify] ks = '0': expected an integer of at least 1"]),
+        ("[verify]\ntrials = -5\n", ["[verify] trials = '-5': expected an integer of at least 1"]),
+        (
+            "[fewshot]\nnum_task_relations = 0\n",
+            ["[fewshot] num_task_relations = '0': expected an integer of at least 1"],
+        ),
+        ("[fewshot]\nshots =\n", ["[fewshot] shots = '': expected at least one value"]),
+        (
+            "[fewshot]\nshots = 0,-1\n",
+            ["[fewshot] shots = '0,-1': expected an integer of at least 0"],
+        ),
     ],
-    ids=["bad-percent", "unknown-interpolation", "rejected-by-train-config"],
+    ids=[
+        "bad-percent",
+        "unknown-interpolation",
+        "rejected-by-train-config",
+        "empty-hits",
+        "hits-below-1",
+        "empty-dims",
+        "dims-below-1",
+        "empty-ks",
+        "ks-below-1",
+        "trials-below-1",
+        "num-task-relations-below-1",
+        "empty-shots",
+        "shots-below-0",
+    ],
 )
 def test_run_config_value_errors_name_the_file(tmp_path, text, parts):
     path = tmp_path / "run.ini"

@@ -52,6 +52,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(negatives_per_positive=0)
 
+    @pytest.mark.parametrize(
+        "field", ["batch_size", "epochs", "validate_every", "negatives_per_positive", "dim"]
+    )
+    @pytest.mark.parametrize("value", [2.5, math.inf, True], ids=["fraction", "inf", "bool"])
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        assert TrainConfig(epochs=np.int64(2), dim=np.int32(4)).dim == 4
+
     @pytest.mark.parametrize("field", ["learning_rate", "mu", "eta", "bound"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(ValueError, match=field):

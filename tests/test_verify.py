@@ -3,7 +3,10 @@ finite-difference machinery."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hornplex import training
 from hornplex.kg import Triple
 from hornplex.model import EmbeddingTable, score
 from hornplex.rules import HornRule
@@ -180,6 +183,28 @@ class TestPinnedDraws:
         r = counterexample_search_unrestricted(k, 4, trials=500, seed=3)
         assert (r.skipped, r.violations, r.violations_alt) == PINNED_UNRESTRICTED[k]
 
+
+TOTAL_RULES = [
+    HornRule(body=(0,), head=2, confidence=0.9),
+    HornRule(body=(0, 1), head=2, confidence=0.8),
+]
+
+
+def hinge_inactive_point(seed, bound):
+    """A feasible table with relation bound ``bound`` and a labeled batch.
+    As in acceptance criterion 2, the body relations 0 and 1 are small and
+    the head relation 2 has large real parts, so every hinge of
+    ``TOTAL_RULES`` is strictly inactive."""
+    rng = np.random.default_rng(seed)
+    table = make_feasible_table(seed=seed, num_entities=6, num_relations=3, dim=4, bound=bound)
+    table.rel_re[:2] = rng.uniform(0.0, 0.25 * bound, (2, 4))
+    table.rel_im[:2] = rng.uniform(0.0, 0.25 * bound, (2, 4))
+    table.rel_re[2] = rng.uniform(0.6 * bound, 0.7 * bound, 4)
+    table.rel_im[2] = rng.uniform(0.0, 0.3 * bound, 4)
+    triples = np.column_stack([rng.integers(0, 6, 6), rng.integers(0, 3, 6), rng.integers(0, 6, 6)])
+    return table, LabeledBatch(triples, np.where(rng.random(6) < 0.5, 1.0, -1.0))
+
+
 class TestGradientMachinery:
     def test_quadratic_probe_is_exact(self):
         x = np.array([0.3, -1.2, 2.0, 0.0])
@@ -202,14 +227,33 @@ class TestGradientMachinery:
         ]
         assert gradient_check("rule_penalty", table, rules=rules) < 1e-6
 
-    def test_total_gradient(self):
-        table = make_feasible_table(seed=23, num_entities=6, num_relations=3, dim=4)
-        batch = LabeledBatch(
-            np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5]]), np.array([1.0, -1.0, 1.0])
-        )
-        rules = [HornRule(body=(0, 1), head=2, confidence=0.8)]
-        err = gradient_check("total", table, batch=batch, rules=rules, mu=0.7, eta=0.05)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.sampled_from([0.0, 0.7]),
+        eta=st.sampled_from([0.0, 0.05]),
+        bound=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_total_gradient(self, seed, mu, eta, bound):
+        table, batch = hinge_inactive_point(seed, bound)
+        err = gradient_check("total", table, batch=batch, rules=TOTAL_RULES, mu=mu, eta=eta)
         assert err < 1e-5
+
+    def test_total_differentiates_the_merge_of_a_step(self, monkeypatch):
+        # a merge that drops every block after the first loses the rule
+        # term of the relation gradient, and the check must see it
+        merge = training.merge_row_grads
+        monkeypatch.setattr(training, "merge_row_grads", lambda blocks: merge(blocks[:1]))
+        table, batch = hinge_inactive_point(25, 1.0)
+        err = gradient_check("total", table, batch=batch, rules=TOTAL_RULES, mu=0.7, eta=0.05)
+        assert err > 1e-3
+
+    @pytest.mark.parametrize("function", ["logistic", "rule_penalty", "n3", "total"])
+    def test_table_is_left_unchanged(self, function):
+        table, batch = hinge_inactive_point(26, 1.0)
+        arrays = (table.ent, table.rel_re, table.rel_im)
+        before = [a.tobytes() for a in arrays]
+        gradient_check(function, table, batch=batch, rules=TOTAL_RULES, mu=0.7, eta=0.05)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_unknown_function_rejected(self):
         table = make_feasible_table(seed=24)
