@@ -91,12 +91,12 @@ SETTINGS = {
     "fewshot": {
         "num_task_relations": _at_least(1),
         "shots": _list_of(_at_least(0)),
-        "seed": int,
+        "seed": _at_least(0),
         "candidates": _names,
     },
     "verify": {
         "trials": _at_least(1),
-        "seed": int,
+        "seed": _at_least(0),
         "dims": _list_of(_at_least(1)),
         "ks": _list_of(_at_least(1)),
     },
@@ -117,7 +117,8 @@ def load_run_config(path=None, overrides=None):
     ``SETTINGS`` is one naming the file and the section or key, and so is a
     malformed value (one that fails its cast, its choices or its "%"
     interpolation); training values that ``TrainConfig`` rejects are one
-    naming the file and the section."""
+    naming the file and the section. A negative ``seed`` override is one
+    naming ``--seed``."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -158,6 +159,8 @@ def load_run_config(path=None, overrides=None):
         cfg.output_dir = overrides["output_dir"]
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
+        if seed < 0:
+            raise ValueError(f"--seed {seed}: expected an integer of at least 0")
         cfg.train = replace(cfg.train, seed=seed)
         cfg.fewshot_seed = seed
         cfg.verify_seed = seed

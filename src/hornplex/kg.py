@@ -7,6 +7,7 @@ reproducible for fixed input files. Duplicate triples are kept in the split
 arrays (they weight the loss) but stored once in the sorted fact codes.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 
+READ_CHARS = 1 << 16  # characters per block of ``read_lines``
+
+
 class Triple(NamedTuple):
     head: int
     relation: int
@@ -41,12 +45,28 @@ class TripleFileError(ValueError):
 
 
 def read_lines(path, error):
-    """The lines of the UTF-8 text file ``path``, as ``open`` reads them. A
-    byte that is not UTF-8 raises ``error`` (an exception class) naming the
-    file, the line and the byte offset."""
+    """The lines of the UTF-8 text file ``path``, as ``open`` reads them but
+    without their "\n" (a "\r\n" or "\r" line end reads as "\n"). A byte
+    that is not UTF-8 raises ``error`` (an exception class) naming the file,
+    the line and the byte offset.
+
+    The file is read ``READ_CHARS`` characters at a time and each block is
+    split at once, so the loop over the lines runs in C."""
+    return itertools.chain.from_iterable(_line_blocks(path, error))
+
+
+def _line_blocks(path, error):
+    """The lines of ``path``, one list per block; a block's unfinished last
+    line is carried to the next."""
     try:
         with open(path, encoding="utf-8") as handle:
-            yield from handle
+            carry = ""
+            while block := handle.read(READ_CHARS):
+                lines = (carry + block).split("\n")
+                carry = lines.pop()
+                yield lines
+            if carry:
+                yield (carry,)
     except UnicodeDecodeError as err:
         raise error(_not_utf8(path, err)) from None
 
@@ -82,16 +102,9 @@ def load_triples(path, dicts=None, frozen=False):
     else:
         entity_ids, relation_ids = dicts
 
-    def resolve(table, name, lineno, what):
-        if frozen and name not in table:
-            raise TripleFileError(
-                f"{path}:{lineno}: unknown {what} {name!r} with frozen dictionaries"
-            )
-        return table.setdefault(name, len(table))
-
+    entity_id, relation_id = entity_ids.setdefault, relation_ids.setdefault
     ids = []
     for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split("\t")
@@ -100,9 +113,21 @@ def load_triples(path, dicts=None, frozen=False):
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
         h, r, t = fields
-        ids.append(resolve(entity_ids, h, lineno, "entity"))
-        ids.append(resolve(relation_ids, r, lineno, "relation"))
-        ids.append(resolve(entity_ids, t, lineno, "entity"))
+        if frozen and not (h in entity_ids and r in relation_ids and t in entity_ids):
+            what, name = (
+                ("entity", h) if h not in entity_ids
+                else ("relation", r) if r not in relation_ids
+                else ("entity", t)
+            )
+            raise TripleFileError(
+                f"{path}:{lineno}: unknown {what} {name!r} with frozen dictionaries"
+            )
+        # one tuple: h is resolved before r, and r before t
+        ids.extend((
+            entity_id(h, len(entity_ids)),
+            relation_id(r, len(relation_ids)),
+            entity_id(t, len(entity_ids)),
+        ))
     return np.array(ids, dtype=np.int64).reshape(-1, 3), (entity_ids, relation_ids)
 
 
@@ -261,7 +286,6 @@ def read_dictionary(path):
     """Read a dictionary dump back into a str->int map."""
     table = {}
     for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split("\t")
@@ -280,7 +304,6 @@ def check_dictionary(path, names):
     file, the line and both names."""
     count = lineno = 0
     for lineno, line in enumerate(read_lines(path, TripleFileError), start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split("\t")

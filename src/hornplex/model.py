@@ -17,6 +17,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .kernel import cmul
+
 __all__ = [
     "EmbeddingTable",
     "init_table",
@@ -139,15 +141,12 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     )
 
 
-def _tail_factors(a, b, c, d):
-    """Halves v_re, v_im of (a + ib)(c + id), from a head's halves a, b and a
-    relation's c, d: score(h, r, t) = e_t_re . v_re + e_t_im . v_im."""
-    return a * c - b * d, a * d + b * c
-
-
 def _head_factors(c, d, e, f):
     """Halves v_re, v_im of (c - id)(e + if), from a relation's halves c, d
-    and a tail's e, f: score(h, r, t) = e_h_re . v_re + e_h_im . v_im."""
+    and a tail's e, f: score(h, r, t) = e_h_re . v_re + e_h_im . v_im. With
+    a head's halves for c, d, score(h, r, t) = r_re . v_re + r_im . v_im.
+    (The tail factors, (a + ib)(c + id) from a head and a relation, are
+    ``kernel.cmul``.)"""
     return c * e + d * f, c * f - d * e
 
 
@@ -161,7 +160,7 @@ def score_triples(table, heads, relations, tails):
 
     Each score is two dot products of length d, one per row: the bits of a
     score depend only on the three rows, not on the other triples."""
-    v_re, v_im = _tail_factors(
+    v_re, v_im = cmul(
         table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
     )
     return _tail_dot(table.ent_re[tails], table.ent_im[tails], v_re, v_im)
@@ -197,7 +196,7 @@ def query_factors(table, triples, tail_side):
     # would first copy the whole strided half.)
     c, s = table.rel_re[r], table.rel_im[r]
     e, f = table.ent_re[t], table.ent_im[t]
-    v_re, v_im = _tail_factors(table.ent_re[h], table.ent_im[h], c, s)
+    v_re, v_im = cmul(table.ent_re[h], table.ent_im[h], c, s)
     true = _tail_dot(e, f, v_re, v_im)
     rows = np.concatenate((v_re, v_im), axis=1)
     head = np.nonzero(~tail_side)[0]
@@ -209,7 +208,7 @@ def query_factors(table, triples, tail_side):
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
     c, s = table.rel_re[relation], table.rel_im[relation]
-    return table.ent @ np.concatenate(_tail_factors(table.ent_re[head], table.ent_im[head], c, s))
+    return table.ent @ np.concatenate(cmul(table.ent_re[head], table.ent_im[head], c, s))
 
 
 def score_all_heads(table, relation, tail):

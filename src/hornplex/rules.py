@@ -64,7 +64,6 @@ def parse_rules(path, relation_ids):
     """
     rules = []
     for lineno, line in enumerate(read_lines(path, RuleFileError), start=1):
-        line = line.rstrip("\n")
         if not line or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

@@ -24,9 +24,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RuleArrays, Scratch, body_vectors, gradient_factors, rule_gaps
+from .kernel import RuleArrays, Scratch, body_vectors, cmul, gradient_factors, rule_gaps
 from .kg import Triple, read_lines
-from .model import init_table, load_table, project, read_array, replacing, save_table
+from .model import (
+    _head_factors,
+    init_table,
+    load_table,
+    project,
+    read_array,
+    replacing,
+    save_table,
+)
 
 __all__ = [
     "TrainConfig",
@@ -68,7 +76,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "validate_every", "negatives_per_positive", "dim"):
+        for name in (
+            "batch_size", "epochs", "validate_every", "negatives_per_positive", "dim", "seed"
+        ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -87,6 +97,8 @@ class TrainConfig:
             raise ValueError("bound must be positive and finite")
         if not self.dim >= 1:
             raise ValueError("dim must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -210,28 +222,23 @@ def logistic_loss(table, batch):
     c, d = table.rel_re[r], table.rel_im[r]
     e, f = table.ent_re[t], table.ent_im[t]
 
-    phi = np.einsum("ij,ij->i", a * c - b * d, e) + np.einsum(
-        "ij,ij->i", a * d + b * c, f
-    )
+    v_re, v_im = cmul(a, b, c, d)  # the tail factors, as in ``model.score_triples``
+    phi = np.einsum("ij,ij->i", v_re, e) + np.einsum("ij,ij->i", v_im, f)
     z = batch.labels * phi
     exp_neg = np.exp(-np.abs(z))
     loss = float(np.sum(np.maximum(-z, 0.0) + np.log1p(exp_neg)))
     sigma_neg = np.where(z >= 0, exp_neg / (1.0 + exp_neg), 1.0 / (1.0 + exp_neg))
     coeff = (-batch.labels * sigma_neg)[:, None]
 
-    g_h_re = coeff * (c * e + d * f)
-    g_h_im = coeff * (c * f - d * e)
-    g_r_re = coeff * (a * e + b * f)
-    g_r_im = coeff * (a * f - b * e)
-    g_t_re = coeff * (a * c - b * d)
-    g_t_im = coeff * (a * d + b * c)
-
+    # the score's gradients in the head and relation rows; in the tail's, v
+    dh_re, dh_im = _head_factors(c, d, e, f)
+    dr_re, dr_im = _head_factors(a, b, e, f)
     entities = RowGrads(
         np.concatenate([h, t]),
-        np.concatenate([g_h_re, g_t_re]),
-        np.concatenate([g_h_im, g_t_im]),
+        np.concatenate([coeff * dh_re, coeff * v_re]),
+        np.concatenate([coeff * dh_im, coeff * v_im]),
     )
-    return loss, entities, RowGrads(r, g_r_re, g_r_im)
+    return loss, entities, RowGrads(r, coeff * dr_re, coeff * dr_im)
 
 
 def rule_penalty(table, rules):

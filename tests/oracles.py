@@ -1,6 +1,7 @@
 """Independent slow-path oracles used to cross-check the package's fast paths.
 
 These deliberately avoid the indices and vectorized formulas of the library:
+the triple loader takes each line from ``open`` and each symbol on its own,
 membership is a linear scan over the rows of the raw splits, ranking
 materializes and sorts whole candidate lists, and rule confidence enumerates
 entity tuples exhaustively. The rule penalty and the rule diagnostics loop over rules one
@@ -12,9 +13,39 @@ table.
 import numpy as np
 
 from hornplex import training
-from hornplex.kg import Triple
+from hornplex.kg import Triple, TripleFileError
 from hornplex.model import project, score
 from hornplex.training import RowGrads
+
+
+def load_triples(path, dicts=None, frozen=False):
+    """``hornplex.kg.load_triples`` line by line, for UTF-8 files: each line
+    from ``open``, each symbol resolved by its own call."""
+    entity_ids, relation_ids = ({}, {}) if dicts is None else dicts
+
+    def resolve(table, name, lineno, what):
+        if frozen and name not in table:
+            raise TripleFileError(
+                f"{path}:{lineno}: unknown {what} {name!r} with frozen dictionaries"
+            )
+        return table.setdefault(name, len(table))
+
+    ids = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise TripleFileError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            h, r, t = fields
+            ids.append(resolve(entity_ids, h, lineno, "entity"))
+            ids.append(resolve(relation_ids, r, lineno, "relation"))
+            ids.append(resolve(entity_ids, t, lineno, "entity"))
+    return np.array(ids, dtype=np.int64).reshape(-1, 3), (entity_ids, relation_ids)
 
 
 def split_rows(kg):

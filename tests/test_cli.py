@@ -280,6 +280,40 @@ def test_unknown_or_invalid_setting_stops_train_before_any_work(
     assert not workspace["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, command, expected",
+    [
+        (b"seed = 3", b"seed = -1", "train", "{config}: [train] seed must be non-negative"),
+        (
+            b"seed = 2",
+            b"seed = -1",
+            "fewshot",
+            "{config}: [fewshot] seed = '-1': expected an integer of at least 0",
+        ),
+        (
+            b"seed = 4",
+            b"seed = -1",
+            "verify",
+            "{config}: [verify] seed = '-1': expected an integer of at least 0",
+        ),
+    ],
+    ids=["train", "fewshot", "verify"],
+)
+def test_negative_seed_in_the_config_names_the_file_and_key(
+    workspace, capsys, old, new, command, expected
+):
+    config = workspace["config"]
+    config.write_bytes(config.read_bytes().replace(old, new, 1))
+    assert main(["--config", str(config), command]) == 2
+    assert capsys.readouterr().err == f"error: {expected.format(config=config)}\n"
+    assert not workspace["out"].exists()
+
+
+def test_negative_seed_flag_is_named(workspace, capsys):
+    assert main(["--config", str(workspace["config"]), "--seed", "-1", "verify"]) == 2
+    assert capsys.readouterr().err == "error: --seed -1: expected an integer of at least 0\n"
+
+
 def test_unknown_split_in_the_config_names_the_file_and_key(workspace, capsys):
     config = workspace["config"]
     assert main(["--config", str(config), "train"]) == 0

@@ -53,12 +53,16 @@ class TestTrainConfig:
             TrainConfig(negatives_per_positive=0)
 
     @pytest.mark.parametrize(
-        "field", ["batch_size", "epochs", "validate_every", "negatives_per_positive", "dim"]
+        "field", ["batch_size", "epochs", "validate_every", "negatives_per_positive", "dim", "seed"]
     )
     @pytest.mark.parametrize("value", [2.5, math.inf, True], ids=["fraction", "inf", "bool"])
     def test_integer_field_rejects_a_non_integer(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(**{field: value})
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
 
     def test_integer_fields_take_numpy_integers(self):
         assert TrainConfig(epochs=np.int64(2), dim=np.int32(4)).dim == 4
