@@ -1,9 +1,10 @@
 """Command-line interface: train, eval, rules, fewshot, verify, diagnostics.
 
 Every command takes ``--config`` (INI run file) plus ``--seed`` and
-``--output-dir`` overrides, and writes its artifacts with the resolved
-configuration embedded. All commands are deterministic under fixed config and
-seed.
+``--output-dir``, which, like ``eval --split`` and ``verify --trials``,
+override the config keys ``config.FLAGS`` names. Every command writes its
+artifacts with the resolved configuration embedded. All commands are
+deterministic under fixed config and seed.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import os
 import sys
 
 from . import evaluation, fewshot, model, rules as rules_mod, training, verify
-from .config import load_run_config
+from .config import FLAGS, load_run_config
 from .kg import check_dictionary, load_graph, write_dictionary
 
 __all__ = ["main", "entry_point"]
@@ -22,17 +23,15 @@ class CliError(Exception):
     pass
 
 
-def _overrides(args):
-    return {
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-    }
-
-
 def _load_config(args, need_config=True):
     if args.config is None and need_config:
         raise CliError("a --config file is required for this command")
     return load_run_config(args.config, _overrides(args))
+
+
+def _overrides(args):
+    """The text of each ``FLAGS`` flag given on the command line."""
+    return {flag: getattr(args, flag) for flag in FLAGS if getattr(args, flag, None) is not None}
 
 
 def _load_kg(cfg):
@@ -113,9 +112,7 @@ def cmd_eval(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
     table = _load_table(args.checkpoint, kg)
-    split = {"train": kg.train, "valid": kg.valid, "test": kg.test}[
-        args.split or cfg.eval_split
-    ]
+    split = {"train": kg.train, "valid": kg.valid, "test": kg.test}[cfg.eval_split]
     report = evaluation.evaluate(table, kg, split, side=cfg.eval_side, hits=cfg.eval_hits)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -187,8 +184,7 @@ def cmd_fewshot(args):
 
 def cmd_verify(args):
     cfg = _load_config(args, need_config=False)
-    trials = args.trials or cfg.verify_trials
-    seed = cfg.verify_seed if args.seed is None else args.seed
+    trials, seed = cfg.verify_trials, cfg.verify_seed
     reports, controls, passed = verify.default_suite(
         trials=trials, seed=seed, dims=cfg.verify_dims, ks=cfg.verify_ks
     )
@@ -240,15 +236,15 @@ def build_parser():
         description="Complex-embedding KG training with Horn-rule injection.",
     )
     parser.add_argument("--config", help="INI run configuration file")
-    parser.add_argument("--seed", type=int, help="override every seed in the config")
-    parser.add_argument("--output-dir", help="override the output directory")
+    parser.add_argument("--seed", help="override [train], [fewshot] and [verify] seed")
+    parser.add_argument("--output-dir", help="override [paths] output_dir")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("train", help="train embeddings per the config").set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="filtered ranking evaluation of a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", choices=("train", "valid", "test"))
+    p_eval.add_argument("--split", help="override [eval] split")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_rules = sub.add_parser("rules", help="rule utilities")
@@ -267,7 +263,7 @@ def build_parser():
     sub.add_parser("fewshot", help="construct zero/few-shot splits").set_defaults(fn=cmd_fewshot)
 
     p_verify = sub.add_parser("verify", help="run the theorem verification suite")
-    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--trials", help="override [verify] trials")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_diag = sub.add_parser("diagnostics", help="rule-constraint gaps of a checkpoint")

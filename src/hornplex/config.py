@@ -1,12 +1,12 @@
 """Run configuration files: flat INI with sections, CLI flags override values."""
 
 import configparser
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from .kg import read_lines
 from .training import TrainConfig
 
-__all__ = ["RunConfig", "load_run_config"]
+__all__ = ["FLAGS", "RunConfig", "load_run_config"]
 
 
 @dataclass
@@ -63,7 +63,14 @@ def _list_of(cast):
 
 
 def _names(text):
-    return tuple(name.strip() for name in text.split(",") if name.strip())
+    """A cast to a non-empty tuple of distinct names separated by commas."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    if not names:
+        raise ValueError("expected at least one name")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{name!r} is listed twice")
+    return names
 
 
 def _one_of(*choices):
@@ -103,6 +110,15 @@ SETTINGS = {
 }
 
 
+# Each command-line flag, as the sections whose key of the same name it sets.
+FLAGS = {
+    "output_dir": ("paths",),
+    "seed": ("train", "fewshot", "verify"),
+    "split": ("eval",),
+    "trials": ("verify",),
+}
+
+
 def _field(section, key):
     """The RunConfig field of a setting outside [train]."""
     if section == "paths":
@@ -111,14 +127,15 @@ def _field(section, key):
 
 
 def load_run_config(path=None, overrides=None):
-    """Read an INI run configuration; ``overrides`` maps flat keys (e.g.
-    ``seed``, ``output_dir``) from command-line flags. A malformed file is a
-    ValueError naming the file and the line. A section or key outside
-    ``SETTINGS`` is one naming the file and the section or key, and so is a
-    malformed value (one that fails its cast, its choices or its "%"
-    interpolation); training values that ``TrainConfig`` rejects are one
-    naming the file and the section. A negative ``seed`` override is one
-    naming ``--seed``."""
+    """Read an INI run configuration; ``overrides`` maps flags of ``FLAGS``
+    to their command-line text, which replaces the file's value of the key in
+    each of the flag's sections. A malformed file is a ValueError naming the
+    file and the line. A section or key outside ``SETTINGS`` is one naming
+    the file and the section or key, and so is a malformed value (one that
+    fails its cast, its choices or its "%" interpolation); training values
+    that ``TrainConfig`` rejects are one naming the file and the section. A
+    flag's text takes its keys' casts, without interpolation, and one that
+    fails is a ValueError naming the flag."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -128,7 +145,7 @@ def load_run_config(path=None, overrides=None):
     if parser.defaults():
         raise ValueError(f"{path}: [{parser.default_section}]: unknown section")
 
-    run, train = {}, {}
+    values = {}  # (section, key) -> value
     for section in parser.sections():
         casts = SETTINGS.get(section)
         if casts is None:
@@ -141,27 +158,19 @@ def load_run_config(path=None, overrides=None):
                     f"{path}: [{section}] {key}: unknown key; [{section}] takes {', '.join(casts)}"
                 )
             try:
-                value = casts[key](parser[section][key])
+                values[section, key] = casts[key](parser[section][key])
             except (ValueError, configparser.Error) as err:
                 raw = parser.get(section, key, raw=True)
                 raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
-            if section == "train":
-                train[key] = value
-            else:
-                run[_field(section, key)] = value
+    for flag, text in (overrides or {}).items():
+        for section in FLAGS[flag]:
+            try:
+                values[section, flag] = SETTINGS[section][flag](text)
+            except ValueError as err:
+                raise ValueError(f"--{flag.replace('_', '-')} {text}: {err}") from None
+    train = {key: value for (section, key), value in values.items() if section == "train"}
+    run = {_field(*where): value for where, value in values.items() if where[0] != "train"}
     try:
-        cfg = RunConfig(train=TrainConfig(**train), **run)
+        return RunConfig(train=TrainConfig(**train), **run)
     except ValueError as err:
         raise ValueError(f"{path}: [train] {err}") from None
-
-    overrides = overrides or {}
-    if overrides.get("output_dir") is not None:
-        cfg.output_dir = overrides["output_dir"]
-    if overrides.get("seed") is not None:
-        seed = overrides["seed"]
-        if seed < 0:
-            raise ValueError(f"--seed {seed}: expected an integer of at least 0")
-        cfg.train = replace(cfg.train, seed=seed)
-        cfg.fewshot_seed = seed
-        cfg.verify_seed = seed
-    return cfg

@@ -54,7 +54,6 @@ def _sample_block_pairs(rng, blocks, src, dst, count, taken=()):
 
 def make_planted_kg(
     num_entities=200,
-    num_base=4,
     edges_per_relation=200,
     noise_fraction=0.75,
     seed=0,
@@ -62,11 +61,12 @@ def make_planted_kg(
     test_fraction=0.2,
     style="uniform",
 ):
-    """Synthetic graph with ``num_base`` hierarchy and ``num_base`` composition
-    rules planted on top of ``num_base`` random base relations.
+    """Synthetic graph with four hierarchy and four composition rules (one
+    per entry of ``PLANTED_COMPOSITIONS``) planted on top of four random base
+    relations.
 
     Two geometries: ``uniform`` samples base edges i.i.d. over all entity
-    pairs; ``bipartite`` partitions the entities into ``num_base`` blocks and
+    pairs; ``bipartite`` partitions the entities into four blocks and
     routes base relation i from block i to block i+1 (cyclically), which
     keeps the entity neighborhoods of different relations disjoint -- the
     cold-start setting where an untrained relation really does score at
@@ -83,6 +83,7 @@ def make_planted_kg(
 
     Returns ``(kg, rules)``.
     """
+    num_base = len(PLANTED_COMPOSITIONS)
     rng = np.random.default_rng(seed)
     entity_ids = {f"e{i}": i for i in range(num_entities)}
     names = (
@@ -110,7 +111,7 @@ def make_planted_kg(
         head = num_base + i
         rules.append(HornRule(body=(i,), head=head, confidence=1.0))
         implied[head] = list(base_pairs[i])
-    for j, (x, y) in enumerate(PLANTED_COMPOSITIONS[:num_base]):
+    for j, (x, y) in enumerate(PLANTED_COMPOSITIONS):
         head = 2 * num_base + j
         rules.append(HornRule(body=(x, y), head=head, confidence=1.0))
         adjacency = {}

@@ -25,7 +25,7 @@ class FewShotSpec:
     num_task_relations: int
     shots: int
     seed: int = 0
-    candidates: tuple | None = None  # restrict the random choice of task relations
+    candidates: tuple | None = None  # distinct relations to draw the task relations from
 
     def __post_init__(self):
         if self.num_task_relations < 1:
@@ -33,7 +33,11 @@ class FewShotSpec:
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
         if self.candidates is not None:
-            object.__setattr__(self, "candidates", tuple(self.candidates))
+            candidates = tuple(self.candidates)
+            for i, r in enumerate(candidates):
+                if r in candidates[:i]:
+                    raise ValueError(f"candidate relation {r} is listed twice")
+            object.__setattr__(self, "candidates", candidates)
 
 
 def make_fewshot_split(kg, spec: FewShotSpec):

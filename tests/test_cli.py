@@ -1,12 +1,14 @@
+import configparser
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hornplex import training
 from hornplex.cli import main
-from hornplex.config import RunConfig
+from hornplex.config import SETTINGS, RunConfig, load_run_config
 from hornplex.kg import load_graph
 from hornplex.model import init_table, load_table, save_table
 from hornplex.training import read_training_log
@@ -450,3 +452,43 @@ def test_failed_resolved_config_write_keeps_previous_file(workspace, capsys, mon
         main(["--config", str(workspace["config"]), "train"])
     assert resolved.read_text() == previous
     assert not [p for p in workspace["out"].iterdir() if p.name.endswith(".tmp")]
+
+
+def test_eval_split_flag_is_ranked_and_recorded(workspace, capsys):
+    config = str(workspace["config"])
+    assert main(["--config", config, "train"]) == 0
+    checkpoint = str(workspace["out"] / "checkpoint.bin")
+    assert main(["--config", config, "eval", "--checkpoint", checkpoint, "--split", "valid"]) == 0
+    lines = (workspace["out"] / "metrics.txt").read_text().splitlines()
+    assert "# eval_split = valid" in lines
+    assert "count = 12" in lines  # 6 valid triples, each ranked on both sides
+
+
+def test_verify_trials_flag_is_recorded(workspace):
+    assert main(["--config", str(workspace["config"]), "verify", "--trials", "50"]) == 0
+    lines = (workspace["out"] / "theorem_reports.txt").read_text().splitlines()
+    assert "# verify_trials = 50" in lines
+    assert "trials=50" in lines[-1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_trials_flag_below_1_names_the_flag(workspace, capsys, trials):
+    assert main(["--config", str(workspace["config"]), "verify", "--trials", trials]) == 2
+    assert capsys.readouterr().err == f"error: --trials {trials}: expected an integer of at least 1\n"
+    assert not workspace["out"].exists()
+
+
+def test_readme_configuration_loads_and_sets_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A complete configuration", 1)[1].split("```ini\n", 1)[1]
+    path = tmp_path / "run.ini"
+    path.write_text(block.split("```", 1)[0], encoding="utf-8")
+    cfg = load_run_config(path)
+    assert cfg.train.mu == 1.0 and cfg.fewshot_shots == (0, 1, 3, 5)
+    parser = configparser.ConfigParser()
+    parser.read(path, encoding="utf-8")
+    missing = {
+        (section, key) for section, casts in SETTINGS.items() for key in casts
+        if not parser.has_option(section, key)
+    }
+    assert missing == {("fewshot", "candidates")}

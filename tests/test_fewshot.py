@@ -38,6 +38,8 @@ def test_spec_validation():
         FewShotSpec(num_task_relations=0, shots=0)
     with pytest.raises(ValueError):
         FewShotSpec(num_task_relations=1, shots=-1)
+    with pytest.raises(ValueError, match="candidate relation 5 is listed twice"):
+        FewShotSpec(num_task_relations=1, shots=0, candidates=(5, 3, 5))
 
 
 def test_zero_shots_removes_all_task_triples_from_train():

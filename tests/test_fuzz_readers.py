@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hornplex.config import load_run_config
+from hornplex.config import FLAGS, load_run_config
 from hornplex.kg import TripleFileError, load_triples, read_dictionary
 from hornplex.model import init_table, load_table, save_table
 from hornplex.rules import RuleFileError, parse_rules
@@ -59,18 +59,20 @@ def ini(sections, *values):
     )
 
 
-def load_run_config_in_range(path):
-    """``load_run_config``, asserting that every list and count it loads
-    holds values in its range."""
-    cfg = load_run_config(path)
+def load_run_config_in_range(path, overrides=None):
+    """``load_run_config``, asserting that every list, count and seed it
+    loads holds values in its range."""
+    cfg = load_run_config(path, overrides)
     for values, least in (
         (cfg.eval_hits, 1),
         (cfg.verify_dims, 1),
         (cfg.verify_ks, 1),
         (cfg.fewshot_shots, 0),
         ((cfg.verify_trials, cfg.fewshot_num_task_relations), 1),
+        ((cfg.train.seed, cfg.fewshot_seed, cfg.verify_seed), 0),
     ):
         assert values and min(values) >= least, (values, least)
+    assert cfg.eval_split in ("train", "valid", "test")
     return cfg
 
 
@@ -186,6 +188,11 @@ def test_load_table_returns_or_raises_on_patched_dumps(scratch_file, patches, cu
             "[fewshot]\nshots = 0,-1\n",
             ["[fewshot] shots = '0,-1': expected an integer of at least 0"],
         ),
+        ("[fewshot]\ncandidates =\n", ["[fewshot] candidates = '': expected at least one name"]),
+        (
+            "[fewshot]\ncandidates = r1, r0,r1\n",
+            ["[fewshot] candidates = 'r1, r0,r1': 'r1' is listed twice"],
+        ),
     ],
     ids=[
         "bad-percent",
@@ -201,6 +208,8 @@ def test_load_table_returns_or_raises_on_patched_dumps(scratch_file, patches, cu
         "num-task-relations-below-1",
         "empty-shots",
         "shots-below-0",
+        "empty-candidates",
+        "duplicated-candidates",
     ],
 )
 def test_run_config_value_errors_name_the_file(tmp_path, text, parts):
@@ -211,3 +220,32 @@ def test_run_config_value_errors_name_the_file(tmp_path, text, parts):
     assert str(path) in str(err.value)
     for part in parts:
         assert part in str(err.value)
+
+
+# The fields of the loaded configuration that each flag sets, and how the
+# flag's text reads as their value.
+FLAG_FIELDS = {
+    "output_dir": (str, lambda cfg: [cfg.output_dir]),
+    "seed": (int, lambda cfg: [cfg.train.seed, cfg.fewshot_seed, cfg.verify_seed]),
+    "split": (str, lambda cfg: [cfg.eval_split]),
+    "trials": (int, lambda cfg: [cfg.verify_trials]),
+}
+
+
+@given(data=st.data())
+def test_run_config_flags_load_their_value_or_name_the_flag(scratch_file, data):
+    assert set(FLAG_FIELDS) == set(FLAGS)
+    scratch_file.write_bytes(data.draw(READERS["run-config"][2]))
+    text = st.sampled_from(
+        ["0", "1", "-1", "7", " 3", "", "x", "1.5", "nan", "%", "%(x)s", "valid", "tset"]
+    )
+    overrides = data.draw(st.dictionaries(st.sampled_from(sorted(FLAGS)), text))
+    try:
+        cfg = load_run_config_in_range(scratch_file, overrides)
+    except ValueError as err:
+        named = [f"--{flag.replace('_', '-')} {overrides[flag]}: " for flag in overrides]
+        assert str(scratch_file) in str(err) or str(err).startswith(tuple(named)), str(err)
+        return
+    for flag, given_text in overrides.items():
+        read, loaded = FLAG_FIELDS[flag]
+        assert loaded(cfg) == [read(given_text)] * len(FLAGS[flag]), (flag, given_text)
