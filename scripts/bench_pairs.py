@@ -5,7 +5,10 @@
 
 Run from the root of a checkout. The parent's committed files (``--parent``,
 default ``HEAD``: the commit the working tree changes) are exported with
-``git archive`` into a temporary directory. Pair i runs ``bench/run.py``
+``git archive`` into a temporary directory. Per workload, each side first
+makes one warm-up run whose numbers are not recorded: the first run after
+the machine has idled can read far off (planted-small evaluation once read
+1.4k queries/s instead of ~90k). Pair i then runs ``bench/run.py``
 with seed ``--seed`` + i once there and once in the working tree, the
 parent first in even pairs and the change first in odd ones. The summary
 goes to ``BENCH_<label>.json``: the git shas, the numpy version, ``nproc``,
@@ -108,6 +111,8 @@ def main(argv=None):
         for workload in args.workload:
             runs = {"parent": [], "change": []}
             correct = True
+            for root in (parent_root, ROOT):
+                bench(root, workload, args.seed, args.seconds)  # warm-up, not recorded
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:

@@ -165,7 +165,9 @@ def cmd_fewshot(args):
         try:
             candidates = tuple(kg.relation_ids[name] for name in cfg.fewshot_candidates)
         except KeyError as err:
-            raise CliError(f"unknown candidate relation {err.args[0]!r}") from err
+            raise CliError(
+                f"{args.config}: [fewshot] candidates: {err.args[0]!r} is not a relation of the graph"
+            ) from None
     os.makedirs(cfg.output_dir, exist_ok=True)
     _write_resolved(cfg, cfg.output_dir)
     for shots in cfg.fewshot_shots:

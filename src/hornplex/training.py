@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RuleArrays, Scratch, body_vectors, cmul, gradient_factors, rule_gaps
+from .kernel import RuleArrays, Scratch, body_vectors, gradient_factors, rule_gaps
 from .kg import Triple, read_lines
 from .model import (
-    _head_factors,
     init_table,
     load_table,
     project,
@@ -41,6 +40,7 @@ __all__ = [
     "LabeledBatch",
     "AdagradState",
     "RowGrads",
+    "Workspace",
     "EpochRecord",
     "TrainingDiverged",
     "sample_negatives",
@@ -114,6 +114,14 @@ class LabeledBatch:
         if self.labels.size and not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ValueError("labels must be +1 or -1")
 
+    @classmethod
+    def _built(cls, triples, labels):
+        """A batch ``train`` built: int64 triples and +1/-1 float64 labels
+        by construction, so the checks are skipped."""
+        batch = cls.__new__(cls)
+        batch.triples, batch.labels = triples, labels
+        return batch
+
     def __len__(self):
         return self.triples.shape[0]
 
@@ -131,8 +139,36 @@ class RowGrads:
     def empty(cls, dim):
         return cls(np.empty(0, dtype=np.int64), np.empty((0, dim)), np.empty((0, dim)))
 
-    def scaled(self, factor):
-        return RowGrads(self.rows, self.re * factor, self.im * factor)
+
+class Workspace:
+    """The float arrays of optimizer steps, reused from step to step so that
+    the step functions allocate no large array (``train`` makes one per
+    call).
+
+    ``step`` holds what a step keeps: the logistic gradient terms and the
+    merged gradients, so the RowGrads that ``step_gradients`` returns alias
+    it until its next call. ``temp`` holds a function's intermediates, and
+    each function resets it on entry. Both are ``kernel.Scratch`` arenas, in
+    which a request that does not fit gets a fresh array: ``Workspace()``
+    has no room, so a function called without a workspace allocates as it
+    goes. ``triples`` and ``labels`` hold the batches ``train`` builds.
+
+    The sizes fit a step of up to ``rows`` triples over ``relations``
+    relations in dimension ``dim``, with B = rows and m = relations, in
+    units of ``dim`` floats:
+    - step: the logistic terms of heads, tails and relations, 6B, and the
+      merged entity and relation gradients, 2 x 2B and 2m;
+    - temp: at most 8B + 4m, for N3 (entity rows [re | im], their moduli and
+      cubes: 4 per row, for up to 2B entity and m relation rows); logistic
+      (7B), a merge (3 per term of a block) and AdaGrad (4 per row of one
+      matrix) take less.
+    """
+
+    def __init__(self, rows=0, dim=0, relations=0):
+        self.step = Scratch((10 * rows + 2 * relations) * dim)
+        self.temp = Scratch((8 * rows + 4 * relations) * dim)
+        self.triples = np.empty((rows, 3), dtype=np.int64)
+        self.labels = np.empty(rows)
 
 
 @dataclass
@@ -210,35 +246,91 @@ def sample_negatives(kg, positive, count, rng):
     return [Triple(int(h), int(r), int(t)) for h, r, t in out[0]]
 
 
-def logistic_loss(table, batch):
+def _check_rows(rows, count, what):
+    """Raise IndexError unless every id of the int64 array ``rows`` is in
+    [0, count); a negative id, seen as uint64, exceeds any count. Checked
+    rows are then taken with mode="clip", which writes to ``out`` without
+    the buffer that mode="raise" makes."""
+    if rows.size and rows.view(np.uint64).max() >= count:
+        raise IndexError(f"{what} index out of range for {count} {what}s")
+
+
+_HALF = np.array([[0], [1]])
+
+
+def _entity_halves(table, rows):
+    """``table.ent`` as (2n, d) rows, with row 2i the re half of entity i and
+    row 2i+1 its im half, and the indices of the halves of ``rows`` in it,
+    stacked [re, im]. Taking from the strided ``ent_re``/``ent_im`` views
+    instead would copy a whole half per call."""
+    return table.ent.reshape(-1, table.dim), 2 * rows + _HALF
+
+
+def _table_rows(table, what, rows, alloc):
+    """Rows ``rows`` of the table's entities or relations (``what``) as a
+    (2, u, d) array from ``alloc(shape)``, [re, im]. A row outside the table
+    is an IndexError."""
+    values = alloc((2, rows.size, table.dim))
+    if what == "entity":
+        _check_rows(rows, table.num_entities, what)
+        halves, index = _entity_halves(table, rows)
+        halves.take(index, axis=0, out=values, mode="clip")
+    else:
+        _check_rows(rows, table.num_relations, what)
+        table.rel_re.take(rows, axis=0, out=values[0], mode="clip")
+        table.rel_im.take(rows, axis=0, out=values[1], mode="clip")
+    return values
+
+
+def logistic_loss(table, batch, *, workspace=None):
     """Sum of log(1 + exp(-y * score)) over the batch, with one gradient term
     per occurrence: returns (loss, entity RowGrads over the heads then the
     tails, relation RowGrads over the relations). Stable for large
-    |y * score|."""
+    |y * score|. The gradients are ``workspace.step`` arrays (``Workspace``).
+    An id outside the table is an IndexError."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    h, r, t = batch.triples[:, 0], batch.triples[:, 1], batch.triples[:, 2]
-    a, b = table.ent_re[h], table.ent_im[h]
-    c, d = table.rel_re[r], table.rel_im[r]
-    e, f = table.ent_re[t], table.ent_im[t]
+    ws = Workspace() if workspace is None else workspace
+    ws.temp.reset()
+    triples, labels = batch.triples, batch.labels
+    h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
+    size, dim = len(batch), table.dim
+    a, b = _table_rows(table, "entity", h, ws.temp)
+    c, d = _table_rows(table, "relation", r, ws.temp)
+    e, f = _table_rows(table, "entity", t, ws.temp)
+    tmp = ws.temp((size, dim))
+    # The score's gradients [re, im] in the heads', the tails' and the
+    # relations' rows.
+    grads = ws.step((2, 3, size, dim))
+    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = grads
 
-    v_re, v_im = cmul(a, b, c, d)  # the tail factors, as in ``model.score_triples``
+    def combine(out, x, y, op, z, w):
+        """out = op(x * y, z * w)."""
+        np.multiply(x, y, out=out)
+        return op(out, np.multiply(z, w, out=tmp), out=out)
+
+    # The tail factors v = (a + ib)(c + id), as in ``model.score_triples``.
+    combine(v_re, a, c, np.subtract, b, d)
+    combine(v_im, a, d, np.add, b, c)
     phi = np.einsum("ij,ij->i", v_re, e) + np.einsum("ij,ij->i", v_im, f)
-    z = batch.labels * phi
+    z = labels * phi
     exp_neg = np.exp(-np.abs(z))
     loss = float(np.sum(np.maximum(-z, 0.0) + np.log1p(exp_neg)))
     sigma_neg = np.where(z >= 0, exp_neg / (1.0 + exp_neg), 1.0 / (1.0 + exp_neg))
-    coeff = (-batch.labels * sigma_neg)[:, None]
+    coeff = (-labels * sigma_neg)[:, None]
 
-    # the score's gradients in the head and relation rows; in the tail's, v
-    dh_re, dh_im = _head_factors(c, d, e, f)
-    dr_re, dr_im = _head_factors(a, b, e, f)
+    # The head and relation factors, as ``model._head_factors`` makes them.
+    combine(dh_re, c, e, np.add, d, f)
+    combine(dh_im, c, f, np.subtract, d, e)
+    combine(dr_re, a, e, np.add, b, f)
+    combine(dr_im, a, f, np.subtract, b, e)
+    grads *= coeff
     entities = RowGrads(
         np.concatenate([h, t]),
-        np.concatenate([coeff * dh_re, coeff * v_re]),
-        np.concatenate([coeff * dh_im, coeff * v_im]),
+        grads[0, :2].reshape(2 * size, dim),
+        grads[1, :2].reshape(2 * size, dim),
     )
-    return loss, entities, RowGrads(r, coeff * dr_re, coeff * dr_im)
+    return loss, entities, RowGrads(r, dr_re, dr_im)
 
 
 def rule_penalty(table, rules):
@@ -337,38 +429,45 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     return g
 
 
-def n3_regularization(table, ent_rows, rel_rows):
+def n3_regularization(table, ent_rows, rel_rows, *, workspace=None):
     """Sum of cubed component moduli over the given rows; the gradient of
     |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, entity
-    RowGrads, relation RowGrads) over the given rows. The caller applies
-    eta."""
-    ent_rows = np.asarray(ent_rows, dtype=np.int64)
-    rel_rows = np.asarray(rel_rows, dtype=np.int64)
+    RowGrads, relation RowGrads) over the given rows, as ``workspace.temp``
+    arrays. The caller applies eta. A row outside the table is an
+    IndexError."""
+    ws = Workspace() if workspace is None else workspace
+    ws.temp.reset()
     loss = 0.0
     blocks = []
-    for rows, re_arr, im_arr in (
-        (ent_rows, table.ent_re, table.ent_im),
-        (rel_rows, table.rel_re, table.rel_im),
-    ):
-        re, im = re_arr[rows], im_arr[rows]
-        mod = np.hypot(re, im)
-        loss += float(np.sum(mod**3))
-        blocks.append(RowGrads(rows, 3.0 * mod * re, 3.0 * mod * im))
+    for rows, what in ((ent_rows, "entity"), (rel_rows, "relation")):
+        rows = np.asarray(rows, dtype=np.int64)
+        re, im = _table_rows(table, what, rows, ws.temp)
+        mod = np.hypot(re, im, out=ws.temp(re.shape))
+        cube = np.power(mod, 3, out=ws.temp(re.shape))  # mod**3
+        loss += float(np.sum(cube))
+        three_mod = np.multiply(mod, 3.0, out=cube)
+        # 3.0 * mod * (re, im), written over the rows' values
+        np.multiply(three_mod, re, out=re)
+        np.multiply(three_mod, im, out=im)
+        blocks.append(RowGrads(rows, re, im))
     return loss, blocks[0], blocks[1]
 
 
-def merge_row_grads(blocks):
+def merge_row_grads(blocks, *, workspace=None):
     """The gradient of each row the RowGrads ``blocks`` of one matrix touch,
-    as RowGrads over the sorted unique rows. One ``np.unique`` covers every
-    block. Within a block a stable sort keeps a row's terms in order, and
-    ``np.add.reduceat`` adds the first term to numpy's pairwise sum of the
-    rest (which is sequential below 8 terms); the blocks' sums are then
-    added to the row's total block by block."""
+    as RowGrads over the sorted unique rows, in ``workspace.step`` arrays.
+    One ``np.unique`` covers every block. Within a block a stable sort keeps
+    a row's terms in order, and ``np.add.reduceat`` adds the first term to
+    numpy's pairwise sum of the rest (which is sequential below 8 terms); the
+    blocks' sums are then added to the row's total block by block."""
+    ws = Workspace() if workspace is None else workspace
     rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
-    re = np.zeros((rows.size, blocks[0].re.shape[1]))
-    im = np.zeros_like(re)
+    dim = blocks[0].re.shape[1]
+    total = ws.step((2, rows.size, dim))
+    total.fill(0.0)
     offset = 0
-    for block in blocks:
+    for i, block in enumerate(blocks):
+        ws.temp.reset()
         slots = inverse[offset : offset + block.rows.size]
         offset += block.rows.size
         order = np.argsort(slots, kind="stable")
@@ -381,50 +480,79 @@ def merge_row_grads(blocks):
         multi = counts > 1
         terms = order[np.repeat(multi, counts)]
         starts = np.cumsum(counts[multi]) - counts[multi]
-        for total, values in ((re, block.re), (im, block.im)):
-            sums = values[firsts]
+        sums, before = ws.temp((2, present.size, dim))
+        picked, added = ws.temp((terms.size, dim)), ws.temp((starts.size, dim))
+        for half, values in zip(total, (block.re, block.im)):
+            values.take(firsts, axis=0, out=sums, mode="clip")
             if starts.size:
-                sums[multi] = np.add.reduceat(values[terms], starts, axis=0)
-            total[present] += sums
-    return RowGrads(rows, re, im)
+                values.take(terms, axis=0, out=picked, mode="clip")
+                sums[multi] = np.add.reduceat(picked, starts, axis=0, out=added)
+            # half[present] += sums, without the temporaries; the rows'
+            # totals start at +0.0, so the first block adds to that
+            prior = 0.0 if i == 0 else half.take(present, axis=0, out=before, mode="clip")
+            half[present] = np.add(prior, sums, out=sums)
+    return RowGrads(rows, total[0], total[1])
 
 
-def step_gradients(table, batch, rules, mu, eta):
+def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     """Losses and gradients of one step on logistic + mu * rule_penalty +
     eta * N3 over ``batch``; ``rules`` is a ``RuleArrays`` packing, or
     None. Returns ((logistic, rule, N3) losses, entity RowGrads, relation
     RowGrads), the gradients summed over the sorted unique rows the step
     touches: each row sums its logistic terms, then mu times its rule term,
-    then eta times its N3 term. N3 covers every touched row."""
-    l_loss, l_ent, l_rel = logistic_loss(table, batch)
+    then eta times its N3 term. N3 covers every touched row. The gradients
+    alias ``workspace``, whose ``step`` arena this resets."""
+    ws = Workspace() if workspace is None else workspace
+    ws.step.reset()
+    l_loss, l_ent, l_rel = logistic_loss(table, batch, workspace=ws)
     r_loss, rel_blocks = 0.0, [l_rel]
     if mu > 0 and rules:
         r_loss, r_rel = rule_penalty(table, rules)
-        rel_blocks.append(r_rel.scaled(mu))
-    ent, rel = merge_row_grads([l_ent]), merge_row_grads(rel_blocks)
+        r_rel.re *= mu
+        r_rel.im *= mu
+        rel_blocks.append(r_rel)
+    ent = merge_row_grads([l_ent], workspace=ws)
+    rel = merge_row_grads(rel_blocks, workspace=ws)
     n_loss = 0.0
     if eta > 0:
-        n_loss, n_ent, n_rel = n3_regularization(table, ent.rows, rel.rows)
+        n_loss, n_ent, n_rel = n3_regularization(table, ent.rows, rel.rows, workspace=ws)
         for g, n in ((ent, n_ent), (rel, n_rel)):
-            g.re += n.re * eta
-            g.im += n.im * eta
+            for total, term in ((g.re, n.re), (g.im, n.im)):
+                term *= eta
+                total += term
     return (l_loss, r_loss, n_loss), ent, rel
 
 
-def adagrad_step(table, entities, relations, state, lr):
+def adagrad_step(table, entities, relations, state, lr, *, workspace=None):
     """Sparse AdaGrad on summed gradients (RowGrads with unique rows, or
-    None): per coordinate, acc += g^2 then p -= lr * g / (sqrt(acc) + eps)."""
+    None): per coordinate, acc += g^2 then p -= lr * g / (sqrt(acc) + eps).
+    A row outside the table is an IndexError."""
+    ws = Workspace() if workspace is None else workspace
     updates = (
-        (entities, table.ent_re, table.ent_im, state.ent_re_acc, state.ent_im_acc),
-        (relations, table.rel_re, table.rel_im, state.rel_re_acc, state.rel_im_acc),
+        (entities, "entity", state.ent_re_acc, state.ent_im_acc),
+        (relations, "relation", state.rel_re_acc, state.rel_im_acc),
     )
-    for g, p_re, p_im, acc_re, acc_im in updates:
+    for g, what, acc_re, acc_im in updates:
         if g is None or g.rows.size == 0:
             continue
-        for grad, p, acc in ((g.re, p_re, acc_re), (g.im, p_im, acc_im)):
-            total = acc[g.rows] + grad * grad
-            acc[g.rows] = total
-            p[g.rows] -= lr * grad / (np.sqrt(total) + state.epsilon)
+        ws.temp.reset()
+        rows = np.asarray(g.rows, dtype=np.int64)
+        params = _table_rows(table, what, rows, ws.temp)
+        total, step = ws.temp((2, rows.size, table.dim))
+        for grad, p, acc in zip((g.re, g.im), params, (acc_re, acc_im)):
+            acc.take(rows, axis=0, out=total, mode="clip")
+            total += np.multiply(grad, grad, out=step)
+            acc[rows] = total
+            np.sqrt(total, out=total)
+            total += state.epsilon
+            np.multiply(grad, lr, out=step)
+            step /= total
+            p -= step
+        if what == "entity":
+            halves, index = _entity_halves(table, rows)
+            halves[index] = params
+        else:
+            table.rel_re[rows], table.rel_im[rows] = params
 
 
 @dataclass
@@ -443,9 +571,10 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     Per epoch the train triples are shuffled (seeded), split into batches,
     each batch is extended with sampled negatives, and one AdaGrad step plus
     projection is taken on logistic + mu*rule_penalty + eta*N3, on only the
-    rows the step touches. ``step_callback(table, epoch, step)`` runs after
-    each projection. Deterministic for fixed inputs and seed. With mu > 0,
-    a rule relation id outside the graph is a ValueError naming the rule.
+    rows the step touches, in one ``Workspace`` for every step.
+    ``step_callback(table, epoch, step)`` runs after each projection.
+    Deterministic for fixed inputs and seed. With mu > 0, a rule relation id
+    outside the graph is a ValueError naming the rule.
     """
     if config.mu > 0:
         rules = RuleArrays.from_rules(rules)
@@ -462,22 +591,29 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
 
     num_train = len(kg.train)
     records = []
+    per_positive = 1 + config.negatives_per_positive
+    workspace = Workspace(config.batch_size * per_positive, config.dim, kg.num_relations)
 
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(num_train)
         sums = {"logistic": 0.0, "rule": 0.0, "n3": 0.0}
         for step, start in enumerate(range(0, num_train, config.batch_size)):
-            pos = kg.train[perm[start : start + config.batch_size]]
-            negs = sample_negatives_batch(
-                kg, pos, config.negatives_per_positive, rng
+            # The positives, then their negatives; the last batch of an
+            # epoch may be short.
+            picked = perm[start : start + config.batch_size]
+            positives = picked.size
+            size = positives * per_positive
+            triples, labels = workspace.triples[:size], workspace.labels[:size]
+            triples[:positives] = kg.train[picked]
+            triples[positives:] = sample_negatives_batch(
+                kg, triples[:positives], config.negatives_per_positive, rng
             ).reshape(-1, 3)
-            batch = LabeledBatch(
-                np.concatenate([pos, negs]),
-                np.concatenate([np.ones(pos.shape[0]), -np.ones(negs.shape[0])]),
-            )
+            labels[:positives] = 1.0
+            labels[positives:] = -1.0
+            batch = LabeledBatch._built(triples, labels)
 
             (l_loss, r_loss, n_loss), ent, rel = step_gradients(
-                table, batch, rules, config.mu, config.eta
+                table, batch, rules, config.mu, config.eta, workspace=workspace
             )
             total = l_loss + config.mu * r_loss + config.eta * n_loss
             if not np.isfinite(total):
@@ -487,7 +623,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
                 )
 
             # Only the rows the step touched can have left the feasible set.
-            adagrad_step(table, ent, rel, state, config.learning_rate)
+            adagrad_step(table, ent, rel, state, config.learning_rate, workspace=workspace)
             project(table, ent.rows, rel.rows)
             if step_callback is not None:
                 step_callback(table, epoch, step)

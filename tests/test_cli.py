@@ -153,6 +153,18 @@ def test_rules_confidence_command(workspace, capsys):
     assert kinds == {"hierarchy", "composition"}
 
 
+def test_fewshot_candidate_outside_the_graph_names_the_file_and_key(workspace, capsys):
+    config = workspace["config"]
+    config.write_text(
+        config.read_text().replace("[fewshot]\n", "[fewshot]\ncandidates = r0, nosuch\n")
+    )
+    rc = main(["--config", str(config), "fewshot"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{config}: [fewshot] candidates: 'nosuch' is not a relation of the graph" in err
+    assert not workspace["out"].exists()
+
+
 def test_fewshot_command_nesting(workspace):
     rc = main(["--config", str(workspace["config"]), "fewshot"])
     assert rc == 0
@@ -360,8 +372,8 @@ def test_checkpoint_not_matching_graph_is_rejected(
 def test_training_divergence_exits_with_its_message(workspace, capsys, monkeypatch):
     logistic_loss = training.logistic_loss
 
-    def non_finite(table, batch):
-        return (float("nan"),) + logistic_loss(table, batch)[1:]
+    def non_finite(table, batch, **kw):
+        return (float("nan"),) + logistic_loss(table, batch, **kw)[1:]
 
     monkeypatch.setattr(training, "logistic_loss", non_finite)
     rc = main(["--config", str(workspace["config"]), "train"])

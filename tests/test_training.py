@@ -101,6 +101,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             LabeledBatch(np.zeros((2, 3), dtype=int), np.array([1.0]))
 
+    @pytest.mark.parametrize("label", [0.5, 0.0, -2.0, math.nan, math.inf])
+    def test_a_caller_batch_rejects_labels_other_than_plus_or_minus_one(self, label):
+        with pytest.raises(ValueError, match="labels must be"):
+            LabeledBatch(np.zeros((2, 3), dtype=int), np.array([1.0, label]))
+
+    def test_train_builds_its_batches_without_the_label_check(self, monkeypatch):
+        checked = []
+        post_init = LabeledBatch.__post_init__
+        monkeypatch.setattr(
+            LabeledBatch, "__post_init__", lambda batch: checked.append(1) or post_init(batch)
+        )
+        kg = make_random_kg(seed=11, num_train=40)
+        train(kg, [], TrainConfig(batch_size=16, epochs=2, validate_every=0, dim=4))
+        assert checked == []
+        LabeledBatch(np.zeros((1, 3), dtype=int), np.array([-1.0]))
+        assert checked == [1]
+
 
 class TestLogisticLoss:
     def test_zero_scores_give_log2_each(self):
@@ -140,6 +157,15 @@ class TestLogisticLoss:
         )
         err = gradient_check("logistic", table, batch=batch)
         assert err < 1e-6
+
+    @pytest.mark.parametrize(
+        "triple, what",
+        [([0, 0, 12], "entity"), ([-1, 0, 1], "entity"), ([0, 3, 1], "relation"), ([0, -1, 1], "relation")],
+    )
+    def test_ids_outside_the_table_are_index_errors(self, triple, what):
+        table = make_feasible_table(seed=3)  # 12 entities, 3 relations
+        with pytest.raises(IndexError, match=f"{what} index out of range"):
+            logistic_loss(table, LabeledBatch(np.array([triple]), np.array([1.0])))
 
     def test_gradients_touch_only_batch_rows(self):
         table = make_feasible_table(seed=3)
@@ -225,6 +251,12 @@ class TestN3:
         assert loss == 0.0
         assert np.all(relations.re == 0.0)
 
+    @pytest.mark.parametrize("ent_rows, rel_rows", [([5], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])])
+    def test_rows_outside_the_table_are_index_errors(self, ent_rows, rel_rows):
+        table = make_feasible_table(seed=8, num_entities=5, num_relations=3)
+        with pytest.raises(IndexError, match="index out of range"):
+            n3_regularization(table, np.array(ent_rows), np.array(rel_rows))
+
     def test_gradient_matches_finite_differences(self):
         table = make_feasible_table(seed=8, num_entities=5, num_relations=3, dim=8)
         table.ent_re += 0.1  # keep moduli away from the origin
@@ -261,6 +293,14 @@ class TestAdagrad:
         adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
         second = table.rel_re[0, 0] - first
         assert abs(second) == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("row", [1, -1])
+    def test_rows_outside_the_table_are_index_errors(self, row):
+        table, state = self.make()
+        grads = RowGrads(np.array([row]), np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(IndexError, match="relation index out of range"):
+            adagrad_step(table, None, grads, state, lr=0.5)
+        assert table.rel_re[0, 0] == 0.0 and state.rel_re_acc[0, 0] == 0.0
 
     def test_accumulators_monotone(self):
         table, state = self.make(dim=3)

@@ -242,7 +242,7 @@ class TestGradientMachinery:
         # a merge that drops every block after the first loses the rule
         # term of the relation gradient, and the check must see it
         merge = training.merge_row_grads
-        monkeypatch.setattr(training, "merge_row_grads", lambda blocks: merge(blocks[:1]))
+        monkeypatch.setattr(training, "merge_row_grads", lambda blocks, **kw: merge(blocks[:1], **kw))
         table, batch = hinge_inactive_point(25, 1.0)
         err = gradient_check("total", table, batch=batch, rules=TOTAL_RULES, mu=0.7, eta=0.05)
         assert err > 1e-3
