@@ -9,11 +9,16 @@ rule's head term, then one term per body position. Nothing is padded, so a
 group of length k does only the products its bodies need.
 
 For a table of dimension d the rules are cut into windows of consecutive
-rules (``RuleArrays.windows``) whose Σ(k+1)·d gradient terms fit
-``WINDOW_ELEMENTS``, or hold one rule. A window is the slice of each length
-group that falls into it. The training penalty (``training.rule_penalty``)
-works a window at a time in buffers sized by that budget, so the memory a
-call needs does not grow with the rule count. The rule diagnostics
+rules (``RuleArrays.windows``). A window is the slice of each length group
+that falls into it. It ends where its Σ(k+1)·d gradient terms would pass
+``WINDOW_ELEMENTS``, or where one group's slice would need more of an arena
+of ``ARENA_ELEMENTS`` than it holds, as the caller counts that need per
+rule; a rule that breaks a limit on its own gets a window to itself. The
+training penalty (``training.rule_penalty``) works a window at a time: each
+group's slice takes its arrays from the arena, and the window's scatter
+index, one int64 row a term, takes the arena once the groups are done.
+Several windows get buffers of the budget sizes, so the memory a call needs
+does not grow with the rule count. The rule diagnostics
 (``evaluation.relation_rule_diagnostics``) gather the vectors of every group
 in one call and take each length group whole.
 
@@ -37,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "WINDOW_ELEMENTS",
+    "ARENA_ELEMENTS",
     "cmul",
     "cmul_into",
     "LengthGroup",
@@ -50,7 +56,8 @@ __all__ = [
     "rule_gaps",
 ]
 
-WINDOW_ELEMENTS = 1 << 15
+WINDOW_ELEMENTS = 1 << 16
+ARENA_ELEMENTS = 3 << 16
 
 
 def cmul(a_re, a_im, b_re, b_im):
@@ -159,23 +166,38 @@ class RuleArrays:
         groups = [(group.rules, group.ids) for group in self.groups]
         check_relations(self.rows, groups, num_relations)
 
-    def windows(self, dim):
+    def windows(self, dim, need=None):
         """The rules cut into windows of consecutive rules for a table of
         dimension ``dim``, in rule order, as (first, count, parts): the
         window's terms are rows first:first+count of the term sequence, and
         ``parts`` lists (group, lo, hi) for each group with rules lo:hi in it.
-        A window holds at most WINDOW_ELEMENTS // dim terms, or one rule."""
+        A window holds at most WINDOW_ELEMENTS // dim terms. ``need(k)``, if
+        given, is the number of rows of ``dim`` elements that a rule of body
+        length k takes from an arena of ARENA_ELEMENTS: then each group's
+        slice of a window needs at most the rows the arena holds, and so does
+        the window's scatter index, one row a term. A rule that breaks a
+        limit on its own gets a window to itself."""
         cap = max(1, WINDOW_ELEMENTS // dim)
-        cached = self._windows.get(cap)
+        most = ()  # rules per group slice
+        if need is not None:
+            rows = ARENA_ELEMENTS // dim
+            cap = max(1, min(cap, rows))
+            most = tuple(rows // need(group.length) for group in self.groups)
+        key = (cap, most)
+        cached = self._windows.get(key)
         if cached is None:
             starts = self.starts
             cuts = [0]
             while cuts[-1] < len(self):
                 lo = cuts[-1]
                 hi = int(np.searchsorted(starts, starts[lo] + cap, side="right")) - 1
+                for group, count in zip(self.groups, most):
+                    at = int(np.searchsorted(group.rules, lo)) + count
+                    if at < group.rules.size:
+                        hi = min(hi, int(group.rules[at]))
                 cuts.append(max(hi, lo + 1))
             bounds = [np.searchsorted(group.rules, cuts).tolist() for group in self.groups]
-            cached = self._windows[cap] = [
+            cached = self._windows[key] = [
                 (
                     int(starts[lo]),
                     int(starts[hi] - starts[lo]),

@@ -239,13 +239,45 @@ def project_relation_components(rel_re, rel_im, bound):
     raise RuntimeError("relation modulus projection did not converge")
 
 
-def project(table, ent_rows=slice(None), rel_rows=slice(None)):
+def _check_rows(rows, count, what):
+    """Raise IndexError unless every id of the int64 array ``rows`` is in
+    [0, count); a negative id, seen as uint64, exceeds any count. Checked
+    rows are then taken with mode="clip", which writes to ``out`` without
+    the buffer that mode="raise" makes."""
+    if rows.size and rows.view(np.uint64).max() >= count:
+        raise IndexError(f"{what} index out of range for {count} {what}s")
+
+
+_HALF = np.array([[0], [1]])
+
+
+def _entity_halves(table, rows):
+    """``table.ent`` as (2n, d) rows, with row 2i the re half of entity i and
+    row 2i+1 its im half, and the indices of the halves of ``rows`` in it,
+    stacked [re, im]. Taking from the strided ``ent_re``/``ent_im`` views
+    instead would copy a whole half per call."""
+    return table.ent.reshape(-1, table.dim), 2 * rows + _HALF
+
+
+def project(table, ent_rows=slice(None), rel_rows=slice(None), alloc=np.empty):
     """Clamp entity components into [0, 1] and project relation components;
-    in place. ``ent_rows`` and ``rel_rows`` (unique row ids) limit it to
-    those rows; by default it covers every row. Each component is projected
-    on its own, so a row gets the same bits either way."""
-    for arr in (table.ent_re, table.ent_im):
-        arr[ent_rows] = np.clip(arr[ent_rows], 0.0, 1.0)
+    in place. ``ent_rows`` and ``rel_rows`` (slices, or arrays of unique row
+    ids) limit it to those rows; by default it covers every row. Each
+    component is projected on its own, so a row gets the same bits either
+    way. Entity rows given by ids are taken, both halves at once, into an
+    array from ``alloc(shape)``, clipped there and put back; an entity row
+    outside the table is an IndexError."""
+    if isinstance(ent_rows, slice):
+        ent = table.ent[ent_rows]
+        ent.clip(0.0, 1.0, out=ent)
+    else:
+        rows = np.asarray(ent_rows, dtype=np.int64)
+        _check_rows(rows, table.num_entities, "entity")
+        halves, index = _entity_halves(table, rows)
+        index = index.reshape(-1)
+        ent = halves.take(index, axis=0, out=alloc((index.size, table.dim)), mode="clip")
+        ent.clip(0.0, 1.0, out=ent)
+        halves[index] = ent
     rel_re, rel_im = table.rel_re[rel_rows], table.rel_im[rel_rows]
     project_relation_components(rel_re, rel_im, table.bound)
     table.rel_re[rel_rows], table.rel_im[rel_rows] = rel_re, rel_im

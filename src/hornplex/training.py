@@ -15,14 +15,17 @@ step the embeddings are projected back onto the feasible set, so the
 constraints hold exactly throughout training.
 """
 
+import io
 import json
 import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
+from . import kernel
 from .evaluation import evaluate
 from .kernel import RuleArrays, Scratch, body_vectors, gradient_factors, rule_gaps
 from .kg import Triple, read_lines
@@ -33,6 +36,8 @@ from .model import (
     read_array,
     replacing,
     save_table,
+    _check_rows,
+    _entity_halves,
 )
 
 __all__ = [
@@ -160,8 +165,9 @@ class Workspace:
       merged entity and relation gradients, 2 x 2B and 2m;
     - temp: at most 8B + 4m, for N3 (entity rows [re | im], their moduli and
       cubes: 4 per row, for up to 2B entity and m relation rows); logistic
-      (7B), a merge (3 per term of a block) and AdaGrad (4 per row of one
-      matrix) take less.
+      (7B), a merge (3 per term of a block), AdaGrad (4 per row of one
+      matrix) and the projection ``train`` makes after it (2 per entity
+      row) take less.
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -244,26 +250,6 @@ def sample_negatives(kg, positive, count, rng):
         raise ValueError("count must be at least 1")
     out = sample_negatives_batch(kg, np.asarray([positive]), count, rng)
     return [Triple(int(h), int(r), int(t)) for h, r, t in out[0]]
-
-
-def _check_rows(rows, count, what):
-    """Raise IndexError unless every id of the int64 array ``rows`` is in
-    [0, count); a negative id, seen as uint64, exceeds any count. Checked
-    rows are then taken with mode="clip", which writes to ``out`` without
-    the buffer that mode="raise" makes."""
-    if rows.size and rows.view(np.uint64).max() >= count:
-        raise IndexError(f"{what} index out of range for {count} {what}s")
-
-
-_HALF = np.array([[0], [1]])
-
-
-def _entity_halves(table, rows):
-    """``table.ent`` as (2n, d) rows, with row 2i the re half of entity i and
-    row 2i+1 its im half, and the indices of the halves of ``rows`` in it,
-    stacked [re, im]. Taking from the strided ``ent_re``/``ent_im`` views
-    instead would copy a whole half per call."""
-    return table.ent.reshape(-1, table.dim), 2 * rows + _HALF
 
 
 def _table_rows(table, what, rows, alloc):
@@ -357,18 +343,29 @@ def rule_penalty(table, rules):
     dim = table.dim
     if len(rules) == 0:
         return 0.0, RowGrads.empty(dim)
-    windows = rules.windows(dim)
-    width = max(count for _, count, _ in windows)
-    # The rule-major gradient terms of a window, [re, im], their flat target
-    # indices, and the arrays of one length group in a window: 8 arrays of
-    # the window's size hold those of any group with bodies of up to 4
-    # relations; a longer one takes fresh arrays for what does not fit.
-    terms = np.empty((2, width, dim))
-    flat = np.empty((width, dim), dtype=np.int64)
-    scratch = Scratch(8 * width * dim)
+    need = partial(_arena_rows, bound=table.bound)
+    windows = rules.windows(dim, need)
+    # The rule-major gradient terms of a window, [re, im], and an arena for
+    # the arrays of one length group in a window, then for the window's
+    # scatter index. One window gets what it needs. Several get the budget
+    # sizes, so that a call's memory does not depend on where the cuts fall;
+    # a window of one rule that needs more takes fresh arrays from the arena.
+    if len(windows) == 1:
+        _, width, parts = windows[0]
+        size = max([width] + [need(group.length) * (hi - lo) for group, lo, hi in parts]) * dim
+    else:
+        width = max([kernel.WINDOW_ELEMENTS // dim] + [count for _, count, _ in windows])
+        size = kernel.ARENA_ELEMENTS
+    # The terms and the row sums keep each re beside its im, so that the
+    # scatter can take the pair as one complex128, whose sum adds each part
+    # on its own: one np.add.at call per window does both halves.
+    pairs = np.empty((width, dim, 2))
+    terms = pairs.transpose(2, 0, 1)
+    scratch = Scratch(size)
     span = np.arange(dim)
     losses = np.empty(len(rules))
-    acc = np.zeros((2, rules.rows.size, dim))
+    sums = np.zeros((rules.rows.size, dim, 2))
+    acc = sums.transpose(2, 0, 1)
 
     for first, count, parts in windows:
         for group, lo, hi in parts:
@@ -376,11 +373,15 @@ def rule_penalty(table, rules):
             terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
         # Scatter in rule order through flat indices: np.add.at runs far
         # faster on 1-d arrays, and adds in index order all the same.
-        index = flat[:count]
+        scratch.reset()
+        index = scratch((count, dim)).view(np.int64)
         np.multiply(rules.slots[first : first + count, None], dim, out=index)
         index += span
-        for half in range(2):
-            np.add.at(acc[half].reshape(-1), index.reshape(-1), terms[half, :count].reshape(-1))
+        np.add.at(
+            sums.view(np.complex128).reshape(-1),
+            index.reshape(-1),
+            pairs[:count].view(np.complex128).reshape(-1),
+        )
 
     loss = 0.0
     for term in losses.tolist():
@@ -388,11 +389,29 @@ def rule_penalty(table, rules):
     return loss, RowGrads(rules.rows, acc[0], acc[1])
 
 
+def _arena_rows(k, bound):
+    """The rows of ``dim`` elements that ``_rule_terms`` takes from its arena
+    per rule of body length k under a relation bound ``bound``:
+    - for every k, the (2, k+1) body vectors (heads included), the (2, k+1)
+      gradient terms and the (2,) active and 2v arrays: 4k + 6;
+    - for k = 2, the scratch and body product of ``gradient_factors`` and
+      the (2, 2) products with c: 8 more, 22 in all;
+    - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
+      (2) and the prefixes and suffixes that do not go into c (4k - 12):
+      6k - 8 more, 10k - 2 in all;
+    - 2 more for the gaps when bound**k is not 1.
+    ``RuleArrays.windows`` cuts the windows by it, so any change to the
+    arrays ``_rule_terms`` takes must change this count too."""
+    rows = 10 if k == 1 else 22 if k == 2 else 10 * k - 2
+    return rows + 2 if bound**k != 1.0 else rows
+
+
 def _rule_terms(table, group, lo, hi, losses, alloc):
     """The penalty of rules lo:hi of a length group: their losses go into
     ``losses`` at their rule ids, and their gradient terms are returned as a
     (2, k+1, r, d) array, [re, im] of the head's term and then of each body
-    position's. Arrays come from ``alloc(shape)``."""
+    position's. Arrays come from ``alloc(shape)``: ``_arena_rows`` rows of
+    d elements per rule."""
     R = table.bound
     k = group.length
     rk = R**k
@@ -624,7 +643,8 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
 
             # Only the rows the step touched can have left the feasible set.
             adagrad_step(table, ent, rel, state, config.learning_rate, workspace=workspace)
-            project(table, ent.rows, rel.rows)
+            workspace.temp.reset()
+            project(table, ent.rows, rel.rows, alloc=workspace.temp)
             if step_callback is not None:
                 step_callback(table, epoch, step)
 
@@ -659,16 +679,38 @@ def save_checkpoint(path, table, state):
 
 
 def load_checkpoint(path):
-    """The table and AdaGrad state of ``save_checkpoint``; a bad or short
-    file is a ValueError that names it and the byte offset."""
+    """The table and AdaGrad state of ``save_checkpoint``. A bad or short
+    file, an epsilon that is not finite and positive, an accumulator value
+    that is NaN, infinite or negative, and bytes after the accumulators are
+    ValueErrors that name the file and the byte offset."""
     with open(path, "rb") as handle:
         table = load_table(handle)
+        name, offset = handle.name, handle.tell()
         epsilon = float(read_array(handle, (), "the AdaGrad epsilon"))
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(
+                f"{name}: bad AdaGrad epsilon at byte {offset}: {epsilon} is not finite and positive"
+            )
         n, m, d = table.num_entities, table.num_relations, table.dim
-        accumulators = [
-            read_array(handle, (rows, d), what)
-            for rows, what in ((n, "ent_re_acc"), (n, "ent_im_acc"), (m, "rel_re_acc"), (m, "rel_im_acc"))
-        ]
+        accumulators = []
+        for rows, what in ((n, "ent_re_acc"), (n, "ent_im_acc"), (m, "rel_re_acc"), (m, "rel_im_acc")):
+            offset = handle.tell()
+            acc = read_array(handle, (rows, d), what)
+            bad = np.flatnonzero(~((acc >= 0.0) & (acc < math.inf)))
+            if bad.size:
+                value = acc.flat[bad[0]]
+                kind = "negative" if np.isfinite(value) else "non-finite"
+                raise ValueError(
+                    f"{name}: {what} holds the {kind} value {value} at byte "
+                    f"{offset + 8 * int(bad[0])} (accumulators are finite and non-negative)"
+                )
+            accumulators.append(acc)
+        offset, end = handle.tell(), handle.seek(0, io.SEEK_END)
+        if end > offset:
+            raise ValueError(
+                f"{name}: {end - offset} trailing bytes from byte {offset}; "
+                "a checkpoint ends after rel_im_acc"
+            )
     return table, AdagradState(*accumulators, epsilon)
 
 

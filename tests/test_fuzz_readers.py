@@ -6,10 +6,15 @@ Each text reader gets raw bytes, or lines built from tokens of its format
 (numbers, names, tabs, section headers and keys, ``%``) with bytes that are
 not UTF-8 among them, so that inputs reach past the first line and field.
 ``load_table`` gets an intact dump with some bytes overwritten, cut short,
-or both.
+or both, and ``load_checkpoint`` an intact checkpoint with some bytes
+overwritten, cut short or extended; a checkpoint that loads holds a finite,
+positive epsilon and finite, non-negative accumulators.
 """
 
 import io
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from hornplex.config import FLAGS, load_run_config
 from hornplex.kg import TripleFileError, load_triples, read_dictionary
 from hornplex.model import init_table, load_table, save_table
 from hornplex.rules import RuleFileError, parse_rules
+from hornplex.training import AdagradState, load_checkpoint, save_checkpoint
 
 COMMON = [" ", "", "#", "x", "é", "0", "1", "-1", "nan", "1e400", "\r"]
 RAW = [b"\xff", b"\xc3", b"\x00"]
@@ -164,6 +170,41 @@ def test_load_table_returns_or_raises_on_patched_dumps(scratch_file, patches, cu
         blob[at : at + len(value)] = value
     scratch_file.write_bytes(bytes(blob[:cut]))
     reads_or_names_the_file(load_table, ValueError, scratch_file)
+
+
+def intact_checkpoint():
+    state = AdagradState.zeros(3, 2, 2)
+    state.ent_re_acc += 0.5
+    state.rel_im_acc += 2.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_checkpoint(path, init_table(3, 2, 2, bound=1.5, seed=0), state)
+        return path.read_bytes()
+
+
+CHECKPOINT = intact_checkpoint()
+
+
+def load_checkpoint_in_range(path):
+    """``load_checkpoint``, asserting that the AdaGrad state it loads is one
+    that AdaGrad can go on from."""
+    _, state = load_checkpoint(path)
+    assert math.isfinite(state.epsilon) and state.epsilon > 0, state.epsilon
+    for acc in (state.ent_re_acc, state.ent_im_acc, state.rel_re_acc, state.rel_im_acc):
+        assert ((acc >= 0) & np.isfinite(acc)).all(), acc
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, len(CHECKPOINT) - 1), st.sampled_from(VALUES)), max_size=4),
+    st.one_of(st.none(), st.integers(0, len(CHECKPOINT))),
+    st.binary(max_size=16),
+)
+def test_load_checkpoint_returns_or_raises_on_patched_checkpoints(scratch_file, patches, cut, extra):
+    blob = bytearray(CHECKPOINT)
+    for at, value in patches:
+        blob[at : at + len(value)] = value
+    scratch_file.write_bytes(bytes(blob[:cut]) + extra)
+    reads_or_names_the_file(load_checkpoint_in_range, ValueError, scratch_file)
 
 
 @pytest.mark.parametrize(

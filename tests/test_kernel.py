@@ -5,7 +5,9 @@ The kernel multiplies and sums in the same order as the loops, so losses,
 gradients and gaps must be equal, not merely close.
 """
 
+import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_kg
-from hornplex import kernel
+from hornplex import kernel, training
 from hornplex.evaluation import relation_rule_diagnostics
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
@@ -102,6 +104,50 @@ def test_windows_cut_the_length_groups_in_rule_order():
     assert any(lo > 0 for _, lo, _ in cut)  # a group split between windows
     assert any(len(parts) > 1 for _, _, parts in windows)  # a window of several lengths
     assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
+
+
+@given(rule_sets(), st.sampled_from([8, 1000]))
+def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
+    """For arenas of rows of ``dim`` elements that hold 1-3 rules of a
+    length the rules have, or a row less, and windows of at most ``terms``
+    terms, every request of a length group's slice of a window, and of the
+    window's scatter index, fits the arena, unless the window holds one
+    rule; the penalty is that of the per-rule loop."""
+    table, rules = case
+    dim = table.dim
+    expected_loss, expected = oracles.rule_penalty(table, rules)
+    need = partial(training._arena_rows, bound=table.bound)
+    rule_terms = training._rule_terms
+    at = []  # the first rule of each group slice so far
+
+    def recorded(table, group, lo, hi, losses, alloc):
+        at.append(int(group.rules[lo]))
+        return rule_terms(table, group, lo, hi, losses, alloc)
+
+    class Fits(kernel.Scratch):
+        def __call__(self, shape):
+            fits = self.used + math.prod(shape) <= self.buffer.size
+            assert fits or at[-1] in alone, f"no room for {shape} at rule {at[-1]}"
+            return super().__call__(shape)
+
+    arrays = kernel.RuleArrays.from_rules(rules)
+    lengths = {len(rule.body) for rule in rules}
+    for rows in sorted({need(k) * r - less for k in lengths for r in (1, 2, 3) for less in (0, 1)}):
+        with (
+            mock.patch.object(kernel, "WINDOW_ELEMENTS", terms * dim),
+            mock.patch.object(kernel, "ARENA_ELEMENTS", rows * dim),
+            mock.patch.object(training, "Scratch", Fits),
+            mock.patch.object(training, "_rule_terms", recorded),
+        ):
+            alone = {
+                int(parts[0][0].rules[parts[0][1]])
+                for _, _, parts in arrays.windows(dim, need)
+                if sum(hi - lo for _, lo, hi in parts) == 1
+            }
+            loss, grads = rule_penalty(table, arrays)
+        assert loss == expected_loss
+        for part in ("rows", "re", "im"):
+            assert np.array_equal(getattr(grads, part), getattr(expected, part))
 
 
 @pytest.mark.parametrize("where", ["head", "body"])

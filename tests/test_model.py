@@ -1,10 +1,12 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hornplex.kernel import Scratch
 from hornplex.kg import Triple
 from hornplex.model import (
     EmbeddingTable,
@@ -13,6 +15,7 @@ from hornplex.model import (
     is_feasible,
     load_table,
     project,
+    project_relation_components,
     save_table,
     score,
     score_all_heads,
@@ -164,6 +167,45 @@ def test_project_idempotent_bit_exact(seed, scale):
     assert np.array_equal(table.ent_im, once.ent_im)
     assert np.array_equal(table.rel_re, once.rel_re)
     assert np.array_equal(table.rel_im, once.rel_im)
+
+
+def test_project_works_in_place():
+    """Projecting 250 of 20k entity rows and two relation rows through an
+    arena allocates under 16 KiB, where taking the rows' halves alone would
+    take 250 KiB, and so does projecting the whole table. Each row gets the
+    bits of clipping and projecting its halves on their own."""
+    rng = np.random.default_rng(4)
+    table = init_table(20_000, 6, 64, 1.0, seed=4)
+    rows = np.sort(rng.choice(np.arange(1, 20_000), 250, replace=False))
+    rel_rows = np.array([4, 1])
+    table.ent[rows] += rng.normal(0.0, 0.5, (250, 128))
+    table.ent[0] = 2.0  # not in ``rows``
+    table.rel_re[rel_rows] += 0.8
+    expected = table.copy()
+    for half in (expected.ent_re, expected.ent_im):
+        half[rows] = np.clip(half[rows], 0.0, 1.0)
+    re, im = expected.rel_re[rel_rows], expected.rel_im[rel_rows]
+    project_relation_components(re, im, 1.0)
+    expected.rel_re[rel_rows], expected.rel_im[rel_rows] = re, im
+    whole = table.copy()
+
+    arena = Scratch(2 * (rows.size + rel_rows.size) * 64)
+    tracemalloc.start()
+    try:
+        project(table, rows, rel_rows, alloc=arena)
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        project(whole)
+        whole_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rows_peak < 16 * 1024, rows_peak
+    assert whole_peak < 16 * 1024, whole_peak
+    for name in ("ent", "rel_re", "rel_im"):
+        assert getattr(table, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert is_feasible(whole) and np.all(whole.ent[0] == 1.0)
+    assert whole.ent[rows].tobytes() == table.ent[rows].tobytes()
 
 
 def test_init_deterministic():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -439,6 +440,37 @@ def test_checkpoint_with_cut_accumulators_names_file_and_offset(tmp_path):
     with pytest.raises(ValueError) as err:
         load_checkpoint(p)
     assert str(err.value) == f"{p}: truncated at byte 433: ent_im_acc needs 96 bytes from byte 428"
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        # 36-byte header, 12 rows of 24 bytes, epsilon at byte 324, then the
+        # accumulators: ent_re_acc at 332, ent_im_acc at 428, rel_re_acc at
+        # 524, rel_im_acc at 572, and the end at byte 620
+        ((324, struct.pack("<d", math.nan)), "bad AdaGrad epsilon at byte 324: nan is not finite and positive"),
+        ((324, struct.pack("<d", -1e-10)), "bad AdaGrad epsilon at byte 324: -1e-10 is not finite and positive"),
+        (
+            (524 + 8 * 5, struct.pack("<d", -0.5)),
+            "rel_re_acc holds the negative value -0.5 at byte 564 "
+            "(accumulators are finite and non-negative)",
+        ),
+        ((620, b"junk1234"), "8 trailing bytes from byte 620; a checkpoint ends after rel_im_acc"),
+    ],
+    ids=["nan-epsilon", "negative-epsilon", "negative-accumulator", "trailing-bytes"],
+)
+def test_checkpoint_with_corrupt_optimizer_state_names_file_and_offset(tmp_path, patch, message):
+    table = make_feasible_table(seed=12, num_entities=4, num_relations=2, dim=3)
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, table, AdagradState.zeros(4, 2, 3))
+    blob = bytearray(p.read_bytes())
+    assert len(blob) == 620
+    at, value = patch
+    blob[at : at + len(value)] = value
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(p)
+    assert str(err.value) == f"{p}: {message}"
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
