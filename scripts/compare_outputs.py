@@ -1,0 +1,126 @@
+"""Check that a revision and the working tree write byte-identical artifacts.
+
+    python3 scripts/compare_outputs.py REV
+
+Run from the root of a checkout. ``bench/gen.py`` writes the inputs of the
+planted-small, planted-20k and rules-500 workloads (seed 1) once. For each
+workload and each relation bound, 1.0 and 1.3, ``hornplex train``, ``eval``
+and ``diagnostics`` then run twice: in the committed files of ``REV``,
+exported with ``git archive`` into a temporary directory, and in the working
+tree. Both runs work in the same relative directory, ``.compare_work/``, so
+the paths that the artifacts embed agree. Every file either run wrote
+(checkpoint, training log, metrics, both diagnostics CSVs, embedding CSVs,
+dictionaries, resolved config) is then compared byte for byte, and one line
+per file says ``same`` or ``DIFFERS`` (or ``MISSING`` on one side). The exit
+status is 1 if any file is not the same.
+
+Training is short (d=64, mu=1, eta=0.02, seed 1): 20 epochs on
+planted-small, 3 on rules-500 and 1 on planted-20k.
+"""
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ".compare_work"
+EPOCHS = {"planted-small": 20, "rules-500": 3, "planted-20k": 1}
+BOUNDS = (1.0, 1.3)
+CONFIG = """[paths]
+train = {data}/train.tsv
+valid = {data}/valid.tsv
+test = {data}/test.tsv
+rules = {data}/rules.tsv
+output_dir = {out}
+
+[train]
+learning_rate = 0.2
+batch_size = 64
+epochs = {epochs}
+validate_every = 1
+mu = 1.0
+eta = 0.02
+negatives_per_positive = 1
+bound = {bound}
+dim = 64
+seed = 1
+
+[eval]
+split = test
+"""
+
+
+def hornplex(tree, config, *args):
+    """``hornplex --config config *args`` run from ``tree`` on its own sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "hornplex", "--config", config, *args],
+        cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def run_case(tree, workload, bound):
+    """Train, evaluate and diagnose one case in ``tree``; its output folder."""
+    case = f"{WORK}/{workload}-{bound}"
+    out = f"{case}/out"
+    shutil.rmtree(tree / case, ignore_errors=True)
+    (tree / case).mkdir(parents=True)
+    config = f"{case}/run.ini"
+    (tree / config).write_text(
+        CONFIG.format(
+            data=f"{WORK}/{workload}", out=out, epochs=EPOCHS[workload], bound=bound
+        ),
+        encoding="utf-8",
+    )
+    hornplex(tree, config, "train")
+    hornplex(tree, config, "eval", "--checkpoint", f"{out}/checkpoint.bin")
+    hornplex(tree, config, "diagnostics", "--checkpoint", f"{out}/checkpoint.bin")
+    return tree / out
+
+
+def compare(old, new):
+    """(relative name, verdict) for each file in either folder."""
+    names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+    for name in names:
+        if not (old / name).exists() or not (new / name).exists():
+            yield name, "MISSING"
+        else:
+            same = filecmp.cmp(old / name, new / name, shallow=False)
+            yield name, "same" if same else "DIFFERS"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        old_tree = export(args.rev, tmp)
+        for workload in EPOCHS:
+            data = ROOT / WORK / workload
+            shutil.rmtree(data, ignore_errors=True)
+            data.mkdir(parents=True)
+            subprocess.run(
+                [sys.executable, "bench/gen.py", "--workload", workload, "--seed", "1",
+                 "--out", str(data)],
+                cwd=ROOT, check=True,
+            )
+            shutil.copytree(data, old_tree / WORK / workload)
+            for bound in BOUNDS:
+                old, new = run_case(old_tree, workload, bound), run_case(ROOT, workload, bound)
+                for name, verdict in compare(old, new):
+                    differ += verdict != "same"
+                    print(f"{workload} bound={bound} {name}: {verdict}", flush=True)
+    print(f"{differ} file(s) not the same" if differ else "every file is the same")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import body_product, body_vectors, check_relations, length_groups, rule_gaps
+from .kernel import body_product, check_relations, length_groups, rule_gaps, take_rows
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -140,7 +140,7 @@ def rank_queries(table, kg, triples, tail_side):
     frobenius = math.sqrt(float(np.dot(flat, flat)))
     if not math.isfinite(frobenius) and not np.isfinite(flat).all():
         raise ValueError("the entity table holds a NaN or infinite component")
-    if not (np.isfinite(table.rel_re).all() and np.isfinite(table.rel_im).all()):
+    if not np.isfinite(table.rel).all():
         raise ValueError("the relation table holds a NaN or infinite component")
 
     ranks = np.empty(len(triples))
@@ -313,7 +313,7 @@ def relation_rule_diagnostics(table, rules):
     rules = list(rules)
     ids, groups = length_groups(rules)
     check_relations(ids, groups, table.num_relations)
-    vectors = body_vectors(table, ids)
+    vectors = take_rows(table.rel, ids, "relation")
     out = [None] * len(rules)
     start = 0
     for members, group_ids in groups:

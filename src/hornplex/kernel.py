@@ -50,7 +50,7 @@ __all__ = [
     "length_groups",
     "check_relations",
     "Scratch",
-    "body_vectors",
+    "take_rows",
     "body_product",
     "gradient_factors",
     "rule_gaps",
@@ -74,6 +74,24 @@ def cmul_into(a, b, out, scratch):
     np.multiply(a, b[::-1], out=scratch)  # a_re*b_im, a_im*b_re
     np.add(scratch[0], scratch[1], out=out[1])
     return out
+
+
+_HALF = np.arange(2)
+
+
+def _halves(matrix, rows, what):
+    """``matrix``, a C-contiguous (n, 2d) array of ``[re | im]`` rows of
+    ``what`` (entity or relation), as (2n, d) rows, row 2i the re half of row
+    i and row 2i+1 its im half, and the indices in it of the halves of the
+    int64 ``rows``, stacked [re, im] on a new first axis: taking them copies
+    no whole half, as taking from the strided half views would. A row outside
+    [0, n) is an IndexError (a negative one, as uint64, exceeds any n), so
+    the indices may be taken with mode="clip", which needs no buffer."""
+    n = matrix.shape[0]
+    if rows.size and rows.view(np.uint64).max() >= n:
+        raise IndexError(f"{what} index out of range for {n} {what}s")
+    index = np.add.outer(_HALF, 2 * rows)
+    return matrix.reshape(2 * n, matrix.shape[1] // 2), index
 
 
 def length_groups(rules):
@@ -232,15 +250,13 @@ class Scratch:
         self.used = 0
 
 
-def body_vectors(table, ids, alloc=np.empty):
-    """Relation vectors of the ids ``ids``, stacked [re, im] on a new first
-    axis: a (2, k, r, d) array from ``alloc(shape)`` for (k, r) ids."""
-    b = alloc((2,) + ids.shape + (table.dim,))
-    # The ids are in range (``RuleArrays.check_relations``); with
-    # mode="clip", take writes to ``out`` without a buffer.
-    table.rel_re.take(ids, axis=0, out=b[0], mode="clip")
-    table.rel_im.take(ids, axis=0, out=b[1], mode="clip")
-    return b
+def take_rows(matrix, rows, what, alloc=np.empty):
+    """Rows ``rows`` (an int64 array) of an (n, 2d) ``[re | im]`` matrix of
+    ``what`` rows, stacked [re, im] on a new first axis: for relation ids of
+    shape (k, r), say, a (2, k, r, d) array. It comes from ``alloc(shape)``.
+    A row outside the matrix is an IndexError."""
+    halves, index = _halves(matrix, rows, what)
+    return halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
 
 
 def body_product(b):

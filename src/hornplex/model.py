@@ -1,10 +1,10 @@
 """Complex-valued embedding tables, bilinear scoring, and constraint projection.
 
 Entities and relations are complex vectors stored as real and imaginary
-float64 parts: entities as one (n, 2d) matrix of ``[re | im]`` rows,
-relations as two (m, d) arrays. The feasible set is: entity components in
-[0, 1], relation components non-negative with per-dimension modulus at
-most ``bound``. The score of a triple (h, r, t) is
+float64 parts: entities as one (n, 2d) matrix of ``[re | im]`` rows and
+relations as one (m, 2d) matrix of such rows. The feasible set is: entity
+components in [0, 1], relation components non-negative with per-dimension
+modulus at most ``bound``. The score of a triple (h, r, t) is
 Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
 bounded by 2 * bound * dim in absolute value.
 """
@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .kernel import cmul
+from .kernel import _halves, cmul
 
 __all__ = [
     "EmbeddingTable",
@@ -42,66 +42,85 @@ __all__ = [
 _MAGIC = b"HPX1"
 
 
-def _entity_half(attr):
-    """A property for a view of half of ``EmbeddingTable.ent``. Setting it
-    to anything but that same view raises; ``table.ent_re += x`` works in
-    place and sets the same view back, so it is allowed."""
+def _bind_matrix(obj, name, matrix):
+    """Set ``obj``'s matrix ``name``, a C-contiguous (rows, 2d) float64 array
+    of ``[re | im]`` rows, and the views of its halves that ``_matrix_half``
+    properties hand out."""
+    contiguous = matrix.flags.c_contiguous
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] % 2 or not contiguous:
+        raise ValueError(f"{name} {matrix.shape} must be a C-contiguous float64 (rows, 2d) array")
+    d = matrix.shape[1] // 2
+    vars(obj).update({"_" + name: matrix, f"_{name}_halves": (matrix[:, :d], matrix[:, d:])})
+
+
+def _matrix_half(name, half):
+    """A property for the view of half ``half`` (0 for re, 1 for im) of the
+    matrix ``name`` that ``_bind_matrix`` set. Setting it to anything but
+    that same view raises; ``x.ent_re += y`` works in place and sets the
+    same view back, so it is allowed."""
+    attr, which = f"_{name}_halves", ("re", "im")[half]
 
     def get(self):
-        return getattr(self, attr)
+        return getattr(self, attr)[half]
 
     def set_(self, value):
-        if value is not getattr(self, attr):
-            raise AttributeError(f"{attr[1:]} is a view of EmbeddingTable.ent; write into it")
+        if value is not get(self):
+            raise AttributeError(
+                f"the {which} half of {type(self).__name__}.{name} is a view; write into it"
+            )
 
     return property(get, set_)
+
+
+def _join(re, im, name):
+    """The (rows, d) halves ``{name}_re`` and ``{name}_im`` copied into one
+    (rows, 2d) matrix of ``[re | im]`` rows."""
+    re, im = np.asarray(re), np.asarray(im)
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValueError(
+            f"{name}_re {re.shape} and {name}_im {im.shape} must be matching 2-d arrays"
+        )
+    return np.concatenate((re, im), axis=1, dtype=np.float64)
 
 
 class EmbeddingTable:
     """Entity and relation embeddings with the relation modulus ``bound``.
 
-    Entities live in one C-contiguous (n, 2d) float64 array ``ent`` whose
-    rows are ``[re | im]``, so scoring every entity is one matrix product.
-    ``ent_re`` and ``ent_im`` are views of its two halves: write into them
-    (``table.ent_re[rows] = ...``); rebinding them is an AttributeError.
-    Relations are the (m, d) arrays ``rel_re`` and ``rel_im``. The
-    constructor copies the entity halves into ``ent``.
+    Entities live in one C-contiguous (n, 2d) float64 array ``ent`` and
+    relations in one (m, 2d) array ``rel``, both of ``[re | im]`` rows, so
+    scoring every entity is one matrix product and a step gathers a row's
+    two halves at once. ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im``
+    are views of their halves: write into them (``table.ent_re[rows] =
+    ...``); rebinding them is an AttributeError. The constructor copies the
+    halves into the matrices; ``from_matrices`` takes matrices as they are.
     """
 
     def __init__(self, ent_re, ent_im, rel_re, rel_im, bound):
-        ent_re, ent_im = np.asarray(ent_re), np.asarray(ent_im)
-        if ent_re.ndim != 2 or ent_re.shape != ent_im.shape:
-            raise ValueError(
-                f"ent_re {ent_re.shape} and ent_im {ent_im.shape} must be matching 2-d arrays"
-            )
-        ent = np.empty((ent_re.shape[0], 2 * ent_re.shape[1]))
-        ent[:, : ent_re.shape[1]] = ent_re
-        ent[:, ent_re.shape[1] :] = ent_im
-        self._set_entities(ent)
-        self.rel_re = rel_re
-        self.rel_im = rel_im
-        self.bound = bound
+        self._bind(_join(ent_re, ent_im, "ent"), _join(rel_re, rel_im, "rel"), bound)
 
     @classmethod
-    def from_entities(cls, ent, rel_re, rel_im, bound):
-        """A table that takes ``ent`` (C-contiguous, (n, 2d) float64) as is."""
+    def from_matrices(cls, ent, rel, bound):
+        """A table that takes ``ent`` and ``rel`` (C-contiguous float64
+        (n, 2d) and (m, 2d) arrays) as they are."""
         table = cls.__new__(cls)
-        table._set_entities(ent)
-        table.rel_re, table.rel_im, table.bound = rel_re, rel_im, bound
+        table._bind(ent, rel, bound)
         return table
 
-    def _set_entities(self, ent):
-        if ent.dtype != np.float64 or not ent.flags.c_contiguous or ent.shape[1] % 2:
-            raise ValueError("ent must be a C-contiguous float64 array with an even row length")
-        d = ent.shape[1] // 2
-        self._ent, self._ent_re, self._ent_im = ent, ent[:, :d], ent[:, d:]
+    def _bind(self, ent, rel, bound):
+        _bind_matrix(self, "ent", ent)
+        _bind_matrix(self, "rel", rel)
+        if rel.shape[1] != ent.shape[1]:
+            raise ValueError(
+                f"rel {rel.shape} and ent {ent.shape} must have rows of one length 2d"
+            )
+        self.bound = bound
 
-    @property
-    def ent(self):
-        return self._ent
-
-    ent_re = _entity_half("_ent_re")
-    ent_im = _entity_half("_ent_im")
+    ent = property(lambda self: self._ent)
+    rel = property(lambda self: self._rel)
+    ent_re = _matrix_half("ent", 0)
+    ent_im = _matrix_half("ent", 1)
+    rel_re = _matrix_half("rel", 0)
+    rel_im = _matrix_half("rel", 1)
 
     @property
     def num_entities(self):
@@ -109,36 +128,30 @@ class EmbeddingTable:
 
     @property
     def num_relations(self):
-        return self.rel_re.shape[0]
+        return self._rel.shape[0]
 
     @property
     def dim(self):
-        return self._ent_re.shape[1]
+        return self._ent.shape[1] // 2
 
     def copy(self):
-        return EmbeddingTable.from_entities(
-            self._ent.copy(), self.rel_re.copy(), self.rel_im.copy(), self.bound
-        )
+        return EmbeddingTable.from_matrices(self._ent.copy(), self._rel.copy(), self.bound)
 
 
 def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     """Fresh table: entity components uniform on [0, 1], relation components
-    uniform on [0, bound/sqrt(2)] so every row is feasible by construction."""
+    uniform on [0, bound/sqrt(2)] so every row is feasible by construction.
+    The halves are drawn in the order ent_re, ent_im, rel_re, rel_im."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
     if not 0 < bound < math.inf:  # NaN fails too
         raise ValueError("bound must be positive and finite")
     rng = np.random.default_rng(seed)
-    rel_scale = bound / np.sqrt(2.0)
-    ent = np.empty((num_entities, 2 * dim))
-    ent[:, :dim] = rng.random((num_entities, dim))
-    ent[:, dim:] = rng.random((num_entities, dim))
-    return EmbeddingTable.from_entities(
-        ent,
-        rng.random((num_relations, dim)) * rel_scale,
-        rng.random((num_relations, dim)) * rel_scale,
-        float(bound),
-    )
+    ent, rel = np.empty((num_entities, 2 * dim)), np.empty((num_relations, 2 * dim))
+    for matrix, scale in ((ent, 1.0), (rel, bound / np.sqrt(2.0))):
+        for half in (matrix[:, :dim], matrix[:, dim:]):
+            np.multiply(rng.random(half.shape), scale, out=half)  # x * 1.0 is x
+    return EmbeddingTable.from_matrices(ent, rel, float(bound))
 
 
 def _head_factors(c, d, e, f):
@@ -239,65 +252,41 @@ def project_relation_components(rel_re, rel_im, bound):
     raise RuntimeError("relation modulus projection did not converge")
 
 
-def _check_rows(rows, count, what):
-    """Raise IndexError unless every id of the int64 array ``rows`` is in
-    [0, count); a negative id, seen as uint64, exceeds any count. Checked
-    rows are then taken with mode="clip", which writes to ``out`` without
-    the buffer that mode="raise" makes."""
-    if rows.size and rows.view(np.uint64).max() >= count:
-        raise IndexError(f"{what} index out of range for {count} {what}s")
-
-
-_HALF = np.array([[0], [1]])
-
-
-def _entity_halves(table, rows):
-    """``table.ent`` as (2n, d) rows, with row 2i the re half of entity i and
-    row 2i+1 its im half, and the indices of the halves of ``rows`` in it,
-    stacked [re, im]. Taking from the strided ``ent_re``/``ent_im`` views
-    instead would copy a whole half per call."""
-    return table.ent.reshape(-1, table.dim), 2 * rows + _HALF
-
-
 def project(table, ent_rows=slice(None), rel_rows=slice(None), alloc=np.empty):
     """Clamp entity components into [0, 1] and project relation components;
     in place. ``ent_rows`` and ``rel_rows`` (slices, or arrays of unique row
     ids) limit it to those rows; by default it covers every row. Each
     component is projected on its own, so a row gets the same bits either
-    way. Entity rows given by ids are taken, both halves at once, into an
-    array from ``alloc(shape)``, clipped there and put back; an entity row
-    outside the table is an IndexError."""
-    if isinstance(ent_rows, slice):
-        ent = table.ent[ent_rows]
-        ent.clip(0.0, 1.0, out=ent)
-    else:
-        rows = np.asarray(ent_rows, dtype=np.int64)
-        _check_rows(rows, table.num_entities, "entity")
-        halves, index = _entity_halves(table, rows)
-        index = index.reshape(-1)
-        ent = halves.take(index, axis=0, out=alloc((index.size, table.dim)), mode="clip")
-        ent.clip(0.0, 1.0, out=ent)
-        halves[index] = ent
-    rel_re, rel_im = table.rel_re[rel_rows], table.rel_im[rel_rows]
-    project_relation_components(rel_re, rel_im, table.bound)
-    table.rel_re[rel_rows], table.rel_im[rel_rows] = rel_re, rel_im
+    way. Rows given by ids are taken, both halves at once, into an array
+    from ``alloc(shape)``, projected there and put back; a row outside the
+    table is an IndexError."""
+    d = table.dim
+    for matrix, rows, what in ((table.ent, ent_rows, "entity"), (table.rel, rel_rows, "relation")):
+        if isinstance(rows, slice):
+            values = matrix[rows]
+            re, im = values[:, :d], values[:, d:]
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            halves, index = _halves(matrix, rows, what)
+            values = halves.take(index, axis=0, out=alloc(index.shape + (d,)), mode="clip")
+            re, im = values
+        if what == "entity":
+            values.clip(0.0, 1.0, out=values)
+        else:
+            project_relation_components(re, im, table.bound)
+        if not isinstance(rows, slice):
+            halves[index] = values
     return table
 
 
 def is_feasible(table):
     """Exact (not tolerance-based) feasibility of every component."""
-    ents_ok = (
-        (table.ent_re >= 0.0).all()
-        and (table.ent_re <= 1.0).all()
-        and (table.ent_im >= 0.0).all()
-        and (table.ent_im <= 1.0).all()
-    )
-    rels_ok = (
-        (table.rel_re >= 0.0).all()
-        and (table.rel_im >= 0.0).all()
+    return bool(
+        (table.ent >= 0.0).all()
+        and (table.ent <= 1.0).all()
+        and (table.rel >= 0.0).all()
         and (np.hypot(table.rel_re, table.rel_im) <= table.bound).all()
     )
-    return bool(ents_ok and rels_ok)
 
 
 def save_table(path_or_file, table):
@@ -344,6 +333,36 @@ def read_array(handle, shape, what):
     return np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
 
 
+def _read_halves(handle, rows, dim, names, valid, kind, rule):
+    """A (rows, 2 * dim) matrix of ``[re | im]`` rows, read from a binary
+    ``handle`` as two row-major (rows, dim) float64 halves named ``names``
+    (see ``_read_exact``). ``valid(values, re)`` is true where a half's value
+    may stand; ``re`` is None for the re half and the re half for the im
+    half. The first value that may not is a ValueError naming the file, the
+    half and the byte offset, calling the value ``kind`` (or non-finite) and
+    ending with ``rule``. The matrix is allocated once a half has been read,
+    so a corrupt count allocates nothing."""
+    name = getattr(handle, "name", "<stream>")
+    matrix = re = None
+    for half, what in enumerate(names):
+        start = handle.tell()
+        buf = _read_exact(handle, 8 * rows * dim, what)
+        values = np.frombuffer(buf, dtype=np.float64).reshape(rows, dim)
+        bad = np.flatnonzero(~valid(values, re))
+        if bad.size:
+            value = values.flat[bad[0]]
+            raise ValueError(
+                f"{name}: {what} holds the {kind if np.isfinite(value) else 'non-finite'} "
+                f"value {value} at byte {start + 8 * int(bad[0])} ({rule})"
+            )
+        if matrix is None:
+            matrix = np.empty((rows, 2 * dim))
+        matrix[:, half * dim : (half + 1) * dim] = values
+        re = matrix[:, :dim]
+        del buf, values, bad  # before the next half is read
+    return matrix
+
+
 def load_table(path_or_file):
     """Read a table written by ``save_table``; trailing bytes (e.g. optimizer
     state in a checkpoint) are left unread. A bad magic, a header with a
@@ -366,39 +385,24 @@ def load_table(path_or_file):
             raise ValueError(
                 f"{name}: bad header at byte 28: bound={bound} is not finite and positive"
             )
-        relations = []
-        for rows, what in ((n, "ent_re"), (n, "ent_im"), (m, "rel_re"), (m, "rel_im")):
-            start = handle.tell()
-            buf = _read_exact(handle, 8 * rows * d, what)
-            arr = np.frombuffer(buf, dtype=np.float64).reshape(rows, d)
-            # the test of ``is_feasible``, which NaN and inf fail too; a
-            # relation component above the bound puts its modulus above it
-            if what.startswith("ent"):
-                ok, rule = (arr >= 0.0) & (arr <= 1.0), "entity components lie in [0, 1]"
-            else:
-                modulus = arr if what == "rel_re" else np.hypot(relations[0], arr)
-                ok = (arr >= 0.0) & (modulus <= bound)
-                rule = f"relation components are non-negative, with modulus at most {bound}"
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                value = arr.flat[bad[0]]
-                kind = "infeasible" if np.isfinite(value) else "non-finite"
-                raise ValueError(
-                    f"{name}: {what} holds the {kind} value {value} "
-                    f"at byte {start + 8 * int(bad[0])} ({rule})"
-                )
-            # The entity halves go straight into ``ent``, allocated once the
-            # first half has been read, so a corrupt n allocates nothing; each
-            # array's bytes are freed before the next array is read.
-            if what == "ent_re":
-                ent = np.empty((n, 2 * d))
-                ent[:, :d] = arr
-            elif what == "ent_im":
-                ent[:, d:] = arr
-            else:
-                relations.append(arr.copy())
-            del buf, arr, ok
-        return EmbeddingTable.from_entities(ent, *relations, bound)
+        # the test of ``is_feasible``, which NaN and inf fail too; a relation
+        # component above the bound puts its modulus above it
+        def entity_ok(values, re):
+            return (values >= 0.0) & (values <= 1.0)
+
+        def relation_ok(values, re):
+            modulus = values if re is None else np.hypot(re, values)
+            return (values >= 0.0) & (modulus <= bound)
+
+        ent = _read_halves(
+            handle, n, d, ("ent_re", "ent_im"), entity_ok,
+            "infeasible", "entity components lie in [0, 1]",
+        )
+        rel = _read_halves(
+            handle, m, d, ("rel_re", "rel_im"), relation_ok,
+            "infeasible", f"relation components are non-negative, with modulus at most {bound}",
+        )
+        return EmbeddingTable.from_matrices(ent, rel, bound)
     finally:
         if own:
             handle.close()

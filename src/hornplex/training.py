@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernel
 from .evaluation import evaluate
-from .kernel import RuleArrays, Scratch, body_vectors, gradient_factors, rule_gaps
+from .kernel import RuleArrays, Scratch, _halves, gradient_factors, rule_gaps, take_rows
 from .kg import Triple, read_lines
 from .model import (
     init_table,
@@ -36,8 +36,9 @@ from .model import (
     read_array,
     replacing,
     save_table,
-    _check_rows,
-    _entity_halves,
+    _bind_matrix,
+    _matrix_half,
+    _read_halves,
 )
 
 __all__ = [
@@ -134,15 +135,18 @@ class LabeledBatch:
 @dataclass
 class RowGrads:
     """Gradient terms for rows of one embedding matrix. Rows may repeat; a
-    row's gradient is the sum of its terms (``merge_row_grads``)."""
+    row's gradient is the sum of its terms (``merge_row_grads``). ``re`` and
+    ``im`` are ``values[0]`` and ``values[1]``."""
 
     rows: np.ndarray  # (u,) int row indices
-    re: np.ndarray  # (u, d)
-    im: np.ndarray  # (u, d)
+    values: np.ndarray  # (2, u, d): [re, im]
+
+    re = property(lambda self: self.values[0])
+    im = property(lambda self: self.values[1])
 
     @classmethod
     def empty(cls, dim):
-        return cls(np.empty(0, dtype=np.int64), np.empty((0, dim)), np.empty((0, dim)))
+        return cls(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
 
 
 class Workspace:
@@ -163,11 +167,12 @@ class Workspace:
     units of ``dim`` floats:
     - step: the logistic terms of heads, tails and relations, 6B, and the
       merged entity and relation gradients, 2 x 2B and 2m;
-    - temp: at most 8B + 4m, for N3 (entity rows [re | im], their moduli and
-      cubes: 4 per row, for up to 2B entity and m relation rows); logistic
-      (7B), a merge (3 per term of a block), AdaGrad (4 per row of one
-      matrix) and the projection ``train`` makes after it (2 per entity
-      row) take less.
+    - temp: at most 8B + 4m, for N3 (rows [re, im], moduli and cubes: 4 per
+      row, for up to 2B entity and m relation rows). Less for logistic (7B),
+      a merge (4 per term of the first block; 4 per row of a later one, the
+      rule penalty's, whose rows are unique), AdaGrad (4 per row of one
+      matrix: accumulators, then parameters, and steps) and the projection
+      ``train`` makes after it (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -177,22 +182,28 @@ class Workspace:
         self.labels = np.empty(rows)
 
 
-@dataclass
 class AdagradState:
-    ent_re_acc: np.ndarray
-    ent_im_acc: np.ndarray
-    rel_re_acc: np.ndarray
-    rel_im_acc: np.ndarray
-    epsilon: float = ADAGRAD_EPS
+    """The AdaGrad accumulators of the entity and relation rows: C-contiguous
+    (n, 2d) and (m, 2d) float64 matrices ``ent_acc`` and ``rel_acc``, laid
+    out as ``EmbeddingTable.ent`` and ``rel``, and the ``epsilon`` of the
+    update. ``ent_re_acc``, ``ent_im_acc``, ``rel_re_acc`` and ``rel_im_acc``
+    are views of their halves, as ``EmbeddingTable.ent_re`` is."""
+
+    def __init__(self, ent_acc, rel_acc, epsilon=ADAGRAD_EPS):
+        _bind_matrix(self, "ent_acc", ent_acc)
+        _bind_matrix(self, "rel_acc", rel_acc)
+        self.epsilon = epsilon
+
+    ent_acc = property(lambda self: self._ent_acc)
+    rel_acc = property(lambda self: self._rel_acc)
+    ent_re_acc = _matrix_half("ent_acc", 0)
+    ent_im_acc = _matrix_half("ent_acc", 1)
+    rel_re_acc = _matrix_half("rel_acc", 0)
+    rel_im_acc = _matrix_half("rel_acc", 1)
 
     @classmethod
     def zeros(cls, num_entities, num_relations, dim):
-        return cls(
-            np.zeros((num_entities, dim)),
-            np.zeros((num_entities, dim)),
-            np.zeros((num_relations, dim)),
-            np.zeros((num_relations, dim)),
-        )
+        return cls(np.zeros((num_entities, 2 * dim)), np.zeros((num_relations, 2 * dim)))
 
 
 class TrainingDiverged(RuntimeError):
@@ -252,22 +263,6 @@ def sample_negatives(kg, positive, count, rng):
     return [Triple(int(h), int(r), int(t)) for h, r, t in out[0]]
 
 
-def _table_rows(table, what, rows, alloc):
-    """Rows ``rows`` of the table's entities or relations (``what``) as a
-    (2, u, d) array from ``alloc(shape)``, [re, im]. A row outside the table
-    is an IndexError."""
-    values = alloc((2, rows.size, table.dim))
-    if what == "entity":
-        _check_rows(rows, table.num_entities, what)
-        halves, index = _entity_halves(table, rows)
-        halves.take(index, axis=0, out=values, mode="clip")
-    else:
-        _check_rows(rows, table.num_relations, what)
-        table.rel_re.take(rows, axis=0, out=values[0], mode="clip")
-        table.rel_im.take(rows, axis=0, out=values[1], mode="clip")
-    return values
-
-
 def logistic_loss(table, batch, *, workspace=None):
     """Sum of log(1 + exp(-y * score)) over the batch, with one gradient term
     per occurrence: returns (loss, entity RowGrads over the heads then the
@@ -281,14 +276,17 @@ def logistic_loss(table, batch, *, workspace=None):
     triples, labels = batch.triples, batch.labels
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
     size, dim = len(batch), table.dim
-    a, b = _table_rows(table, "entity", h, ws.temp)
-    c, d = _table_rows(table, "relation", r, ws.temp)
-    e, f = _table_rows(table, "entity", t, ws.temp)
+    a, b = take_rows(table.ent, h, "entity", ws.temp)
+    c, d = take_rows(table.rel, r, "relation", ws.temp)
+    e, f = take_rows(table.ent, t, "entity", ws.temp)
     tmp = ws.temp((size, dim))
-    # The score's gradients [re, im] in the heads', the tails' and the
-    # relations' rows.
-    grads = ws.step((2, 3, size, dim))
-    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = grads
+    # The score's gradients [re, im] in the heads' and the tails' rows, and
+    # in the relations' rows: C-contiguous, since ``take`` along axis 1, in
+    # ``merge_row_grads``, would first copy a strided block whole.
+    ent = ws.step((2, 2, size, dim))
+    rel = ws.step((2, size, dim))
+    (dh_re, v_re), (dh_im, v_im) = ent
+    dr_re, dr_im = rel
 
     def combine(out, x, y, op, z, w):
         """out = op(x * y, z * w)."""
@@ -310,13 +308,9 @@ def logistic_loss(table, batch, *, workspace=None):
     combine(dh_im, c, f, np.subtract, d, e)
     combine(dr_re, a, e, np.add, b, f)
     combine(dr_im, a, f, np.subtract, b, e)
-    grads *= coeff
-    entities = RowGrads(
-        np.concatenate([h, t]),
-        grads[0, :2].reshape(2 * size, dim),
-        grads[1, :2].reshape(2 * size, dim),
-    )
-    return loss, entities, RowGrads(r, dr_re, dr_im)
+    ent *= coeff
+    rel *= coeff
+    return loss, RowGrads(np.concatenate([h, t]), ent.reshape(2, 2 * size, dim)), RowGrads(r, rel)
 
 
 def rule_penalty(table, rules):
@@ -386,7 +380,7 @@ def rule_penalty(table, rules):
     loss = 0.0
     for term in losses.tolist():
         loss += term
-    return loss, RowGrads(rules.rows, acc[0], acc[1])
+    return loss, RowGrads(rules.rows, acc)
 
 
 def _arena_rows(k, bound):
@@ -416,7 +410,7 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     k = group.length
     rk = R**k
     lam = group.confidences[lo:hi]
-    b = body_vectors(table, group.ids[:, lo:hi], alloc)
+    b = take_rows(table.rel, group.ids[:, lo:hi], "relation", alloc)
     body = b[:, 1:]
     hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
     u, v = rule_gaps(table, b[:, 0], hb, rk, alloc)
@@ -458,17 +452,15 @@ def n3_regularization(table, ent_rows, rel_rows, *, workspace=None):
     ws.temp.reset()
     loss = 0.0
     blocks = []
-    for rows, what in ((ent_rows, "entity"), (rel_rows, "relation")):
+    for matrix, rows, what in ((table.ent, ent_rows, "entity"), (table.rel, rel_rows, "relation")):
         rows = np.asarray(rows, dtype=np.int64)
-        re, im = _table_rows(table, what, rows, ws.temp)
-        mod = np.hypot(re, im, out=ws.temp(re.shape))
-        cube = np.power(mod, 3, out=ws.temp(re.shape))  # mod**3
+        values = take_rows(matrix, rows, what, ws.temp)
+        mod = np.hypot(values[0], values[1], out=ws.temp(values.shape[1:]))
+        cube = np.power(mod, 3, out=ws.temp(mod.shape))  # mod**3
         loss += float(np.sum(cube))
-        three_mod = np.multiply(mod, 3.0, out=cube)
         # 3.0 * mod * (re, im), written over the rows' values
-        np.multiply(three_mod, re, out=re)
-        np.multiply(three_mod, im, out=im)
-        blocks.append(RowGrads(rows, re, im))
+        np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
+        blocks.append(RowGrads(rows, values))
     return loss, blocks[0], blocks[1]
 
 
@@ -481,7 +473,7 @@ def merge_row_grads(blocks, *, workspace=None):
     blocks' sums are then added to the row's total block by block."""
     ws = Workspace() if workspace is None else workspace
     rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
-    dim = blocks[0].re.shape[1]
+    dim = blocks[0].values.shape[2]
     total = ws.step((2, rows.size, dim))
     total.fill(0.0)
     offset = 0
@@ -499,18 +491,17 @@ def merge_row_grads(blocks, *, workspace=None):
         multi = counts > 1
         terms = order[np.repeat(multi, counts)]
         starts = np.cumsum(counts[multi]) - counts[multi]
-        sums, before = ws.temp((2, present.size, dim))
-        picked, added = ws.temp((terms.size, dim)), ws.temp((starts.size, dim))
-        for half, values in zip(total, (block.re, block.im)):
-            values.take(firsts, axis=0, out=sums, mode="clip")
-            if starts.size:
-                values.take(terms, axis=0, out=picked, mode="clip")
-                sums[multi] = np.add.reduceat(picked, starts, axis=0, out=added)
-            # half[present] += sums, without the temporaries; the rows'
-            # totals start at +0.0, so the first block adds to that
-            prior = 0.0 if i == 0 else half.take(present, axis=0, out=before, mode="clip")
-            half[present] = np.add(prior, sums, out=sums)
-    return RowGrads(rows, total[0], total[1])
+        values = block.values
+        sums = values.take(firsts, axis=1, out=ws.temp((2, present.size, dim)), mode="clip")
+        if starts.size:
+            picked = values.take(terms, axis=1, out=ws.temp((2, terms.size, dim)), mode="clip")
+            added = ws.temp((2, starts.size, dim))
+            sums[:, multi] = np.add.reduceat(picked, starts, axis=1, out=added)
+        # total[:, present] += sums, without the temporaries; the rows'
+        # totals start at +0.0, so the first block adds to that
+        prior = 0.0 if i == 0 else total.take(present, axis=1, out=ws.temp(sums.shape), mode="clip")
+        total[:, present] = np.add(prior, sums, out=sums)
+    return RowGrads(rows, total)
 
 
 def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
@@ -527,8 +518,7 @@ def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     r_loss, rel_blocks = 0.0, [l_rel]
     if mu > 0 and rules:
         r_loss, r_rel = rule_penalty(table, rules)
-        r_rel.re *= mu
-        r_rel.im *= mu
+        r_rel.values *= mu
         rel_blocks.append(r_rel)
     ent = merge_row_grads([l_ent], workspace=ws)
     rel = merge_row_grads(rel_blocks, workspace=ws)
@@ -536,9 +526,8 @@ def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     if eta > 0:
         n_loss, n_ent, n_rel = n3_regularization(table, ent.rows, rel.rows, workspace=ws)
         for g, n in ((ent, n_ent), (rel, n_rel)):
-            for total, term in ((g.re, n.re), (g.im, n.im)):
-                term *= eta
-                total += term
+            n.values *= eta
+            g.values += n.values
     return (l_loss, r_loss, n_loss), ent, rel
 
 
@@ -548,30 +537,29 @@ def adagrad_step(table, entities, relations, state, lr, *, workspace=None):
     A row outside the table is an IndexError."""
     ws = Workspace() if workspace is None else workspace
     updates = (
-        (entities, "entity", state.ent_re_acc, state.ent_im_acc),
-        (relations, "relation", state.rel_re_acc, state.rel_im_acc),
+        (entities, table.ent, state.ent_acc, "entity"),
+        (relations, table.rel, state.rel_acc, "relation"),
     )
-    for g, what, acc_re, acc_im in updates:
+    for g, matrix, acc, what in updates:
         if g is None or g.rows.size == 0:
             continue
         ws.temp.reset()
         rows = np.asarray(g.rows, dtype=np.int64)
-        params = _table_rows(table, what, rows, ws.temp)
-        total, step = ws.temp((2, rows.size, table.dim))
-        for grad, p, acc in zip((g.re, g.im), params, (acc_re, acc_im)):
-            acc.take(rows, axis=0, out=total, mode="clip")
-            total += np.multiply(grad, grad, out=step)
-            acc[rows] = total
-            np.sqrt(total, out=total)
-            total += state.epsilon
-            np.multiply(grad, lr, out=step)
-            step /= total
-            p -= step
-        if what == "entity":
-            halves, index = _entity_halves(table, rows)
-            halves[index] = params
-        else:
-            table.rel_re[rows], table.rel_im[rows] = params
+        params, index = _halves(matrix, rows, what)
+        # The accumulators share the table's layout, so the index serves both.
+        accs = acc.reshape(params.shape)
+        total, step = ws.temp((2,) + index.shape + params.shape[1:])
+        accs.take(index, axis=0, out=total, mode="clip")
+        total += np.multiply(g.values, g.values, out=step)
+        accs[index] = total
+        np.sqrt(total, out=total)
+        total += state.epsilon
+        np.multiply(g.values, lr, out=step)
+        step /= total
+        # ``total`` is spent: the rows' parameters go there.
+        p = params.take(index, axis=0, out=total, mode="clip")
+        p -= step
+        params[index] = p
 
 
 @dataclass
@@ -691,20 +679,14 @@ def load_checkpoint(path):
             raise ValueError(
                 f"{name}: bad AdaGrad epsilon at byte {offset}: {epsilon} is not finite and positive"
             )
-        n, m, d = table.num_entities, table.num_relations, table.dim
-        accumulators = []
-        for rows, what in ((n, "ent_re_acc"), (n, "ent_im_acc"), (m, "rel_re_acc"), (m, "rel_im_acc")):
-            offset = handle.tell()
-            acc = read_array(handle, (rows, d), what)
-            bad = np.flatnonzero(~((acc >= 0.0) & (acc < math.inf)))
-            if bad.size:
-                value = acc.flat[bad[0]]
-                kind = "negative" if np.isfinite(value) else "non-finite"
-                raise ValueError(
-                    f"{name}: {what} holds the {kind} value {value} at byte "
-                    f"{offset + 8 * int(bad[0])} (accumulators are finite and non-negative)"
-                )
-            accumulators.append(acc)
+        accumulators = [
+            _read_halves(
+                handle, rows, table.dim, (f"{what}_re_acc", f"{what}_im_acc"),
+                lambda values, re: (values >= 0.0) & (values < math.inf),
+                "negative", "accumulators are finite and non-negative",
+            )
+            for rows, what in ((table.num_entities, "ent"), (table.num_relations, "rel"))
+        ]
         offset, end = handle.tell(), handle.seek(0, io.SEEK_END)
         if end > offset:
             raise ValueError(

@@ -273,13 +273,10 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     work = table.copy()
     loss, ent, rel = parts(work)
     ent, rel = training.merge_row_grads([ent]), training.merge_row_grads([rel])
-    analytic = [np.zeros_like(x) for x in (work.ent, work.rel_re, work.rel_im)]
-    analytic[0][ent.rows] = np.hstack((ent.re, ent.im))
-    analytic[1][rel.rows], analytic[2][rel.rows] = rel.re, rel.im
-    numeric = [
-        numerical_gradient(lambda _: parts(work)[0], x)
-        for x in (work.ent, work.rel_re, work.rel_im)
-    ]
+    analytic = [np.zeros_like(x) for x in (work.ent, work.rel)]
+    for out, g in zip(analytic, (ent, rel)):
+        out[g.rows] = np.hstack(g.values)
+    numeric = [numerical_gradient(lambda _: parts(work)[0], x) for x in (work.ent, work.rel)]
     analytic, numeric = np.concatenate(analytic, None), np.concatenate(numeric, None)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all() and np.isfinite(loss)):
         raise ValueError("non-finite values encountered during gradient check")

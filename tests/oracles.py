@@ -195,7 +195,7 @@ def rule_penalty(table, rules):
     rows = np.array(sorted(acc), dtype=np.int64)
     re = np.stack([acc[r][0] for r in rows])
     im = np.stack([acc[r][1] for r in rows])
-    return loss, RowGrads(rows, re, im)
+    return loss, RowGrads(rows, np.stack((re, im)))
 
 
 def _compact(indices, grads_re, grads_im):
@@ -207,7 +207,7 @@ def _compact(indices, grads_re, grads_im):
     starts = np.searchsorted(inverse[order], np.arange(rows.size))
     re = np.add.reduceat(grads_re[order], starts, axis=0)
     im = np.add.reduceat(grads_im[order], starts, axis=0)
-    return RowGrads(rows, re, im)
+    return RowGrads(rows, np.stack((re, im)))
 
 
 def _merge(dim, parts):
@@ -222,7 +222,7 @@ def _merge(dim, parts):
         re[sl] += g.re * s
         im[sl] += g.im * s
         offset += g.rows.size
-    return RowGrads(rows, re, im)
+    return RowGrads(rows, np.stack((re, im)))
 
 
 def sparse_step(table, state, batch, rules, mu, eta, lr):

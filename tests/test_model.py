@@ -332,7 +332,7 @@ def test_load_accepts_exactly_the_tables_is_feasible_accepts(ent, rel):
     when ``is_feasible`` is false."""
     ent = np.array(ent).reshape(1, 4)
     rel = np.array(rel).reshape(2, 1, 2)
-    table = EmbeddingTable.from_entities(ent, rel[0], rel[1], 1.0)
+    table = EmbeddingTable.from_matrices(ent, np.hstack((rel[0], rel[1])), 1.0)
     buf = io.BytesIO()
     save_table(buf, table)
     buf.seek(0)
@@ -343,18 +343,30 @@ def test_load_accepts_exactly_the_tables_is_feasible_accepts(ent, rel):
             load_table(buf)
 
 
-def test_entities_are_one_matrix_with_views_for_its_halves():
-    table = init_table(6, 2, 3, seed=4)
-    assert table.ent.shape == (6, 6) and table.ent.flags.c_contiguous
-    assert table.ent_re.base is table.ent and table.ent_im.base is table.ent
-    assert np.array_equal(table.ent, np.hstack([table.ent_re, table.ent_im]))
-    table.ent_re[2] = 0.25
-    table.ent_im += 1.0  # in place, so allowed
-    assert np.all(table.ent[2, :3] == 0.25) and np.all(table.ent[:, 3:] >= 1.0)
+@pytest.mark.parametrize("name, rows", [("ent", 6), ("rel", 4)])
+def test_each_matrix_is_one_array_with_views_for_its_halves(name, rows):
+    table = init_table(6, 4, 3, seed=4)
+    matrix, re, im = (getattr(table, name + suffix) for suffix in ("", "_re", "_im"))
+    assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
+    assert re.base is matrix and im.base is matrix
+    assert np.array_equal(matrix, np.hstack([re, im]))
+    re[2] = 0.25
+    setattr(table, f"{name}_im", im.__iadd__(1.0))  # ``table.x_im += 1.0``: in place, so allowed
+    assert np.all(matrix[2, :3] == 0.25) and np.all(matrix[:, 3:] >= 1.0)
     with pytest.raises(AttributeError, match="view"):
-        table.ent_re = np.zeros((6, 3))
+        setattr(table, f"{name}_re", np.zeros((rows, 3)))
     with pytest.raises(AttributeError):
-        table.ent = np.zeros((6, 6))
+        setattr(table, name, np.zeros((rows, 6)))
+
+
+def test_relation_halves_must_match_each_other_and_the_entities():
+    ones = np.ones
+    with pytest.raises(ValueError, match=r"rel_re \(2, 3\) and rel_im \(2, 5\)"):
+        EmbeddingTable(ones((3, 4)), ones((3, 4)), ones((2, 3)), ones((2, 5)), 1.0)
+    with pytest.raises(ValueError, match=r"rel \(2, 6\) and ent \(3, 8\)"):
+        EmbeddingTable(ones((3, 4)), ones((3, 4)), ones((2, 3)), ones((2, 3)), 1.0)
+    with pytest.raises(ValueError, match=r"rel \(2, 6\) and ent \(3, 8\)"):
+        EmbeddingTable.from_matrices(ones((3, 8)), ones((2, 6)), 1.0)
 
 
 def test_init_table_draws_in_the_order_of_the_separate_arrays():

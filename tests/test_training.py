@@ -273,7 +273,8 @@ class TestAdagrad:
         return table, state
 
     def grads(self, value, dim=1):
-        return RowGrads(np.array([0]), np.full((1, dim), float(value)), np.zeros((1, dim)))
+        re = np.full((1, dim), float(value))
+        return RowGrads(np.array([0]), np.stack((re, np.zeros((1, dim)))))
 
     def test_first_step(self):
         table, state = self.make()
@@ -298,7 +299,7 @@ class TestAdagrad:
     @pytest.mark.parametrize("row", [1, -1])
     def test_rows_outside_the_table_are_index_errors(self, row):
         table, state = self.make()
-        grads = RowGrads(np.array([row]), np.ones((1, 1)), np.ones((1, 1)))
+        grads = RowGrads(np.array([row]), np.ones((2, 1, 1)))
         with pytest.raises(IndexError, match="relation index out of range"):
             adagrad_step(table, None, grads, state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0 and state.rel_re_acc[0, 0] == 0.0
@@ -429,6 +430,50 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(table.ent_re, table2.ent_re)
     assert np.array_equal(state.rel_im_acc, state2.rel_im_acc)
     assert state2.epsilon == state.epsilon
+
+
+@pytest.mark.parametrize("name, rows", [("ent", 5), ("rel", 2)])
+def test_adagrad_state_is_two_matrices_with_views_for_their_halves(name, rows):
+    state = AdagradState.zeros(5, 2, 3)
+    matrix, re, im = (getattr(state, f"{name}{suffix}_acc") for suffix in ("", "_re", "_im"))
+    assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
+    assert re.base is matrix and im.base is matrix
+    re[1] = 0.25
+    setattr(state, f"{name}_im_acc", im.__iadd__(2.0))  # ``state.x_im_acc += 2.0``: allowed
+    assert np.all(matrix[1, :3] == 0.25) and np.all(matrix[:, 3:] == 2.0)
+    with pytest.raises(AttributeError, match="view"):
+        setattr(state, f"{name}_re_acc", np.zeros((rows, 3)))
+    with pytest.raises(AttributeError):
+        setattr(state, f"{name}_acc", np.zeros((rows, 6)))
+
+
+def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
+    n, m, d, bound, epsilon = 3, 2, 2, 1.3, 1e-7
+    ent_re, ent_im, rel_re, rel_im = (
+        np.arange(rows * d).reshape(rows, d) / 16 + offset
+        for rows, offset in ((n, 0.0), (n, 0.5), (m, 0.125), (m, 0.625))
+    )
+    acc = [
+        np.arange(rows * d).reshape(rows, d) + offset
+        for rows, offset in ((n, 100.0), (n, 200.0), (m, 300.0), (m, 400.0))
+    ]
+    table = EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
+    state = AdagradState(np.hstack(acc[:2]), np.hstack(acc[2:]), epsilon)
+    p = tmp_path / "ckpt.bin"
+    save_checkpoint(p, table, state)
+    expected = (
+        b"HPX1"
+        + struct.pack("<qqqd", n, m, d, bound)
+        + b"".join(half.tobytes() for half in (ent_re, ent_im, rel_re, rel_im))
+        + struct.pack("<d", epsilon)
+        + b"".join(half.tobytes() for half in acc)
+    )
+    assert p.read_bytes() == expected
+    table2, state2 = load_checkpoint(p)
+    assert table2.ent.tobytes() == table.ent.tobytes()
+    assert table2.rel.tobytes() == table.rel.tobytes()
+    assert state2.ent_acc.tobytes() == state.ent_acc.tobytes()
+    assert state2.rel_acc.tobytes() == state.rel_acc.tobytes()
 
 
 def test_checkpoint_with_cut_accumulators_names_file_and_offset(tmp_path):
