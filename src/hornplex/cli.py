@@ -9,6 +9,7 @@ deterministic under fixed config and seed.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -124,6 +125,10 @@ def cmd_eval(args):
 
 
 def cmd_rules_filter(args):
+    if not math.isfinite(args.min_confidence):
+        raise CliError(f"--min-confidence {args.min_confidence}: expected a finite number")
+    if args.max_length < 1:
+        raise CliError(f"--max-length {args.max_length}: expected an integer of at least 1")
     cfg = _load_config(args)
     kg = _load_kg(cfg)
     parsed = _load_rules(cfg, kg, required=True)

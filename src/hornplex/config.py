@@ -9,34 +9,6 @@ from .training import TrainConfig
 __all__ = ["FLAGS", "RunConfig", "load_run_config"]
 
 
-@dataclass
-class RunConfig:
-    train_path: str | None = None
-    valid_path: str | None = None
-    test_path: str | None = None
-    rules_path: str | None = None
-    output_dir: str = "out"
-    train: TrainConfig = field(default_factory=TrainConfig)
-    eval_side: str = "both"
-    eval_hits: tuple = (1, 3, 10)
-    eval_split: str = "test"
-    fewshot_num_task_relations: int = 2
-    fewshot_shots: tuple = (0,)
-    fewshot_seed: int = 0
-    fewshot_candidates: tuple | None = None  # relation surface names
-    verify_trials: int = 10000
-    verify_seed: int = 0
-    verify_dims: tuple = (2, 8, 32)
-    verify_ks: tuple = (1, 2, 3)
-
-    def echo(self):
-        """Flat dict embedded into output artifacts for provenance."""
-        flat = asdict(self)
-        train = flat.pop("train")
-        flat.update({f"train.{k}": v for k, v in train.items()})
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in flat.items()}
-
-
 def _at_least(least):
     """A cast to an int of at least ``least``."""
 
@@ -84,46 +56,63 @@ def _one_of(*choices):
     return cast
 
 
-# Every setting a file may hold, as section -> key -> cast. The [train] keys
-# are the fields of TrainConfig, cast to their types; any other key is the
-# RunConfig field ``_field`` names.
-SETTINGS = {
-    "paths": {"train": str, "valid": str, "test": str, "rules": str, "output_dir": str},
-    "train": {f.name: f.type for f in fields(TrainConfig)},
-    "eval": {
-        "side": _one_of("both", "head", "tail"),
-        "hits": _list_of(_at_least(1)),
-        "split": _one_of("train", "valid", "test"),
-    },
-    "fewshot": {
-        "num_task_relations": _at_least(1),
-        "shots": _list_of(_at_least(0)),
-        "seed": _at_least(0),
-        "candidates": _names,
-    },
-    "verify": {
-        "trials": _at_least(1),
-        "seed": _at_least(0),
-        "dims": _list_of(_at_least(1)),
-        "ks": _list_of(_at_least(1)),
-    },
-}
+def _setting(section, key, cast, default):
+    """A RunConfig field that holds ``[section] key``, read by ``cast``."""
+    return field(default=default, metadata={"section": section, "key": key, "cast": cast})
 
 
-# Each command-line flag, as the sections whose key of the same name it sets.
+@dataclass
+class RunConfig:
+    train_path: str | None = _setting("paths", "train", str, None)
+    valid_path: str | None = _setting("paths", "valid", str, None)
+    test_path: str | None = _setting("paths", "test", str, None)
+    rules_path: str | None = _setting("paths", "rules", str, None)
+    output_dir: str = _setting("paths", "output_dir", str, "out")
+    train: TrainConfig = field(default_factory=TrainConfig)  # [train]
+    eval_side: str = _setting("eval", "side", _one_of("both", "head", "tail"), "both")
+    eval_hits: tuple = _setting("eval", "hits", _list_of(_at_least(1)), (1, 3, 10))
+    eval_split: str = _setting("eval", "split", _one_of("train", "valid", "test"), "test")
+    fewshot_num_task_relations: int = _setting("fewshot", "num_task_relations", _at_least(1), 2)
+    fewshot_shots: tuple = _setting("fewshot", "shots", _list_of(_at_least(0)), (0,))
+    fewshot_seed: int = _setting("fewshot", "seed", _at_least(0), 0)
+    # relation surface names
+    fewshot_candidates: tuple | None = _setting("fewshot", "candidates", _names, None)
+    verify_trials: int = _setting("verify", "trials", _at_least(1), 10000)
+    verify_seed: int = _setting("verify", "seed", _at_least(0), 0)
+    verify_dims: tuple = _setting("verify", "dims", _list_of(_at_least(1)), (2, 8, 32))
+    verify_ks: tuple = _setting("verify", "ks", _list_of(_at_least(1)), (1, 2, 3))
+
+    def echo(self):
+        """Flat dict embedded into output artifacts for provenance."""
+        flat = asdict(self)
+        train = flat.pop("train")
+        flat.update({f"train.{k}": v for k, v in train.items()})
+        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in flat.items()}
+
+
+def _declared():
+    """Every setting a file may hold, as section -> key -> cast in field
+    order, and the RunConfig field of each setting outside [train], as
+    (section, key) -> name. The [train] keys are the fields of TrainConfig,
+    cast to their types."""
+    settings, names = {}, {}
+    for f in fields(RunConfig):
+        if f.type is TrainConfig:
+            settings["train"] = {t.name: t.type for t in fields(TrainConfig)}
+            continue
+        section, key = f.metadata["section"], f.metadata["key"]
+        settings.setdefault(section, {})[key] = f.metadata["cast"]
+        names[section, key] = f.name
+    return settings, names
+
+
+SETTINGS, _FIELDS = _declared()
+
+# Each command-line flag, as every section with a key of the flag's name.
 FLAGS = {
-    "output_dir": ("paths",),
-    "seed": ("train", "fewshot", "verify"),
-    "split": ("eval",),
-    "trials": ("verify",),
+    flag: tuple(section for section, casts in SETTINGS.items() if flag in casts)
+    for flag in ("output_dir", "seed", "split", "trials")
 }
-
-
-def _field(section, key):
-    """The RunConfig field of a setting outside [train]."""
-    if section == "paths":
-        return key if key == "output_dir" else f"{key}_path"
-    return f"{section}_{key}"
 
 
 def load_run_config(path=None, overrides=None):
@@ -169,7 +158,7 @@ def load_run_config(path=None, overrides=None):
             except ValueError as err:
                 raise ValueError(f"--{flag.replace('_', '-')} {text}: {err}") from None
     train = {key: value for (section, key), value in values.items() if section == "train"}
-    run = {_field(*where): value for where, value in values.items() if where[0] != "train"}
+    run = {_FIELDS[where]: value for where, value in values.items() if where[0] != "train"}
     try:
         return RunConfig(train=TrainConfig(**train), **run)
     except ValueError as err:

@@ -291,25 +291,24 @@ def is_feasible(table):
 
 def save_table(path_or_file, table):
     """Binary dump: magic, n, m, d (int64), bound (float64), then row-major
-    ent_re, ent_im, rel_re, rel_im float64 arrays."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    handle = open(path_or_file, "wb") if own else path_or_file
-    try:
-        handle.write(_MAGIC)
-        handle.write(
-            struct.pack(
-                "<qqqd",
-                table.num_entities,
-                table.num_relations,
-                table.dim,
-                table.bound,
-            )
+    ent_re, ent_im, rel_re, rel_im float64 arrays. A path is written through
+    ``replacing``."""
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
+        with replacing(path_or_file, "wb") as handle:
+            return save_table(handle, table)
+    handle = path_or_file
+    handle.write(_MAGIC)
+    handle.write(
+        struct.pack(
+            "<qqqd",
+            table.num_entities,
+            table.num_relations,
+            table.dim,
+            table.bound,
         )
-        for arr in (table.ent_re, table.ent_im, table.rel_re, table.rel_im):
-            handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    finally:
-        if own:
-            handle.close()
+    )
+    for arr in (table.ent_re, table.ent_im, table.rel_re, table.rel_im):
+        handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
 def _read_exact(handle, size, what):
@@ -413,7 +412,7 @@ def replacing(path, mode="w", **kwargs):
     """Open a temporary file beside ``path`` for writing. When the block
     ends normally the file replaces ``path`` in one ``os.replace``; when it
     raises, the temporary file is removed and ``path`` keeps its content."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as handle:
             yield handle

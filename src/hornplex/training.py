@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -82,9 +82,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "batch_size", "epochs", "validate_every", "negatives_per_positive", "dim", "seed"
-        ):
+        for name in (f.name for f in fields(self) if f.type is int):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")

@@ -151,12 +151,12 @@ def _entities(rng, theta_total, theta_r, draw):
     return moduli * np.stack([np.cos(theta_z), np.sin(theta_z)])
 
 
-def _chain_check(kind, k, d, bound, trials, seed, tolerance, negative_control, draw, forms):
+def _chain_check(kind, k, d, bound, trials, seed, negative_control, draw, forms):
     """The seeded chain check behind every public checker: sample the body
     relations, build the head, draw the entities as ``_entities`` does for
     ``draw``, score the body and head triples and count the trials with a
     dimension whose primary form of ``forms`` (a pair of ``_FORMS`` keys,
-    primary first) exceeds ``tolerance``."""
+    primary first) exceeds ``TOLERANCE``."""
     if k < 1:
         raise ValueError("k must be at least 1")
     rng = np.random.default_rng(seed)
@@ -169,8 +169,8 @@ def _chain_check(kind, k, d, bound, trials, seed, tolerance, negative_control, d
     excess, excess_alt = (_FORMS[form](phi_body, phi_head, bound) for form in forms)
 
     keep = ~skip
-    viol_dim = (excess > tolerance) & keep[:, None]
-    viol_alt_dim = (excess_alt > tolerance) & keep[:, None]
+    viol_dim = (excess > TOLERANCE) & keep[:, None]
+    viol_alt_dim = (excess_alt > TOLERANCE) & keep[:, None]
     violations = int(viol_dim.any(axis=1).sum())
     return TheoremReport(
         kind=kind + ("-control" if negative_control else ""),
@@ -183,26 +183,22 @@ def _chain_check(kind, k, d, bound, trials, seed, tolerance, negative_control, d
         violations=violations,
         violations_alt=int(viol_alt_dim.any(axis=1).sum()),
         max_violation=float(excess[viol_dim].max()) if violations else 0.0,
-        tolerance=tolerance,
     )
 
 
 def check_sufficient_condition_composition(
-    d, bound=1.0, trials=10000, seed=0, negative_control=False, tolerance=TOLERANCE
+    d, bound=1.0, trials=10000, seed=0, negative_control=False
 ):
     """Two-step chain check: |phi_1/(2R)| * |phi_2/(2R)| <= |phi_3/(2R)| + tol
     per dimension, with the head satisfying the entailment construction and
     phase-aligned entities. The R-normalized variant is counted as
     ``violations_alt``."""
     return _chain_check(
-        "composition", 2, d, bound, trials, seed, tolerance, negative_control, "aligned",
-        ("2R", "R-abs"),
+        "composition", 2, d, bound, trials, seed, negative_control, "aligned", ("2R", "R-abs")
     )
 
 
-def check_sufficient_condition_horn(
-    k, d, bound=1.0, trials=10000, seed=0, negative_control=False, tolerance=TOLERANCE
-):
+def check_sufficient_condition_horn(k, d, bound=1.0, trials=10000, seed=0, negative_control=False):
     """Length-k chain check: prod_i(phi_i/R) <= phi_head/R + tol per dimension.
 
     Intermediate entity moduli are capped at 1: the R-normalized product picks
@@ -210,19 +206,17 @@ def check_sufficient_condition_horn(
     regime the inequality is proved in (the 2R-normalized variant, counted as
     ``violations_alt``, tolerates moduli up to sqrt(2))."""
     return _chain_check(
-        "horn", k, d, bound, trials, seed, tolerance, negative_control, "capped", ("R", "2R")
+        "horn", k, d, bound, trials, seed, negative_control, "capped", ("R", "2R")
     )
 
 
-def counterexample_search_unrestricted(
-    k, d, bound=1.0, trials=10000, seed=0, tolerance=TOLERANCE
-):
+def counterexample_search_unrestricted(k, d, bound=1.0, trials=10000, seed=0):
     """Same relation construction, but entities sampled feasibly WITHOUT the
     phase alignment; reports how often prod_i |phi_i/R| exceeds the signed
     phi_head/R. Informational: the alignment is a premise of the proof, not a
     consequence of the constraints."""
     return _chain_check(
-        "unrestricted", k, d, bound, trials, seed, tolerance, False, "unaligned", ("R-abs", "2R")
+        "unrestricted", k, d, bound, trials, seed, False, "unaligned", ("R-abs", "2R")
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hornplex import experiments, rules as rules_mod
 from hornplex.cli import main
 from hornplex.kg import Triple, write_triples
-from hornplex.model import export_table_csv
+from hornplex.model import export_table_csv, save_table
 from hornplex.rules import HornRule, write_rules
 from hornplex.verify import write_reports
 
@@ -41,6 +41,13 @@ def fail_export_table_csv(folder):
 
     table = SimpleNamespace(dim=1, ent_re=half(2), ent_im=half(2), rel_re=half(3), rel_im=half(3))
     export_table_csv(table, folder / "entities.csv", folder / "relations.csv")
+
+
+def fail_save_table(folder):
+    rows = np.array([[0.5], [Unprintable()]], dtype=object)  # not castable to float
+    table = SimpleNamespace(num_entities=2, num_relations=2, dim=1, bound=1.0)
+    table.ent_re = table.ent_im = table.rel_re = table.rel_im = rows
+    save_table(folder / "table.bin", table)
 
 
 def fail_rules_confidence(folder):
@@ -88,6 +95,7 @@ def fail_zero_shot_summary(folder):
         (fail_rules_confidence, ["rule_confidence.tsv"]),
         (fail_write_reports, ["theorem_reports.txt"]),
         (fail_export_table_csv, ["entities.csv", "relations.csv"]),
+        (fail_save_table, ["table.bin"]),
         (fail_planted_summary, ["summary.json"]),
         (fail_zero_shot_summary, ["summary.json"]),
     ],
@@ -97,6 +105,7 @@ def fail_zero_shot_summary(folder):
         "rules-confidence",
         "theorem-reports",
         "table-csv",
+        "table-dump",
         "planted-summary",
         "zero-shot-summary",
     ],

@@ -143,6 +143,23 @@ def test_rules_filter_command(workspace, capsys):
     assert len(kept) == 1 and kept[0].startswith("0.9")
 
 
+@pytest.mark.parametrize(
+    "flag, text, expected",
+    [
+        ("--min-confidence", "nan", "expected a finite number"),
+        ("--min-confidence", "inf", "expected a finite number"),
+        ("--min-confidence", "-inf", "expected a finite number"),
+        ("--max-length", "-3", "expected an integer of at least 1"),
+        ("--max-length", "0", "expected an integer of at least 1"),
+    ],
+)
+def test_rules_filter_flag_out_of_range_names_the_flag(workspace, capsys, flag, text, expected):
+    rc = main(["--config", str(workspace["config"]), "rules", "filter", f"{flag}={text}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag} {text}: {expected}\n"
+    assert not workspace["out"].exists()
+
+
 def test_rules_confidence_command(workspace, capsys):
     rc = main(["--config", str(workspace["config"]), "rules", "confidence"])
     assert rc == 0
@@ -504,3 +521,85 @@ def test_readme_configuration_loads_and_sets_every_key(tmp_path):
         if not parser.has_option(section, key)
     }
     assert missing == {("fewshot", "candidates")}
+
+
+# RunConfig().echo() in field order. Every artifact header and
+# resolved_config.json embed the echo, so a renamed, reordered or
+# re-defaulted field changes them.
+DEFAULT_ECHO = {
+    "train_path": None,
+    "valid_path": None,
+    "test_path": None,
+    "rules_path": None,
+    "output_dir": "out",
+    "eval_side": "both",
+    "eval_hits": [1, 3, 10],
+    "eval_split": "test",
+    "fewshot_num_task_relations": 2,
+    "fewshot_shots": [0],
+    "fewshot_seed": 0,
+    "fewshot_candidates": None,
+    "verify_trials": 10000,
+    "verify_seed": 0,
+    "verify_dims": [2, 8, 32],
+    "verify_ks": [1, 2, 3],
+    "train.learning_rate": 0.1,
+    "train.batch_size": 100,
+    "train.epochs": 100,
+    "train.validate_every": 20,
+    "train.mu": 0.0,
+    "train.eta": 0.001,
+    "train.negatives_per_positive": 10,
+    "train.bound": 1.0,
+    "train.dim": 64,
+    "train.seed": 0,
+}
+
+# The echo of the README's complete configuration.
+README_ECHO = {
+    **DEFAULT_ECHO,
+    "train_path": "data/train.txt",
+    "valid_path": "data/valid.txt",
+    "test_path": "data/test.txt",
+    "rules_path": "data/rules.tsv",
+    "fewshot_shots": [0, 1, 3, 5],
+    "train.learning_rate": 0.2,
+    "train.batch_size": 64,
+    "train.mu": 1.0,
+    "train.eta": 0.02,
+    "train.negatives_per_positive": 1,
+}
+
+
+def resolved(echo):
+    """``echo`` as ``resolved_config.json`` holds it."""
+    return json.dumps(echo, indent=2, sort_keys=True)
+
+
+def test_default_echo_is_pinned():
+    echo = RunConfig().echo()
+    assert list(echo) == list(DEFAULT_ECHO)
+    assert resolved(echo) == resolved(DEFAULT_ECHO)
+
+
+def test_readme_configuration_echo_is_pinned(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A complete configuration", 1)[1].split("```ini\n", 1)[1]
+    path = tmp_path / "run.ini"
+    path.write_text(block.split("```", 1)[0], encoding="utf-8")
+    echo = load_run_config(path).echo()
+    assert list(echo) == list(README_ECHO)
+    assert resolved(echo) == resolved(README_ECHO)
+
+
+def test_settings_keep_the_order_errors_list():
+    assert {section: list(casts) for section, casts in SETTINGS.items()} == {
+        "paths": ["train", "valid", "test", "rules", "output_dir"],
+        "train": [
+            "learning_rate", "batch_size", "epochs", "validate_every", "mu", "eta",
+            "negatives_per_positive", "bound", "dim", "seed",
+        ],
+        "eval": ["side", "hits", "split"],
+        "fewshot": ["num_task_relations", "shots", "seed", "candidates"],
+        "verify": ["trials", "seed", "dims", "ks"],
+    }
