@@ -312,8 +312,11 @@ def relation_rule_diagnostics(table, rules):
     """
     rules = list(rules)
     ids, groups = length_groups(rules)
-    check_relations(ids, groups, table.num_relations)
-    vectors = take_rows(table.rel, ids, "relation")
+    try:
+        vectors = take_rows(table.rel, ids, "relation")
+    except IndexError:
+        check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
+        raise
     out = [None] * len(rules)
     start = 0
     for members, group_ids in groups:

@@ -231,19 +231,37 @@ def build_graph(train, valid, test, dicts):
             f"{n} entities and {m} relations overflow the int64 fact codes (n*n*m >= 2**63)"
         )
     splits = [np.asarray(split, dtype=np.int64).reshape(-1, 3) for split in (train, valid, test)]
-    facts = np.concatenate(splits)
-    bad = (facts < 0) | (facts >= (n, m, n))
-    if bad.any():
-        first = int(np.argmax(bad.any(axis=1)))  # the first bad triple
-        what = "entity" if bad[first, ::2].any() else "relation"
-        raise IndexError(f"{what} index out of bounds in {Triple(*facts[first].tolist())}")
+    # every split's codes, written in place into one array
+    codes = np.empty(sum(len(split) for split in splits), dtype=np.int64)
+    start = 0
+    for split in splits:
+        h, r, t = split.T
+        columns = ((h, n), (r, m), (t, n))
+        # as uint64, a negative id exceeds any count
+        if len(split) and any(ids.view(np.uint64).max() >= count for ids, count in columns):
+            bad = (split < 0) | (split >= (n, m, n))
+            first = int(np.argmax(bad.any(axis=1)))  # the first bad triple
+            what = "entity" if bad[first, ::2].any() else "relation"
+            raise IndexError(f"{what} index out of bounds in {Triple(*split[first].tolist())}")
+        out = codes[start : start + len(split)]
+        np.multiply(h, m, out=out)
+        out += r
+        out *= n
+        out += t
+        start += len(split)
 
-    h, r, t = facts.T
     # sort, then keep each code once (np.unique hashes, which took 20x as long)
-    codes = np.sort((h * m + r) * n + t)
-    tail_codes = codes[np.diff(codes, prepend=-1) != 0]
-    h, rest = np.divmod(tail_codes, m * n)
-    r, t = np.divmod(rest, n)
+    codes.sort()
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    tail_codes = codes[keep]
+    del codes, keep, out  # ``out`` is a view of ``codes``
+    # a tail code is h*(m*n) + (r*n + t), and its head code (r*n + t)*n + h
+    h, head_codes = np.divmod(tail_codes, m * n)
+    head_codes *= n
+    head_codes += h
+    head_codes.sort()
     return KnowledgeGraph(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
@@ -251,7 +269,7 @@ def build_graph(train, valid, test, dicts):
         valid=splits[1],
         test=splits[2],
         tail_codes=tail_codes,
-        head_codes=np.sort((r * n + t) * n + h),
+        head_codes=head_codes,
     )
 
 

@@ -41,6 +41,8 @@ __all__ = [
 
 _MAGIC = b"HPX1"
 
+BLOCK_VALUES = 1 << 14  # float64 values per block of ``_row_blocks``
+
 
 def _bind_matrix(obj, name, matrix):
     """Set ``obj``'s matrix ``name``, a C-contiguous (rows, 2d) float64 array
@@ -81,6 +83,15 @@ def _join(re, im, name):
             f"{name}_re {re.shape} and {name}_im {im.shape} must be matching 2-d arrays"
         )
     return np.concatenate((re, im), axis=1, dtype=np.float64)
+
+
+def _row_blocks(rows, dim):
+    """Slices that cut ``rows`` rows of ``dim`` values, in order, into
+    blocks of at most ``BLOCK_VALUES`` values (one row, if a row holds
+    more): a half is filled, written and read a block at a time, so no
+    whole half is ever copied."""
+    step = max(1, BLOCK_VALUES // dim)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 class EmbeddingTable:
@@ -141,7 +152,9 @@ class EmbeddingTable:
 def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     """Fresh table: entity components uniform on [0, 1], relation components
     uniform on [0, bound/sqrt(2)] so every row is feasible by construction.
-    The halves are drawn in the order ent_re, ent_im, rel_re, rel_im."""
+    The halves are drawn in the order ent_re, ent_im, rel_re, rel_im, a
+    block at a time (see ``_row_blocks``) straight into the matrices: a
+    ``Generator`` yields the same doubles however its draws are split."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
     if not 0 < bound < math.inf:  # NaN fails too
@@ -150,7 +163,9 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     ent, rel = np.empty((num_entities, 2 * dim)), np.empty((num_relations, 2 * dim))
     for matrix, scale in ((ent, 1.0), (rel, bound / np.sqrt(2.0))):
         for half in (matrix[:, :dim], matrix[:, dim:]):
-            np.multiply(rng.random(half.shape), scale, out=half)  # x * 1.0 is x
+            for rows in _row_blocks(len(half), dim):
+                block = half[rows]
+                np.multiply(rng.random(block.shape), scale, out=block)  # x * 1.0 is x
     return EmbeddingTable.from_matrices(ent, rel, float(bound))
 
 
@@ -307,14 +322,23 @@ def save_table(path_or_file, table):
             table.bound,
         )
     )
-    for arr in (table.ent_re, table.ent_im, table.rel_re, table.rel_im):
-        handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    for half in (table.ent_re, table.ent_im, table.rel_re, table.rel_im):
+        _write_half(handle, half)
 
 
-def _read_exact(handle, size, what):
-    """``size`` bytes of ``what`` from a binary ``handle``. A short file is a
-    ValueError that names the file and the byte offset; it is found before
-    reading, so a corrupt size never allocates."""
+def _write_half(handle, half):
+    """Write the (rows, d) array ``half``, a view of one half of a matrix,
+    to a binary ``handle`` as row-major float64 values, one block (see
+    ``_row_blocks``) at a time."""
+    for rows in _row_blocks(*half.shape):
+        handle.write(np.ascontiguousarray(half[rows], dtype=np.float64))
+
+
+def _require(handle, size, what):
+    """The bytes left in a binary ``handle`` from its position, which must
+    hold ``size`` bytes of ``what``: a short file is a ValueError that names
+    the file and the byte offset. Nothing is read, so a corrupt size never
+    allocates."""
     offset = handle.tell()
     end = handle.seek(0, io.SEEK_END)
     handle.seek(offset)
@@ -323,6 +347,12 @@ def _read_exact(handle, size, what):
         raise ValueError(
             f"{name}: truncated at byte {end}: {what} needs {size} bytes from byte {offset}"
         )
+    return end - offset
+
+
+def _read_exact(handle, size, what):
+    """``size`` bytes of ``what`` from a binary ``handle`` (see ``_require``)."""
+    _require(handle, size, what)
     return handle.read(size)
 
 
@@ -335,30 +365,32 @@ def read_array(handle, shape, what):
 def _read_halves(handle, rows, dim, names, valid, kind, rule):
     """A (rows, 2 * dim) matrix of ``[re | im]`` rows, read from a binary
     ``handle`` as two row-major (rows, dim) float64 halves named ``names``
-    (see ``_read_exact``). ``valid(values, re)`` is true where a half's value
-    may stand; ``re`` is None for the re half and the re half for the im
+    (see ``_require``), one block (see ``_row_blocks``) at a time into the
+    matrix. ``valid(values, re)`` is true where a block's value may stand;
+    ``re`` is None in the re half and the same rows of the re half in the im
     half. The first value that may not is a ValueError naming the file, the
     half and the byte offset, calling the value ``kind`` (or non-finite) and
-    ending with ``rule``. The matrix is allocated once a half has been read,
-    so a corrupt count allocates nothing."""
+    ending with ``rule``. The matrix is allocated only if the file holds
+    both halves, so a corrupt count allocates nothing."""
     name = getattr(handle, "name", "<stream>")
-    matrix = re = None
+    size = 8 * rows * dim
+    matrix = np.empty((rows, 2 * dim)) if _require(handle, size, names[0]) >= 2 * size else None
     for half, what in enumerate(names):
-        start = handle.tell()
-        buf = _read_exact(handle, 8 * rows * dim, what)
-        values = np.frombuffer(buf, dtype=np.float64).reshape(rows, dim)
-        bad = np.flatnonzero(~valid(values, re))
-        if bad.size:
-            value = values.flat[bad[0]]
-            raise ValueError(
-                f"{name}: {what} holds the {kind if np.isfinite(value) else 'non-finite'} "
-                f"value {value} at byte {start + 8 * int(bad[0])} ({rule})"
-            )
-        if matrix is None:
-            matrix = np.empty((rows, 2 * dim))
-        matrix[:, half * dim : (half + 1) * dim] = values
-        re = matrix[:, :dim]
-        del buf, values, bad  # before the next half is read
+        if half and matrix is None:  # the re half was there; this raises
+            _require(handle, size, what)
+        for block in _row_blocks(rows, dim):
+            offset = handle.tell()
+            count = 8 * (block.stop - block.start) * dim
+            values = np.frombuffer(handle.read(count), dtype=np.float64).reshape(-1, dim)
+            bad = np.flatnonzero(~valid(values, matrix[block, :dim] if half else None))
+            if bad.size:
+                value = values.flat[bad[0]]
+                raise ValueError(
+                    f"{name}: {what} holds the {kind if np.isfinite(value) else 'non-finite'} "
+                    f"value {value} at byte {offset + 8 * int(bad[0])} ({rule})"
+                )
+            if matrix is not None:
+                matrix[block, half * dim : (half + 1) * dim] = values
     return matrix
 
 

@@ -39,6 +39,7 @@ from .model import (
     _bind_matrix,
     _matrix_half,
     _read_halves,
+    _write_half,
 )
 
 __all__ = [
@@ -660,8 +661,8 @@ def save_checkpoint(path, table, state):
     with replacing(path, "wb") as handle:
         save_table(handle, table)
         handle.write(struct.pack("<d", state.epsilon))
-        for arr in (state.ent_re_acc, state.ent_im_acc, state.rel_re_acc, state.rel_im_acc):
-            handle.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        for half in (state.ent_re_acc, state.ent_im_acc, state.rel_re_acc, state.rel_im_acc):
+            _write_half(handle, half)
 
 
 def load_checkpoint(path):

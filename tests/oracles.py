@@ -7,14 +7,15 @@ materializes and sorts whole candidate lists, and rule confidence enumerates
 entity tuples exhaustively. The rule penalty and the rule diagnostics loop over rules one
 at a time, multiplying each body out on its own. The optimizer step sums
 gradients per loss term, merges the terms per table, and projects the whole
-table.
+table. The table is drawn one whole half at a time, and the graph is built
+from the concatenated splits.
 """
 
 import numpy as np
 
 from hornplex import training
-from hornplex.kg import Triple, TripleFileError
-from hornplex.model import project, score
+from hornplex.kg import KnowledgeGraph, Triple, TripleFileError
+from hornplex.model import EmbeddingTable, project, score
 from hornplex.training import RowGrads
 
 
@@ -46,6 +47,45 @@ def load_triples(path, dicts=None, frozen=False):
             ids.append(resolve(relation_ids, r, lineno, "relation"))
             ids.append(resolve(entity_ids, t, lineno, "entity"))
     return np.array(ids, dtype=np.int64).reshape(-1, 3), (entity_ids, relation_ids)
+
+
+def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
+    """``hornplex.model.init_table`` with one draw per whole half, in the
+    order ent_re, ent_im, rel_re, rel_im."""
+    rng = np.random.default_rng(seed)
+    rel_scale = bound / np.sqrt(2.0)
+    halves = [
+        rng.random((rows, dim)) * scale
+        for rows, scale in (
+            (num_entities, 1.0), (num_entities, 1.0),
+            (num_relations, rel_scale), (num_relations, rel_scale),
+        )
+    ]
+    return EmbeddingTable(*halves, float(bound))
+
+
+def build_graph(train, valid, test, dicts):
+    """``hornplex.kg.build_graph`` on the concatenated splits: one bounds
+    mask over every row, codes from whole-column arithmetic, and duplicates
+    dropped by ``np.diff``."""
+    entity_ids, relation_ids = dicts
+    n, m = len(entity_ids), len(relation_ids)
+    splits = [np.asarray(split, dtype=np.int64).reshape(-1, 3) for split in (train, valid, test)]
+    facts = np.concatenate(splits)
+    bad = (facts < 0) | (facts >= (n, m, n))
+    if bad.any():
+        first = int(np.argmax(bad.any(axis=1)))
+        what = "entity" if bad[first, ::2].any() else "relation"
+        raise IndexError(f"{what} index out of bounds in {Triple(*facts[first].tolist())}")
+    h, r, t = facts.T
+    codes = np.sort((h * m + r) * n + t)
+    tail_codes = codes[np.diff(codes, prepend=-1) != 0]
+    h, rest = np.divmod(tail_codes, m * n)
+    r, t = np.divmod(rest, n)
+    return KnowledgeGraph(
+        entity_ids, relation_ids, *splits,
+        tail_codes=tail_codes, head_codes=np.sort((r * n + t) * n + h),
+    )
 
 
 def split_rows(kg):

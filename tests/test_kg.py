@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hornplex.kg import (
     write_triples,
 )
 
+import oracles
 from oracles import naive_contains, split_rows
 from conftest import make_random_kg
 
@@ -298,3 +300,52 @@ def test_failed_dictionary_write_keeps_previous_file(tmp_path):
         write_dictionary(p, ["c", Unprintable()])
     assert p.read_text() == previous
     assert sorted(tmp_path.iterdir()) == [p]
+
+
+ROW = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3))
+# (split, position, column, too large rather than negative)
+BAD_ID = st.tuples(st.integers(0, 2), st.integers(0, 9), st.integers(0, 2), st.booleans())
+
+
+@given(st.lists(st.lists(ROW, max_size=9), min_size=3, max_size=3), st.lists(BAD_ID, max_size=2))
+def test_build_graph_matches_the_concatenating_oracle(splits, bad_ids):
+    """Empty splits, duplicates within and across splits, and ids outside
+    the dictionaries: the same arrays, or the same IndexError text."""
+    n, m = 4, 2
+    dicts = ({f"e{i}": i for i in range(n)}, {f"r{i}": i for i in range(m)})
+    splits = [np.array(split, dtype=np.int64).reshape(-1, 3) for split in splits]
+    for which, at, column, large in bad_ids:
+        row = np.zeros((1, 3), dtype=np.int64)
+        row[0, column] = (m if column == 1 else n) if large else -1
+        splits[which] = np.insert(splits[which], min(at, len(splits[which])), row, axis=0)
+    try:
+        want = oracles.build_graph(*splits, dicts)
+    except IndexError as err:
+        with pytest.raises(IndexError) as got:
+            build_graph(*splits, dicts)
+        assert str(got.value) == str(err)
+        return
+    kg = build_graph(*splits, dicts)
+    for name in ("train", "valid", "test", "tail_codes", "head_codes"):
+        got, expected = getattr(kg, name), getattr(want, name)
+        assert got.dtype == expected.dtype == np.int64, name
+        assert np.array_equal(got, expected), name
+
+
+def test_build_graph_holds_each_fact_code_array_once():
+    """About 64k facts: the build peaks at the tail and head code arrays
+    and one array of heads more, 24 bytes a fact."""
+    rng = np.random.default_rng(0)
+    n, m = 20_000, 12
+    train = rng.integers(0, (n, m, n), size=(64_000, 3))
+    valid, test = train[:2000].copy(), train[2000:3000].copy()  # duplicates
+    dicts = (CountOnly(n), CountOnly(m))
+    build_graph(train[:10], [], [], dicts)
+    tracemalloc.start()
+    try:
+        kg = build_graph(train, valid, test, dicts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kg.tail_codes.size > 63_000
+    assert peak <= 25 * len(train), peak

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hornplex.kernel import Scratch
 from hornplex.kg import Triple
 from hornplex.model import (
+    BLOCK_VALUES,
     EmbeddingTable,
     export_table_csv,
     init_table,
@@ -23,6 +24,7 @@ from hornplex.model import (
     score_dim,
 )
 
+import oracles
 from conftest import make_feasible_table
 
 
@@ -375,6 +377,65 @@ def test_init_table_draws_in_the_order_of_the_separate_arrays():
     rel_scale = 2.0 / np.sqrt(2.0)
     for arr, scale in ((table.ent_re, 1.0), (table.ent_im, 1.0), (table.rel_re, rel_scale), (table.rel_im, rel_scale)):
         assert np.array_equal(arr, rng.random(arr.shape) * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, BLOCK_VALUES + 1])
+def test_init_table_equals_one_draw_per_half_at_block_edges(dim):
+    """1, block - 1, block and block + 1 rows, for entities and relations:
+    the block-wise draw gives the bits of one draw per whole half."""
+    block = max(1, BLOCK_VALUES // dim)
+    for rows in sorted({1, block - 1, block, block + 1} - {0}):
+        got = init_table(rows, rows, dim, bound=1.7, seed=rows)
+        want = oracles.init_table(rows, rows, dim, bound=1.7, seed=rows)
+        assert got.ent.tobytes() == want.ent.tobytes(), rows
+        assert got.rel.tobytes() == want.rel.tobytes(), rows
+        assert got.bound == want.bound == 1.7
+
+
+def test_init_table_allocates_little_beyond_its_table():
+    init_table(1, 1, 1)  # first-use allocations of the Generator
+    tracemalloc.start()
+    try:
+        table = init_table(20_000, 12, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.ent.nbytes - table.rel.nbytes <= 2**20, peak
+
+
+def test_dump_of_many_blocks_is_each_half_in_row_order():
+    block = BLOCK_VALUES // 3
+    table = make_feasible_table(seed=5, num_entities=2 * block + 1, num_relations=block + 2, dim=3)
+    buf = io.BytesIO()
+    save_table(buf, table)
+    halves = (table.ent_re, table.ent_im, table.rel_re, table.rel_im)
+    assert buf.getvalue()[36:] == b"".join(half.tobytes() for half in halves)
+    buf.seek(0)
+    loaded = load_table(buf)
+    assert loaded.ent.tobytes() == table.ent.tobytes()
+    assert loaded.rel.tobytes() == table.rel.tobytes()
+
+
+@pytest.mark.parametrize(
+    "half, row, col",
+    [("ent_re", -1, 2), ("ent_im", 0, 0), ("ent_im", "block", 1), ("rel_re", "block", 0), ("rel_im", -1, 2)],
+)
+def test_a_bad_value_in_any_block_names_its_byte(tmp_path, half, row, col):
+    block = BLOCK_VALUES // 3
+    n, m = 2 * block + 1, block + 2
+    table = make_feasible_table(seed=6, num_entities=n, num_relations=m, dim=3)
+    path = tmp_path / "dump.bin"
+    save_table(path, table)
+    starts = {"ent_re": 36, "ent_im": 36 + 24 * n, "rel_re": 36 + 48 * n, "rel_im": 36 + 48 * n + 24 * m}
+    rows = n if half.startswith("ent") else m
+    row = block if row == "block" else row % rows
+    at = starts[half] + 24 * row + 8 * col
+    blob = bytearray(path.read_bytes())
+    blob[at : at + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_table(path)
+    assert f"{path}: {half} holds the non-finite value nan at byte {at} (" in str(err.value)
 
 
 def test_constructor_copies_entity_halves_into_one_matrix():

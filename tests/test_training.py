@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hornplex import training
 from hornplex.config import load_run_config
 from hornplex.kg import Triple, build_graph
-from hornplex.model import EmbeddingTable, is_feasible
+from hornplex.model import EmbeddingTable, init_table, is_feasible
 from hornplex.rules import HornRule
 from hornplex.training import (
     AdagradState,
@@ -474,6 +475,45 @@ def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
     assert table2.rel.tobytes() == table.rel.tobytes()
     assert state2.ent_acc.tobytes() == state.ent_acc.tobytes()
     assert state2.rel_acc.tobytes() == state.rel_acc.tobytes()
+
+
+def checkpoint_at_20k(path):
+    """A table and AdaGrad state at n = 20k, d = 64, and ``path``, after a
+    tiny checkpoint has been written to it and read back (so that first-use
+    allocations fall outside a measurement)."""
+    table = init_table(20_000, 12, 64, seed=1)
+    state = AdagradState(table.ent * 3.0, table.rel + 0.5)
+    save_checkpoint(path, init_table(2, 1, 2), AdagradState.zeros(2, 1, 2))
+    load_checkpoint(path)
+    return table, state
+
+
+def test_save_checkpoint_copies_no_half_whole(tmp_path):
+    p = tmp_path / "ckpt.bin"
+    table, state = checkpoint_at_20k(p)
+    tracemalloc.start()
+    try:
+        save_checkpoint(p, table, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+
+
+def test_load_checkpoint_allocates_little_beyond_its_matrices(tmp_path):
+    p = tmp_path / "ckpt.bin"
+    table, state = checkpoint_at_20k(p)
+    save_checkpoint(p, table, state)
+    tracemalloc.start()
+    try:
+        table2, state2 = load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrices = (table2.ent, table2.rel, state2.ent_acc, state2.rel_acc)
+    assert peak - sum(a.nbytes for a in matrices) <= 2**20, peak
+    for got, want in zip(matrices, (table.ent, table.rel, state.ent_acc, state.rel_acc)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_checkpoint_with_cut_accumulators_names_file_and_offset(tmp_path):
