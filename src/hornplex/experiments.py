@@ -35,9 +35,17 @@ PLANTED_COMPOSITIONS = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 def _sample_block_pairs(rng, blocks, src, dst, count, taken=()):
     """``count`` distinct pairs from blocks[src] x blocks[dst], none of them
-    in ``taken``."""
+    in ``taken``. A ValueError if the blocks hold fewer free pairs than
+    that, where drawing would never end."""
     pairs = []
     seen = set(taken)
+    free = len(blocks[src]) * len(blocks[dst])
+    free -= sum(1 for h, t in seen if h in blocks[src] and t in blocks[dst])
+    if count > free:
+        raise ValueError(
+            f"blocks {src} x {dst} hold {free} free entity pairs, "
+            f"too few for the {count} asked"
+        )
     while len(pairs) < count:
         need = count - len(pairs)
         heads = rng.integers(0, len(blocks[src]), size=2 * need)

@@ -44,13 +44,17 @@ def make_fewshot_split(kg, spec: FewShotSpec):
     """Return ``(new_graph, task_relations, supports)`` built from ``kg`` per ``spec``.
 
     Task relations are drawn uniformly without replacement (from
-    ``spec.candidates`` when given, otherwise all relations). A selected
+    ``spec.candidates`` when given, otherwise all relations). A candidate id
+    outside [0, num_relations) raises, naming the id. A selected
     relation with no more triples than ``shots`` raises, naming the relation.
     Non-task triples keep their original split; the multiset union of the
     splits is preserved. ``supports`` maps each task relation to the (k, 3)
     int64 array of its support rows.
     """
     pool = spec.candidates if spec.candidates is not None else tuple(range(kg.num_relations))
+    for r in pool:
+        if not 0 <= r < kg.num_relations:
+            raise ValueError(f"candidate relation {r} outside [0, {kg.num_relations})")
     if spec.num_task_relations > len(pool):
         raise ValueError(
             f"cannot pick {spec.num_task_relations} task relations from {len(pool)} candidates"

@@ -8,19 +8,21 @@ gradient terms take in the rule-major term sequence of the whole list: each
 rule's head term, then one term per body position. Nothing is padded, so a
 group of length k does only the products its bodies need.
 
-For a table of dimension d the rules are cut into windows of consecutive
-rules (``RuleArrays.windows``). A window is the slice of each length group
-that falls into it. It ends where its Σ(k+1)·d gradient terms would pass
-``WINDOW_ELEMENTS``, or where one group's slice would need more of an arena
-of ``ARENA_ELEMENTS`` than it holds, as the caller counts that need per
-rule; a rule that breaks a limit on its own gets a window to itself. The
-training penalty (``training.rule_penalty``) works a window at a time: each
-group's slice takes its arrays from the arena, and the window's scatter
-index, one int64 row a term, takes the arena once the groups are done.
-Several windows get buffers of the budget sizes, so the memory a call needs
-does not grow with the rule count. The rule diagnostics
-(``evaluation.relation_rule_diagnostics``) gather the vectors of every group
-in one call and take each length group whole.
+For a table of dimension d and relation bound R the rules are cut into
+windows of consecutive rules (``RuleArrays.windows``). A window is the slice
+of each length group that falls into it. It ends where its Σ(k+1)·d gradient
+terms would pass ``WINDOW_ELEMENTS``, or where one group's slice would need
+more of an arena of ``ARENA_ELEMENTS`` than it holds, as ``_arena_rows``
+counts that need per rule; a rule that breaks a limit on its own gets a
+window to itself. The penalty (``rule_penalty``, which ``training`` imports
+for its step) works a window at a time: each group's slice takes its arrays
+from the arena (``_rule_terms``), and the window's scatter index, one int64
+row a term, takes the arena once the groups are done. Several windows get
+buffers of the budget sizes, so the memory a call needs does not grow with
+the rule count. The arrays a slice takes, their count, the cut that uses
+the count and the buffers sized from it all live in this module. The rule
+diagnostics (``evaluation.relation_rule_diagnostics``) gather the vectors of
+every group in one call and take each length group whole.
 
 Products follow the per-rule formulas: the body product is
 ((b[0] x b[1]) x b[2]) x ..., and the factor of body position j in its
@@ -47,6 +49,7 @@ __all__ = [
     "cmul_into",
     "LengthGroup",
     "RuleArrays",
+    "RowGrads",
     "length_groups",
     "check_relations",
     "Scratch",
@@ -54,6 +57,7 @@ __all__ = [
     "body_product",
     "gradient_factors",
     "rule_gaps",
+    "rule_penalty",
 ]
 
 WINDOW_ELEMENTS = 1 << 16
@@ -184,26 +188,23 @@ class RuleArrays:
         groups = [(group.rules, group.ids) for group in self.groups]
         check_relations(self.rows, groups, num_relations)
 
-    def windows(self, dim, need=None):
+    def windows(self, dim, bound):
         """The rules cut into windows of consecutive rules for a table of
-        dimension ``dim``, in rule order, as (first, count, parts): the
-        window's terms are rows first:first+count of the term sequence, and
-        ``parts`` lists (group, lo, hi) for each group with rules lo:hi in it.
-        A window holds at most WINDOW_ELEMENTS // dim terms. ``need(k)``, if
-        given, is the number of rows of ``dim`` elements that a rule of body
-        length k takes from an arena of ARENA_ELEMENTS: then each group's
-        slice of a window needs at most the rows the arena holds, and so does
-        the window's scatter index, one row a term. A rule that breaks a
-        limit on its own gets a window to itself."""
-        cap = max(1, WINDOW_ELEMENTS // dim)
-        most = ()  # rules per group slice
-        if need is not None:
-            rows = ARENA_ELEMENTS // dim
-            cap = max(1, min(cap, rows))
-            most = tuple(rows // need(group.length) for group in self.groups)
-        key = (cap, most)
+        dimension ``dim`` and relation bound ``bound``, in rule order, as
+        (first, count, parts): the window's terms are rows first:first+count
+        of the term sequence, and ``parts`` lists (group, lo, hi) for each
+        group with rules lo:hi in it. A window holds at most
+        WINDOW_ELEMENTS // dim terms, each group's slice of it needs at most
+        the rows of ``dim`` elements that an arena of ARENA_ELEMENTS holds
+        (``_arena_rows`` per rule), and so does the window's scatter index,
+        one row a term. A rule that breaks a limit on its own gets a window
+        to itself. The cut is made once per (dim, bound) and budget sizes."""
+        key = (dim, bound, WINDOW_ELEMENTS, ARENA_ELEMENTS)
         cached = self._windows.get(key)
         if cached is None:
+            rows = ARENA_ELEMENTS // dim
+            cap = max(1, min(WINDOW_ELEMENTS // dim, rows))
+            most = [rows // _arena_rows(group.length, bound) for group in self.groups]
             starts = self.starts
             cuts = [0]
             while cuts[-1] < len(self):
@@ -228,6 +229,23 @@ class RuleArrays:
                 for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
             ]
         return cached
+
+
+@dataclass
+class RowGrads:
+    """Gradient terms for rows of one embedding matrix. Rows may repeat; a
+    row's gradient is the sum of its terms (``training.merge_row_grads``).
+    ``re`` and ``im`` are ``values[0]`` and ``values[1]``."""
+
+    rows: np.ndarray  # (u,) int row indices
+    values: np.ndarray  # (2, u, d): [re, im]
+
+    re = property(lambda self: self.values[0])
+    im = property(lambda self: self.values[1])
+
+    @classmethod
+    def empty(cls, dim):
+        return cls(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
 
 
 class Scratch:
@@ -309,3 +327,136 @@ def rule_gaps(table, head, hb, rk, alloc=np.empty):
     gap = np.divide(hb, rk, out=alloc(hb.shape))
     gap -= head
     return gap
+
+
+def rule_penalty(table, rules):
+    """Hinge + squared penalty for a collection of Horn rules.
+
+    Per rule with confidence lam, body product hb and head r:
+      lam * sum_l max(0, Re(hb_l)/R^k - Re(r_l)/R)      (real part, hinge)
+    + lam * sum_l (Im(hb_l)/R^k - Im(r_l)/R)^2          (imaginary part)
+
+    ``rules`` is a list of HornRule or the ``RuleArrays`` packing of one.
+    The caller applies the global coefficient mu. The subgradient of the
+    hinge at zero is taken as zero, so exactly satisfied rules contribute no
+    gradient. Returns (loss, RowGrads over the touched relation rows). A
+    relation id outside the table is a ValueError naming the rule.
+
+    Rules run a window at a time, and within a window one body length at a
+    time (see the module docstring). Per-rule losses are added in rule order,
+    and each row's gradient sums its terms in rule order (head, then body
+    positions), so the result does not depend on the windows.
+    """
+    if not isinstance(rules, RuleArrays):
+        rules = RuleArrays.from_rules(rules)
+    rules.check_relations(table.num_relations)
+    dim = table.dim
+    if len(rules) == 0:
+        return 0.0, RowGrads.empty(dim)
+    R = table.bound
+    windows = rules.windows(dim, R)
+    # The rule-major gradient terms of a window, [re, im], and an arena for
+    # the arrays of one length group in a window, then for the window's
+    # scatter index. One window gets what it needs. Several get the budget
+    # sizes, so that a call's memory does not depend on where the cuts fall;
+    # a window of one rule that needs more takes fresh arrays from the arena.
+    # Sizing several windows to their own largest needs gives the same bits,
+    # but was measured to make a 500-rule call about 1.6x slower.
+    if len(windows) == 1:
+        _, width, parts = windows[0]
+        size = max([width] + [_arena_rows(group.length, R) * (hi - lo) for group, lo, hi in parts])
+        size *= dim
+    else:
+        width = max([WINDOW_ELEMENTS // dim] + [count for _, count, _ in windows])
+        size = ARENA_ELEMENTS
+    # The terms and the row sums keep each re beside its im, so that the
+    # scatter can take the pair as one complex128, whose sum adds each part
+    # on its own: one np.add.at call per window does both halves.
+    pairs = np.empty((width, dim, 2))
+    terms = pairs.transpose(2, 0, 1)
+    scratch = Scratch(size)
+    span = np.arange(dim)
+    losses = np.empty(len(rules))
+    sums = np.zeros((rules.rows.size, dim, 2))
+    acc = sums.transpose(2, 0, 1)
+
+    for first, count, parts in windows:
+        for group, lo, hi in parts:
+            scratch.reset()
+            terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
+        # Scatter in rule order through flat indices: np.add.at runs far
+        # faster on 1-d arrays, and adds in index order all the same.
+        scratch.reset()
+        index = scratch((count, dim)).view(np.int64)
+        np.multiply(rules.slots[first : first + count, None], dim, out=index)
+        index += span
+        np.add.at(
+            sums.view(np.complex128).reshape(-1),
+            index.reshape(-1),
+            pairs[:count].view(np.complex128).reshape(-1),
+        )
+
+    loss = 0.0
+    for term in losses.tolist():
+        loss += term
+    return loss, RowGrads(rules.rows, acc)
+
+
+def _arena_rows(k, bound):
+    """The rows of ``dim`` elements that ``_rule_terms`` takes from its arena
+    per rule of body length k under a relation bound ``bound``:
+    - for every k, the (2, k+1) body vectors (heads included), the (2, k+1)
+      gradient terms and the (2,) active and 2v arrays: 4k + 6;
+    - for k = 2, the scratch and body product of ``gradient_factors`` and
+      the (2, 2) products with c: 8 more, 22 in all;
+    - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
+      (2) and the prefixes and suffixes that do not go into c (4k - 12):
+      6k - 8 more, 10k - 2 in all;
+    - 2 more for the gaps when bound**k is not 1.
+    ``RuleArrays.windows`` cuts the windows by it and ``rule_penalty`` sizes
+    a lone window's arena by it, so any change to the arrays ``_rule_terms``
+    takes must change this count too."""
+    rows = 10 if k == 1 else 22 if k == 2 else 10 * k - 2
+    return rows + 2 if bound**k != 1.0 else rows
+
+
+def _rule_terms(table, group, lo, hi, losses, alloc):
+    """The penalty of rules lo:hi of a length group: their losses go into
+    ``losses`` at their rule ids, and their gradient terms are returned as a
+    (2, k+1, r, d) array, [re, im] of the head's term and then of each body
+    position's. Arrays come from ``alloc(shape)``: ``_arena_rows`` rows of
+    d elements per rule."""
+    R = table.bound
+    k = group.length
+    rk = R**k
+    lam = group.confidences[lo:hi]
+    b = take_rows(table.rel, group.ids[:, lo:hi], "relation", alloc)
+    body = b[:, 1:]
+    hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
+    u, v = rule_gaps(table, b[:, 0], hb, rk, alloc)
+    g = alloc((2, k + 1) + u.shape)
+    aw = alloc((2,) + u.shape)  # active = [u > 0], then w = 2v
+    np.greater(u, 0.0, out=aw[0], casting="unsafe")
+    np.multiply(u, aw[0], out=g[0, 0])
+    np.multiply(v, v, out=g[1, 0])
+    sums = g[:, 0].sum(axis=2)
+    losses[group.rules[lo:hi]] = lam[:, 0] * (sums[0] + sums[1])
+
+    # The head's term is lam * (-active/R, -2v/R), taken as (active, 2v) /
+    # -R, the same bits. Body position j's is lam * (active*c_re + 2v*c_im,
+    # -active*c_im + 2v*c_re) / R^k, with c the product of the other
+    # factors: 1+0i when k = 1.
+    np.multiply(v, 2.0, out=aw[1])
+    np.divide(aw, -R, out=g[:, 0])
+    if c is None:
+        g[:, 1] = aw
+    else:
+        t = body if k > 2 else alloc(c.shape)  # spent once c is made, unless k = 2
+        np.multiply(c, aw[:, None], out=t)  # c_re*active, c_im*w
+        np.add(t[0], t[1], out=g[0, 1:])
+        np.multiply(c, aw[::-1, None], out=t)  # c_re*w, c_im*active
+        np.subtract(t[0], t[1], out=g[1, 1:])
+    g *= lam
+    if rk != 1.0:
+        g[:, 1:] /= rk
+    return g

@@ -1,4 +1,5 @@
-"""Training: logistic loss, Horn-rule penalties, N3 regularization, AdaGrad.
+"""Training: logistic loss, N3 regularization, AdaGrad, and the step that adds
+the Horn-rule penalty (``kernel.rule_penalty``, imported here).
 
 The objective per optimizer step is
 
@@ -21,13 +22,11 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 
 import numpy as np
 
-from . import kernel
 from .evaluation import evaluate
-from .kernel import RuleArrays, Scratch, _halves, gradient_factors, rule_gaps, take_rows
+from .kernel import RowGrads, RuleArrays, Scratch, _halves, rule_penalty, take_rows
 from .kg import Triple, read_lines
 from .model import (
     init_table,
@@ -94,6 +93,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not self.epochs >= 0:
             raise ValueError("epochs must be non-negative")
+        if not self.validate_every >= 0:
+            raise ValueError("validate_every must be non-negative")
         if not (0 <= self.mu < math.inf and 0 <= self.eta < math.inf):
             raise ValueError("mu and eta must be non-negative and finite")
         if not self.negatives_per_positive >= 1:
@@ -129,23 +130,6 @@ class LabeledBatch:
 
     def __len__(self):
         return self.triples.shape[0]
-
-
-@dataclass
-class RowGrads:
-    """Gradient terms for rows of one embedding matrix. Rows may repeat; a
-    row's gradient is the sum of its terms (``merge_row_grads``). ``re`` and
-    ``im`` are ``values[0]`` and ``values[1]``."""
-
-    rows: np.ndarray  # (u,) int row indices
-    values: np.ndarray  # (2, u, d): [re, im]
-
-    re = property(lambda self: self.values[0])
-    im = property(lambda self: self.values[1])
-
-    @classmethod
-    def empty(cls, dim):
-        return cls(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
 
 
 class Workspace:
@@ -220,38 +204,23 @@ def sample_negatives_batch(kg, positives, count, rng):
     positives = np.asarray(positives, dtype=np.int64)
     B = positives.shape[0]
     n = kg.num_entities
-    heads, rels, tails = positives[:, 0], positives[:, 1], positives[:, 2]
-
-    corrupt_head = rng.integers(0, 2, size=(B, count)).astype(bool)
-    orig = np.where(corrupt_head, heads[:, None], tails[:, None])
-    ent = orig.copy()
-
-    active = np.ones((B, count), dtype=bool)
+    # One row per negative, row-major over (B, count), and the column of the
+    # entity it replaces: 0 (head) where the coin reads 1, else 2 (tail).
+    out = np.repeat(positives, count, axis=0)
+    slots = np.arange(B * count)
+    column = 2 - 2 * rng.integers(0, 2, size=B * count)
+    orig = out[slots, column]
+    # A one-entity graph has no other entity, so its negatives stay positives.
+    pending = slots if n > 1 else slots[:0]
     for _ in range(NEGATIVE_ROUNDS):
-        idx = np.nonzero(active)
-        k = idx[0].size
-        if k == 0:
+        if pending.size == 0:
             break
-        if n > 1:
-            prop = rng.integers(0, n - 1, size=k)
-            prop = prop + (prop >= orig[idx])
-        else:
-            prop = orig[idx]
-        ent[idx] = prop
-        h = np.where(corrupt_head[idx], prop, heads[idx[0]])
-        t = np.where(corrupt_head[idx], tails[idx[0]], prop)
-        collides = kg.contains(h, rels[idx[0]], t)
-        nxt = np.zeros((B, count), dtype=bool)
-        nxt[idx] = collides
-        active = nxt
-        if n <= 1:
-            break
-
-    out = np.empty((B, count, 3), dtype=np.int64)
-    out[:, :, 0] = np.where(corrupt_head, ent, heads[:, None])
-    out[:, :, 1] = rels[:, None]
-    out[:, :, 2] = np.where(corrupt_head, tails[:, None], ent)
-    return out
+        prop = rng.integers(0, n - 1, size=pending.size)
+        prop += prop >= orig[pending]
+        out[pending, column[pending]] = prop
+        trial = out[pending]
+        pending = pending[kg.contains(trial[:, 0], trial[:, 1], trial[:, 2])]
+    return out.reshape(B, count, 3)
 
 
 def sample_negatives(kg, positive, count, rng):
@@ -310,135 +279,6 @@ def logistic_loss(table, batch, *, workspace=None):
     ent *= coeff
     rel *= coeff
     return loss, RowGrads(np.concatenate([h, t]), ent.reshape(2, 2 * size, dim)), RowGrads(r, rel)
-
-
-def rule_penalty(table, rules):
-    """Hinge + squared penalty for a collection of Horn rules.
-
-    Per rule with confidence lam, body product hb and head r:
-      lam * sum_l max(0, Re(hb_l)/R^k - Re(r_l)/R)      (real part, hinge)
-    + lam * sum_l (Im(hb_l)/R^k - Im(r_l)/R)^2          (imaginary part)
-
-    ``rules`` is a list of HornRule or the ``RuleArrays`` packing of one.
-    The caller applies the global coefficient mu. The subgradient of the
-    hinge at zero is taken as zero, so exactly satisfied rules contribute no
-    gradient. Returns (loss, RowGrads over the touched relation rows). A
-    relation id outside the table is a ValueError naming the rule.
-
-    Rules run a window at a time, and within a window one body length at a
-    time (see ``hornplex.kernel``). Per-rule losses are added in rule order,
-    and each row's gradient sums its terms in rule order (head, then body
-    positions), so the result does not depend on the windows.
-    """
-    if not isinstance(rules, RuleArrays):
-        rules = RuleArrays.from_rules(rules)
-    rules.check_relations(table.num_relations)
-    dim = table.dim
-    if len(rules) == 0:
-        return 0.0, RowGrads.empty(dim)
-    need = partial(_arena_rows, bound=table.bound)
-    windows = rules.windows(dim, need)
-    # The rule-major gradient terms of a window, [re, im], and an arena for
-    # the arrays of one length group in a window, then for the window's
-    # scatter index. One window gets what it needs. Several get the budget
-    # sizes, so that a call's memory does not depend on where the cuts fall;
-    # a window of one rule that needs more takes fresh arrays from the arena.
-    if len(windows) == 1:
-        _, width, parts = windows[0]
-        size = max([width] + [need(group.length) * (hi - lo) for group, lo, hi in parts]) * dim
-    else:
-        width = max([kernel.WINDOW_ELEMENTS // dim] + [count for _, count, _ in windows])
-        size = kernel.ARENA_ELEMENTS
-    # The terms and the row sums keep each re beside its im, so that the
-    # scatter can take the pair as one complex128, whose sum adds each part
-    # on its own: one np.add.at call per window does both halves.
-    pairs = np.empty((width, dim, 2))
-    terms = pairs.transpose(2, 0, 1)
-    scratch = Scratch(size)
-    span = np.arange(dim)
-    losses = np.empty(len(rules))
-    sums = np.zeros((rules.rows.size, dim, 2))
-    acc = sums.transpose(2, 0, 1)
-
-    for first, count, parts in windows:
-        for group, lo, hi in parts:
-            scratch.reset()
-            terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
-        # Scatter in rule order through flat indices: np.add.at runs far
-        # faster on 1-d arrays, and adds in index order all the same.
-        scratch.reset()
-        index = scratch((count, dim)).view(np.int64)
-        np.multiply(rules.slots[first : first + count, None], dim, out=index)
-        index += span
-        np.add.at(
-            sums.view(np.complex128).reshape(-1),
-            index.reshape(-1),
-            pairs[:count].view(np.complex128).reshape(-1),
-        )
-
-    loss = 0.0
-    for term in losses.tolist():
-        loss += term
-    return loss, RowGrads(rules.rows, acc)
-
-
-def _arena_rows(k, bound):
-    """The rows of ``dim`` elements that ``_rule_terms`` takes from its arena
-    per rule of body length k under a relation bound ``bound``:
-    - for every k, the (2, k+1) body vectors (heads included), the (2, k+1)
-      gradient terms and the (2,) active and 2v arrays: 4k + 6;
-    - for k = 2, the scratch and body product of ``gradient_factors`` and
-      the (2, 2) products with c: 8 more, 22 in all;
-    - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
-      (2) and the prefixes and suffixes that do not go into c (4k - 12):
-      6k - 8 more, 10k - 2 in all;
-    - 2 more for the gaps when bound**k is not 1.
-    ``RuleArrays.windows`` cuts the windows by it, so any change to the
-    arrays ``_rule_terms`` takes must change this count too."""
-    rows = 10 if k == 1 else 22 if k == 2 else 10 * k - 2
-    return rows + 2 if bound**k != 1.0 else rows
-
-
-def _rule_terms(table, group, lo, hi, losses, alloc):
-    """The penalty of rules lo:hi of a length group: their losses go into
-    ``losses`` at their rule ids, and their gradient terms are returned as a
-    (2, k+1, r, d) array, [re, im] of the head's term and then of each body
-    position's. Arrays come from ``alloc(shape)``: ``_arena_rows`` rows of
-    d elements per rule."""
-    R = table.bound
-    k = group.length
-    rk = R**k
-    lam = group.confidences[lo:hi]
-    b = take_rows(table.rel, group.ids[:, lo:hi], "relation", alloc)
-    body = b[:, 1:]
-    hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
-    u, v = rule_gaps(table, b[:, 0], hb, rk, alloc)
-    g = alloc((2, k + 1) + u.shape)
-    aw = alloc((2,) + u.shape)  # active = [u > 0], then w = 2v
-    np.greater(u, 0.0, out=aw[0], casting="unsafe")
-    np.multiply(u, aw[0], out=g[0, 0])
-    np.multiply(v, v, out=g[1, 0])
-    sums = g[:, 0].sum(axis=2)
-    losses[group.rules[lo:hi]] = lam[:, 0] * (sums[0] + sums[1])
-
-    # The head's term is lam * (-active/R, -2v/R), taken as (active, 2v) /
-    # -R, the same bits. Body position j's is lam * (active*c_re + 2v*c_im,
-    # -active*c_im + 2v*c_re) / R^k, with c the product of the other
-    # factors: 1+0i when k = 1.
-    np.multiply(v, 2.0, out=aw[1])
-    np.divide(aw, -R, out=g[:, 0])
-    if c is None:
-        g[:, 1] = aw
-    else:
-        t = body if k > 2 else alloc(c.shape)  # spent once c is made, unless k = 2
-        np.multiply(c, aw[:, None], out=t)  # c_re*active, c_im*w
-        np.add(t[0], t[1], out=g[0, 1:])
-        np.multiply(c, aw[::-1, None], out=t)  # c_re*w, c_im*active
-        np.subtract(t[0], t[1], out=g[1, 1:])
-    g *= lam
-    if rk != 1.0:
-        g[:, 1:] /= rk
-    return g
 
 
 def n3_regularization(table, ent_rows, rel_rows, *, workspace=None):

@@ -84,6 +84,13 @@ def test_candidate_pool_restricts_choice():
         make_fewshot_split(kg, FewShotSpec(3, 0, seed=4, candidates=(1, 3)))
 
 
+@pytest.mark.parametrize("bad", [4, 99, -1])
+def test_candidates_outside_the_relations_are_rejected(bad):
+    kg = task_kg(num_relations=4)
+    with pytest.raises(ValueError, match=rf"^candidate relation {bad} outside \[0, 4\)$"):
+        make_fewshot_split(kg, FewShotSpec(1, 0, seed=0, candidates=(1, bad)))
+
+
 def test_error_names_starved_relation():
     kg = task_kg(per_relation=3, num_relations=1, with_valid=False)
     with pytest.raises(ValueError, match="'r0'"):

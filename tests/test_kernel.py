@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_kg
-from hornplex import kernel, training
+from hornplex import kernel
 from hornplex.evaluation import relation_rule_diagnostics
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
@@ -91,7 +91,7 @@ def test_windows_cut_the_length_groups_in_rule_order():
         HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths
     )
     with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
-        windows = arrays.windows(2)
+        windows = arrays.windows(2, 1.0)
     seen = []
     for first, count, parts in windows:
         ids = sorted(i for group, lo, hi in parts for i in group.rules[lo:hi].tolist())
@@ -106,6 +106,24 @@ def test_windows_cut_the_length_groups_in_rule_order():
     assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
 
 
+def test_windows_are_cut_once_per_dim_bound_and_budget():
+    arrays = kernel.RuleArrays.from_rules(
+        HornRule(body=(0,) * k, head=1, confidence=1.0) for k in [1, 2, 3, 1, 4]
+    )
+    windows = arrays.windows(2, 1.0)
+    assert arrays.windows(2, 1.0) is windows
+    assert len(windows) == 1
+    with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
+        small = arrays.windows(2, 1.0)
+        assert small is not windows and len(small) > 1
+        assert arrays.windows(2, 1.0) is small
+    with mock.patch.object(kernel, "ARENA_ELEMENTS", kernel._arena_rows(4, 1.0) * 2):
+        assert arrays.windows(2, 1.0) is not windows
+    assert arrays.windows(2, 1.0) is windows
+    assert arrays.windows(3, 1.0) is not windows
+    assert arrays.windows(2, 0.5) is not windows
+
+
 @given(rule_sets(), st.sampled_from([8, 1000]))
 def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
     """For arenas of rows of ``dim`` elements that hold 1-3 rules of a
@@ -116,8 +134,8 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
     table, rules = case
     dim = table.dim
     expected_loss, expected = oracles.rule_penalty(table, rules)
-    need = partial(training._arena_rows, bound=table.bound)
-    rule_terms = training._rule_terms
+    need = partial(kernel._arena_rows, bound=table.bound)
+    rule_terms = kernel._rule_terms
     at = []  # the first rule of each group slice so far
 
     def recorded(table, group, lo, hi, losses, alloc):
@@ -136,12 +154,12 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
         with (
             mock.patch.object(kernel, "WINDOW_ELEMENTS", terms * dim),
             mock.patch.object(kernel, "ARENA_ELEMENTS", rows * dim),
-            mock.patch.object(training, "Scratch", Fits),
-            mock.patch.object(training, "_rule_terms", recorded),
+            mock.patch.object(kernel, "Scratch", Fits),
+            mock.patch.object(kernel, "_rule_terms", recorded),
         ):
             alone = {
                 int(parts[0][0].rules[parts[0][1]])
-                for _, _, parts in arrays.windows(dim, need)
+                for _, _, parts in arrays.windows(dim, table.bound)
                 if sum(hi - lo for _, lo, hi in parts) == 1
             }
             loss, grads = rule_penalty(table, arrays)

@@ -66,6 +66,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             TrainConfig(seed=-1)
 
+    def test_negative_validate_every_is_rejected(self):
+        with pytest.raises(ValueError, match="validate_every must be non-negative"):
+            TrainConfig(validate_every=-3)
+        assert TrainConfig(validate_every=0).validate_every == 0  # never validate
+
+    def test_negative_validate_every_in_a_config_file_names_the_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\nvalidate_every = -3\n")
+        with pytest.raises(ValueError) as err:
+            load_run_config(path)
+        assert str(err.value) == f"{path}: [train] validate_every must be non-negative"
+
     def test_integer_fields_take_numpy_integers(self):
         assert TrainConfig(epochs=np.int64(2), dim=np.int32(4)).dim == 4
 
@@ -336,6 +348,37 @@ class TestNegativeSampling:
         rng = np.random.default_rng(1)
         for neg in sample_negatives(kg, kg.train[0], 20, rng):
             assert not naive_contains(kg, neg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_batch_equals_a_slot_by_slot_loop(self, seed, count):
+        """Each round draws one entity per pending negative, in row-major
+        order, and keeps pending those that are known facts. The graph is
+        dense, so negatives take several rounds."""
+        kg = make_random_kg(seed=seed, num_entities=5, num_train=20)
+        positives = kg.train[:6]
+        got = training.sample_negatives_batch(kg, positives, count, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        coins = rng.integers(0, 2, size=(len(positives), count))
+        want = [[list(p) for _ in range(count)] for p in positives.tolist()]
+        pending = [(i, j) for i in range(len(positives)) for j in range(count)]
+        for _ in range(training.NEGATIVE_ROUNDS):
+            if not pending:
+                break
+            draws = rng.integers(0, kg.num_entities - 1, size=len(pending)).tolist()
+            still = []
+            for (i, j), draw in zip(pending, draws):
+                end = 0 if coins[i, j] else 2
+                want[i][j][end] = draw + (draw >= positives[i, end])
+                if naive_contains(kg, want[i][j]):
+                    still.append((i, j))
+            pending = still
+        assert got.tolist() == want
+
+    def test_a_one_entity_graph_gives_the_positive_back(self):
+        kg = build_graph([Triple(0, 0, 0)], [], [], ({"a": 0}, {"r": 0}))
+        negs = sample_negatives(kg, Triple(0, 0, 0), 3, np.random.default_rng(0))
+        assert negs == [Triple(0, 0, 0)] * 3
 
     def test_saturated_graph_falls_back(self):
         # every corruption of (0, r, 0) is itself a known triple
