@@ -360,8 +360,9 @@ def rule_penalty(table, rules):
     # scatter index. One window gets what it needs. Several get the budget
     # sizes, so that a call's memory does not depend on where the cuts fall;
     # a window of one rule that needs more takes fresh arrays from the arena.
-    # Sizing several windows to their own largest needs gives the same bits,
-    # but was measured to make a 500-rule call about 1.6x slower.
+    # Several windows share their buffers: fresh buffers per window, each
+    # sized to that window's need, give the same bits but were measured to
+    # make a 500-rule call about 1.6x slower.
     if len(windows) == 1:
         _, width, parts = windows[0]
         size = max([width] + [_arena_rows(group.length, R) * (hi - lo) for group, lo, hi in parts])
