@@ -14,8 +14,13 @@ dictionaries, resolved config) is then compared byte for byte, and one line
 per file says ``same`` or ``DIFFERS`` (or ``MISSING`` on one side). The exit
 status is 1 if any file is not the same.
 
+A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
+random rules of body length 1-4, written with ``rules.write_rules``: more
+rules than one chunk of the rule diagnostics (512 at d=64) and several
+windows of the rule penalty.
+
 Training is short (d=64, mu=1, eta=0.02, seed 1): 20 epochs on
-planted-small, 3 on rules-500 and 1 on planted-20k.
+planted-small, 3 on rules-500 and rules-1200 and 1 on planted-20k.
 """
 
 import argparse
@@ -27,11 +32,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from bench_pairs import export
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from hornplex.kg import load_graph  # noqa: E402
+from hornplex.rules import HornRule, write_rules  # noqa: E402
+
 WORK = ".compare_work"
-EPOCHS = {"planted-small": 20, "rules-500": 3, "planted-20k": 1}
+EPOCHS = {"planted-small": 20, "rules-500": 3, "rules-1200": 3, "planted-20k": 1}
+# input: (the bench/gen.py workload whose files it takes, its random rule count)
+RANDOM_RULES = {"rules-1200": ("rules-500", 1200)}
 BOUNDS = (1.0, 1.3)
 CONFIG = """[paths]
 train = {data}/train.tsv
@@ -64,6 +76,23 @@ def hornplex(tree, config, *args):
         [sys.executable, "-m", "hornplex", "--config", config, *args],
         cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
     )
+
+
+def write_random_rules(data, count):
+    """Replace ``data``'s rule file by ``count`` seeded random rules over
+    its graph's relations, with bodies of 1-4 relations."""
+    kg = load_graph(data / "train.tsv", data / "valid.tsv", data / "test.tsv")
+    rng = np.random.default_rng(count)
+    m = kg.num_relations
+    rules = [
+        HornRule(
+            body=tuple(rng.integers(0, m, rng.integers(1, 5)).tolist()),
+            head=int(rng.integers(m)),
+            confidence=int(rng.integers(1, 11)) / 10,
+        )
+        for _ in range(count)
+    ]
+    write_rules(data / "rules.tsv", rules, kg.relation_names)
 
 
 def run_case(tree, workload, bound):
@@ -107,11 +136,14 @@ def main(argv=None):
             data = ROOT / WORK / workload
             shutil.rmtree(data, ignore_errors=True)
             data.mkdir(parents=True)
+            graph, count = RANDOM_RULES.get(workload, (workload, 0))
             subprocess.run(
-                [sys.executable, "bench/gen.py", "--workload", workload, "--seed", "1",
+                [sys.executable, "bench/gen.py", "--workload", graph, "--seed", "1",
                  "--out", str(data)],
                 cwd=ROOT, check=True,
             )
+            if count:
+                write_random_rules(data, count)
             shutil.copytree(data, old_tree / WORK / workload)
             for bound in BOUNDS:
                 old, new = run_case(old_tree, workload, bound), run_case(ROOT, workload, bound)

@@ -84,6 +84,8 @@ def _write_resolved(cfg, out_dir):
 def cmd_train(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
+    if not len(kg.train):
+        raise CliError(f"train triple file {cfg.train_path} holds no triples")
     rules = _load_rules(cfg, kg, required=cfg.train.mu > 0)
     out = cfg.output_dir
     _write_resolved(cfg, out)

@@ -54,6 +54,10 @@ FACTOR_ELEMENTS = 2**16
 # (256 KiB): small enough to stay in cache, which halved the time of a
 # constant n=20k table against gathering every row at once.
 COMPARE_ELEMENTS = 2**15
+# Rule diagnostics gather the relation vectors of DIAGNOSTIC_ELEMENTS // d
+# rules at a time (512 at d=64): one chunk for a few hundred rules, as
+# 128-rule chunks made 500 rules about 25% slower per rule.
+DIAGNOSTIC_ELEMENTS = 2**15
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
@@ -125,10 +129,18 @@ def rank_queries(table, kg, triples, tail_side):
     corrupting its tail where ``tail_side`` (Q bools) is true and its head
     otherwise.
 
-    Raises ValueError for a ``tail_side`` of another length, for a table
-    with a NaN or infinite component and for a triple outside the filter
-    index; no rank is returned then.
+    Raises ValueError for a table whose entity or relation count is not
+    the graph's, for a ``tail_side`` of another length, for a table with a
+    NaN or infinite component and for a triple outside the filter index; no
+    rank is returned then.
     """
+    found = (table.num_entities, table.num_relations)
+    expected = (kg.num_entities, kg.num_relations)
+    if found != expected:
+        raise ValueError(
+            f"the table holds {found[0]} entities and {found[1]} relations, "
+            f"but the graph has {expected[0]} entities and {expected[1]} relations"
+        )
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     tail_side = np.asarray(tail_side, dtype=bool).reshape(-1)
     if tail_side.size != len(triples):
@@ -283,7 +295,7 @@ def _run_starts(ent, cols):
     return np.flatnonzero(first)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuleDiagnostics:
     rule_id: int
     rule: object
@@ -309,25 +321,43 @@ def relation_rule_diagnostics(table, rules):
     A rule whose constraints hold exactly has all delta_re <= 0 and all
     delta_im == 0. A relation id outside the table is a ValueError naming
     the rule.
+
+    The gaps go into one (2, r, d) array, allocated before any gather, and
+    each record's delta_re and delta_im are views of its two rows, so the
+    records hold two d-vectors per rule. The relation vectors are gathered
+    one chunk of max(1, DIAGNOSTIC_ELEMENTS // d) whole rules at a time.
     """
     rules = list(rules)
-    ids, groups = length_groups(rules)
+    deltas = np.empty((2, len(rules), table.dim))
+    out = [None] * len(rules)
+    step = max(1, DIAGNOSTIC_ELEMENTS // table.dim)
+    for start in range(0, len(rules), step):
+        _diagnose_chunk(table, rules, start, start + step, deltas, out)
+    return out
+
+
+def _diagnose_chunk(table, rules, start, stop, deltas, out):
+    """The records of rules start:stop into ``out``, their gaps into rows
+    start:stop of ``deltas``, one length group after another. The chunk's
+    gathered vectors die on return, before the next chunk is gathered."""
+    ids, groups = length_groups(rules, start, stop)
     try:
         vectors = take_rows(table.rel, ids, "relation")
     except IndexError:
         check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
         raise
-    out = [None] * len(rules)
-    start = 0
+    at = 0
+    row = start
     for members, group_ids in groups:
         # The group's relation vectors: its heads, then each body position.
-        b = vectors[:, start : start + group_ids.size].reshape((2,) + group_ids.shape + (-1,))
-        start += group_ids.size
+        b = vectors[:, at : at + group_ids.size].reshape((2,) + group_ids.shape + (-1,))
+        at += group_ids.size
+        rows = deltas[:, row : row + members.size]
+        row += members.size
         rk = table.bound ** (group_ids.shape[0] - 1)
-        deltas = rule_gaps(table, b[:, 0], body_product(b[:, 1:]), rk)
-        for i, delta_re, delta_im in zip(members.tolist(), *deltas):
+        rule_gaps(table, b[:, 0], body_product(b[:, 1:]), rk, out=rows)
+        for i, delta_re, delta_im in zip(members.tolist(), *rows):
             out[i] = RuleDiagnostics(i, rules[i], delta_re, delta_im)
-    return out
 
 
 def mean_hinge_violation(diagnostics):

@@ -22,7 +22,8 @@ buffers of the budget sizes, so the memory a call needs does not grow with
 the rule count. The arrays a slice takes, their count, the cut that uses
 the count and the buffers sized from it all live in this module. The rule
 diagnostics (``evaluation.relation_rule_diagnostics``) gather the vectors of
-every group in one call and take each length group whole.
+a chunk of rules at a time, group them with ``length_groups`` and write
+each group's ``rule_gaps`` into the rows of their one output array.
 
 Products follow the per-rule formulas: the body product is
 ((b[0] x b[1]) x b[2]) x ..., and the factor of body position j in its
@@ -98,13 +99,14 @@ def _halves(matrix, rows, what):
     return matrix.reshape(2 * n, matrix.shape[1] // 2), index
 
 
-def length_groups(rules):
-    """``rules`` grouped by body length k, shortest first, as (ids, groups).
-    Each group is (its rule indices in rule order, a (k+1, r) int64 array of
-    their relation ids, each rule's head above its body); the arrays are
-    views, one after another, of the flat array ``ids``."""
+def length_groups(rules, start=0, stop=None):
+    """``rules[start:stop]`` grouped by body length k, shortest first, as
+    (ids, groups). Each group is (its rules' indices in ``rules``, in rule
+    order, and a (k+1, r) int64 array of their relation ids, each rule's
+    head above its body); the arrays are views, one after another, of the
+    flat array ``ids``."""
     members = {}
-    for i, rule in enumerate(rules):
+    for i, rule in enumerate(rules[start:stop], start):
         members.setdefault(len(rule.body), []).append(i)
     flat = []
     for _, group in sorted(members.items()):
@@ -315,16 +317,16 @@ def gradient_factors(b, alloc):
     return hb, c
 
 
-def rule_gaps(table, head, hb, rk, alloc=np.empty):
+def rule_gaps(table, head, hb, rk, alloc=np.empty, out=None):
     """Per-dimension gaps Re(hb)/R^k - Re(r)/R and Im(hb)/R^k - Im(r)/R of
     rules with (2, r, d) head vectors r, which this overwrites, and body
-    products hb, rk = R**k; a (2, r, d) array, ``head`` or one from
-    ``alloc(shape)``."""
+    products hb, rk = R**k; a (2, r, d) array: ``out`` if given, else
+    ``head`` or one from ``alloc(shape)``."""
     if table.bound != 1.0:  # x / 1.0 is x
         head /= table.bound
     if rk == 1.0:
-        return np.subtract(hb, head, out=head)
-    gap = np.divide(hb, rk, out=alloc(hb.shape))
+        return np.subtract(hb, head, out=head if out is None else out)
+    gap = np.divide(hb, rk, out=alloc(hb.shape) if out is None else out)
     gap -= head
     return gap
 

@@ -32,6 +32,7 @@ __all__ = [
 
 
 READ_CHARS = 1 << 16  # characters per block of ``read_lines``
+CODE_BLOCK = 1 << 12  # fact codes per block of ``build_graph``'s head codes
 
 
 class Triple(NamedTuple):
@@ -257,10 +258,15 @@ def build_graph(train, valid, test, dicts):
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     tail_codes = codes[keep]
     del codes, keep, out  # ``out`` is a view of ``codes``
-    # a tail code is h*(m*n) + (r*n + t), and its head code (r*n + t)*n + h
-    h, head_codes = np.divmod(tail_codes, m * n)
-    head_codes *= n
-    head_codes += h
+    # a tail code is h*(m*n) + (r*n + t), and its head code (r*n + t)*n + h,
+    # made a block at a time: the step holds the two code arrays and one
+    # block's quotients and remainders, not a whole array of each
+    head_codes = np.empty_like(tail_codes)
+    for lo in range(0, tail_codes.size, CODE_BLOCK):
+        h, rt = np.divmod(tail_codes[lo : lo + CODE_BLOCK], m * n)
+        block = head_codes[lo : lo + CODE_BLOCK]
+        np.multiply(rt, n, out=block)
+        block += h
     head_codes.sort()
     return KnowledgeGraph(
         entity_ids=entity_ids,

@@ -96,6 +96,15 @@ def test_train_missing_rules_with_mu_errors(workspace, capsys):
     assert "missing_rules.tsv" in err
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_train_on_a_split_without_triples_names_the_train_file(workspace, capsys, text):
+    train = workspace["data"] / "train.txt"
+    train.write_text(text, encoding="utf-8")
+    assert main(["--config", str(workspace["config"]), "train"]) == 2
+    assert capsys.readouterr().err == f"error: train triple file {train} holds no triples\n"
+    assert not workspace["out"].exists()
+
+
 def test_train_mu_zero_logs_zero_rule_penalty(workspace, tmp_path):
     cfg = workspace["tmp"] / "mu0.ini"
     cfg.write_text(workspace["config"].read_text().replace("mu = 0.5", "mu = 0.0"), encoding="utf-8")

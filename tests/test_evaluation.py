@@ -69,6 +69,25 @@ def test_rank_queries_rejects_a_tail_side_of_another_length(sides):
         rank_queries(table, kg, kg.test, sides)
 
 
+@pytest.mark.parametrize("entities, relations", [(6, 2), (2, 2), (3, 1)])
+def test_ranking_rejects_a_table_of_other_counts_than_the_graph(entities, relations):
+    """A larger table used to rank without an error, a smaller one to fail
+    with a bare IndexError."""
+    dicts = ({"a": 0, "b": 1, "c": 2}, {"r": 0, "s": 1})
+    kg = build_graph([Triple(0, 0, 1), Triple(1, 1, 2)], [], [], dicts)
+    table = make_feasible_table(seed=4, num_entities=entities, num_relations=relations)
+    message = (
+        rf"^the table holds {entities} entities and {relations} relations, "
+        r"but the graph has 3 entities and 2 relations$"
+    )
+    with pytest.raises(ValueError, match=message):
+        evaluate(table, kg, kg.train)
+    with pytest.raises(ValueError, match=message):
+        filtered_rank(table, kg, Triple(0, 0, 1), "head")
+    with pytest.raises(ValueError, match=message):
+        rank_queries(table, kg, kg.train, [True, False])
+
+
 def test_rank_rejects_bad_side():
     kg = singleton_kg()
     table = make_feasible_table(seed=2, num_entities=5, num_relations=1)

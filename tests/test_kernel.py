@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_kg
-from hornplex import kernel
+from hornplex import evaluation, kernel
 from hornplex.evaluation import relation_rule_diagnostics
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
@@ -197,14 +197,19 @@ def test_empty_rule_list():
     assert relation_rule_diagnostics(table, []) == []
 
 
-def _penalty_peak_bytes(table, num_rules):
-    rng = np.random.default_rng(num_rules)
-    m = table.num_relations
-    rules = kernel.RuleArrays.from_rules(
-        HornRule(body=tuple(rng.integers(0, m, rng.integers(1, 5))), head=int(rng.integers(m)),
-                 confidence=0.8)
+def _random_rules(num_rules, num_relations, seed, max_length=4):
+    """``num_rules`` rules with bodies of 1 to ``max_length`` relations."""
+    rng = np.random.default_rng(seed)
+    m = num_relations
+    return [
+        HornRule(body=tuple(rng.integers(0, m, rng.integers(1, max_length + 1))),
+                 head=int(rng.integers(m)), confidence=0.8)
         for _ in range(num_rules)
-    )
+    ]
+
+
+def _penalty_peak_bytes(table, num_rules):
+    rules = kernel.RuleArrays.from_rules(_random_rules(num_rules, table.num_relations, num_rules))
     tracemalloc.start()
     try:
         rule_penalty(table, rules)
@@ -219,3 +224,53 @@ def test_rule_penalty_memory_does_not_grow_with_rule_count():
     at_5000 = _penalty_peak_bytes(table, 5000)
     assert at_5000 <= 1.1 * at_500
     assert at_5000 < 4 * 2**20
+
+
+@pytest.mark.parametrize("bound", [1.0, 1.3])
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_diagnostic_chunks_change_nothing(bound, chunk):
+    """Chunks of 1, 3 or 7 rules cut 40 rules of length 1-6 inside their
+    length groups, and each chunk groups its own rules."""
+    table = project(init_table(2, 5, 4, bound, seed=chunk))
+    rules = _random_rules(40, 5, seed=chunk, max_length=6)
+    with mock.patch.object(evaluation, "DIAGNOSTIC_ELEMENTS", chunk * table.dim):
+        diagnostics = relation_rule_diagnostics(table, rules)
+    for i, (diag, rule) in enumerate(zip(diagnostics, rules, strict=True)):
+        delta_re, delta_im = oracles.rule_deltas(table, rule)
+        assert diag.rule_id == i and diag.rule is rule
+        assert np.array_equal(diag.delta_re, delta_re)
+        assert np.array_equal(diag.delta_im, delta_im)
+
+
+def test_a_relation_outside_the_table_in_a_later_chunk_names_the_rule():
+    table = project(init_table(2, 3, 4, 1.0, seed=0))
+    rules = [HornRule(body=(0, 2), head=1, confidence=1.0)] * 9
+    rules[7] = HornRule(body=(0, 3), head=1, confidence=1.0)  # second of chunk 6:9
+    with mock.patch.object(evaluation, "DIAGNOSTIC_ELEMENTS", 3 * table.dim):
+        with pytest.raises(ValueError, match=r"^rule 7: relation id 3 outside \[0, 3\)$"):
+            relation_rule_diagnostics(table, rules)
+
+
+def _diagnostics_memory(table, num_rules):
+    """(bytes still held with the records alive, peak bytes) of one call."""
+    rules = _random_rules(num_rules, table.num_relations, num_rules)
+    tracemalloc.start()
+    try:
+        diagnostics = relation_rule_diagnostics(table, rules)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(diagnostics) == num_rules
+    return held, peak
+
+
+@pytest.mark.parametrize("bound", [1.0, 1.3])
+def test_diagnostics_hold_two_vectors_per_rule(bound):
+    """At d=64 the records of 5,000 rules hold their 4.9 MiB of gaps and
+    little more, and the gathered vectors are a chunk's, as at 500 rules."""
+    table = project(init_table(2, 24, 64, bound, seed=0))
+    held_500, peak_500 = _diagnostics_memory(table, 500)
+    held, peak = _diagnostics_memory(table, 5000)
+    assert held <= 7.5 * 2**20
+    assert peak <= 10 * 2**20
+    assert peak - held <= 1.1 * (peak_500 - held_500)

@@ -333,8 +333,9 @@ def test_build_graph_matches_the_concatenating_oracle(splits, bad_ids):
 
 
 def test_build_graph_holds_each_fact_code_array_once():
-    """About 64k facts: the build peaks at the tail and head code arrays
-    and one array of heads more, 24 bytes a fact."""
+    """About 64k facts: the build holds at most the codes of every split,
+    one bool a code and the distinct codes, or the tail and head code
+    arrays and a block of each, under 20 bytes a fact."""
     rng = np.random.default_rng(0)
     n, m = 20_000, 12
     train = rng.integers(0, (n, m, n), size=(64_000, 3))
@@ -348,4 +349,4 @@ def test_build_graph_holds_each_fact_code_array_once():
     finally:
         tracemalloc.stop()
     assert kg.tail_codes.size > 63_000
-    assert peak <= 25 * len(train), peak
+    assert peak <= 20 * len(train), peak
