@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import body_product, check_relations, length_groups, rule_gaps, take_rows
+from .kernel import _halves, body_product, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -54,9 +54,9 @@ FACTOR_ELEMENTS = 2**16
 # (256 KiB): small enough to stay in cache, which halved the time of a
 # constant n=20k table against gathering every row at once.
 COMPARE_ELEMENTS = 2**15
-# Rule diagnostics gather the relation vectors of DIAGNOSTIC_ELEMENTS // d
-# rules at a time (512 at d=64): one chunk for a few hundred rules, as
-# 128-rule chunks made 500 rules about 25% slower per rule.
+# Rule diagnostics index the relation vectors of DIAGNOSTIC_ELEMENTS // d
+# rules at a time (512 at d=64), so that a few hundred rules are one chunk
+# and pay each length group's fixed cost once.
 DIAGNOSTIC_ELEMENTS = 2**15
 _SIGNS = np.array([[1.0], [-1.0]])
 
@@ -324,40 +324,37 @@ def relation_rule_diagnostics(table, rules):
 
     The gaps go into one (2, r, d) array, allocated before any gather, and
     each record's delta_re and delta_im are views of its two rows, so the
-    records hold two d-vectors per rule. The relation vectors are gathered
-    one chunk of max(1, DIAGNOSTIC_ELEMENTS // d) whole rules at a time.
+    records hold two d-vectors per rule. The rules run in chunks of
+    max(1, DIAGNOSTIC_ELEMENTS // d) whole rules: a chunk's relation ids are
+    checked and indexed once, and each of its length groups takes its
+    vectors on its own, so one group's copy is alive at a time.
     """
     rules = list(rules)
     deltas = np.empty((2, len(rules), table.dim))
     out = [None] * len(rules)
     step = max(1, DIAGNOSTIC_ELEMENTS // table.dim)
     for start in range(0, len(rules), step):
-        _diagnose_chunk(table, rules, start, start + step, deltas, out)
+        ids, groups = length_groups(rules, start, start + step)
+        try:
+            halves, index = _halves(table.rel, ids, "relation")
+        except IndexError:
+            check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
+            raise
+        at = 0
+        row = start
+        for members, group_ids in groups:
+            # The group's relation vectors: its heads, then each body position.
+            b = halves.take(index[:, at : at + group_ids.size], axis=0, mode="clip")
+            b = b.reshape((2,) + group_ids.shape + (-1,))
+            at += group_ids.size
+            rows = deltas[:, row : row + members.size]
+            row += members.size
+            rk = table.bound ** (group_ids.shape[0] - 1)
+            rule_gaps(table, b[:, 0], body_product(b[:, 1:], out=rows), rk, out=rows)
+            for i, delta_re, delta_im in zip(members.tolist(), *rows):
+                out[i] = RuleDiagnostics(i, rules[i], delta_re, delta_im)
+            del b  # so that the next group's take does not overlap it
     return out
-
-
-def _diagnose_chunk(table, rules, start, stop, deltas, out):
-    """The records of rules start:stop into ``out``, their gaps into rows
-    start:stop of ``deltas``, one length group after another. The chunk's
-    gathered vectors die on return, before the next chunk is gathered."""
-    ids, groups = length_groups(rules, start, stop)
-    try:
-        vectors = take_rows(table.rel, ids, "relation")
-    except IndexError:
-        check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
-        raise
-    at = 0
-    row = start
-    for members, group_ids in groups:
-        # The group's relation vectors: its heads, then each body position.
-        b = vectors[:, at : at + group_ids.size].reshape((2,) + group_ids.shape + (-1,))
-        at += group_ids.size
-        rows = deltas[:, row : row + members.size]
-        row += members.size
-        rk = table.bound ** (group_ids.shape[0] - 1)
-        rule_gaps(table, b[:, 0], body_product(b[:, 1:]), rk, out=rows)
-        for i, delta_re, delta_im in zip(members.tolist(), *rows):
-            out[i] = RuleDiagnostics(i, rules[i], delta_re, delta_im)
 
 
 def mean_hinge_violation(diagnostics):

@@ -21,9 +21,9 @@ row a term, takes the arena once the groups are done. Several windows get
 buffers of the budget sizes, so the memory a call needs does not grow with
 the rule count. The arrays a slice takes, their count, the cut that uses
 the count and the buffers sized from it all live in this module. The rule
-diagnostics (``evaluation.relation_rule_diagnostics``) gather the vectors of
-a chunk of rules at a time, group them with ``length_groups`` and write
-each group's ``rule_gaps`` into the rows of their one output array.
+diagnostics (``evaluation.relation_rule_diagnostics``) group a chunk of
+rules at a time with ``length_groups``, take each group's vectors on their
+own and write its ``rule_gaps`` into the rows of their one output array.
 
 Products follow the per-rule formulas: the body product is
 ((b[0] x b[1]) x b[2]) x ..., and the factor of body position j in its
@@ -114,11 +114,11 @@ def length_groups(rules, start=0, stop=None):
             flat.extend(position)
     ids = np.array(flat, dtype=np.int64)
     groups = []
-    start = 0
+    at = 0
     for k, group in sorted(members.items()):
-        end = start + (k + 1) * len(group)
-        groups.append((np.array(group), ids[start:end].reshape(k + 1, len(group))))
-        start = end
+        end = at + (k + 1) * len(group)
+        groups.append((np.array(group), ids[at:end].reshape(k + 1, len(group))))
+        at = end
     return ids, groups
 
 
@@ -279,12 +279,18 @@ def take_rows(matrix, rows, what, alloc=np.empty):
     return halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
 
 
-def body_product(b):
+def body_product(b, out=None):
     """b[0] x ... x b[k-1] of (2, k, r, d) body vectors, multiplied left to
-    right; a (2, r, d) array."""
+    right; a (2, r, d) array: for k = 1 the view b[:, 0], else ``out`` if
+    given. The products share one scratch array."""
+    k = b.shape[1]
     hb = b[:, 0]
-    for i in range(1, b.shape[1]):
-        hb = cmul_into(hb, b[:, i], np.empty(hb.shape), np.empty(hb.shape))
+    if k == 1:
+        return hb
+    scratch = np.empty(hb.shape)
+    for i in range(1, k):
+        last = i == k - 1 and out is not None
+        hb = cmul_into(hb, b[:, i], out if last else np.empty(hb.shape), scratch)
     return hb
 
 

@@ -267,7 +267,8 @@ def _diagnostics_memory(table, num_rules):
 @pytest.mark.parametrize("bound", [1.0, 1.3])
 def test_diagnostics_hold_two_vectors_per_rule(bound):
     """At d=64 the records of 5,000 rules hold their 4.9 MiB of gaps and
-    little more, and the gathered vectors are a chunk's, as at 500 rules."""
+    little more, and the call's other arrays are a chunk's, as at 500
+    rules."""
     table = project(init_table(2, 24, 64, bound, seed=0))
     held_500, peak_500 = _diagnostics_memory(table, 500)
     held, peak = _diagnostics_memory(table, 5000)
