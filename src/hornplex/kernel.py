@@ -326,8 +326,8 @@ def gradient_factors(b, alloc):
 def rule_gaps(table, head, hb, rk, alloc=np.empty, out=None):
     """Per-dimension gaps Re(hb)/R^k - Re(r)/R and Im(hb)/R^k - Im(r)/R of
     rules with (2, r, d) head vectors r, which this overwrites, and body
-    products hb, rk = R**k; a (2, r, d) array: ``out`` if given, else
-    ``head`` or one from ``alloc(shape)``."""
+    products hb, rk = R**k; a (2, r, d) array: ``out`` if given (it may be
+    ``hb``), else ``head`` or one from ``alloc(shape)``."""
     if table.bound != 1.0:  # x / 1.0 is x
         head /= table.bound
     if rk == 1.0:
