@@ -17,10 +17,15 @@ status is 1 if any file is not the same.
 A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
 random rules of body length 1-4, written with ``rules.write_rules``: more
 rules than one chunk of the rule diagnostics (512 at d=64) and several
-windows of the rule penalty.
+windows of the rule penalty. A fifth, planted-small-b1024, trains on the
+planted-small files in batches of 1,024 positives with 10 negatives each:
+11,264 triples a step, so entity rows get more than 8 gradient terms and
+relation rows more than 128, and the gradient merge takes its
+``np.add.reduceat`` path and numpy's pairwise recursion.
 
-Training is short (d=64, mu=1, eta=0.02, seed 1): 20 epochs on
-planted-small, 3 on rules-500 and rules-1200 and 1 on planted-20k.
+Training is short (d=64, mu=1, eta=0.02, seed 1, batches of 64 positives
+with 1 negative each unless stated): 20 epochs on planted-small, 3 on
+rules-500 and rules-1200, 1 on planted-20k and 10 on planted-small-b1024.
 """
 
 import argparse
@@ -41,9 +46,14 @@ from hornplex.kg import load_graph  # noqa: E402
 from hornplex.rules import HornRule, write_rules  # noqa: E402
 
 WORK = ".compare_work"
-EPOCHS = {"planted-small": 20, "rules-500": 3, "rules-1200": 3, "planted-20k": 1}
+EPOCHS = {
+    "planted-small": 20, "rules-500": 3, "rules-1200": 3, "planted-20k": 1,
+    "planted-small-b1024": 10,
+}
 # input: (the bench/gen.py workload whose files it takes, its random rule count)
-RANDOM_RULES = {"rules-1200": ("rules-500", 1200)}
+SOURCES = {"rules-1200": ("rules-500", 1200), "planted-small-b1024": ("planted-small", 0)}
+# input: (batch_size, negatives_per_positive), where not (64, 1)
+BATCHES = {"planted-small-b1024": (1024, 10)}
 BOUNDS = (1.0, 1.3)
 CONFIG = """[paths]
 train = {data}/train.tsv
@@ -54,12 +64,12 @@ output_dir = {out}
 
 [train]
 learning_rate = 0.2
-batch_size = 64
+batch_size = {batch_size}
 epochs = {epochs}
 validate_every = 1
 mu = 1.0
 eta = 0.02
-negatives_per_positive = 1
+negatives_per_positive = {negatives}
 bound = {bound}
 dim = 64
 seed = 1
@@ -102,9 +112,11 @@ def run_case(tree, workload, bound):
     shutil.rmtree(tree / case, ignore_errors=True)
     (tree / case).mkdir(parents=True)
     config = f"{case}/run.ini"
+    batch_size, negatives = BATCHES.get(workload, (64, 1))
     (tree / config).write_text(
         CONFIG.format(
-            data=f"{WORK}/{workload}", out=out, epochs=EPOCHS[workload], bound=bound
+            data=f"{WORK}/{workload}", out=out, epochs=EPOCHS[workload], bound=bound,
+            batch_size=batch_size, negatives=negatives,
         ),
         encoding="utf-8",
     )
@@ -136,7 +148,7 @@ def main(argv=None):
             data = ROOT / WORK / workload
             shutil.rmtree(data, ignore_errors=True)
             data.mkdir(parents=True)
-            graph, count = RANDOM_RULES.get(workload, (workload, 0))
+            graph, count = SOURCES.get(workload, (workload, 0))
             subprocess.run(
                 [sys.executable, "bench/gen.py", "--workload", graph, "--seed", "1",
                  "--out", str(data)],

@@ -152,10 +152,12 @@ class Workspace:
       merged entity and relation gradients, 2 x 2B and 2m;
     - temp: at most 8B + 4m, for N3 (rows [re, im], moduli and cubes: 4 per
       row, for up to 2B entity and m relation rows). Less for logistic (7B),
-      a merge (4 per term of the first block; 4 per row of a later one, the
-      rule penalty's, whose rows are unique), AdaGrad (4 per row of one
-      matrix: accumulators, then parameters, and steps) and the projection
-      ``train`` makes after it (2 per row).
+      a merge (2 per term of a block, for its gathered terms, plus 2 per row
+      of more than 8 terms, where reduceat writes, and in a later block 2
+      per row for the rows' totals; 2 per row of a later block with sorted
+      unique rows, the rule penalty's), AdaGrad (4 per row of one matrix:
+      accumulators, then parameters, and steps) and the projection ``train``
+      makes after it (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -306,41 +308,107 @@ def n3_regularization(table, ent_rows, rel_rows, *, workspace=None):
 def merge_row_grads(blocks, *, workspace=None):
     """The gradient of each row the RowGrads ``blocks`` of one matrix touch,
     as RowGrads over the sorted unique rows, in ``workspace.step`` arrays.
-    One ``np.unique`` covers every block. Within a block a stable sort keeps
-    a row's terms in order, and ``np.add.reduceat`` adds the first term to
-    numpy's pairwise sum of the rest (which is sequential below 8 terms); the
-    blocks' sums are then added to the row's total block by block."""
+    One ``np.unique`` covers every block. Within a block a row's terms are
+    summed in block order as ``np.add.reduceat`` sums them: the first term
+    plus numpy's pairwise sum of the rest (``_row_sums``). Each row's total
+    starts at +0.0, and the blocks' sums are added to it block by block; a
+    later block whose rows are sorted and unique, as the rule penalty's are,
+    is added where its rows fall."""
     ws = Workspace() if workspace is None else workspace
     rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
     dim = blocks[0].values.shape[2]
     total = ws.step((2, rows.size, dim))
-    total.fill(0.0)
+    if len(blocks) > 1:
+        total.fill(0.0)  # the rows the first block lacks
+    flat = total.reshape(2 * rows.size, dim)
     offset = 0
     for i, block in enumerate(blocks):
         ws.temp.reset()
         slots = inverse[offset : offset + block.rows.size]
         offset += block.rows.size
-        order = np.argsort(slots, kind="stable")
-        counts = np.bincount(slots)
-        present = np.flatnonzero(counts)
-        counts = counts[present]
-        firsts = order[np.cumsum(counts) - counts]
-        # reduceat pays per row and column however few terms a row has, so
-        # only rows with several terms go through it; the rest are copied.
-        multi = counts > 1
-        terms = order[np.repeat(multi, counts)]
-        starts = np.cumsum(counts[multi]) - counts[multi]
-        values = block.values
-        sums = values.take(firsts, axis=1, out=ws.temp((2, present.size, dim)), mode="clip")
-        if starts.size:
-            picked = values.take(terms, axis=1, out=ws.temp((2, terms.size, dim)), mode="clip")
-            added = ws.temp((2, starts.size, dim))
-            sums[:, multi] = np.add.reduceat(picked, starts, axis=1, out=added)
-        # total[:, present] += sums, without the temporaries; the rows'
-        # totals start at +0.0, so the first block adds to that
-        prior = 0.0 if i == 0 else total.take(present, axis=1, out=ws.temp(sums.shape), mode="clip")
-        total[:, present] = np.add(prior, sums, out=sums)
+        if i and (slots[1:] > slots[:-1]).all():
+            # each term is its row's sum
+            prior = total.take(slots, axis=1, out=ws.temp(block.values.shape), mode="clip")
+            total[:, slots] = np.add(prior, block.values, out=prior)
+            continue
+        at, sums = _row_sums(block.values, slots, rows.size, ws.temp)
+        # the rows' totals start at +0.0
+        sums += flat.take(at, axis=0, out=ws.temp(sums.shape), mode="clip") if i else 0.0
+        flat[at] = sums
     return RowGrads(rows, total)
+
+
+# The most terms a row may have for ``_row_sums`` to add them in turn: that
+# leaves at most 7 after the first, and numpy's pairwise sum of fewer than 8
+# terms is a plain sequential sum.
+FOLD_TERMS = 8
+
+
+def _row_sums(values, slots, size, alloc):
+    """Each row's sum of a block's (2, k, d) terms ``values``, whose terms
+    fall on the rows ``slots`` of a (2, size, d) total, with the bits of
+    ``np.add.reduceat`` over the row's terms in block order: the first term
+    plus the pairwise sum of the rest. Returns (at, sums): the sums as a
+    (2u, d) ``alloc`` array, re and im of each row in turn, and ``at`` their
+    rows in the total viewed as (2 size, d).
+
+    reduceat runs one inner loop per row and column however few terms a row
+    has. So one stable sort puts the terms row by row, rows by falling
+    count, and one gather takes each term's re and im side by side into the
+    arena: first the rows of more than FOLD_TERMS terms, row by row, for
+    reduceat, then the others rank by rank (every row's first term, then
+    every second term, and so on). The rows with a j-th term are then a
+    prefix of the rows, so one add per rank folds the rest of every such row
+    at once, and one more adds the first term. Between the two parts the
+    gather leaves a row per long row, where reduceat writes, so that the sums
+    of all rows end up side by side. (``values`` that is not C-contiguous is
+    copied first.)"""
+    counts = np.bincount(slots)
+    order = np.argsort(slots - counts[slots] * counts.size, kind="stable")
+    present = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    counts = counts[present]
+    starts = np.cumsum(counts) - counts
+    long = int(np.count_nonzero(counts > FOLD_TERMS))
+    split = int(starts[long]) if long < counts.size else order.size
+    # Each short term's rank in its row (below 8, so a uint8 radix sort
+    # takes them rank by rank).
+    rank = np.arange(split, order.size) - np.repeat(starts[long:], counts[long:])
+    index = order[split:][np.argsort(rank.astype(np.uint8), kind="stable")]
+    if long:
+        index = np.concatenate([order[:split], order[:long], index])
+    dim = values.shape[2]
+    terms = alloc((index.size, 2, dim))
+    values.reshape(-1, dim).take(
+        _pairs(index, values.shape[1]), axis=0, out=terms.reshape(-1, dim), mode="clip"
+    )
+    base = split + long
+    if long:
+        np.add.reduceat(terms[:split], starts[:long], axis=0, out=terms[split:base])
+    # The widths of the ranks: the short rows with more than j terms.
+    widths, left = [], counts.size - long
+    for ending in np.bincount(counts[long:]).tolist()[:-1]:
+        left -= ending
+        widths.append(left)
+    if len(widths) > 1:
+        at = base + widths[0]
+        rest = terms[at : at + widths[1]]
+        at += widths[1]
+        for width in widths[2:]:
+            part = rest[:width]
+            part += terms[at : at + width]
+            at += width
+        firsts = terms[base : base + widths[1]]
+        firsts += rest
+    return _pairs(present, size), terms[split : split + counts.size].reshape(-1, dim)
+
+
+def _pairs(index, stride):
+    """Each entry i of ``index`` followed by i + stride: the rows of the re
+    and im halves of row i of a (2, stride, d) array viewed as (2 stride, d)."""
+    pairs = np.empty((index.size, 2), dtype=np.int64)
+    pairs[:, 0] = index
+    np.add(index, stride, out=pairs[:, 1])
+    return pairs.reshape(-1)
 
 
 def step_gradients(table, batch, rules, mu, eta, *, workspace=None):

@@ -11,11 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from hornplex.kernel import RuleArrays, Scratch
+from hornplex.kernel import RowGrads, RuleArrays, Scratch
 from hornplex.model import init_table, project
 from hornplex.rules import HornRule
 from hornplex.training import (
@@ -23,6 +23,7 @@ from hornplex.training import (
     LabeledBatch,
     Workspace,
     adagrad_step,
+    merge_row_grads,
     step_gradients,
 )
 
@@ -226,3 +227,82 @@ def test_a_step_through_a_workspace_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak <= 400 * 1024, f"{peak / 1024:.0f} KiB"
+
+
+# Term counts of a row on both sides of the merge's limits: the fold (up to 8
+# terms), and numpy's pairwise sum, which adds 8 accumulators above 8 terms
+# and halves the terms above 128.
+TERM_COUNTS = st.one_of(st.integers(1, 10), st.integers(126, 131), st.integers(1, 300))
+# Signed zeros and subnormals, put in place of a fifth of the terms.
+SPECIAL_TERMS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308])
+
+
+def random_block(rng, dim, counts, transposed, unique):
+    """RowGrads with ``counts[row]`` terms on each row, in random order, or
+    one term per row in sorted order if ``unique``; its values a transposed
+    view of (k, d, 2) pairs, as ``rule_penalty``'s are, if ``transposed``.
+    Normal terms of magnitudes 1e-3 to 1e3, a fifth replaced by signed zeros
+    and subnormals, and some rows all zeros of either sign."""
+    if unique:
+        rows = np.array(sorted(counts), dtype=np.int64)
+    else:
+        rows = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    values = rng.standard_normal((2, rows.size, dim)) * 10.0 ** rng.integers(-3, 4, (2, rows.size, 1))
+    special = rng.random(values.shape) < 0.2
+    values[special] = rng.choice(SPECIAL_TERMS, np.count_nonzero(special))
+    for row in counts:
+        if rng.random() < 0.2:
+            zeros = values[:, rows == row]
+            values[:, rows == row] = rng.choice(SPECIAL_TERMS[:2], zeros.shape)
+    if transposed:
+        pairs = np.empty((rows.size, dim, 2))
+        pairs.transpose(2, 0, 1)[...] = values
+        values = pairs.transpose(2, 0, 1)
+    return RowGrads(rows, values)
+
+
+def reduceat_merge(blocks):
+    """The merge as ``np.add.reduceat`` defines it: per block a stable sort
+    and reduceat over each row's terms, then each block's sums added to row
+    totals that start at +0.0."""
+    rows = np.unique(np.concatenate([b.rows for b in blocks]))
+    total = np.zeros((2, rows.size, blocks[0].values.shape[2]))
+    for block in blocks:
+        order = np.argsort(block.rows, kind="stable")
+        ordered = block.rows[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        sums = np.add.reduceat(block.values[:, order], starts, axis=1)
+        slots = np.searchsorted(rows, ordered[starts])
+        total[:, slots] = total[:, slots] + sums
+    return RowGrads(rows, total)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    blocks=st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 9), TERM_COUNTS, min_size=1, max_size=5),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(
+    seed=0,
+    dim=3,
+    blocks=[({0: 8, 1: 9, 2: 1}, False, False), ({1: 128, 3: 129}, True, False), ({2: 1, 4: 1}, True, True)],
+)
+def test_merge_row_grads_equals_a_reduceat_merge(seed, dim, blocks):
+    """``merge_row_grads`` gives the bits of the reduceat merge, with and
+    without a workspace, for 1-3 blocks whose rows have 1-300 terms, rows
+    missing from the first block, and blocks passed as transposed views."""
+    rng = np.random.default_rng(seed)
+    made = [random_block(rng, dim, *block) for block in blocks]
+    want = reduceat_merge(made)
+    for workspace in (None, Workspace(sum(b.rows.size for b in made), dim)):
+        got = merge_row_grads(made, workspace=workspace)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
