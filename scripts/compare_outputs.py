@@ -4,15 +4,16 @@
 
 Run from the root of a checkout. ``bench/gen.py`` writes the inputs of the
 planted-small, planted-20k and rules-500 workloads (seed 1) once. For each
-workload and each relation bound, 1.0 and 1.3, ``hornplex train``, ``eval``
-and ``diagnostics`` then run twice: in the committed files of ``REV``,
-exported with ``git archive`` into a temporary directory, and in the working
-tree. Both runs work in the same relative directory, ``.compare_work/``, so
-the paths that the artifacts embed agree. Every file either run wrote
-(checkpoint, training log, metrics, both diagnostics CSVs, embedding CSVs,
-dictionaries, resolved config) is then compared byte for byte, and one line
-per file says ``same`` or ``DIFFERS`` (or ``MISSING`` on one side). The exit
-status is 1 if any file is not the same.
+workload and each relation bound, 1.0 and 1.3, ``hornplex train``, ``eval``,
+``diagnostics`` and ``rules confidence`` then run twice: in the committed
+files of ``REV``, exported with ``git archive`` into a temporary directory,
+and in the working tree. Both runs work in the same relative directory,
+``.compare_work/``, so the paths that the artifacts embed agree. Every file
+either run wrote (checkpoint, training log, metrics, both diagnostics CSVs,
+embedding CSVs, grounded rule confidences, dictionaries, resolved config)
+is then compared byte for byte, and one line per file says ``same`` or
+``DIFFERS`` (or ``MISSING`` on one side). The exit status is 1 if any file
+is not the same.
 
 A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
 random rules of body length 1-4, written with ``rules.write_rules``: more
@@ -106,7 +107,8 @@ def write_random_rules(data, count):
 
 
 def run_case(tree, workload, bound):
-    """Train, evaluate and diagnose one case in ``tree``; its output folder."""
+    """Train, evaluate and diagnose one case in ``tree`` and ground its rules'
+    confidences; its output folder."""
     case = f"{WORK}/{workload}-{bound}"
     out = f"{case}/out"
     shutil.rmtree(tree / case, ignore_errors=True)
@@ -123,6 +125,7 @@ def run_case(tree, workload, bound):
     hornplex(tree, config, "train")
     hornplex(tree, config, "eval", "--checkpoint", f"{out}/checkpoint.bin")
     hornplex(tree, config, "diagnostics", "--checkpoint", f"{out}/checkpoint.bin")
+    hornplex(tree, config, "rules", "confidence")
     return tree / out
 
 

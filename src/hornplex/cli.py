@@ -44,6 +44,18 @@ def _load_kg(cfg):
     return load_graph(cfg.train_path, cfg.valid_path, cfg.test_path)
 
 
+def _split(cfg, kg, name):
+    """The triples of split ``name``; a CliError naming its file, or the
+    ``[paths]`` key the config lacks, if it holds none."""
+    split = getattr(kg, name)
+    if not len(split):
+        path = getattr(cfg, f"{name}_path")
+        if path is None:
+            raise CliError(f"config sets no [paths] {name}, so the {name} split is empty")
+        raise CliError(f"{name} triple file {path} holds no triples")
+    return split
+
+
 def _load_rules(cfg, kg, required):
     if cfg.rules_path is None:
         if required:
@@ -84,8 +96,7 @@ def _write_resolved(cfg, out_dir):
 def cmd_train(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
-    if not len(kg.train):
-        raise CliError(f"train triple file {cfg.train_path} holds no triples")
+    _split(cfg, kg, "train")
     rules = _load_rules(cfg, kg, required=cfg.train.mu > 0)
     out = cfg.output_dir
     _write_resolved(cfg, out)
@@ -114,8 +125,8 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
+    split = _split(cfg, kg, cfg.eval_split)
     table = _load_table(args.checkpoint, kg)
-    split = {"train": kg.train, "valid": kg.valid, "test": kg.test}[cfg.eval_split]
     report = evaluation.evaluate(table, kg, split, side=cfg.eval_side, hits=cfg.eval_hits)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)

@@ -8,17 +8,17 @@ gradient terms take in the rule-major term sequence of the whole list: each
 rule's head term, then one term per body position. Nothing is padded, so a
 group of length k does only the products its bodies need.
 
-For a table of dimension d and relation bound R the rules are cut into
-windows of consecutive rules (``RuleArrays.windows``). A window is the slice
-of each length group that falls into it. It ends where its Σ(k+1)·d gradient
-terms would pass ``WINDOW_ELEMENTS``, or where one group's slice would need
-more of an arena of ``ARENA_ELEMENTS`` than it holds, as ``_arena_rows``
-counts that need per rule; a rule that breaks a limit on its own gets a
-window to itself. The penalty (``rule_penalty``, which ``training`` imports
-for its step) works a window at a time: each group's slice takes its arrays
-from the arena (``_rule_terms``), and the window's scatter index, one int64
-row a term, takes the arena once the groups are done. Several windows get
-buffers of the budget sizes, so the memory a call needs does not grow with
+For a table of dimension d the rules are cut into windows of consecutive
+rules (``RuleArrays.windows``). A window is the slice of each length group
+that falls into it. It ends where its Σ(k+1)·d gradient terms would pass
+``WINDOW_ELEMENTS``, or where one group's slice would need more of an arena
+of ``ARENA_ELEMENTS`` than it holds, as ``_arena_rows`` counts that need per
+rule; a rule that breaks a limit on its own gets a window to itself. The
+penalty (``rule_penalty``, which ``training`` imports for its step) works a
+window at a time: each group's slice takes its arrays from the arena
+(``_rule_terms``), and the window's scatter index, one int64 row a term,
+takes the arena once the groups are done. One set of buffers is sized to
+the largest window's need, so the memory a call needs does not grow with
 the rule count. The arrays a slice takes, their count, the cut that uses
 the count and the buffers sized from it all live in this module. The rule
 diagnostics (``evaluation.relation_rule_diagnostics``) group a chunk of
@@ -190,23 +190,23 @@ class RuleArrays:
         groups = [(group.rules, group.ids) for group in self.groups]
         check_relations(self.rows, groups, num_relations)
 
-    def windows(self, dim, bound):
+    def windows(self, dim):
         """The rules cut into windows of consecutive rules for a table of
-        dimension ``dim`` and relation bound ``bound``, in rule order, as
-        (first, count, parts): the window's terms are rows first:first+count
-        of the term sequence, and ``parts`` lists (group, lo, hi) for each
-        group with rules lo:hi in it. A window holds at most
-        WINDOW_ELEMENTS // dim terms, each group's slice of it needs at most
-        the rows of ``dim`` elements that an arena of ARENA_ELEMENTS holds
-        (``_arena_rows`` per rule), and so does the window's scatter index,
-        one row a term. A rule that breaks a limit on its own gets a window
-        to itself. The cut is made once per (dim, bound) and budget sizes."""
-        key = (dim, bound, WINDOW_ELEMENTS, ARENA_ELEMENTS)
+        dimension ``dim``, in rule order, as (first, count, parts): the
+        window's terms are rows first:first+count of the term sequence, and
+        ``parts`` lists (group, lo, hi) for each group with rules lo:hi in
+        it. A window holds at most WINDOW_ELEMENTS // dim terms, each group's
+        slice of it needs at most the rows of ``dim`` elements that an arena
+        of ARENA_ELEMENTS holds (``_arena_rows`` per rule), and so does the
+        window's scatter index, one row a term. A rule that breaks a limit on
+        its own gets a window to itself. The cut is made once per dimension
+        and budget sizes."""
+        key = (dim, WINDOW_ELEMENTS, ARENA_ELEMENTS)
         cached = self._windows.get(key)
         if cached is None:
             rows = ARENA_ELEMENTS // dim
             cap = max(1, min(WINDOW_ELEMENTS // dim, rows))
-            most = [rows // _arena_rows(group.length, bound) for group in self.groups]
+            most = [rows // _arena_rows(group.length) for group in self.groups]
             starts = self.starts
             cuts = [0]
             while cuts[-1] < len(self):
@@ -270,7 +270,7 @@ class Scratch:
         self.used = 0
 
 
-def take_rows(matrix, rows, what, alloc=np.empty):
+def take_rows(matrix, rows, what, alloc):
     """Rows ``rows`` (an int64 array) of an (n, 2d) ``[re | im]`` matrix of
     ``what`` rows, stacked [re, im] on a new first axis: for relation ids of
     shape (k, r), say, a (2, k, r, d) array. It comes from ``alloc(shape)``.
@@ -323,18 +323,16 @@ def gradient_factors(b, alloc):
     return hb, c
 
 
-def rule_gaps(table, head, hb, rk, alloc=np.empty, out=None):
+def rule_gaps(table, head, hb, rk, out):
     """Per-dimension gaps Re(hb)/R^k - Re(r)/R and Im(hb)/R^k - Im(r)/R of
     rules with (2, r, d) head vectors r, which this overwrites, and body
-    products hb, rk = R**k; a (2, r, d) array: ``out`` if given (it may be
-    ``hb``), else ``head`` or one from ``alloc(shape)``."""
+    products hb, rk = R**k, written to the (2, r, d) array ``out``, which
+    may be ``hb``."""
     if table.bound != 1.0:  # x / 1.0 is x
         head /= table.bound
-    if rk == 1.0:
-        return np.subtract(hb, head, out=head if out is None else out)
-    gap = np.divide(hb, rk, out=alloc(hb.shape) if out is None else out)
-    gap -= head
-    return gap
+    if rk != 1.0:
+        hb = np.divide(hb, rk, out=out)
+    return np.subtract(hb, head, out=out)
 
 
 def rule_penalty(table, rules):
@@ -351,9 +349,10 @@ def rule_penalty(table, rules):
     relation id outside the table is a ValueError naming the rule.
 
     Rules run a window at a time, and within a window one body length at a
-    time (see the module docstring). Per-rule losses are added in rule order,
-    and each row's gradient sums its terms in rule order (head, then body
-    positions), so the result does not depend on the windows.
+    time, in one set of buffers sized to the largest window's need (see the
+    module docstring). Per-rule losses are added in rule order, and each
+    row's gradient sums its terms in rule order (head, then body positions),
+    so the result does not depend on the windows.
     """
     if not isinstance(rules, RuleArrays):
         rules = RuleArrays.from_rules(rules)
@@ -361,29 +360,18 @@ def rule_penalty(table, rules):
     dim = table.dim
     if len(rules) == 0:
         return 0.0, RowGrads.empty(dim)
-    R = table.bound
-    windows = rules.windows(dim, R)
+    windows = rules.windows(dim)
     # The rule-major gradient terms of a window, [re, im], and an arena for
     # the arrays of one length group in a window, then for the window's
-    # scatter index. One window gets what it needs. Several get the budget
-    # sizes, so that a call's memory does not depend on where the cuts fall;
-    # a window of one rule that needs more takes fresh arrays from the arena.
-    # Several windows share their buffers: fresh buffers per window, each
-    # sized to that window's need, give the same bits but were measured to
-    # make a 500-rule call about 1.6x slower.
-    if len(windows) == 1:
-        _, width, parts = windows[0]
-        size = max([width] + [_arena_rows(group.length, R) * (hi - lo) for group, lo, hi in parts])
-        size *= dim
-    else:
-        width = max([WINDOW_ELEMENTS // dim] + [count for _, count, _ in windows])
-        size = ARENA_ELEMENTS
+    # scatter index: one set for every window, sized to the largest need.
+    width = max(count for _, count, _ in windows)
+    need = [_arena_rows(group.length) * (hi - lo) for _, _, parts in windows for group, lo, hi in parts]
     # The terms and the row sums keep each re beside its im, so that the
     # scatter can take the pair as one complex128, whose sum adds each part
     # on its own: one np.add.at call per window does both halves.
     pairs = np.empty((width, dim, 2))
     terms = pairs.transpose(2, 0, 1)
-    scratch = Scratch(size)
+    scratch = Scratch(max([width] + need) * dim)
     span = np.arange(dim)
     losses = np.empty(len(rules))
     sums = np.zeros((rules.rows.size, dim, 2))
@@ -411,22 +399,20 @@ def rule_penalty(table, rules):
     return loss, RowGrads(rules.rows, acc)
 
 
-def _arena_rows(k, bound):
+def _arena_rows(k):
     """The rows of ``dim`` elements that ``_rule_terms`` takes from its arena
-    per rule of body length k under a relation bound ``bound``:
+    per rule of body length k:
     - for every k, the (2, k+1) body vectors (heads included), the (2, k+1)
       gradient terms and the (2,) active and 2v arrays: 4k + 6;
     - for k = 2, the scratch and body product of ``gradient_factors`` and
       the (2, 2) products with c: 8 more, 22 in all;
     - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
       (2) and the prefixes and suffixes that do not go into c (4k - 12):
-      6k - 8 more, 10k - 2 in all;
-    - 2 more for the gaps when bound**k is not 1.
-    ``RuleArrays.windows`` cuts the windows by it and ``rule_penalty`` sizes
-    a lone window's arena by it, so any change to the arrays ``_rule_terms``
-    takes must change this count too."""
-    rows = 10 if k == 1 else 22 if k == 2 else 10 * k - 2
-    return rows + 2 if bound**k != 1.0 else rows
+      6k - 8 more, 10k - 2 in all.
+    The gaps overwrite the body product. ``RuleArrays.windows`` cuts the
+    windows by this count and ``rule_penalty`` sizes its arena by it, so
+    any change to the arrays ``_rule_terms`` takes must change it too."""
+    return 10 if k == 1 else 22 if k == 2 else 10 * k - 2
 
 
 def _rule_terms(table, group, lo, hi, losses, alloc):
@@ -442,7 +428,7 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     b = take_rows(table.rel, group.ids[:, lo:hi], "relation", alloc)
     body = b[:, 1:]
     hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
-    u, v = rule_gaps(table, b[:, 0], hb, rk, alloc)
+    u, v = rule_gaps(table, b[:, 0], hb, rk, out=hb)
     g = alloc((2, k + 1) + u.shape)
     aw = alloc((2,) + u.shape)  # active = [u > 0], then w = 2v
     np.greater(u, 0.0, out=aw[0], casting="unsafe")

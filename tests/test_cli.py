@@ -105,6 +105,23 @@ def test_train_on_a_split_without_triples_names_the_train_file(workspace, capsys
     assert not workspace["out"].exists()
 
 
+@pytest.mark.parametrize("emptied", ["file", "key"])
+def test_eval_on_an_empty_split_names_it_before_reading_the_checkpoint(workspace, capsys, emptied):
+    config, valid = workspace["config"], workspace["data"] / "valid.txt"
+    text = config.read_text().replace("[eval]", "[eval]\nsplit = valid")
+    if emptied == "file":
+        valid.write_text("", encoding="utf-8")
+        expected = f"error: valid triple file {valid} holds no triples\n"
+    else:
+        text = text.replace(f"valid = {valid}\n", "")
+        expected = "error: config sets no [paths] valid, so the valid split is empty\n"
+    config.write_text(text, encoding="utf-8")
+    missing = str(workspace["tmp"] / "missing.bin")
+    assert main(["--config", str(config), "eval", "--checkpoint", missing]) == 2
+    assert capsys.readouterr().err == expected
+    assert not workspace["out"].exists()
+
+
 def test_train_mu_zero_logs_zero_rule_penalty(workspace, tmp_path):
     cfg = workspace["tmp"] / "mu0.ini"
     cfg.write_text(workspace["config"].read_text().replace("mu = 0.5", "mu = 0.0"), encoding="utf-8")

@@ -7,7 +7,6 @@ gradients and gaps must be equal, not merely close.
 
 import math
 import tracemalloc
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -91,7 +90,7 @@ def test_windows_cut_the_length_groups_in_rule_order():
         HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths
     )
     with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
-        windows = arrays.windows(2, 1.0)
+        windows = arrays.windows(2)
     seen = []
     for first, count, parts in windows:
         ids = sorted(i for group, lo, hi in parts for i in group.rules[lo:hi].tolist())
@@ -110,18 +109,17 @@ def test_windows_are_cut_once_per_dim_bound_and_budget():
     arrays = kernel.RuleArrays.from_rules(
         HornRule(body=(0,) * k, head=1, confidence=1.0) for k in [1, 2, 3, 1, 4]
     )
-    windows = arrays.windows(2, 1.0)
-    assert arrays.windows(2, 1.0) is windows
+    windows = arrays.windows(2)
+    assert arrays.windows(2) is windows
     assert len(windows) == 1
     with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
-        small = arrays.windows(2, 1.0)
+        small = arrays.windows(2)
         assert small is not windows and len(small) > 1
-        assert arrays.windows(2, 1.0) is small
-    with mock.patch.object(kernel, "ARENA_ELEMENTS", kernel._arena_rows(4, 1.0) * 2):
-        assert arrays.windows(2, 1.0) is not windows
-    assert arrays.windows(2, 1.0) is windows
-    assert arrays.windows(3, 1.0) is not windows
-    assert arrays.windows(2, 0.5) is not windows
+        assert arrays.windows(2) is small
+    with mock.patch.object(kernel, "ARENA_ELEMENTS", kernel._arena_rows(4) * 2):
+        assert arrays.windows(2) is not windows
+    assert arrays.windows(2) is windows
+    assert arrays.windows(3) is not windows
 
 
 @given(rule_sets(), st.sampled_from([8, 1000]))
@@ -129,12 +127,12 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
     """For arenas of rows of ``dim`` elements that hold 1-3 rules of a
     length the rules have, or a row less, and windows of at most ``terms``
     terms, every request of a length group's slice of a window, and of the
-    window's scatter index, fits the arena, unless the window holds one
-    rule; the penalty is that of the per-rule loop."""
+    window's scatter index, fits the arena, a window of one rule over the
+    budgets included; the penalty is that of the per-rule loop."""
     table, rules = case
     dim = table.dim
     expected_loss, expected = oracles.rule_penalty(table, rules)
-    need = partial(kernel._arena_rows, bound=table.bound)
+    need = kernel._arena_rows
     rule_terms = kernel._rule_terms
     at = []  # the first rule of each group slice so far
 
@@ -145,7 +143,7 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
     class Fits(kernel.Scratch):
         def __call__(self, shape):
             fits = self.used + math.prod(shape) <= self.buffer.size
-            assert fits or at[-1] in alone, f"no room for {shape} at rule {at[-1]}"
+            assert fits, f"no room for {shape} at rule {at[-1]}"
             return super().__call__(shape)
 
     arrays = kernel.RuleArrays.from_rules(rules)
@@ -157,11 +155,6 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
             mock.patch.object(kernel, "Scratch", Fits),
             mock.patch.object(kernel, "_rule_terms", recorded),
         ):
-            alone = {
-                int(parts[0][0].rules[parts[0][1]])
-                for _, _, parts in arrays.windows(dim, table.bound)
-                if sum(hi - lo for _, lo, hi in parts) == 1
-            }
             loss, grads = rule_penalty(table, arrays)
         assert loss == expected_loss
         for part in ("rows", "re", "im"):
