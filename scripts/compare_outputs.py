@@ -4,8 +4,9 @@
 
 Run from the root of a checkout. ``bench/gen.py`` writes the inputs of the
 planted-small, planted-20k and rules-500 workloads (seed 1) once. For each
-workload and each relation bound, 1.0 and 1.3, ``hornplex train``, ``eval``,
-``diagnostics`` and ``rules confidence`` then run twice: in the committed
+workload and each relation bound, 1.0 and 1.3, ``hornplex train``, ``eval``
+and ``diagnostics`` then run twice (and ``rules confidence``, which reads no
+bound, once per input, in the case of the first bound): in the committed
 files of ``REV``, exported with ``git archive`` into a temporary directory,
 and in the working tree. Both runs work in the same relative directory,
 ``.compare_work/``, so the paths that the artifacts embed agree. Every file
@@ -22,11 +23,14 @@ windows of the rule penalty. A fifth, planted-small-b1024, trains on the
 planted-small files in batches of 1,024 positives with 10 negatives each:
 11,264 triples a step, so entity rows get more than 8 gradient terms and
 relation rows more than 128, and the gradient merge takes its
-``np.add.reduceat`` path and numpy's pairwise recursion.
+``np.add.reduceat`` path and numpy's pairwise recursion. A sixth,
+planted-small-mu0, trains on the planted-small files with mu = 0: ``train``
+then packs no rules, and relation rows get only logistic and N3 terms.
 
 Training is short (d=64, mu=1, eta=0.02, seed 1, batches of 64 positives
-with 1 negative each unless stated): 20 epochs on planted-small, 3 on
-rules-500 and rules-1200, 1 on planted-20k and 10 on planted-small-b1024.
+with 1 negative each unless stated): 20 epochs on planted-small and
+planted-small-mu0, 3 on rules-500 and rules-1200, 1 on planted-20k and 10 on
+planted-small-b1024.
 """
 
 import argparse
@@ -49,12 +53,17 @@ from hornplex.rules import HornRule, write_rules  # noqa: E402
 WORK = ".compare_work"
 EPOCHS = {
     "planted-small": 20, "rules-500": 3, "rules-1200": 3, "planted-20k": 1,
-    "planted-small-b1024": 10,
+    "planted-small-b1024": 10, "planted-small-mu0": 20,
 }
 # input: (the bench/gen.py workload whose files it takes, its random rule count)
-SOURCES = {"rules-1200": ("rules-500", 1200), "planted-small-b1024": ("planted-small", 0)}
+SOURCES = {
+    "rules-1200": ("rules-500", 1200), "planted-small-b1024": ("planted-small", 0),
+    "planted-small-mu0": ("planted-small", 0),
+}
 # input: (batch_size, negatives_per_positive), where not (64, 1)
 BATCHES = {"planted-small-b1024": (1024, 10)}
+# input: mu, where not 1.0
+MUS = {"planted-small-mu0": 0.0}
 BOUNDS = (1.0, 1.3)
 CONFIG = """[paths]
 train = {data}/train.tsv
@@ -68,7 +77,7 @@ learning_rate = 0.2
 batch_size = {batch_size}
 epochs = {epochs}
 validate_every = 1
-mu = 1.0
+mu = {mu}
 eta = 0.02
 negatives_per_positive = {negatives}
 bound = {bound}
@@ -106,9 +115,9 @@ def write_random_rules(data, count):
     write_rules(data / "rules.tsv", rules, kg.relation_names)
 
 
-def run_case(tree, workload, bound):
-    """Train, evaluate and diagnose one case in ``tree`` and ground its rules'
-    confidences; its output folder."""
+def run_case(tree, workload, bound, ground):
+    """Train, evaluate and diagnose one case in ``tree``, and ground its
+    rules' confidences if ``ground``; its output folder."""
     case = f"{WORK}/{workload}-{bound}"
     out = f"{case}/out"
     shutil.rmtree(tree / case, ignore_errors=True)
@@ -118,14 +127,15 @@ def run_case(tree, workload, bound):
     (tree / config).write_text(
         CONFIG.format(
             data=f"{WORK}/{workload}", out=out, epochs=EPOCHS[workload], bound=bound,
-            batch_size=batch_size, negatives=negatives,
+            batch_size=batch_size, negatives=negatives, mu=MUS.get(workload, 1.0),
         ),
         encoding="utf-8",
     )
     hornplex(tree, config, "train")
     hornplex(tree, config, "eval", "--checkpoint", f"{out}/checkpoint.bin")
     hornplex(tree, config, "diagnostics", "--checkpoint", f"{out}/checkpoint.bin")
-    hornplex(tree, config, "rules", "confidence")
+    if ground:
+        hornplex(tree, config, "rules", "confidence")
     return tree / out
 
 
@@ -161,7 +171,9 @@ def main(argv=None):
                 write_random_rules(data, count)
             shutil.copytree(data, old_tree / WORK / workload)
             for bound in BOUNDS:
-                old, new = run_case(old_tree, workload, bound), run_case(ROOT, workload, bound)
+                ground = bound == BOUNDS[0]
+                old = run_case(old_tree, workload, bound, ground)
+                new = run_case(ROOT, workload, bound, ground)
                 for name, verdict in compare(old, new):
                     differ += verdict != "same"
                     print(f"{workload} bound={bound} {name}: {verdict}", flush=True)

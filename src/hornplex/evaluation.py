@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _halves, body_product, check_relations, length_groups, rule_gaps
+from .kernel import _check_rows, _halves, body_product, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -346,10 +346,11 @@ def relation_rule_diagnostics(table, rules):
     for start in range(0, len(rules), step):
         ids, groups = length_groups(rules, start, start + step)
         try:
-            halves, index = _halves(table.rel, ids, "relation")
+            _check_rows(ids, table.num_relations, "relation")
         except IndexError:
             check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
             raise
+        halves, index = _halves(table.rel, ids)
         at = 0
         row = start
         for members, group_ids in groups:

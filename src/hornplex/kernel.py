@@ -84,19 +84,24 @@ def cmul_into(a, b, out, scratch):
 _HALF = np.arange(2)
 
 
-def _halves(matrix, rows, what):
-    """``matrix``, a C-contiguous (n, 2d) array of ``[re | im]`` rows of
-    ``what`` (entity or relation), as (2n, d) rows, row 2i the re half of row
-    i and row 2i+1 its im half, and the indices in it of the halves of the
-    int64 ``rows``, stacked [re, im] on a new first axis: taking them copies
-    no whole half, as taking from the strided half views would. A row outside
-    [0, n) is an IndexError (a negative one, as uint64, exceeds any n), so
-    the indices may be taken with mode="clip", which needs no buffer."""
-    n = matrix.shape[0]
-    if rows.size and rows.view(np.uint64).max() >= n:
-        raise IndexError(f"{what} index out of range for {n} {what}s")
+def _check_rows(rows, count, what):
+    """Raise IndexError unless every id in the int64 array ``rows`` lies in
+    [0, count), the ids of ``what`` (entity, relation or row) rows: a
+    negative id, as uint64, exceeds any count."""
+    if rows.size and rows.view(np.uint64).max() >= count:
+        raise IndexError(f"{what} index out of range for {count} {what}s")
+
+
+def _halves(matrix, rows):
+    """``matrix``, a C-contiguous (n, 2d) array of ``[re | im]`` rows, as
+    (2n, d) rows, row 2i the re half of row i and row 2i+1 its im half, and
+    the indices in it of the halves of the int64 ``rows``, stacked [re, im]
+    on a new first axis: taking them copies no whole half, as taking from
+    the strided half views would. ``rows`` must lie in [0, n)
+    (``_check_rows``), so the indices may be taken with mode="clip", which
+    needs no buffer."""
     index = np.add.outer(_HALF, 2 * rows)
-    return matrix.reshape(2 * n, matrix.shape[1] // 2), index
+    return matrix.reshape(2 * matrix.shape[0], matrix.shape[1] // 2), index
 
 
 def length_groups(rules, start=0, stop=None):
@@ -275,7 +280,8 @@ def take_rows(matrix, rows, what, alloc):
     ``what`` rows, stacked [re, im] on a new first axis: for relation ids of
     shape (k, r), say, a (2, k, r, d) array. It comes from ``alloc(shape)``.
     A row outside the matrix is an IndexError."""
-    halves, index = _halves(matrix, rows, what)
+    _check_rows(rows, matrix.shape[0], what)
+    halves, index = _halves(matrix, rows)
     return halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
 
 

@@ -1,8 +1,8 @@
 """Complex-valued embedding tables, bilinear scoring, and constraint projection.
 
 Entities and relations are complex vectors stored as real and imaginary
-float64 parts: entities as one (n, 2d) matrix of ``[re | im]`` rows and
-relations as one (m, 2d) matrix of such rows. The feasible set is: entity
+float64 parts, all in one (n+m, 2d) matrix of ``[re | im]`` rows: entity i
+is row i and relation r is row n + r. The feasible set is: entity
 components in [0, 1], relation components non-negative with per-dimension
 modulus at most ``bound``. The score of a triple (h, r, t) is
 Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .kernel import _halves, cmul
+from .kernel import _check_rows, _halves, cmul
 
 __all__ = [
     "EmbeddingTable",
@@ -44,22 +44,29 @@ _MAGIC = b"HPX1"
 BLOCK_VALUES = 1 << 14  # float64 values per block of ``_row_blocks``
 
 
-def _bind_matrix(obj, name, matrix):
-    """Set ``obj``'s matrix ``name``, a C-contiguous (rows, 2d) float64 array
-    of ``[re | im]`` rows, and the views of its halves that ``_matrix_half``
-    properties hand out."""
+def _bind_rows(obj, name, matrix, num_entities, parts):
+    """Set ``obj``'s row space ``name``, a C-contiguous (n+m, 2d) float64
+    array of ``[re | im]`` rows with the ``num_entities`` entity rows first,
+    and its two row-slice views named ``parts`` (entity rows, then relation
+    rows) with the views of their halves that ``_matrix_half`` properties
+    hand out."""
     contiguous = matrix.flags.c_contiguous
     if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] % 2 or not contiguous:
         raise ValueError(f"{name} {matrix.shape} must be a C-contiguous float64 (rows, 2d) array")
+    if not 0 <= num_entities <= matrix.shape[0]:
+        raise ValueError(f"{num_entities} entities do not fit {name} {matrix.shape}")
     d = matrix.shape[1] // 2
-    vars(obj).update({"_" + name: matrix, f"_{name}_halves": (matrix[:, :d], matrix[:, d:])})
+    views = {"_" + name: matrix, "_num_entities": num_entities}
+    for part, rows in zip(parts, (matrix[:num_entities], matrix[num_entities:])):
+        views.update({"_" + part: rows, f"_{part}_halves": (rows[:, :d], rows[:, d:])})
+    vars(obj).update(views)
 
 
 def _matrix_half(name, half):
     """A property for the view of half ``half`` (0 for re, 1 for im) of the
-    matrix ``name`` that ``_bind_matrix`` set. Setting it to anything but
-    that same view raises; ``x.ent_re += y`` works in place and sets the
-    same view back, so it is allowed."""
+    rows ``name`` that ``_bind_rows`` set. Setting it to anything but that
+    same view raises; ``x.ent_re += y`` works in place and sets the same
+    view back, so it is allowed."""
     attr, which = f"_{name}_halves", ("re", "im")[half]
 
     def get(self):
@@ -74,17 +81,6 @@ def _matrix_half(name, half):
     return property(get, set_)
 
 
-def _join(re, im, name):
-    """The (rows, d) halves ``{name}_re`` and ``{name}_im`` copied into one
-    (rows, 2d) matrix of ``[re | im]`` rows."""
-    re, im = np.asarray(re), np.asarray(im)
-    if re.ndim != 2 or re.shape != im.shape:
-        raise ValueError(
-            f"{name}_re {re.shape} and {name}_im {im.shape} must be matching 2-d arrays"
-        )
-    return np.concatenate((re, im), axis=1, dtype=np.float64)
-
-
 def _row_blocks(rows, dim):
     """Slices that cut ``rows`` rows of ``dim`` values, in order, into
     blocks of at most ``BLOCK_VALUES`` values (one row, if a row holds
@@ -97,35 +93,46 @@ def _row_blocks(rows, dim):
 class EmbeddingTable:
     """Entity and relation embeddings with the relation modulus ``bound``.
 
-    Entities live in one C-contiguous (n, 2d) float64 array ``ent`` and
-    relations in one (m, 2d) array ``rel``, both of ``[re | im]`` rows, so
-    scoring every entity is one matrix product and a step gathers a row's
-    two halves at once. ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im``
-    are views of their halves: write into them (``table.ent_re[rows] =
-    ...``); rebinding them is an AttributeError. The constructor copies the
-    halves into the matrices; ``from_matrices`` takes matrices as they are.
+    Every embedding is a row of one C-contiguous (n+m, 2d) float64 array
+    ``matrix`` of ``[re | im]`` rows, the row space of a step: entity i is
+    row i and relation r is row n + r. ``ent`` (rows 0 to n) and ``rel``
+    (rows n to n+m) are C-contiguous row-slice views of it, so scoring every
+    entity is one matrix product, and a step gathers and puts the rows it
+    touches, of either kind, at once. ``ent_re``, ``ent_im``, ``rel_re`` and
+    ``rel_im`` are views of their halves: write into them (``table.ent_re[rows]
+    = ...``); rebinding them is an AttributeError. The constructor copies
+    the halves into a new matrix; ``from_matrix`` takes a matrix as it is.
     """
 
     def __init__(self, ent_re, ent_im, rel_re, rel_im, bound):
-        self._bind(_join(ent_re, ent_im, "ent"), _join(rel_re, rel_im, "rel"), bound)
+        halves = [np.asarray(half) for half in (ent_re, ent_im, rel_re, rel_im)]
+        for name, re, im in (("ent", *halves[:2]), ("rel", *halves[2:])):
+            if re.ndim != 2 or re.shape != im.shape:
+                raise ValueError(
+                    f"{name}_re {re.shape} and {name}_im {im.shape} must be matching 2-d arrays"
+                )
+        (n, d), (m, d_rel) = halves[0].shape, halves[2].shape
+        if d_rel != d:
+            raise ValueError(
+                f"rel {(m, 2 * d_rel)} and ent {(n, 2 * d)} must have rows of one length 2d"
+            )
+        self._bind(np.empty((n + m, 2 * d)), n, bound)
+        for view, half in zip((self.ent_re, self.ent_im, self.rel_re, self.rel_im), halves):
+            view[...] = half
 
     @classmethod
-    def from_matrices(cls, ent, rel, bound):
-        """A table that takes ``ent`` and ``rel`` (C-contiguous float64
-        (n, 2d) and (m, 2d) arrays) as they are."""
+    def from_matrix(cls, matrix, num_entities, bound):
+        """A table that takes ``matrix``, a C-contiguous float64 (n+m, 2d)
+        array with its ``num_entities`` entity rows first, as it is."""
         table = cls.__new__(cls)
-        table._bind(ent, rel, bound)
+        table._bind(matrix, num_entities, bound)
         return table
 
-    def _bind(self, ent, rel, bound):
-        _bind_matrix(self, "ent", ent)
-        _bind_matrix(self, "rel", rel)
-        if rel.shape[1] != ent.shape[1]:
-            raise ValueError(
-                f"rel {rel.shape} and ent {ent.shape} must have rows of one length 2d"
-            )
+    def _bind(self, matrix, num_entities, bound):
+        _bind_rows(self, "matrix", matrix, num_entities, ("ent", "rel"))
         self.bound = bound
 
+    matrix = property(lambda self: self._matrix)
     ent = property(lambda self: self._ent)
     rel = property(lambda self: self._rel)
     ent_re = _matrix_half("ent", 0)
@@ -135,38 +142,39 @@ class EmbeddingTable:
 
     @property
     def num_entities(self):
-        return self._ent.shape[0]
+        return self._num_entities
 
     @property
     def num_relations(self):
-        return self._rel.shape[0]
+        return self._matrix.shape[0] - self._num_entities
 
     @property
     def dim(self):
-        return self._ent.shape[1] // 2
+        return self._matrix.shape[1] // 2
 
     def copy(self):
-        return EmbeddingTable.from_matrices(self._ent.copy(), self._rel.copy(), self.bound)
+        return EmbeddingTable.from_matrix(self._matrix.copy(), self._num_entities, self.bound)
 
 
 def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     """Fresh table: entity components uniform on [0, 1], relation components
     uniform on [0, bound/sqrt(2)] so every row is feasible by construction.
     The halves are drawn in the order ent_re, ent_im, rel_re, rel_im, a
-    block at a time (see ``_row_blocks``) straight into the matrices: a
+    block at a time (see ``_row_blocks``) straight into the one matrix: a
     ``Generator`` yields the same doubles however its draws are split."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
     if not 0 < bound < math.inf:  # NaN fails too
         raise ValueError("bound must be positive and finite")
     rng = np.random.default_rng(seed)
-    ent, rel = np.empty((num_entities, 2 * dim)), np.empty((num_relations, 2 * dim))
-    for matrix, scale in ((ent, 1.0), (rel, bound / np.sqrt(2.0))):
-        for half in (matrix[:, :dim], matrix[:, dim:]):
-            for rows in _row_blocks(len(half), dim):
-                block = half[rows]
-                np.multiply(rng.random(block.shape), scale, out=block)  # x * 1.0 is x
-    return EmbeddingTable.from_matrices(ent, rel, float(bound))
+    matrix = np.empty((num_entities + num_relations, 2 * dim))
+    table = EmbeddingTable.from_matrix(matrix, num_entities, float(bound))
+    for rows, scale in ((table.ent, 1.0), (table.rel, bound / np.sqrt(2.0))):
+        for half in (rows[:, :dim], rows[:, dim:]):
+            for block in _row_blocks(len(half), dim):
+                view = half[block]
+                np.multiply(rng.random(view.shape), scale, out=view)  # x * 1.0 is x
+    return table
 
 
 def _head_factors(c, d, e, f):
@@ -267,30 +275,28 @@ def project_relation_components(rel_re, rel_im, bound):
     raise RuntimeError("relation modulus projection did not converge")
 
 
-def project(table, ent_rows=slice(None), rel_rows=slice(None), alloc=np.empty):
+def project(table, rows=None, alloc=np.empty):
     """Clamp entity components into [0, 1] and project relation components;
-    in place. ``ent_rows`` and ``rel_rows`` (slices, or arrays of unique row
-    ids) limit it to those rows; by default it covers every row. Each
-    component is projected on its own, so a row gets the same bits either
-    way. Rows given by ids are taken, both halves at once, into an array
-    from ``alloc(shape)``, projected there and put back; a row outside the
-    table is an IndexError."""
-    d = table.dim
-    for matrix, rows, what in ((table.ent, ent_rows, "entity"), (table.rel, rel_rows, "relation")):
-        if isinstance(rows, slice):
-            values = matrix[rows]
-            re, im = values[:, :d], values[:, d:]
-        else:
-            rows = np.asarray(rows, dtype=np.int64)
-            halves, index = _halves(matrix, rows, what)
-            values = halves.take(index, axis=0, out=alloc(index.shape + (d,)), mode="clip")
-            re, im = values
-        if what == "entity":
-            values.clip(0.0, 1.0, out=values)
-        else:
-            project_relation_components(re, im, table.bound)
-        if not isinstance(rows, slice):
-            halves[index] = values
+    in place. ``rows``, ascending unique ids of the table's row space
+    (entity i is row i, relation r is row n + r), limits it to those rows;
+    by default it covers every row. Each component is projected on its own,
+    so a row gets the same bits either way. The rows are taken, both halves
+    at once, into one array from ``alloc(shape)``: the entity rows are
+    clipped and the relation rows projected there, and all are put back in
+    one. A row outside the table is an IndexError, raised before any write."""
+    if rows is None:
+        ent, re, im = table.ent, table.rel_re, table.rel_im
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        _check_rows(rows, len(table.matrix), "row")
+        halves, index = _halves(table.matrix, rows)
+        values = halves.take(index, axis=0, out=alloc(index.shape + (table.dim,)), mode="clip")
+        split = int(np.searchsorted(rows, table.num_entities))
+        ent, (re, im) = values[:, :split], values[:, split:]
+    ent.clip(0.0, 1.0, out=ent)
+    project_relation_components(re, im, table.bound)
+    if rows is not None:
+        halves[index] = values
     return table
 
 
@@ -362,35 +368,44 @@ def read_array(handle, shape, what):
     return np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
 
 
-def _read_halves(handle, rows, dim, names, valid, kind, rule):
+def _read_rows(handle, dim, parts):
     """A (rows, 2 * dim) matrix of ``[re | im]`` rows, read from a binary
-    ``handle`` as two row-major (rows, dim) float64 halves named ``names``
-    (see ``_require``), one block (see ``_row_blocks``) at a time into the
-    matrix. ``valid(values, re)`` is true where a block's value may stand;
-    ``re`` is None in the re half and the same rows of the re half in the im
-    half. The first value that may not is a ValueError naming the file, the
-    half and the byte offset, calling the value ``kind`` (or non-finite) and
-    ending with ``rule``. The matrix is allocated only if the file holds
-    both halves, so a corrupt count allocates nothing."""
+    ``handle`` a row slice at a time: ``parts`` lists (rows, names, valid,
+    kind, rule) per slice, in row order, each stored as two row-major
+    (rows, dim) float64 halves named ``names`` and read one block (see
+    ``_row_blocks``) at a time. A half the file does not hold whole raises
+    before it is read (``_require``). ``valid(values, re)`` is true where a
+    block's value may stand; ``re`` is the same rows of the re half in the
+    im half, else None. The first value that may not is a ValueError naming
+    the file, the half and the byte offset, calling the value ``kind`` (or
+    non-finite) and ending with ``rule``. The matrix is allocated only if
+    the file holds every half, so a corrupt count allocates nothing; until
+    a short half raises, ``re`` is then None, so only the last slice's
+    ``valid`` may need it."""
     name = getattr(handle, "name", "<stream>")
-    size = 8 * rows * dim
-    matrix = np.empty((rows, 2 * dim)) if _require(handle, size, names[0]) >= 2 * size else None
-    for half, what in enumerate(names):
-        if half and matrix is None:  # the re half was there; this raises
-            _require(handle, size, what)
-        for block in _row_blocks(rows, dim):
-            offset = handle.tell()
-            count = 8 * (block.stop - block.start) * dim
-            values = np.frombuffer(handle.read(count), dtype=np.float64).reshape(-1, dim)
-            bad = np.flatnonzero(~valid(values, matrix[block, :dim] if half else None))
-            if bad.size:
-                value = values.flat[bad[0]]
-                raise ValueError(
-                    f"{name}: {what} holds the {kind if np.isfinite(value) else 'non-finite'} "
-                    f"value {value} at byte {offset + 8 * int(bad[0])} ({rule})"
-                )
-            if matrix is not None:
-                matrix[block, half * dim : (half + 1) * dim] = values
+    total = sum(part[0] for part in parts)
+    held = _require(handle, 0, "the rows") >= 16 * total * dim  # bytes left from here
+    matrix = np.empty((total, 2 * dim)) if held else None
+    at = 0
+    for rows, names, valid, kind, rule in parts:
+        out = None if matrix is None else matrix[at : at + rows]
+        at += rows
+        for half, what in enumerate(names):
+            _require(handle, 8 * rows * dim, what)
+            for block in _row_blocks(rows, dim):
+                offset = handle.tell()
+                count = 8 * (block.stop - block.start) * dim
+                values = np.frombuffer(handle.read(count), dtype=np.float64).reshape(-1, dim)
+                re = out[block, :dim] if half and out is not None else None
+                bad = np.flatnonzero(~valid(values, re))
+                if bad.size:
+                    value = values.flat[bad[0]]
+                    raise ValueError(
+                        f"{name}: {what} holds the {kind if np.isfinite(value) else 'non-finite'} "
+                        f"value {value} at byte {offset + 8 * int(bad[0])} ({rule})"
+                    )
+                if out is not None:
+                    out[block, half * dim : (half + 1) * dim] = values
     return matrix
 
 
@@ -425,15 +440,12 @@ def load_table(path_or_file):
             modulus = values if re is None else np.hypot(re, values)
             return (values >= 0.0) & (modulus <= bound)
 
-        ent = _read_halves(
-            handle, n, d, ("ent_re", "ent_im"), entity_ok,
-            "infeasible", "entity components lie in [0, 1]",
-        )
-        rel = _read_halves(
-            handle, m, d, ("rel_re", "rel_im"), relation_ok,
-            "infeasible", f"relation components are non-negative, with modulus at most {bound}",
-        )
-        return EmbeddingTable.from_matrices(ent, rel, bound)
+        matrix = _read_rows(handle, d, [
+            (n, ("ent_re", "ent_im"), entity_ok, "infeasible", "entity components lie in [0, 1]"),
+            (m, ("rel_re", "rel_im"), relation_ok, "infeasible",
+             f"relation components are non-negative, with modulus at most {bound}"),
+        ])
+        return EmbeddingTable.from_matrix(matrix, n, bound)
     finally:
         if own:
             handle.close()

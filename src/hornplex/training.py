@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RowGrads, RuleArrays, Scratch, _halves, rule_penalty, take_rows
+from .kernel import RowGrads, RuleArrays, Scratch, _check_rows, _halves, rule_penalty, take_rows
 from .kg import Triple, read_lines
 from .model import (
     init_table,
@@ -35,9 +35,9 @@ from .model import (
     read_array,
     replacing,
     save_table,
-    _bind_matrix,
+    _bind_rows,
     _matrix_half,
-    _read_halves,
+    _read_rows,
     _write_half,
 )
 
@@ -147,17 +147,18 @@ class Workspace:
 
     The sizes fit a step of up to ``rows`` triples over ``relations``
     relations in dimension ``dim``, with B = rows and m = relations, in
-    units of ``dim`` floats:
+    units of ``dim`` floats. A step touches at most u = 2B + m rows of the
+    row space (``EmbeddingTable``), 2B entity and m relation rows:
     - step: the logistic terms of heads, tails and relations, 6B, and the
-      merged entity and relation gradients, 2 x 2B and 2m;
-    - temp: at most 8B + 4m, for N3 (rows [re, im], moduli and cubes: 4 per
-      row, for up to 2B entity and m relation rows). Less for logistic (7B),
-      a merge (2 per term of a block, for its gathered terms, plus 2 per row
+      merged gradients, 2u: 10B + 2m in all;
+    - temp: at most 4u = 8B + 4m, for N3 (rows [re, im], moduli and cubes)
+      and AdaGrad (accumulators, then parameters, and steps), 4 per row
+      each. Less for logistic (7B: the 3B rows [re, im] and one product), a
+      merge (2 per term of a block, for its gathered terms, plus 2 per row
       of more than 8 terms, where reduceat writes, and in a later block 2
       per row for the rows' totals; 2 per row of a later block with sorted
-      unique rows, the rule penalty's), AdaGrad (4 per row of one matrix:
-      accumulators, then parameters, and steps) and the projection ``train``
-      makes after it (2 per row).
+      unique rows, the rule penalty's) and the projection ``train`` makes
+      after AdaGrad (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -168,17 +169,19 @@ class Workspace:
 
 
 class AdagradState:
-    """The AdaGrad accumulators of the entity and relation rows: C-contiguous
-    (n, 2d) and (m, 2d) float64 matrices ``ent_acc`` and ``rel_acc``, laid
-    out as ``EmbeddingTable.ent`` and ``rel``, and the ``epsilon`` of the
-    update. ``ent_re_acc``, ``ent_im_acc``, ``rel_re_acc`` and ``rel_im_acc``
-    are views of their halves, as ``EmbeddingTable.ent_re`` is."""
+    """The AdaGrad accumulators of every row of a table's row space: one
+    C-contiguous (n+m, 2d) float64 matrix ``acc``, laid out as
+    ``EmbeddingTable.matrix`` with its ``num_entities`` entity rows first,
+    and the ``epsilon`` of the update. ``ent_acc`` and ``rel_acc`` are
+    row-slice views of it, and ``ent_re_acc``, ``ent_im_acc``,
+    ``rel_re_acc`` and ``rel_im_acc`` views of their halves, as
+    ``EmbeddingTable.ent_re`` is."""
 
-    def __init__(self, ent_acc, rel_acc, epsilon=ADAGRAD_EPS):
-        _bind_matrix(self, "ent_acc", ent_acc)
-        _bind_matrix(self, "rel_acc", rel_acc)
+    def __init__(self, acc, num_entities, epsilon=ADAGRAD_EPS):
+        _bind_rows(self, "acc", acc, num_entities, ("ent_acc", "rel_acc"))
         self.epsilon = epsilon
 
+    acc = property(lambda self: self._acc)
     ent_acc = property(lambda self: self._ent_acc)
     rel_acc = property(lambda self: self._rel_acc)
     ent_re_acc = _matrix_half("ent_acc", 0)
@@ -188,7 +191,7 @@ class AdagradState:
 
     @classmethod
     def zeros(cls, num_entities, num_relations, dim):
-        return cls(np.zeros((num_entities, 2 * dim)), np.zeros((num_relations, 2 * dim)))
+        return cls(np.zeros((num_entities + num_relations, 2 * dim)), num_entities)
 
 
 class TrainingDiverged(RuntimeError):
@@ -235,28 +238,34 @@ def sample_negatives(kg, positive, count, rng):
 
 def logistic_loss(table, batch, *, workspace=None):
     """Sum of log(1 + exp(-y * score)) over the batch, with one gradient term
-    per occurrence: returns (loss, entity RowGrads over the heads then the
-    tails, relation RowGrads over the relations). Stable for large
-    |y * score|. The gradients are ``workspace.step`` arrays (``Workspace``).
-    An id outside the table is an IndexError."""
+    per occurrence: returns (loss, RowGrads over the heads, then the tails,
+    then the relations, as rows of the table's row space: relation r is row
+    n + r). Stable for large |y * score|. The gradients are a
+    ``workspace.step`` array (``Workspace``). An entity id outside [0, n) or
+    a relation id outside [0, m) is an IndexError."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     triples, labels = batch.triples, batch.labels
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
-    size, dim = len(batch), table.dim
-    a, b = take_rows(table.ent, h, "entity", ws.temp)
-    c, d = take_rows(table.rel, r, "relation", ws.temp)
-    e, f = take_rows(table.ent, t, "entity", ws.temp)
+    size, dim, n = len(batch), table.dim, table.num_entities
+    _check_rows(h, n, "entity")
+    _check_rows(r, table.num_relations, "relation")
+    _check_rows(t, n, "entity")
+    rows = np.concatenate((h, t, r))
+    rows[2 * size :] += n
+    # Every row the batch reads, in one gather: a, e and c are the re halves
+    # of the heads, tails and relations, b, f and d their im halves.
+    halves, index = _halves(table.matrix, rows)
+    values = halves.take(index, axis=0, out=ws.temp((2, 3 * size, dim)), mode="clip")
+    (a, e, c), (b, f, d) = values.reshape(2, 3, size, dim)
     tmp = ws.temp((size, dim))
-    # The score's gradients [re, im] in the heads' and the tails' rows, and
-    # in the relations' rows: C-contiguous, since ``take`` along axis 1, in
+    # The score's gradients [re, im] in the heads', the tails' and the
+    # relations' rows: C-contiguous, since ``take`` along axis 1, in
     # ``merge_row_grads``, would first copy a strided block whole.
-    ent = ws.step((2, 2, size, dim))
-    rel = ws.step((2, size, dim))
-    (dh_re, v_re), (dh_im, v_im) = ent
-    dr_re, dr_im = rel
+    grads = ws.step((2, 3, size, dim))
+    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = grads
 
     def combine(out, x, y, op, z, w):
         """out = op(x * y, z * w)."""
@@ -278,36 +287,34 @@ def logistic_loss(table, batch, *, workspace=None):
     combine(dh_im, c, f, np.subtract, d, e)
     combine(dr_re, a, e, np.add, b, f)
     combine(dr_im, a, f, np.subtract, b, e)
-    ent *= coeff
-    rel *= coeff
-    return loss, RowGrads(np.concatenate([h, t]), ent.reshape(2, 2 * size, dim)), RowGrads(r, rel)
+    grads *= coeff
+    return loss, RowGrads(rows, grads.reshape(2, 3 * size, dim))
 
 
-def n3_regularization(table, ent_rows, rel_rows, *, workspace=None):
-    """Sum of cubed component moduli over the given rows; the gradient of
-    |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, entity
-    RowGrads, relation RowGrads) over the given rows, as ``workspace.temp``
-    arrays. The caller applies eta. A row outside the table is an
-    IndexError."""
+def n3_regularization(table, rows, *, workspace=None):
+    """Sum of cubed component moduli over the given rows of the table's row
+    space (ascending ids, as ``merge_row_grads`` returns them); the gradient
+    of |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, RowGrads
+    over the rows), as ``workspace.temp`` arrays. The loss sums the entity
+    rows, then the relation rows, and adds the two sums. The caller applies
+    eta. A row outside the table is an IndexError."""
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
-    loss = 0.0
-    blocks = []
-    for matrix, rows, what in ((table.ent, ent_rows, "entity"), (table.rel, rel_rows, "relation")):
-        rows = np.asarray(rows, dtype=np.int64)
-        values = take_rows(matrix, rows, what, ws.temp)
-        mod = np.hypot(values[0], values[1], out=ws.temp(values.shape[1:]))
-        cube = np.power(mod, 3, out=ws.temp(mod.shape))  # mod**3
-        loss += float(np.sum(cube))
-        # 3.0 * mod * (re, im), written over the rows' values
-        np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
-        blocks.append(RowGrads(rows, values))
-    return loss, blocks[0], blocks[1]
+    rows = np.asarray(rows, dtype=np.int64)
+    values = take_rows(table.matrix, rows, "row", ws.temp)
+    mod = np.hypot(values[0], values[1], out=ws.temp(values.shape[1:]))
+    cube = np.power(mod, 3, out=ws.temp(mod.shape))  # mod**3
+    split = int(np.searchsorted(rows, table.num_entities))
+    loss = float(np.sum(cube[:split])) + float(np.sum(cube[split:]))
+    # 3.0 * mod * (re, im), written over the rows' values
+    np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
+    return loss, RowGrads(rows, values)
 
 
 def merge_row_grads(blocks, *, workspace=None):
-    """The gradient of each row the RowGrads ``blocks`` of one matrix touch,
-    as RowGrads over the sorted unique rows, in ``workspace.step`` arrays.
+    """The gradient of each row the RowGrads ``blocks`` of one matrix (in a
+    step, the table's row space) touch, as RowGrads over the sorted unique
+    rows, in ``workspace.step`` arrays.
     One ``np.unique`` covers every block. Within a block a row's terms are
     summed in block order as ``np.add.reduceat`` sums them: the first term
     plus numpy's pairwise sum of the rest (``_row_sums``). Each row's total
@@ -414,59 +421,54 @@ def _pairs(index, stride):
 def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     """Losses and gradients of one step on logistic + mu * rule_penalty +
     eta * N3 over ``batch``; ``rules`` is a ``RuleArrays`` packing, or
-    None. Returns ((logistic, rule, N3) losses, entity RowGrads, relation
-    RowGrads), the gradients summed over the sorted unique rows the step
-    touches: each row sums its logistic terms, then mu times its rule term,
-    then eta times its N3 term. N3 covers every touched row. The gradients
-    alias ``workspace``, whose ``step`` arena this resets."""
+    None. Returns ((logistic, rule, N3) losses, RowGrads over the sorted
+    unique rows of the table's row space that the step touches): each row
+    sums its logistic terms, then mu times its rule term (the penalty's
+    relation rows, moved to n + r), then eta times its N3 term, in one
+    merge. N3 covers every touched row. The gradients alias ``workspace``,
+    whose ``step`` arena this resets."""
     ws = Workspace() if workspace is None else workspace
     ws.step.reset()
-    l_loss, l_ent, l_rel = logistic_loss(table, batch, workspace=ws)
-    r_loss, rel_blocks = 0.0, [l_rel]
+    l_loss, grads = logistic_loss(table, batch, workspace=ws)
+    r_loss, blocks = 0.0, [grads]
     if mu > 0 and rules:
-        r_loss, r_rel = rule_penalty(table, rules)
-        r_rel.values *= mu
-        rel_blocks.append(r_rel)
-    ent = merge_row_grads([l_ent], workspace=ws)
-    rel = merge_row_grads(rel_blocks, workspace=ws)
+        r_loss, rule = rule_penalty(table, rules)
+        rule.values *= mu
+        blocks.append(RowGrads(rule.rows + table.num_entities, rule.values))
+    grads = merge_row_grads(blocks, workspace=ws)
     n_loss = 0.0
     if eta > 0:
-        n_loss, n_ent, n_rel = n3_regularization(table, ent.rows, rel.rows, workspace=ws)
-        for g, n in ((ent, n_ent), (rel, n_rel)):
-            n.values *= eta
-            g.values += n.values
-    return (l_loss, r_loss, n_loss), ent, rel
+        n_loss, n3 = n3_regularization(table, grads.rows, workspace=ws)
+        n3.values *= eta
+        grads.values += n3.values
+    return (l_loss, r_loss, n_loss), grads
 
 
-def adagrad_step(table, entities, relations, state, lr, *, workspace=None):
-    """Sparse AdaGrad on summed gradients (RowGrads with unique rows, or
-    None): per coordinate, acc += g^2 then p -= lr * g / (sqrt(acc) + eps).
-    A row outside the table is an IndexError."""
+def adagrad_step(table, grads, state, lr, *, workspace=None):
+    """Sparse AdaGrad on summed gradients, RowGrads with unique rows of the
+    table's row space: per coordinate, acc += g^2 then p -= lr * g /
+    (sqrt(acc) + eps). The rows are checked, then gathered and put back
+    once, in the table and in the accumulators. A row outside the table is
+    an IndexError, raised before any write."""
     ws = Workspace() if workspace is None else workspace
-    updates = (
-        (entities, table.ent, state.ent_acc, "entity"),
-        (relations, table.rel, state.rel_acc, "relation"),
-    )
-    for g, matrix, acc, what in updates:
-        if g is None or g.rows.size == 0:
-            continue
-        ws.temp.reset()
-        rows = np.asarray(g.rows, dtype=np.int64)
-        params, index = _halves(matrix, rows, what)
-        # The accumulators share the table's layout, so the index serves both.
-        accs = acc.reshape(params.shape)
-        total, step = ws.temp((2,) + index.shape + params.shape[1:])
-        accs.take(index, axis=0, out=total, mode="clip")
-        total += np.multiply(g.values, g.values, out=step)
-        accs[index] = total
-        np.sqrt(total, out=total)
-        total += state.epsilon
-        np.multiply(g.values, lr, out=step)
-        step /= total
-        # ``total`` is spent: the rows' parameters go there.
-        p = params.take(index, axis=0, out=total, mode="clip")
-        p -= step
-        params[index] = p
+    ws.temp.reset()
+    rows = np.asarray(grads.rows, dtype=np.int64)
+    _check_rows(rows, len(table.matrix), "row")
+    params, index = _halves(table.matrix, rows)
+    # The accumulators share the table's layout, so the index serves both.
+    accs = state.acc.reshape(params.shape)
+    total, step = ws.temp((2,) + index.shape + params.shape[1:])
+    accs.take(index, axis=0, out=total, mode="clip")
+    total += np.multiply(grads.values, grads.values, out=step)
+    accs[index] = total
+    np.sqrt(total, out=total)
+    total += state.epsilon
+    np.multiply(grads.values, lr, out=step)
+    step /= total
+    # ``total`` is spent: the rows' parameters go there.
+    p = params.take(index, axis=0, out=total, mode="clip")
+    p -= step
+    params[index] = p
 
 
 @dataclass
@@ -526,7 +528,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
             labels[positives:] = -1.0
             batch = LabeledBatch._built(triples, labels)
 
-            (l_loss, r_loss, n_loss), ent, rel = step_gradients(
+            (l_loss, r_loss, n_loss), grads = step_gradients(
                 table, batch, rules, config.mu, config.eta, workspace=workspace
             )
             total = l_loss + config.mu * r_loss + config.eta * n_loss
@@ -537,9 +539,9 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
                 )
 
             # Only the rows the step touched can have left the feasible set.
-            adagrad_step(table, ent, rel, state, config.learning_rate, workspace=workspace)
+            adagrad_step(table, grads, state, config.learning_rate, workspace=workspace)
             workspace.temp.reset()
-            project(table, ent.rows, rel.rows, alloc=workspace.temp)
+            project(table, grads.rows, alloc=workspace.temp)
             if step_callback is not None:
                 step_callback(table, epoch, step)
 
@@ -586,21 +588,21 @@ def load_checkpoint(path):
             raise ValueError(
                 f"{name}: bad AdaGrad epsilon at byte {offset}: {epsilon} is not finite and positive"
             )
-        accumulators = [
-            _read_halves(
-                handle, rows, table.dim, (f"{what}_re_acc", f"{what}_im_acc"),
+        acc = _read_rows(handle, table.dim, [
+            (
+                rows, (f"{what}_re_acc", f"{what}_im_acc"),
                 lambda values, re: (values >= 0.0) & (values < math.inf),
                 "negative", "accumulators are finite and non-negative",
             )
             for rows, what in ((table.num_entities, "ent"), (table.num_relations, "rel"))
-        ]
+        ])
         offset, end = handle.tell(), handle.seek(0, io.SEEK_END)
         if end > offset:
             raise ValueError(
                 f"{name}: {end - offset} trailing bytes from byte {offset}; "
                 "a checkpoint ends after rel_im_acc"
             )
-    return table, AdagradState(*accumulators, epsilon)
+    return table, AdagradState(acc, table.num_entities, epsilon)
 
 
 def write_training_log(path, records, config_echo=None):

@@ -243,35 +243,35 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     'n3', 'total'}. N3 covers every row; 'total' is the objective of one
     training step, ``training.step_gradients``, whose N3 covers the rows the
     step touches. The analytic gradient is ``training.merge_row_grads`` of
-    the loss's own RowGrads. The numeric one moves one coordinate of a copy
-    of ``table`` at a time. Raises on non-finite values."""
+    the loss's own RowGrads over the table's row space (the rule penalty's
+    relation rows moved to n + r). The numeric one moves one coordinate of
+    a copy of ``table``'s row-space matrix at a time, entity rows first.
+    Raises on non-finite values."""
     if rules is not None:
         rules = RuleArrays.from_rules(rules)
-    every_entity = np.arange(table.num_entities)
-    every_relation = np.arange(table.num_relations)
+    n = table.num_entities
+    every_row = np.arange(n + table.num_relations)
 
     def parts(tbl):
-        """(loss, entity RowGrads, relation RowGrads)."""
+        """(loss, RowGrads over the row space)."""
         if function == "logistic":
             return training.logistic_loss(tbl, batch)
         if function == "rule_penalty":
             loss, rel = training.rule_penalty(tbl, rules)
-            return loss, training.RowGrads.empty(tbl.dim), rel
+            return loss, training.RowGrads(rel.rows + n, rel.values)
         if function == "n3":
-            return training.n3_regularization(tbl, every_entity, every_relation)
+            return training.n3_regularization(tbl, every_row)
         if function == "total":
-            (l_loss, r_loss, n_loss), ent, rel = training.step_gradients(tbl, batch, rules, mu, eta)
-            return l_loss + mu * r_loss + eta * n_loss, ent, rel
+            (l_loss, r_loss, n_loss), grads = training.step_gradients(tbl, batch, rules, mu, eta)
+            return l_loss + mu * r_loss + eta * n_loss, grads
         raise ValueError(f"unknown function {function!r}")
 
     work = table.copy()
-    loss, ent, rel = parts(work)
-    ent, rel = training.merge_row_grads([ent]), training.merge_row_grads([rel])
-    analytic = [np.zeros_like(x) for x in (work.ent, work.rel)]
-    for out, g in zip(analytic, (ent, rel)):
-        out[g.rows] = np.hstack(g.values)
-    numeric = [numerical_gradient(lambda _: parts(work)[0], x) for x in (work.ent, work.rel)]
-    analytic, numeric = np.concatenate(analytic, None), np.concatenate(numeric, None)
+    loss, grads = parts(work)
+    grads = training.merge_row_grads([grads])
+    analytic = np.zeros_like(work.matrix)
+    analytic[grads.rows] = np.hstack(grads.values)
+    numeric = numerical_gradient(lambda _: parts(work)[0], work.matrix)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all() and np.isfinite(loss)):
         raise ValueError("non-finite values encountered during gradient check")
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))

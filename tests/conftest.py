@@ -46,6 +46,18 @@ def make_feasible_table(seed=0, num_entities=12, num_relations=3, dim=4, bound=1
     return table
 
 
+def assert_row_slices(whole, ent, rel, num_entities):
+    """``ent`` and ``rel`` are the C-contiguous entity and relation row
+    slices of the one C-contiguous matrix ``whole``: ``ent`` at its start
+    and ``rel`` n * 2d * 8 bytes in."""
+    start = whole.__array_interface__["data"][0]
+    assert whole.flags.c_contiguous and ent.flags.c_contiguous and rel.flags.c_contiguous
+    assert np.shares_memory(whole, ent) and np.shares_memory(whole, rel)
+    assert ent.__array_interface__["data"][0] == start
+    assert rel.__array_interface__["data"][0] == start + num_entities * whole.shape[1] * 8
+    assert ent.shape[0] == num_entities and ent.shape[0] + rel.shape[0] == whole.shape[0]
+
+
 @pytest.fixture
 def random_kg():
     return make_random_kg

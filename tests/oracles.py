@@ -272,7 +272,10 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
     rules touch, AdaGrad on the merged rows, then a projection of the whole
     table. ``rules`` is a rule list or None. Returns a copy of the table as
     it was before the projection."""
-    _, l_ent, l_rel = training.logistic_loss(table, batch)
+    _, l_all = training.logistic_loss(table, batch)
+    n, heads_and_tails = table.num_entities, 2 * len(batch)
+    l_ent = RowGrads(l_all.rows[:heads_and_tails], l_all.values[:, :heads_and_tails])
+    l_rel = RowGrads(l_all.rows[heads_and_tails:] - n, l_all.values[:, heads_and_tails:])
     ent = _compact(l_ent.rows, l_ent.re, l_ent.im)
     rel = _compact(l_rel.rows, l_rel.re, l_rel.im)
     r_grads = training.rule_penalty(table, rules)[1] if mu > 0 and rules else None
@@ -281,9 +284,11 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
         rel_rows = batch.triples[:, 1]
         if r_grads is not None:
             rel_rows = np.concatenate([rel_rows, r_grads.rows])
-        _, n_ent, n_rel = training.n3_regularization(
-            table, np.unique(batch.triples[:, (0, 2)]), np.unique(rel_rows)
-        )
+        ent_rows, rel_rows = np.unique(batch.triples[:, (0, 2)]), np.unique(rel_rows)
+        _, n_all = training.n3_regularization(table, np.concatenate([ent_rows, n + rel_rows]))
+        k = ent_rows.size
+        n_ent = RowGrads(n_all.rows[:k], n_all.values[:, :k])
+        n_rel = RowGrads(n_all.rows[k:] - n, n_all.values[:, k:])
     ent = _merge(table.dim, [(ent, 1.0), (n_ent, eta)])
     rel = _merge(table.dim, [(rel, 1.0), (r_grads, mu), (n_rel, eta)])
 

@@ -105,7 +105,7 @@ def test_windows_cut_the_length_groups_in_rule_order():
     assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
 
 
-def test_windows_are_cut_once_per_dim_bound_and_budget():
+def test_windows_are_cut_once_per_dim_and_budget():
     arrays = kernel.RuleArrays.from_rules(
         HornRule(body=(0,) * k, head=1, confidence=1.0) for k in [1, 2, 3, 1, 4]
     )

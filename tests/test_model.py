@@ -25,7 +25,7 @@ from hornplex.model import (
 )
 
 import oracles
-from conftest import make_feasible_table
+from conftest import assert_row_slices, make_feasible_table
 
 
 def one_dim_table(e0, e1, r, bound=1.0):
@@ -194,7 +194,7 @@ def test_project_works_in_place():
     arena = Scratch(2 * (rows.size + rel_rows.size) * 64)
     tracemalloc.start()
     try:
-        project(table, rows, rel_rows, alloc=arena)
+        project(table, np.concatenate([rows, 20_000 + np.sort(rel_rows)]), alloc=arena)
         rows_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -334,7 +334,7 @@ def test_load_accepts_exactly_the_tables_is_feasible_accepts(ent, rel):
     when ``is_feasible`` is false."""
     ent = np.array(ent).reshape(1, 4)
     rel = np.array(rel).reshape(2, 1, 2)
-    table = EmbeddingTable.from_matrices(ent, np.hstack((rel[0], rel[1])), 1.0)
+    table = EmbeddingTable(ent[:, :2], ent[:, 2:], rel[0], rel[1], 1.0)
     buf = io.BytesIO()
     save_table(buf, table)
     buf.seek(0)
@@ -350,7 +350,7 @@ def test_each_matrix_is_one_array_with_views_for_its_halves(name, rows):
     table = init_table(6, 4, 3, seed=4)
     matrix, re, im = (getattr(table, name + suffix) for suffix in ("", "_re", "_im"))
     assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
-    assert re.base is matrix and im.base is matrix
+    assert matrix.base is table.matrix and re.base is table.matrix and im.base is table.matrix
     assert np.array_equal(matrix, np.hstack([re, im]))
     re[2] = 0.25
     setattr(table, f"{name}_im", im.__iadd__(1.0))  # ``table.x_im += 1.0``: in place, so allowed
@@ -367,8 +367,8 @@ def test_relation_halves_must_match_each_other_and_the_entities():
         EmbeddingTable(ones((3, 4)), ones((3, 4)), ones((2, 3)), ones((2, 5)), 1.0)
     with pytest.raises(ValueError, match=r"rel \(2, 6\) and ent \(3, 8\)"):
         EmbeddingTable(ones((3, 4)), ones((3, 4)), ones((2, 3)), ones((2, 3)), 1.0)
-    with pytest.raises(ValueError, match=r"rel \(2, 6\) and ent \(3, 8\)"):
-        EmbeddingTable.from_matrices(ones((3, 8)), ones((2, 6)), 1.0)
+    with pytest.raises(ValueError, match=r"6 entities do not fit matrix \(5, 8\)"):
+        EmbeddingTable.from_matrix(ones((5, 8)), 6, 1.0)
 
 
 def test_init_table_draws_in_the_order_of_the_separate_arrays():
@@ -436,6 +436,36 @@ def test_a_bad_value_in_any_block_names_its_byte(tmp_path, half, row, col):
     with pytest.raises(ValueError) as err:
         load_table(path)
     assert f"{path}: {half} holds the non-finite value nan at byte {at} (" in str(err.value)
+
+
+def made_table(how):
+    """A table of 5 entities and 3 relations, d = 2, made by ``how``: drawn,
+    built from the drawn halves, copied, or loaded from a dump."""
+    drawn = init_table(5, 3, 2, bound=1.3, seed=2)
+    if how == "constructor":
+        halves = [half.copy() for half in (drawn.ent_re, drawn.ent_im, drawn.rel_re, drawn.rel_im)]
+        return EmbeddingTable(*halves, 1.3)
+    if how == "copy":
+        return drawn.copy()
+    if how == "load_table":
+        buf = io.BytesIO()
+        save_table(buf, drawn)
+        buf.seek(0)
+        return load_table(buf)
+    return drawn
+
+
+@pytest.mark.parametrize("how", ["init_table", "constructor", "copy", "load_table"])
+def test_every_table_is_one_row_space(how):
+    table = made_table(how)
+    assert_row_slices(table.matrix, table.ent, table.rel, 5)
+    assert table.matrix.shape == (8, 4) and table.num_relations == 3
+    assert table.matrix.tobytes() == made_table("init_table").matrix.tobytes()
+    first, second = io.BytesIO(), io.BytesIO()
+    save_table(first, table)
+    first.seek(0)
+    save_table(second, load_table(first))
+    assert second.getvalue() == first.getvalue()
 
 
 def test_constructor_copies_entity_halves_into_one_matrix():

@@ -23,7 +23,9 @@ from hornplex.training import (
     LabeledBatch,
     Workspace,
     adagrad_step,
+    logistic_loss,
     merge_row_grads,
+    n3_regularization,
     step_gradients,
 )
 
@@ -33,9 +35,9 @@ ACCUMULATORS = ("ent_re_acc", "ent_im_acc", "rel_re_acc", "rel_im_acc")
 
 def fused_step(table, state, batch, rules, mu, eta, lr):
     """One step as ``train`` takes it; ``rules`` is a rule list."""
-    _, ent, rel = step_gradients(table, batch, RuleArrays.from_rules(rules), mu, eta)
-    adagrad_step(table, ent, rel, state, lr)
-    project(table, ent.rows, rel.rows)
+    _, grads = step_gradients(table, batch, RuleArrays.from_rules(rules), mu, eta)
+    adagrad_step(table, grads, state, lr)
+    project(table, grads.rows)
 
 
 def random_batch(rng, num_entities, batch_relations, size):
@@ -63,19 +65,30 @@ def random_rules(rng, num_relations, count):
 
 def run_both(seed, num_entities, num_relations, dim, bound, num_rules, mu, eta, lr, steps):
     """Take ``steps`` steps with the fused and the oracle step from the same
-    start and require byte-identical tables and accumulators after each. Returns what
-    the inputs covered: repeated rows in a batch, rule rows absent from the
-    batch, and pre-projection entity components above 1 and relation moduli
-    above the bound."""
+    start and require byte-identical tables and accumulators after each. The
+    first batch starts with (n - 1, 0, n - 1), so the first step touches
+    rows n - 1 and n of the row space, the last entity and the first
+    relation. Returns what the inputs covered: repeated rows in a batch,
+    rule rows absent from the batch, pre-projection entity components above
+    1 and relation moduli above the bound, relation rows whose clipped
+    components still lie outside the bound (rescaled radially), and a step
+    that changed both boundary rows."""
     rng = np.random.default_rng(seed)
     fused = init_table(num_entities, num_relations, dim, bound, seed=seed)
     slow = fused.copy()
     fused_state = AdagradState.zeros(num_entities, num_relations, dim)
     slow_state = AdagradState.zeros(num_entities, num_relations, dim)
     rules = random_rules(rng, num_relations, num_rules)
-    covered = dict.fromkeys(("repeats", "rule_rows_off_batch", "above_one", "above_bound"), False)
-    for _ in range(steps):
+    covered = dict.fromkeys(
+        ("repeats", "rule_rows_off_batch", "above_one", "above_bound", "rescaled", "boundary_rows"),
+        False,
+    )
+    boundary = [num_entities - 1, num_entities]
+    for step in range(steps):
         batch = random_batch(rng, num_entities, max(num_relations - 1, 1), int(rng.integers(1, 30)))
+        if step == 0:
+            batch.triples[0] = (num_entities - 1, 0, num_entities - 1)
+        edge = fused.matrix[boundary].copy()
         fused_step(fused, fused_state, batch, rules, mu, eta, lr)
         before = oracles.sparse_step(slow, slow_state, batch, rules, mu, eta, lr)
         for name in ARRAYS:
@@ -90,6 +103,9 @@ def run_both(seed, num_entities, num_relations, dim, bound, num_rules, mu, eta, 
         )
         covered["above_one"] |= bool((before.ent_re > 1.0).any() or (before.ent_im > 1.0).any())
         covered["above_bound"] |= bool((np.hypot(before.rel_re, before.rel_im) > bound).any())
+        clipped = np.clip(before.rel_re, 0.0, bound), np.clip(before.rel_im, 0.0, bound)
+        covered["rescaled"] |= bool((np.hypot(*clipped) > bound).any())
+        covered["boundary_rows"] |= bool((fused.matrix[boundary] != edge).any(axis=1).all())
     return covered
 
 
@@ -98,21 +114,26 @@ def run_both(seed, num_entities, num_relations, dim, bound, num_rules, mu, eta, 
     num_entities=st.integers(1, 12),
     num_relations=st.integers(1, 6),
     dim=st.integers(1, 5),
-    bound=st.sampled_from([0.5, 1.0, 2.0]),
+    bound=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
     num_rules=st.integers(0, 4),
     mu=st.sampled_from([0.0, 0.5, 1.0]),
     eta=st.sampled_from([0.0, 0.02, 1.0]),
     lr=st.sampled_from([0.05, 0.5, 5.0]),
     steps=st.integers(1, 4),
 )
+@example(
+    seed=11, num_entities=7, num_relations=3, dim=4, bound=1.3, num_rules=2,
+    mu=1.0, eta=0.02, lr=5.0, steps=2,
+)
 def test_fused_step_equals_term_by_term_step(**kw):
     run_both(**kw)
 
 
+@pytest.mark.parametrize("bound", [1.0, 1.3])
 @pytest.mark.parametrize("mu, eta", [(1.0, 0.02), (0.0, 0.02), (1.0, 0.0), (0.0, 0.0)])
-def test_fused_step_covers_repeats_off_batch_rules_and_infeasible_updates(mu, eta):
+def test_fused_step_covers_repeats_off_batch_rules_and_infeasible_updates(mu, eta, bound):
     covered = run_both(
-        seed=3, num_entities=6, num_relations=4, dim=4, bound=1.0, num_rules=3,
+        seed=3, num_entities=6, num_relations=4, dim=4, bound=bound, num_rules=3,
         mu=mu, eta=eta, lr=5.0, steps=4,
     )
     assert covered == {
@@ -120,6 +141,8 @@ def test_fused_step_covers_repeats_off_batch_rules_and_infeasible_updates(mu, et
         "rule_rows_off_batch": mu > 0,
         "above_one": True,
         "above_bound": True,
+        "rescaled": True,
+        "boundary_rows": True,
     }
 
 
@@ -151,6 +174,50 @@ def test_step_leaves_untouched_rows_byte_identical():
     assert not np.array_equal(table.ent_re[touched], before.ent_re[touched])
 
 
+def test_ids_outside_their_range_raise_before_any_byte_changes():
+    """Entity i is row i and relation r row n + r of one matrix, so an entity
+    id in [n, n+m) would read a relation row. ``logistic_loss`` checks entity
+    ids against n and relation ids against m. N3, AdaGrad and the projection
+    take row-space ids, in which row n is relation 0, and check them against
+    n + m. Each raises IndexError before a byte of the table or of the
+    accumulators changes."""
+    n, m, dim = 5, 3, 4
+    rng = np.random.default_rng(9)
+    table = init_table(n, m, dim, 1.3, seed=9)
+    table.ent[0] = 2.0  # infeasible, so a projection that ran would move it
+    table.rel_re[0] = 5.0
+    state = AdagradState.zeros(n, m, dim)
+    state.acc[:] = rng.random(state.acc.shape)
+    before = table.matrix.tobytes(), state.acc.tobytes()
+
+    def logistic(triple):
+        return lambda: logistic_loss(table, LabeledBatch([triple], [1.0]))
+
+    cases = [
+        ("entity", logistic([0, 0, n])),  # row n, relation 0
+        ("entity", logistic([n + m - 1, 0, 0])),
+        ("entity", logistic([-1, 0, 0])),
+        ("relation", logistic([0, m, 0])),
+        ("relation", logistic([0, -1, 0])),
+    ]
+    for rows in (np.array([-1, 0, n]), np.array([0, n, n + m])):  # n + m: relation m
+        grads = RowGrads(rows, np.ones((2, rows.size, dim)))
+        cases += [
+            ("row", lambda rows=rows: n3_regularization(table, rows)),
+            ("row", lambda grads=grads: adagrad_step(table, grads, state, 0.5)),
+            ("row", lambda rows=rows: project(table, rows)),
+        ]
+    for what, call in cases:
+        with pytest.raises(IndexError, match=f"{what} index out of range"):
+            call()
+        assert (table.matrix.tobytes(), state.acc.tobytes()) == before
+
+    loss, _ = n3_regularization(table, np.array([n - 1, n]))
+    ent_cubes = np.hypot(table.ent_re[n - 1], table.ent_im[n - 1]) ** 3
+    rel_cubes = np.hypot(table.rel_re[0], table.rel_im[0]) ** 3
+    assert loss == pytest.approx(float(np.sum(ent_cubes)) + float(np.sum(rel_cubes)), rel=1e-15)
+
+
 class Exact(Scratch):
     """A ``Scratch`` whose every request must fit its buffer."""
 
@@ -161,9 +228,9 @@ class Exact(Scratch):
 
 def workspace_step(table, state, batch, rules, mu, eta, lr, workspace):
     """One step as ``train`` takes it, through ``workspace``."""
-    _, ent, rel = step_gradients(table, batch, rules, mu, eta, workspace=workspace)
-    adagrad_step(table, ent, rel, state, lr, workspace=workspace)
-    project(table, ent.rows, rel.rows)
+    _, grads = step_gradients(table, batch, rules, mu, eta, workspace=workspace)
+    adagrad_step(table, grads, state, lr, workspace=workspace)
+    project(table, grads.rows)
 
 
 @given(

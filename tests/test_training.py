@@ -30,7 +30,7 @@ from hornplex.training import (
 from hornplex.verify import gradient_check
 
 from oracles import naive_contains
-from conftest import make_feasible_table, make_random_kg
+from conftest import assert_row_slices, make_feasible_table, make_random_kg
 
 
 def relation_table(rel_re, rel_im, bound=1.0):
@@ -141,21 +141,21 @@ class TestLogisticLoss:
         batch = LabeledBatch(
             np.array([[0, 0, 1], [2, 0, 3], [4, 0, 5]]), np.array([1.0, -1.0, 1.0])
         )
-        loss, _, _ = logistic_loss(table, batch)
+        loss, _ = logistic_loss(table, batch)
         assert loss == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_large_positive_score_is_stable(self):
         table = relation_table([[1.0]], [[0.0]])
         table.ent_re[0, 0] = 50.0
         batch = LabeledBatch(np.array([[0, 0, 1]]), np.array([1.0]))
-        loss, _, _ = logistic_loss(table, batch)
+        loss, _ = logistic_loss(table, batch)
         assert 0.0 < loss < 1e-20
 
     def test_large_negative_score_no_overflow(self):
         table = relation_table([[1.0]], [[0.0]])
         table.ent_re[0, 0] = 500.0
         batch = LabeledBatch(np.array([[0, 0, 1]]), np.array([-1.0]))
-        loss, _, _ = logistic_loss(table, batch)
+        loss, _ = logistic_loss(table, batch)
         assert loss == pytest.approx(500.0, rel=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -184,9 +184,9 @@ class TestLogisticLoss:
     def test_gradients_touch_only_batch_rows(self):
         table = make_feasible_table(seed=3)
         batch = LabeledBatch(np.array([[0, 1, 2]]), np.array([1.0]))
-        _, entities, relations = logistic_loss(table, batch)
-        assert set(entities.rows) == {0, 2}
-        assert set(relations.rows) == {1}
+        _, grads = logistic_loss(table, batch)
+        assert set(grads.rows[:2]) == {0, 2}
+        assert set(grads.rows[2:] - table.num_entities) == {1}
 
 
 class TestRulePenalty:
@@ -256,20 +256,20 @@ class TestRulePenalty:
 class TestN3:
     def test_single_component(self):
         table = relation_table([[0.3]], [[0.4]])
-        loss, _, _ = n3_regularization(table, np.array([], dtype=int), np.array([0]))
+        loss, _ = n3_regularization(table, np.array([2]))  # relation 0 of 2 entities
         assert loss == pytest.approx(0.125, abs=1e-15)
 
     def test_zero_row(self):
         table = relation_table([[0.0]], [[0.0]])
-        loss, _, relations = n3_regularization(table, np.array([], dtype=int), np.array([0]))
+        loss, relations = n3_regularization(table, np.array([2]))
         assert loss == 0.0
         assert np.all(relations.re == 0.0)
 
-    @pytest.mark.parametrize("ent_rows, rel_rows", [([5], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])])
-    def test_rows_outside_the_table_are_index_errors(self, ent_rows, rel_rows):
+    @pytest.mark.parametrize("rows", [[-1, 5], [0, 8]])
+    def test_rows_outside_the_table_are_index_errors(self, rows):
         table = make_feasible_table(seed=8, num_entities=5, num_relations=3)
         with pytest.raises(IndexError, match="index out of range"):
-            n3_regularization(table, np.array(ent_rows), np.array(rel_rows))
+            n3_regularization(table, np.array(rows))
 
     def test_gradient_matches_finite_differences(self):
         table = make_feasible_table(seed=8, num_entities=5, num_relations=3, dim=8)
@@ -287,41 +287,41 @@ class TestAdagrad:
 
     def grads(self, value, dim=1):
         re = np.full((1, dim), float(value))
-        return RowGrads(np.array([0]), np.stack((re, np.zeros((1, dim)))))
+        return RowGrads(np.array([2]), np.stack((re, np.zeros((1, dim)))))  # relation 0
 
     def test_first_step(self):
         table, state = self.make()
-        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, self.grads(1.0), state, lr=0.5)
         assert table.rel_re[0, 0] == pytest.approx(-0.5, abs=1e-9)
         assert state.rel_re_acc[0, 0] == 1.0
 
     def test_zero_gradient_is_noop(self):
         table, state = self.make()
-        adagrad_step(table, None, self.grads(0.0), state, lr=0.5)
+        adagrad_step(table, self.grads(0.0), state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0
         assert state.rel_re_acc[0, 0] == 0.0
 
     def test_accumulation_shrinks_steps(self):
         table, state = self.make()
-        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, self.grads(1.0), state, lr=0.5)
         first = table.rel_re[0, 0]
-        adagrad_step(table, None, self.grads(1.0), state, lr=0.5)
+        adagrad_step(table, self.grads(1.0), state, lr=0.5)
         second = table.rel_re[0, 0] - first
         assert abs(second) == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-9)
 
-    @pytest.mark.parametrize("row", [1, -1])
+    @pytest.mark.parametrize("row", [3, -1])
     def test_rows_outside_the_table_are_index_errors(self, row):
         table, state = self.make()
         grads = RowGrads(np.array([row]), np.ones((2, 1, 1)))
-        with pytest.raises(IndexError, match="relation index out of range"):
-            adagrad_step(table, None, grads, state, lr=0.5)
+        with pytest.raises(IndexError, match="row index out of range"):
+            adagrad_step(table, grads, state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0 and state.rel_re_acc[0, 0] == 0.0
 
     def test_accumulators_monotone(self):
         table, state = self.make(dim=3)
         for value in (0.5, -1.0, 2.0):
             before = state.rel_re_acc.copy()
-            adagrad_step(table, None, self.grads(value, dim=3), state, lr=0.1)
+            adagrad_step(table, self.grads(value, dim=3), state, lr=0.1)
             assert np.all(state.rel_re_acc >= before)
 
 
@@ -477,11 +477,11 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("name, rows", [("ent", 5), ("rel", 2)])
-def test_adagrad_state_is_two_matrices_with_views_for_their_halves(name, rows):
+def test_adagrad_state_is_one_matrix_with_views_for_its_rows_and_halves(name, rows):
     state = AdagradState.zeros(5, 2, 3)
     matrix, re, im = (getattr(state, f"{name}{suffix}_acc") for suffix in ("", "_re", "_im"))
     assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
-    assert re.base is matrix and im.base is matrix
+    assert matrix.base is state.acc and re.base is state.acc and im.base is state.acc
     re[1] = 0.25
     setattr(state, f"{name}_im_acc", im.__iadd__(2.0))  # ``state.x_im_acc += 2.0``: allowed
     assert np.all(matrix[1, :3] == 0.25) and np.all(matrix[:, 3:] == 2.0)
@@ -489,6 +489,25 @@ def test_adagrad_state_is_two_matrices_with_views_for_their_halves(name, rows):
         setattr(state, f"{name}_re_acc", np.zeros((rows, 3)))
     with pytest.raises(AttributeError):
         setattr(state, f"{name}_acc", np.zeros((rows, 6)))
+
+
+def test_checkpoint_loads_into_one_row_space_each_and_saves_the_same_bytes(tmp_path):
+    table = make_feasible_table(seed=14, num_entities=5, num_relations=3, dim=2, bound=1.3)
+    state = AdagradState.zeros(5, 3, 2)
+    state.acc[:] = np.arange(state.acc.size).reshape(state.acc.shape) / 8
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_checkpoint(first, table, state)
+    table2, state2 = load_checkpoint(first)
+    for whole, ent, rel in (
+        (state.acc, state.ent_acc, state.rel_acc),
+        (table2.matrix, table2.ent, table2.rel),
+        (state2.acc, state2.ent_acc, state2.rel_acc),
+    ):
+        assert_row_slices(whole, ent, rel, 5)
+    assert table2.matrix.tobytes() == table.matrix.tobytes()
+    assert state2.acc.tobytes() == state.acc.tobytes()
+    save_checkpoint(second, table2, state2)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
@@ -502,7 +521,7 @@ def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
         for rows, offset in ((n, 100.0), (n, 200.0), (m, 300.0), (m, 400.0))
     ]
     table = EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
-    state = AdagradState(np.hstack(acc[:2]), np.hstack(acc[2:]), epsilon)
+    state = AdagradState(np.vstack((np.hstack(acc[:2]), np.hstack(acc[2:]))), n, epsilon)
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, table, state)
     expected = (
@@ -525,7 +544,7 @@ def checkpoint_at_20k(path):
     tiny checkpoint has been written to it and read back (so that first-use
     allocations fall outside a measurement)."""
     table = init_table(20_000, 12, 64, seed=1)
-    state = AdagradState(table.ent * 3.0, table.rel + 0.5)
+    state = AdagradState(np.vstack((table.ent * 3.0, table.rel + 0.5)), table.num_entities)
     save_checkpoint(path, init_table(2, 1, 2), AdagradState.zeros(2, 1, 2))
     load_checkpoint(path)
     return table, state
