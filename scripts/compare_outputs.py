@@ -19,17 +19,21 @@ is not the same.
 A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
 random rules of body length 1-4, written with ``rules.write_rules``: more
 rules than one chunk of the rule diagnostics (512 at d=64) and several
-windows of the rule penalty. A fifth, planted-small-b1024, trains on the
+windows of the rule penalty. A fifth, rules-1200-d16, runs the same files
+at d=16, where the penalty's window cut allows 4,096 terms and 12,288
+arena rows instead of 1,024 and 3,072, so the check covers a packing cut
+for a second dimension. A sixth, planted-small-b1024, trains on the
 planted-small files in batches of 1,024 positives with 10 negatives each:
 11,264 triples a step, so entity rows get more than 8 gradient terms and
 relation rows more than 128, and the gradient merge takes its
-``np.add.reduceat`` path and numpy's pairwise recursion. A sixth,
+``np.add.reduceat`` path and numpy's pairwise recursion. A seventh,
 planted-small-mu0, trains on the planted-small files with mu = 0: ``train``
 then packs no rules, and relation rows get only logistic and N3 terms.
 
-Training is short (d=64, mu=1, eta=0.02, seed 1, batches of 64 positives
-with 1 negative each unless stated): 20 epochs on planted-small and
-planted-small-mu0, 3 on rules-500 and rules-1200, 1 on planted-20k and 10 on
+Training is short (mu=1, eta=0.02, seed 1, d=64 and batches of 64
+positives with 1 negative each unless stated; ``INPUTS`` lists each
+input's settings): 20 epochs on planted-small and planted-small-mu0, 3 on
+rules-500, rules-1200 and rules-1200-d16, 1 on planted-20k and 10 on
 planted-small-b1024.
 """
 
@@ -40,6 +44,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,19 +56,32 @@ from hornplex.kg import load_graph  # noqa: E402
 from hornplex.rules import HornRule, write_rules  # noqa: E402
 
 WORK = ".compare_work"
-EPOCHS = {
-    "planted-small": 20, "rules-500": 3, "rules-1200": 3, "planted-20k": 1,
-    "planted-small-b1024": 10, "planted-small-mu0": 20,
+
+
+@dataclass(frozen=True)
+class Input:
+    """The ``bench/gen.py`` workload whose files an input takes, the count
+    of seeded random rules that replace its rules (0: none), and its
+    training settings."""
+
+    source: str
+    epochs: int
+    rules: int = 0
+    batch_size: int = 64
+    negatives: int = 1
+    mu: float = 1.0
+    dim: int = 64
+
+
+INPUTS = {
+    "planted-small": Input("planted-small", 20),
+    "rules-500": Input("rules-500", 3),
+    "rules-1200": Input("rules-500", 3, rules=1200),
+    "rules-1200-d16": Input("rules-500", 3, rules=1200, dim=16),
+    "planted-20k": Input("planted-20k", 1),
+    "planted-small-b1024": Input("planted-small", 10, batch_size=1024, negatives=10),
+    "planted-small-mu0": Input("planted-small", 20, mu=0.0),
 }
-# input: (the bench/gen.py workload whose files it takes, its random rule count)
-SOURCES = {
-    "rules-1200": ("rules-500", 1200), "planted-small-b1024": ("planted-small", 0),
-    "planted-small-mu0": ("planted-small", 0),
-}
-# input: (batch_size, negatives_per_positive), where not (64, 1)
-BATCHES = {"planted-small-b1024": (1024, 10)}
-# input: mu, where not 1.0
-MUS = {"planted-small-mu0": 0.0}
 BOUNDS = (1.0, 1.3)
 CONFIG = """[paths]
 train = {data}/train.tsv
@@ -81,7 +99,7 @@ mu = {mu}
 eta = 0.02
 negatives_per_positive = {negatives}
 bound = {bound}
-dim = 64
+dim = {dim}
 seed = 1
 
 [eval]
@@ -123,11 +141,12 @@ def run_case(tree, workload, bound, ground):
     shutil.rmtree(tree / case, ignore_errors=True)
     (tree / case).mkdir(parents=True)
     config = f"{case}/run.ini"
-    batch_size, negatives = BATCHES.get(workload, (64, 1))
+    settings = INPUTS[workload]
     (tree / config).write_text(
         CONFIG.format(
-            data=f"{WORK}/{workload}", out=out, epochs=EPOCHS[workload], bound=bound,
-            batch_size=batch_size, negatives=negatives, mu=MUS.get(workload, 1.0),
+            data=f"{WORK}/{workload}", out=out, epochs=settings.epochs, bound=bound,
+            batch_size=settings.batch_size, negatives=settings.negatives, mu=settings.mu,
+            dim=settings.dim,
         ),
         encoding="utf-8",
     )
@@ -157,18 +176,17 @@ def main(argv=None):
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         old_tree = export(args.rev, tmp)
-        for workload in EPOCHS:
+        for workload, settings in INPUTS.items():
             data = ROOT / WORK / workload
             shutil.rmtree(data, ignore_errors=True)
             data.mkdir(parents=True)
-            graph, count = SOURCES.get(workload, (workload, 0))
             subprocess.run(
-                [sys.executable, "bench/gen.py", "--workload", graph, "--seed", "1",
+                [sys.executable, "bench/gen.py", "--workload", settings.source, "--seed", "1",
                  "--out", str(data)],
                 cwd=ROOT, check=True,
             )
-            if count:
-                write_random_rules(data, count)
+            if settings.rules:
+                write_random_rules(data, settings.rules)
             shutil.copytree(data, old_tree / WORK / workload)
             for bound in BOUNDS:
                 ground = bound == BOUNDS[0]

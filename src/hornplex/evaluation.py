@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _check_rows, _halves, body_product, check_relations, length_groups, rule_gaps
+from .kernel import _halves, body_product, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -130,9 +130,10 @@ def rank_queries(table, kg, triples, tail_side):
     otherwise.
 
     Raises ValueError for a table whose entity or relation count is not
-    the graph's, for a ``tail_side`` of another length, for a table with a
-    NaN or infinite component and for a triple outside the filter index; no
-    rank is returned then.
+    the graph's, for a triple with an entity or relation id outside the
+    graph, for a ``tail_side`` of another length, for a table with a NaN or
+    infinite component and for a triple outside the filter index; no rank
+    is returned then.
     """
     found = (table.num_entities, table.num_relations)
     expected = (kg.num_entities, kg.num_relations)
@@ -142,6 +143,13 @@ def rank_queries(table, kg, triples, tail_side):
             f"but the graph has {expected[0]} entities and {expected[1]} relations"
         )
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    # An id outside the graph would take another fact's code in the filter
+    # index. A negative id, as uint64, exceeds any count.
+    n, m = expected
+    outside = (triples.view(np.uint64) >= (n, m, n)).any(axis=1)
+    if outside.any():
+        triple = Triple(*map(int, triples[np.argmax(outside)]))
+        raise ValueError(f"{triple} has an id outside the graph's {n} entities and {m} relations")
     tail_side = np.asarray(tail_side, dtype=bool).reshape(-1)
     if tail_side.size != len(triples):
         raise ValueError(f"{tail_side.size} tail_side values for {len(triples)} triples")
@@ -345,11 +353,7 @@ def relation_rule_diagnostics(table, rules):
     step = max(1, DIAGNOSTIC_ELEMENTS // table.dim)
     for start in range(0, len(rules), step):
         ids, groups = length_groups(rules, start, start + step)
-        try:
-            _check_rows(ids, table.num_relations, "relation")
-        except IndexError:
-            check_relations(ids, groups, table.num_relations)  # the ValueError naming the rule
-            raise
+        check_relations(ids, groups, table.num_relations)
         halves, index = _halves(table.rel, ids)
         at = 0
         row = start

@@ -8,19 +8,22 @@ gradient terms take in the rule-major term sequence of the whole list: each
 rule's head term, then one term per body position. Nothing is padded, so a
 group of length k does only the products its bodies need.
 
-For a table of dimension d the rules are cut into windows of consecutive
-rules (``RuleArrays.windows``). A window is the slice of each length group
-that falls into it. It ends where its Σ(k+1)·d gradient terms would pass
+A list is packed for a table of m relations of dimension d: the packing
+checks the relation ids against m (``check_relations``), cuts the rules
+into windows of consecutive rules (``_cut_windows``) and records the sizes
+of the penalty's buffers. A window is the slice of each length group that
+falls into it. It ends where its Σ(k+1)·d gradient terms would pass
 ``WINDOW_ELEMENTS``, or where one group's slice would need more of an arena
 of ``ARENA_ELEMENTS`` than it holds, as ``_arena_rows`` counts that need per
 rule; a rule that breaks a limit on its own gets a window to itself. The
-penalty (``rule_penalty``, which ``training`` imports for its step) works a
-window at a time: each group's slice takes its arrays from the arena
-(``_rule_terms``), and the window's scatter index, one int64 row a term,
-takes the arena once the groups are done. One set of buffers is sized to
-the largest window's need, so the memory a call needs does not grow with
-the rule count. The arrays a slice takes, their count, the cut that uses
-the count and the buffers sized from it all live in this module. The rule
+penalty (``rule_penalty``, which ``training`` imports for its step) checks
+only the table's shape and works a window at a time: each group's slice
+takes its arrays from the arena (``_rule_terms``), and the window's scatter
+index, one int64 row a term, takes the arena once the groups are done. One
+set of buffers is sized to the largest window's need, so the memory a call
+needs does not grow with the rule count. The arrays a slice takes, their
+count, the cut that uses the count and the sizes taken from it all live in
+this module. The rule
 diagnostics (``evaluation.relation_rule_diagnostics``) group a chunk of
 rules at a time with ``length_groups``, take each group's vectors on their
 own and write its ``rule_gaps`` into the rows of their one output array.
@@ -39,7 +42,7 @@ first axis, so one call works on both parts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +101,8 @@ def _halves(matrix, rows):
     the indices in it of the halves of the int64 ``rows``, stacked [re, im]
     on a new first axis: taking them copies no whole half, as taking from
     the strided half views would. ``rows`` must lie in [0, n)
-    (``_check_rows``), so the indices may be taken with mode="clip", which
-    needs no buffer."""
+    (``_check_rows``, or ``check_relations`` for the relation ids of rules),
+    so the indices may be taken with mode="clip", which needs no buffer."""
     index = np.add.outer(_HALF, 2 * rows)
     return matrix.reshape(2 * matrix.shape[0], matrix.shape[1] // 2), index
 
@@ -129,10 +132,10 @@ def length_groups(rules, start=0, stop=None):
 
 def check_relations(ids, groups, num_relations):
     """Raise ValueError naming the first rule, in rule order, that has a
-    relation id outside [0, num_relations). ``ids`` holds the rules'
-    smallest and largest relation ids; ``groups`` are as ``length_groups``
-    returns them."""
-    if ids.size == 0 or (ids.min() >= 0 and ids.max() < num_relations):
+    relation id outside [0, num_relations). ``ids`` is an int64 array of
+    every relation id the rules hold (a negative id, as uint64, exceeds any
+    count); ``groups`` are as ``length_groups`` returns them."""
+    if ids.size == 0 or ids.view(np.uint64).max() < num_relations:
         return
     bad = []
     for members, group_ids in groups:
@@ -160,19 +163,26 @@ class LengthGroup:
 
 @dataclass(frozen=True)
 class RuleArrays:
-    """Horn rules as index arrays: their length groups, where each rule's
-    terms start in the rule-major term sequence (a rule's head, then its
-    body), and the sorted relation ids the rules touch with, per term, the
-    position of its relation among them."""
+    """Horn rules packed for a table of ``shape`` (relations, dimension):
+    their length groups, where each rule's terms start in the rule-major
+    term sequence (a rule's head, then its body), the sorted relation ids
+    the rules touch with, per term, the position of its relation among
+    them, and their windows (``_cut_windows``) and buffer sizes."""
 
     groups: tuple  # LengthGroup per body length present, shortest first
     starts: np.ndarray  # (n+1,) int64; rule i's terms are rows starts[i]:starts[i+1]
     rows: np.ndarray  # (u,) int64 sorted relation ids of heads and bodies
     slots: np.ndarray  # (starts[n],) int64 position in rows of each term's relation
-    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    shape: tuple  # (num_relations, dim) of the table
+    windows: list  # (first, count, parts) per window, in rule order
+    width: int  # the terms of the largest window
+    arena: int  # the rows of dim elements of the largest need of a window
 
     @classmethod
-    def from_rules(cls, rules):
+    def from_rules(cls, rules, num_relations, dim):
+        """``rules`` packed for a table of ``num_relations`` relations of
+        dimension ``dim``; a relation id outside the table is a ValueError
+        naming the first rule that has one."""
         rules = list(rules)
         lengths = np.fromiter((len(rule.body) for rule in rules), np.int64, len(rules))
         starts = np.zeros(len(rules) + 1, dtype=np.int64)
@@ -185,57 +195,51 @@ class RuleArrays:
             confidences = np.array([[rules[i].confidence] for i in members.tolist()])
             groups.append(LengthGroup(members, ids, confidences, terms))
         rows, slots = np.unique(relations, return_inverse=True)
-        return cls(tuple(groups), starts, rows, slots.reshape(-1))
+        check_relations(rows, [(group.rules, group.ids) for group in groups], num_relations)
+        windows = _cut_windows(groups, starts, dim)
+        # The penalty's buffers: the rule-major gradient terms of a window,
+        # [re, im], and an arena for the arrays of one length group in a
+        # window, then for the window's scatter index, one row a term.
+        width = max((count for _, count, _ in windows), default=0)
+        need = [_arena_rows(group.length) * (hi - lo) for _, _, parts in windows for group, lo, hi in parts]
+        shape, arena = (num_relations, dim), max([width] + need)
+        return cls(tuple(groups), starts, rows, slots.reshape(-1), shape, windows, width, arena)
 
     def __len__(self):
         return self.starts.size - 1
 
-    def check_relations(self, num_relations):
-        """``check_relations`` on the groups, with the sorted relation ids."""
-        groups = [(group.rules, group.ids) for group in self.groups]
-        check_relations(self.rows, groups, num_relations)
 
-    def windows(self, dim):
-        """The rules cut into windows of consecutive rules for a table of
-        dimension ``dim``, in rule order, as (first, count, parts): the
-        window's terms are rows first:first+count of the term sequence, and
-        ``parts`` lists (group, lo, hi) for each group with rules lo:hi in
-        it. A window holds at most WINDOW_ELEMENTS // dim terms, each group's
-        slice of it needs at most the rows of ``dim`` elements that an arena
-        of ARENA_ELEMENTS holds (``_arena_rows`` per rule), and so does the
-        window's scatter index, one row a term. A rule that breaks a limit on
-        its own gets a window to itself. The cut is made once per dimension
-        and budget sizes."""
-        key = (dim, WINDOW_ELEMENTS, ARENA_ELEMENTS)
-        cached = self._windows.get(key)
-        if cached is None:
-            rows = ARENA_ELEMENTS // dim
-            cap = max(1, min(WINDOW_ELEMENTS // dim, rows))
-            most = [rows // _arena_rows(group.length) for group in self.groups]
-            starts = self.starts
-            cuts = [0]
-            while cuts[-1] < len(self):
-                lo = cuts[-1]
-                hi = int(np.searchsorted(starts, starts[lo] + cap, side="right")) - 1
-                for group, count in zip(self.groups, most):
-                    at = int(np.searchsorted(group.rules, lo)) + count
-                    if at < group.rules.size:
-                        hi = min(hi, int(group.rules[at]))
-                cuts.append(max(hi, lo + 1))
-            bounds = [np.searchsorted(group.rules, cuts).tolist() for group in self.groups]
-            cached = self._windows[key] = [
-                (
-                    int(starts[lo]),
-                    int(starts[hi] - starts[lo]),
-                    [
-                        (group, at[w], at[w + 1])
-                        for group, at in zip(self.groups, bounds)
-                        if at[w] < at[w + 1]
-                    ],
-                )
-                for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-            ]
-        return cached
+def _cut_windows(groups, starts, dim):
+    """Rules, as length groups and term starts, cut into windows of
+    consecutive rules for a table of dimension ``dim``, in rule order, as
+    (first, count, parts): the window's terms are rows first:first+count of
+    the term sequence, and ``parts`` lists (group, lo, hi) for each group
+    with rules lo:hi in it. A window holds at most WINDOW_ELEMENTS // dim
+    terms, each group's slice of it needs at most the rows of ``dim``
+    elements that an arena of ARENA_ELEMENTS holds (``_arena_rows`` per
+    rule), and so does the window's scatter index, one row a term. A rule
+    that breaks a limit on its own gets a window to itself."""
+    rows = ARENA_ELEMENTS // dim
+    cap = max(1, min(WINDOW_ELEMENTS // dim, rows))
+    most = [rows // _arena_rows(group.length) for group in groups]
+    cuts = [0]
+    while cuts[-1] < starts.size - 1:
+        lo = cuts[-1]
+        hi = int(np.searchsorted(starts, starts[lo] + cap, side="right")) - 1
+        for group, count in zip(groups, most):
+            at = int(np.searchsorted(group.rules, lo)) + count
+            if at < group.rules.size:
+                hi = min(hi, int(group.rules[at]))
+        cuts.append(max(hi, lo + 1))
+    bounds = [np.searchsorted(group.rules, cuts).tolist() for group in groups]
+    return [
+        (
+            int(starts[lo]),
+            int(starts[hi] - starts[lo]),
+            [(group, at[w], at[w + 1]) for group, at in zip(groups, bounds) if at[w] < at[w + 1]],
+        )
+        for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
 
 
 @dataclass
@@ -249,10 +253,6 @@ class RowGrads:
 
     re = property(lambda self: self.values[0])
     im = property(lambda self: self.values[1])
-
-    @classmethod
-    def empty(cls, dim):
-        return cls(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
 
 
 class Scratch:
@@ -348,42 +348,38 @@ def rule_penalty(table, rules):
       lam * sum_l max(0, Re(hb_l)/R^k - Re(r_l)/R)      (real part, hinge)
     + lam * sum_l (Im(hb_l)/R^k - Im(r_l)/R)^2          (imaginary part)
 
-    ``rules`` is a list of HornRule or the ``RuleArrays`` packing of one.
-    The caller applies the global coefficient mu. The subgradient of the
-    hinge at zero is taken as zero, so exactly satisfied rules contribute no
-    gradient. Returns (loss, RowGrads over the touched relation rows). A
-    relation id outside the table is a ValueError naming the rule.
+    ``rules`` is a list of HornRule, packed here, or its ``RuleArrays``
+    packing for a table of this shape, whose ids that packing checked; a
+    packing for another shape is a ValueError naming both shapes. The caller
+    applies the global coefficient mu. The subgradient of the hinge at zero
+    is taken as zero, so exactly satisfied rules contribute no gradient.
+    Returns (loss, RowGrads over the touched relation rows). A relation id
+    outside the table is a ValueError naming the rule.
 
     Rules run a window at a time, and within a window one body length at a
-    time, in one set of buffers sized to the largest window's need (see the
+    time, in one set of buffers of the sizes the packing records (see the
     module docstring). Per-rule losses are added in rule order, and each
     row's gradient sums its terms in rule order (head, then body positions),
     so the result does not depend on the windows.
     """
-    if not isinstance(rules, RuleArrays):
-        rules = RuleArrays.from_rules(rules)
-    rules.check_relations(table.num_relations)
     dim = table.dim
-    if len(rules) == 0:
-        return 0.0, RowGrads.empty(dim)
-    windows = rules.windows(dim)
-    # The rule-major gradient terms of a window, [re, im], and an arena for
-    # the arrays of one length group in a window, then for the window's
-    # scatter index: one set for every window, sized to the largest need.
-    width = max(count for _, count, _ in windows)
-    need = [_arena_rows(group.length) * (hi - lo) for _, _, parts in windows for group, lo, hi in parts]
+    shape = (table.num_relations, dim)
+    if not isinstance(rules, RuleArrays):
+        rules = RuleArrays.from_rules(rules, *shape)
+    elif rules.shape != shape:
+        raise ValueError(f"rules packed for (relations, dim) {rules.shape}, the table is {shape}")
     # The terms and the row sums keep each re beside its im, so that the
     # scatter can take the pair as one complex128, whose sum adds each part
     # on its own: one np.add.at call per window does both halves.
-    pairs = np.empty((width, dim, 2))
+    pairs = np.empty((rules.width, dim, 2))
     terms = pairs.transpose(2, 0, 1)
-    scratch = Scratch(max([width] + need) * dim)
+    scratch = Scratch(rules.arena * dim)
     span = np.arange(dim)
     losses = np.empty(len(rules))
     sums = np.zeros((rules.rows.size, dim, 2))
     acc = sums.transpose(2, 0, 1)
 
-    for first, count, parts in windows:
+    for first, count, parts in rules.windows:
         for group, lo, hi in parts:
             scratch.reset()
             terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
@@ -415,9 +411,10 @@ def _arena_rows(k):
     - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
       (2) and the prefixes and suffixes that do not go into c (4k - 12):
       6k - 8 more, 10k - 2 in all.
-    The gaps overwrite the body product. ``RuleArrays.windows`` cuts the
-    windows by this count and ``rule_penalty`` sizes its arena by it, so
-    any change to the arrays ``_rule_terms`` takes must change it too."""
+    The gaps overwrite the body product. ``_cut_windows`` cuts the windows
+    by this count and ``RuleArrays.from_rules`` sizes the penalty's arena by
+    it, so any change to the arrays ``_rule_terms`` takes must change it
+    too."""
     return 10 if k == 1 else 22 if k == 2 else 10 * k - 2
 
 
@@ -431,7 +428,8 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     k = group.length
     rk = R**k
     lam = group.confidences[lo:hi]
-    b = take_rows(table.rel, group.ids[:, lo:hi], "relation", alloc)
+    halves, index = _halves(table.rel, group.ids[:, lo:hi])  # ids checked at packing
+    b = halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
     body = b[:, 1:]
     hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
     u, v = rule_gaps(table, b[:, 0], hb, rk, out=hb)

@@ -117,16 +117,8 @@ class LabeledBatch:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.triples.shape[0] != self.labels.shape[0]:
             raise ValueError("triples and labels must have equal length")
-        if self.labels.size and not np.isin(self.labels, (-1.0, 1.0)).all():
+        if not (np.abs(self.labels) == 1.0).all():
             raise ValueError("labels must be +1 or -1")
-
-    @classmethod
-    def _built(cls, triples, labels):
-        """A batch ``train`` built: int64 triples and +1/-1 float64 labels
-        by construction, so the checks are skipped."""
-        batch = cls.__new__(cls)
-        batch.triples, batch.labels = triples, labels
-        return batch
 
     def __len__(self):
         return self.triples.shape[0]
@@ -493,8 +485,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
     outside the graph is a ValueError naming the rule.
     """
     if config.mu > 0:
-        rules = RuleArrays.from_rules(rules)
-        rules.check_relations(kg.num_relations)
+        rules = RuleArrays.from_rules(rules, kg.num_relations, config.dim)
     else:
         rules = None
     ss = np.random.SeedSequence(config.seed)
@@ -526,7 +517,7 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
             ).reshape(-1, 3)
             labels[:positives] = 1.0
             labels[positives:] = -1.0
-            batch = LabeledBatch._built(triples, labels)
+            batch = LabeledBatch(triples, labels)
 
             (l_loss, r_loss, n_loss), grads = step_gradients(
                 table, batch, rules, config.mu, config.eta, workspace=workspace

@@ -248,7 +248,7 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     a copy of ``table``'s row-space matrix at a time, entity rows first.
     Raises on non-finite values."""
     if rules is not None:
-        rules = RuleArrays.from_rules(rules)
+        rules = RuleArrays.from_rules(rules, table.num_relations, table.dim)
     n = table.num_entities
     every_row = np.arange(n + table.num_relations)
 

@@ -231,7 +231,7 @@ def rule_penalty(table, rules):
             )
 
     if not acc:
-        return 0.0, RowGrads.empty(dim)
+        return 0.0, RowGrads(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
     rows = np.array(sorted(acc), dtype=np.int64)
     re = np.stack([acc[r][0] for r in rows])
     im = np.stack([acc[r][1] for r in rows])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from hornplex.evaluation import (
     write_diagnostics_summary,
     write_metrics,
 )
+from hornplex.experiments import make_planted_kg
 from hornplex.kg import Triple, build_graph
-from hornplex.model import EmbeddingTable
+from hornplex.model import EmbeddingTable, init_table
 from hornplex.rules import HornRule
 
 from conftest import make_feasible_table, make_random_kg
@@ -58,6 +61,26 @@ def test_rank_requires_known_triple():
     table = make_feasible_table(seed=2, num_entities=5, num_relations=1)
     with pytest.raises(ValueError, match="not a known triple"):
         filtered_rank(table, kg, Triple(3, 0, 4), "tail")
+
+
+@pytest.mark.parametrize(
+    "triple, side",
+    [((65, -1, 170), "tail"), ((11, 2, -1), "head"), ((200, 0, 0), "tail"), ((0, 12, 0), "head")],
+)
+def test_ranking_rejects_ids_outside_the_graph(triple, side):
+    """Unchecked, (65, -1, 170) took the filter code of the known (64, 11,
+    170) and ranked 2.0 on the tail side, scored with relation 11; (11, 2,
+    -1) ranked 7.0 on the head side, and evaluating the first gave MRR 0.5.
+    The first triple out of range is named, before any ranking."""
+    kg, _ = make_planted_kg(seed=0)
+    table = init_table(200, 12, 8, seed=0)
+    message = re.escape(f"{Triple(*triple)} has an id outside the graph's 200 entities and 12 relations")
+    with pytest.raises(ValueError, match=message):
+        rank_queries(table, kg, [kg.train[0], triple, (-5, 0, 0)], [side == "tail"] * 3)
+    with pytest.raises(ValueError, match=message):
+        filtered_rank(table, kg, triple, side)
+    with pytest.raises(ValueError, match=message):
+        evaluate(table, kg, [triple], side=side)
 
 
 @pytest.mark.parametrize("sides", [[True], [], [False] * 6, [[True, False]] * 5])

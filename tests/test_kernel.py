@@ -6,6 +6,7 @@ gradients and gaps must be equal, not merely close.
 """
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -86,11 +87,11 @@ def test_small_windows_change_nothing(case, budget):
 
 def test_windows_cut_the_length_groups_in_rule_order():
     lengths = [1, 2, 1, 3, 3, 1, 4, 2, 2, 1, 6]
-    arrays = kernel.RuleArrays.from_rules(
-        HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths
-    )
     with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
-        windows = arrays.windows(2)
+        arrays = kernel.RuleArrays.from_rules(
+            (HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths), 2, 2
+        )
+    windows = arrays.windows
     seen = []
     for first, count, parts in windows:
         ids = sorted(i for group, lo, hi in parts for i in group.rules[lo:hi].tolist())
@@ -105,21 +106,18 @@ def test_windows_cut_the_length_groups_in_rule_order():
     assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
 
 
-def test_windows_are_cut_once_per_dim_and_budget():
-    arrays = kernel.RuleArrays.from_rules(
-        HornRule(body=(0,) * k, head=1, confidence=1.0) for k in [1, 2, 3, 1, 4]
-    )
-    windows = arrays.windows(2)
-    assert arrays.windows(2) is windows
-    assert len(windows) == 1
-    with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
-        small = arrays.windows(2)
-        assert small is not windows and len(small) > 1
-        assert arrays.windows(2) is small
-    with mock.patch.object(kernel, "ARENA_ELEMENTS", kernel._arena_rows(4) * 2):
-        assert arrays.windows(2) is not windows
-    assert arrays.windows(2) is windows
-    assert arrays.windows(3) is not windows
+def test_a_packing_is_for_one_relation_count_and_dimension():
+    """A packing checked its ids against, and cut its windows for, one table
+    shape; a table of another relation count or dimension is refused."""
+    rules = [HornRule(body=(0, 1), head=2, confidence=1.0)]
+    arrays = kernel.RuleArrays.from_rules(rules, 3, 2)
+    table = project(init_table(2, 3, 2, 1.0, seed=0))
+    assert rule_penalty(table, arrays)[0] == rule_penalty(table, rules)[0]
+    for relations, dim in [(4, 2), (2, 2), (3, 3)]:
+        other = project(init_table(2, relations, dim, 1.0, seed=0))
+        message = re.escape(f"rules packed for (relations, dim) (3, 2), the table is {(relations, dim)}")
+        with pytest.raises(ValueError, match=message):
+            rule_penalty(other, arrays)
 
 
 @given(rule_sets(), st.sampled_from([8, 1000]))
@@ -146,7 +144,6 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
             assert fits, f"no room for {shape} at rule {at[-1]}"
             return super().__call__(shape)
 
-    arrays = kernel.RuleArrays.from_rules(rules)
     lengths = {len(rule.body) for rule in rules}
     for rows in sorted({need(k) * r - less for k in lengths for r in (1, 2, 3) for less in (0, 1)}):
         with (
@@ -155,6 +152,7 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
             mock.patch.object(kernel, "Scratch", Fits),
             mock.patch.object(kernel, "_rule_terms", recorded),
         ):
+            arrays = kernel.RuleArrays.from_rules(rules, table.num_relations, dim)
             loss, grads = rule_penalty(table, arrays)
         assert loss == expected_loss
         for part in ("rows", "re", "im"):
@@ -202,7 +200,9 @@ def _random_rules(num_rules, num_relations, seed, max_length=4):
 
 
 def _penalty_peak_bytes(table, num_rules):
-    rules = kernel.RuleArrays.from_rules(_random_rules(num_rules, table.num_relations, num_rules))
+    rules = kernel.RuleArrays.from_rules(
+        _random_rules(num_rules, table.num_relations, num_rules), table.num_relations, table.dim
+    )
     tracemalloc.start()
     try:
         rule_penalty(table, rules)

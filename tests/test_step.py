@@ -35,7 +35,9 @@ ACCUMULATORS = ("ent_re_acc", "ent_im_acc", "rel_re_acc", "rel_im_acc")
 
 def fused_step(table, state, batch, rules, mu, eta, lr):
     """One step as ``train`` takes it; ``rules`` is a rule list."""
-    _, grads = step_gradients(table, batch, RuleArrays.from_rules(rules), mu, eta)
+    _, grads = step_gradients(
+        table, batch, RuleArrays.from_rules(rules, table.num_relations, table.dim), mu, eta
+    )
     adagrad_step(table, grads, state, lr)
     project(table, grads.rows)
 
@@ -259,7 +261,7 @@ def test_steps_through_one_workspace_equal_term_by_term_steps(
     fast_state = AdagradState.zeros(num_entities, num_relations, dim)
     slow_state = AdagradState.zeros(num_entities, num_relations, dim)
     rules = random_rules(rng, num_relations, num_rules)
-    packed = RuleArrays.from_rules(rules)
+    packed = RuleArrays.from_rules(rules, num_relations, dim)
     workspace = Workspace(rows, dim, num_relations)
     workspace.step = Exact(workspace.step.buffer.size)
     workspace.temp = Exact(workspace.temp.buffer.size)
@@ -282,7 +284,7 @@ def test_a_step_through_a_workspace_allocates_little():
     rng = np.random.default_rng(5)
     table = init_table(num_entities, num_relations, dim, 1.0, seed=5)
     state = AdagradState.zeros(num_entities, num_relations, dim)
-    rules = RuleArrays.from_rules(random_rules(rng, num_relations, 8))
+    rules = RuleArrays.from_rules(random_rules(rng, num_relations, 8), num_relations, dim)
     workspace = Workspace(rows, dim, num_relations)
     batches = [random_batch(rng, num_entities, num_relations, rows) for _ in range(2)]
     workspace_step(table, state, batches[0], rules, 1.0, 0.02, 0.2, workspace)
