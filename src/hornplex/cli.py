@@ -56,15 +56,11 @@ def _split(cfg, kg, name):
     return split
 
 
-def _load_rules(cfg, kg, required):
+def _load_rules(cfg, kg):
     if cfg.rules_path is None:
-        if required:
-            raise CliError("rule penalty requested (mu > 0) but no [paths] rules file is set")
-        return []
+        raise CliError("config sets no [paths] rules file")
     if not os.path.exists(cfg.rules_path):
-        if required:
-            raise CliError(f"rules file not found: {cfg.rules_path}")
-        return []
+        raise CliError(f"rules file not found: {cfg.rules_path}")
     return rules_mod.parse_rules(cfg.rules_path, kg.relation_ids)
 
 
@@ -97,7 +93,8 @@ def cmd_train(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
     _split(cfg, kg, "train")
-    rules = _load_rules(cfg, kg, required=cfg.train.mu > 0)
+    # mu = 0 packs no rules, so no rules file is read
+    rules = _load_rules(cfg, kg) if cfg.train.mu > 0 else []
     out = cfg.output_dir
     _write_resolved(cfg, out)
 
@@ -144,7 +141,7 @@ def cmd_rules_filter(args):
         raise CliError(f"--max-length {args.max_length}: expected an integer of at least 1")
     cfg = _load_config(args)
     kg = _load_kg(cfg)
-    parsed = _load_rules(cfg, kg, required=True)
+    parsed = _load_rules(cfg, kg)
     kept = rules_mod.filter_rules(
         parsed, min_confidence=args.min_confidence, max_length=args.max_length,
         strict=args.strict,
@@ -159,7 +156,7 @@ def cmd_rules_filter(args):
 def cmd_rules_confidence(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
-    parsed = _load_rules(cfg, kg, required=True)
+    parsed = _load_rules(cfg, kg)
     names = kg.relation_names
     os.makedirs(cfg.output_dir, exist_ok=True)
     out_path = args.output or os.path.join(cfg.output_dir, "rule_confidence.tsv")
@@ -227,7 +224,7 @@ def cmd_verify(args):
 def cmd_diagnostics(args):
     cfg = _load_config(args)
     kg = _load_kg(cfg)
-    parsed = _load_rules(cfg, kg, required=True)
+    parsed = _load_rules(cfg, kg)
     table = _load_table(args.checkpoint, kg)
     diags = evaluation.relation_rule_diagnostics(table, parsed)
     out = cfg.output_dir

@@ -164,12 +164,11 @@ class LengthGroup:
 @dataclass(frozen=True)
 class RuleArrays:
     """Horn rules packed for a table of ``shape`` (relations, dimension):
-    their length groups, where each rule's terms start in the rule-major
-    term sequence (a rule's head, then its body), the sorted relation ids
-    the rules touch with, per term, the position of its relation among
-    them, and their windows (``_cut_windows``) and buffer sizes."""
+    where each rule's terms start in the rule-major term sequence (a rule's
+    head, then its body), the sorted relation ids the rules touch with, per
+    term, the position of its relation among them, and their windows
+    (``_cut_windows``), which hold their length groups, and buffer sizes."""
 
-    groups: tuple  # LengthGroup per body length present, shortest first
     starts: np.ndarray  # (n+1,) int64; rule i's terms are rows starts[i]:starts[i+1]
     rows: np.ndarray  # (u,) int64 sorted relation ids of heads and bodies
     slots: np.ndarray  # (starts[n],) int64 position in rows of each term's relation
@@ -203,7 +202,7 @@ class RuleArrays:
         width = max((count for _, count, _ in windows), default=0)
         need = [_arena_rows(group.length) * (hi - lo) for _, _, parts in windows for group, lo, hi in parts]
         shape, arena = (num_relations, dim), max([width] + need)
-        return cls(tuple(groups), starts, rows, slots.reshape(-1), shape, windows, width, arena)
+        return cls(starts, rows, slots.reshape(-1), shape, windows, width, arena)
 
     def __len__(self):
         return self.starts.size - 1

@@ -44,29 +44,11 @@ _MAGIC = b"HPX1"
 BLOCK_VALUES = 1 << 14  # float64 values per block of ``_row_blocks``
 
 
-def _bind_rows(obj, name, matrix, num_entities, parts):
-    """Set ``obj``'s row space ``name``, a C-contiguous (n+m, 2d) float64
-    array of ``[re | im]`` rows with the ``num_entities`` entity rows first,
-    and its two row-slice views named ``parts`` (entity rows, then relation
-    rows) with the views of their halves that ``_matrix_half`` properties
-    hand out."""
-    contiguous = matrix.flags.c_contiguous
-    if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] % 2 or not contiguous:
-        raise ValueError(f"{name} {matrix.shape} must be a C-contiguous float64 (rows, 2d) array")
-    if not 0 <= num_entities <= matrix.shape[0]:
-        raise ValueError(f"{num_entities} entities do not fit {name} {matrix.shape}")
-    d = matrix.shape[1] // 2
-    views = {"_" + name: matrix, "_num_entities": num_entities}
-    for part, rows in zip(parts, (matrix[:num_entities], matrix[num_entities:])):
-        views.update({"_" + part: rows, f"_{part}_halves": (rows[:, :d], rows[:, d:])})
-    vars(obj).update(views)
-
-
 def _matrix_half(name, half):
     """A property for the view of half ``half`` (0 for re, 1 for im) of the
-    rows ``name`` that ``_bind_rows`` set. Setting it to anything but that
-    same view raises; ``x.ent_re += y`` works in place and sets the same
-    view back, so it is allowed."""
+    rows ``name`` that ``EmbeddingTable._bind`` set. Setting it to anything
+    but that same view raises; ``x.ent_re += y`` works in place and sets
+    the same view back, so it is allowed."""
     attr, which = f"_{name}_halves", ("re", "im")[half]
 
     def get(self):
@@ -129,8 +111,20 @@ class EmbeddingTable:
         return table
 
     def _bind(self, matrix, num_entities, bound):
-        _bind_rows(self, "matrix", matrix, num_entities, ("ent", "rel"))
-        self.bound = bound
+        """Take ``matrix``, entity rows first, as the row space, with its
+        ``ent`` and ``rel`` row slices and the views of their halves."""
+        contiguous = matrix.flags.c_contiguous
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] % 2 or not contiguous:
+            raise ValueError(
+                f"matrix {matrix.shape} must be a C-contiguous float64 (rows, 2d) array"
+            )
+        if not 0 <= num_entities <= matrix.shape[0]:
+            raise ValueError(f"{num_entities} entities do not fit matrix {matrix.shape}")
+        d = matrix.shape[1] // 2
+        self._matrix, self._num_entities, self.bound = matrix, num_entities, bound
+        for part, rows in (("ent", matrix[:num_entities]), ("rel", matrix[num_entities:])):
+            setattr(self, "_" + part, rows)
+            setattr(self, f"_{part}_halves", (rows[:, :d], rows[:, d:]))
 
     matrix = property(lambda self: self._matrix)
     ent = property(lambda self: self._ent)
@@ -328,16 +322,19 @@ def save_table(path_or_file, table):
             table.bound,
         )
     )
-    for half in (table.ent_re, table.ent_im, table.rel_re, table.rel_im):
-        _write_half(handle, half)
+    _write_rows(handle, table.matrix, table.num_entities)
 
 
-def _write_half(handle, half):
-    """Write the (rows, d) array ``half``, a view of one half of a matrix,
-    to a binary ``handle`` as row-major float64 values, one block (see
+def _write_rows(handle, matrix, num_entities):
+    """Write ``matrix``, (n+m, 2d) ``[re | im]`` rows split after its
+    ``num_entities`` entity rows, to a binary ``handle`` as four row-major
+    float64 halves, ent re and im then rel re and im, one block (see
     ``_row_blocks``) at a time."""
-    for rows in _row_blocks(*half.shape):
-        handle.write(np.ascontiguousarray(half[rows], dtype=np.float64))
+    d = matrix.shape[1] // 2
+    for rows in (matrix[:num_entities], matrix[num_entities:]):
+        for half in (rows[:, :d], rows[:, d:]):
+            for block in _row_blocks(len(half), d):
+                handle.write(np.ascontiguousarray(half[block], dtype=np.float64))
 
 
 def _require(handle, size, what):

@@ -35,10 +35,8 @@ from .model import (
     read_array,
     replacing,
     save_table,
-    _bind_rows,
-    _matrix_half,
     _read_rows,
-    _write_half,
+    _write_rows,
 )
 
 __all__ = [
@@ -160,30 +158,30 @@ class Workspace:
         self.labels = np.empty(rows)
 
 
+@dataclass
 class AdagradState:
-    """The AdaGrad accumulators of every row of a table's row space: one
-    C-contiguous (n+m, 2d) float64 matrix ``acc``, laid out as
-    ``EmbeddingTable.matrix`` with its ``num_entities`` entity rows first,
-    and the ``epsilon`` of the update. ``ent_acc`` and ``rel_acc`` are
-    row-slice views of it, and ``ent_re_acc``, ``ent_im_acc``,
-    ``rel_re_acc`` and ``rel_im_acc`` views of their halves, as
-    ``EmbeddingTable.ent_re`` is."""
+    """The AdaGrad accumulators ``acc``, laid out as the table's ``matrix``
+    (a C-contiguous float64 array of its shape, whose rows the table's
+    entity count splits), and the ``epsilon`` of the update."""
 
-    def __init__(self, acc, num_entities, epsilon=ADAGRAD_EPS):
-        _bind_rows(self, "acc", acc, num_entities, ("ent_acc", "rel_acc"))
-        self.epsilon = epsilon
-
-    acc = property(lambda self: self._acc)
-    ent_acc = property(lambda self: self._ent_acc)
-    rel_acc = property(lambda self: self._rel_acc)
-    ent_re_acc = _matrix_half("ent_acc", 0)
-    ent_im_acc = _matrix_half("ent_acc", 1)
-    rel_re_acc = _matrix_half("rel_acc", 0)
-    rel_im_acc = _matrix_half("rel_acc", 1)
+    acc: np.ndarray
+    epsilon: float = ADAGRAD_EPS
 
     @classmethod
     def zeros(cls, num_entities, num_relations, dim):
-        return cls(np.zeros((num_entities + num_relations, 2 * dim)), num_entities)
+        return cls(np.zeros((num_entities + num_relations, 2 * dim)))
+
+
+def _check_state(table, state):
+    """A ValueError naming both shapes unless ``state.acc`` is laid out as
+    ``table.matrix``: a C-contiguous float64 array of its shape."""
+    acc, matrix = state.acc, table.matrix
+    if acc.shape != matrix.shape or acc.dtype != np.float64 or not acc.flags.c_contiguous:
+        layout = "C-contiguous" if acc.flags.c_contiguous else "non-contiguous"
+        raise ValueError(
+            f"AdaGrad accumulators {acc.shape} ({layout} {acc.dtype}) do not fit "
+            f"the table's C-contiguous float64 matrix {matrix.shape}"
+        )
 
 
 class TrainingDiverged(RuntimeError):
@@ -441,7 +439,9 @@ def adagrad_step(table, grads, state, lr, *, workspace=None):
     table's row space: per coordinate, acc += g^2 then p -= lr * g /
     (sqrt(acc) + eps). The rows are checked, then gathered and put back
     once, in the table and in the accumulators. A row outside the table is
-    an IndexError, raised before any write."""
+    an IndexError, and a state that does not fit the table a ValueError
+    (``_check_state``), raised before any write."""
+    _check_state(table, state)
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     rows = np.asarray(grads.rows, dtype=np.int64)
@@ -557,13 +557,15 @@ def train(kg, rules, config: TrainConfig, step_callback=None):
 
 
 def save_checkpoint(path, table, state):
-    """Embedding dump followed by the AdaGrad accumulator arrays, written to
-    a temporary file that then replaces ``path``."""
+    """Embedding dump, then the AdaGrad epsilon and the accumulators split
+    by the table's entity count (ent_re_acc ... rel_im_acc), written to a
+    temporary file that then replaces ``path``. A state that does not fit
+    the table is a ValueError (``_check_state``), raised before any write."""
+    _check_state(table, state)
     with replacing(path, "wb") as handle:
         save_table(handle, table)
         handle.write(struct.pack("<d", state.epsilon))
-        for half in (state.ent_re_acc, state.ent_im_acc, state.rel_re_acc, state.rel_im_acc):
-            _write_half(handle, half)
+        _write_rows(handle, state.acc, table.num_entities)
 
 
 def load_checkpoint(path):
@@ -593,7 +595,7 @@ def load_checkpoint(path):
                 f"{name}: {end - offset} trailing bytes from byte {offset}; "
                 "a checkpoint ends after rel_im_acc"
             )
-    return table, AdagradState(acc, table.num_entities, epsilon)
+    return table, AdagradState(acc, epsilon)
 
 
 def write_training_log(path, records, config_echo=None):

@@ -265,6 +265,15 @@ def _merge(dim, parts):
     return RowGrads(rows, np.stack((re, im)))
 
 
+def accumulator_halves(state, num_entities):
+    """The ent_re, ent_im, rel_re and rel_im halves of ``state.acc``, as
+    views of its rows split by the table's ``num_entities``."""
+    acc = state.acc
+    d = acc.shape[1] // 2
+    ent, rel = acc[:num_entities], acc[num_entities:]
+    return ent[:, :d], ent[:, d:], rel[:, :d], rel[:, d:]
+
+
 def sparse_step(table, state, batch, rules, mu, eta, lr):
     """One step of ``hornplex.training.train`` on ``batch``, taken term by
     term: the logistic gradients compacted per row, merged per table with mu
@@ -292,9 +301,10 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
     ent = _merge(table.dim, [(ent, 1.0), (n_ent, eta)])
     rel = _merge(table.dim, [(rel, 1.0), (r_grads, mu), (n_rel, eta)])
 
+    ent_re_acc, ent_im_acc, rel_re_acc, rel_im_acc = accumulator_halves(state, n)
     updates = (
-        (ent, table.ent_re, table.ent_im, state.ent_re_acc, state.ent_im_acc),
-        (rel, table.rel_re, table.rel_im, state.rel_re_acc, state.rel_im_acc),
+        (ent, table.ent_re, table.ent_im, ent_re_acc, ent_im_acc),
+        (rel, table.rel_re, table.rel_im, rel_re_acc, rel_im_acc),
     )
     for g, p_re, p_im, acc_re, acc_im in updates:
         rows = g.rows

@@ -44,9 +44,9 @@ def fail_export_table_csv(folder):
 
 
 def fail_save_table(folder):
-    rows = np.array([[0.5], [Unprintable()]], dtype=object)  # not castable to float
-    table = SimpleNamespace(num_entities=2, num_relations=2, dim=1, bound=1.0)
-    table.ent_re = table.ent_im = table.rel_re = table.rel_im = rows
+    # rows of [re | im]; the last relation's re is not castable to float
+    matrix = np.array([[0.5, 0.5]] * 3 + [[Unprintable(), 0.5]], dtype=object)
+    table = SimpleNamespace(num_entities=2, num_relations=2, dim=1, bound=1.0, matrix=matrix)
     save_table(folder / "table.bin", table)
 
 

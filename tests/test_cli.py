@@ -132,6 +132,23 @@ def test_train_mu_zero_logs_zero_rule_penalty(workspace, tmp_path):
     assert all(rec.rule_penalty == 0.0 for rec in records)
 
 
+def test_train_at_mu_zero_opens_no_rules_file(workspace, capsys):
+    """mu = 0 packs no rules, so a malformed rules file trains as a config
+    without one does, to the same checkpoint bytes."""
+    rules = workspace["data"] / "rules.tsv"
+    rules.write_text("0.9\tr1\n", encoding="utf-8")  # no body relation
+    text = workspace["config"].read_text().replace("mu = 0.5", "mu = 0.0")
+    checkpoints = []
+    for name, config_text in (("malformed", text), ("none", text.replace(f"rules = {rules}\n", ""))):
+        cfg, out = workspace["tmp"] / f"{name}.ini", workspace["tmp"] / name
+        cfg.write_text(config_text, encoding="utf-8")
+        assert main(["--config", str(cfg), "--output-dir", str(out), "train"]) == 0
+        checkpoints.append((out / "checkpoint.bin").read_bytes())
+    assert "rules = " not in config_text
+    assert checkpoints[0] == checkpoints[1]
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_zero_epoch_checkpoint(workspace, tmp_path, capsys):
     cfg = workspace["tmp"] / "e0.ini"
     cfg.write_text(workspace["config"].read_text().replace("epochs = 3", "epochs = 0"), encoding="utf-8")

@@ -95,8 +95,9 @@ def run_both(seed, num_entities, num_relations, dim, bound, num_rules, mu, eta, 
         before = oracles.sparse_step(slow, slow_state, batch, rules, mu, eta, lr)
         for name in ARRAYS:
             assert getattr(fused, name).tobytes() == getattr(slow, name).tobytes(), name
-        for name in ACCUMULATORS:
-            assert getattr(fused_state, name).tobytes() == getattr(slow_state, name).tobytes(), name
+        halves = (oracles.accumulator_halves(s, num_entities) for s in (fused_state, slow_state))
+        for name, got, want in zip(ACCUMULATORS, *halves):
+            assert got.tobytes() == want.tobytes(), name
 
         ents = batch.triples[:, (0, 2)].ravel()
         covered["repeats"] |= np.unique(ents).size < ents.size
@@ -154,14 +155,14 @@ def test_step_leaves_untouched_rows_byte_identical():
     rng = np.random.default_rng(4)
     table = init_table(10, 6, 4, 1.0, seed=4)
     state = AdagradState.zeros(10, 6, 4)
-    for name in ACCUMULATORS:
-        getattr(state, name)[:] = rng.random(getattr(state, name).shape)
+    for half in oracles.accumulator_halves(state, 10):
+        half[:] = rng.random(half.shape)
     table.ent_re[7:] = 1.5  # infeasible, untouched
     table.rel_re[5] = table.rel_im[5] = 0.9  # modulus above the bound, untouched
     batch = random_batch(rng, 6, 3, 40)  # entities 0-5, relations 0-2
     rules = [HornRule(body=(1, 3), head=2, confidence=0.8)]  # touches relation 3
     before = table.copy()
-    acc_before = {name: getattr(state, name).copy() for name in ACCUMULATORS}
+    acc_before = [half.copy() for half in oracles.accumulator_halves(state, 10)]
 
     fused_step(table, state, batch, rules, mu=1.0, eta=0.02, lr=0.5)
 
@@ -169,9 +170,9 @@ def test_step_leaves_untouched_rows_byte_identical():
     for name in ARRAYS:
         rows = untouched[name[:3]]
         assert getattr(table, name)[rows].tobytes() == getattr(before, name)[rows].tobytes()
-    for name in ACCUMULATORS:
+    for name, half, half_before in zip(ACCUMULATORS, oracles.accumulator_halves(state, 10), acc_before):
         rows = untouched[name[:3]]
-        assert getattr(state, name)[rows].tobytes() == acc_before[name][rows].tobytes()
+        assert half[rows].tobytes() == half_before[rows].tobytes()
     touched = np.unique(batch.triples[:, (0, 2)])
     assert not np.array_equal(table.ent_re[touched], before.ent_re[touched])
 
@@ -272,8 +273,9 @@ def test_steps_through_one_workspace_equal_term_by_term_steps(
         oracles.sparse_step(slow, slow_state, batch, rules, mu, eta, lr)
         for name in ARRAYS:
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-        for name in ACCUMULATORS:
-            assert getattr(fast_state, name).tobytes() == getattr(slow_state, name).tobytes(), name
+        halves = (oracles.accumulator_halves(s, num_entities) for s in (fast_state, slow_state))
+        for name, got, want in zip(ACCUMULATORS, *halves):
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_a_step_through_a_workspace_allocates_little():

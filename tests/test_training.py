@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hornplex import training
 from hornplex.config import load_run_config
@@ -291,13 +293,13 @@ class TestAdagrad:
         table, state = self.make()
         adagrad_step(table, self.grads(1.0), state, lr=0.5)
         assert table.rel_re[0, 0] == pytest.approx(-0.5, abs=1e-9)
-        assert state.rel_re_acc[0, 0] == 1.0
+        assert state.acc[2, 0] == 1.0  # relation 0's re half
 
     def test_zero_gradient_is_noop(self):
         table, state = self.make()
         adagrad_step(table, self.grads(0.0), state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0
-        assert state.rel_re_acc[0, 0] == 0.0
+        assert state.acc[2, 0] == 0.0
 
     def test_accumulation_shrinks_steps(self):
         table, state = self.make()
@@ -313,14 +315,14 @@ class TestAdagrad:
         grads = RowGrads(np.array([row]), np.ones((2, 1, 1)))
         with pytest.raises(IndexError, match="row index out of range"):
             adagrad_step(table, grads, state, lr=0.5)
-        assert table.rel_re[0, 0] == 0.0 and state.rel_re_acc[0, 0] == 0.0
+        assert table.rel_re[0, 0] == 0.0 and state.acc[2, 0] == 0.0
 
     def test_accumulators_monotone(self):
         table, state = self.make(dim=3)
         for value in (0.5, -1.0, 2.0):
-            before = state.rel_re_acc.copy()
+            before = state.acc[2:, :3].copy()  # the relation's re half
             adagrad_step(table, self.grads(value, dim=3), state, lr=0.1)
-            assert np.all(state.rel_re_acc >= before)
+            assert np.all(state.acc[2:, :3] >= before)
 
 
 class TestNegativeSampling:
@@ -416,7 +418,7 @@ class TestTrainLoop:
         table, records, state = train(kg, [], self.config(epochs=0))
         assert records == []
         assert is_feasible(table)
-        assert np.all(state.ent_re_acc == 0.0)
+        assert np.all(state.acc[: kg.num_entities, : table.dim] == 0.0)
 
     def test_deterministic_bit_identical(self):
         kg = make_random_kg(seed=6, num_train=40)
@@ -470,23 +472,57 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(p, table, state)
     table2, state2 = load_checkpoint(p)
     assert np.array_equal(table.ent_re, table2.ent_re)
-    assert np.array_equal(state.rel_im_acc, state2.rel_im_acc)
+    rel_im = np.s_[kg.num_entities :, cfg.dim :]
+    assert np.array_equal(state.acc[rel_im], state2.acc[rel_im])
     assert state2.epsilon == state.epsilon
 
 
-@pytest.mark.parametrize("name, rows", [("ent", 5), ("rel", 2)])
-def test_adagrad_state_is_one_matrix_with_views_for_its_rows_and_halves(name, rows):
-    state = AdagradState.zeros(5, 2, 3)
-    matrix, re, im = (getattr(state, f"{name}{suffix}_acc") for suffix in ("", "_re", "_im"))
-    assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
-    assert matrix.base is state.acc and re.base is state.acc and im.base is state.acc
-    re[1] = 0.25
-    setattr(state, f"{name}_im_acc", im.__iadd__(2.0))  # ``state.x_im_acc += 2.0``: allowed
-    assert np.all(matrix[1, :3] == 0.25) and np.all(matrix[:, 3:] == 2.0)
-    with pytest.raises(AttributeError, match="view"):
-        setattr(state, f"{name}_re_acc", np.zeros((rows, 3)))
-    with pytest.raises(AttributeError):
-        setattr(state, f"{name}_acc", np.zeros((rows, 6)))
+@st.composite
+def misfit_states(draw):
+    """A table of random (n, m, d) and an AdaGrad state whose ``acc`` does
+    not fit it: the table's element count in another shape, float32, or
+    not C-contiguous."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (n + m, 2 * d)
+    values = np.arange(math.prod(shape)) / 8
+    kind = draw(st.sampled_from(["shape", "float32", "strided"]))
+    if kind == "shape":
+        other = [(values.size,), (1, values.size), (2 * (n + m), d), (n + m, 2, d), (2 * d, n + m)]
+        acc = values.reshape(draw(st.sampled_from(other).filter(lambda s: s != shape)))
+    elif kind == "float32":
+        acc = values.astype(np.float32).reshape(shape)
+    else:
+        acc = np.repeat(values, 2).reshape(n + m, 4 * d)[:, ::2]
+    table = init_table(n, m, d, seed=draw(st.integers(0, 2**32 - 1)))
+    return table, AdagradState(acc)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("misfit") / "ckpt.bin"
+
+
+@given(misfit=misfit_states(), row=st.integers(0, 9))
+@example(misfit=(init_table(5, 2, 3), AdagradState(np.arange(42).reshape(7, 6))), row=3)
+@example(misfit=(init_table(5, 2, 3), AdagradState(np.zeros((21, 2)))), row=6)
+def test_a_state_that_does_not_fit_its_table_is_refused_before_any_write(checkpoint_path, misfit, row):
+    table, state = misfit
+    checkpoint_path.write_bytes(b"an earlier checkpoint")
+    row %= len(table.matrix)
+    grads = RowGrads(np.array([row]), np.ones((2, 1, table.dim)))
+    before = table.matrix.tobytes(), state.acc.tobytes(), state.epsilon
+    calls = (
+        lambda: adagrad_step(table, grads, state, 0.5),
+        lambda: save_checkpoint(checkpoint_path, table, state),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert f" {state.acc.shape} " in str(err.value), str(err.value)
+        assert str(err.value).endswith(f" {table.matrix.shape}"), str(err.value)
+        assert (table.matrix.tobytes(), state.acc.tobytes(), state.epsilon) == before
+        assert checkpoint_path.read_bytes() == b"an earlier checkpoint"
+        assert [p.name for p in checkpoint_path.parent.iterdir()] == ["ckpt.bin"]
 
 
 def test_checkpoint_loads_into_one_row_space_each_and_saves_the_same_bytes(tmp_path):
@@ -497,9 +533,9 @@ def test_checkpoint_loads_into_one_row_space_each_and_saves_the_same_bytes(tmp_p
     save_checkpoint(first, table, state)
     table2, state2 = load_checkpoint(first)
     for whole, ent, rel in (
-        (state.acc, state.ent_acc, state.rel_acc),
+        (state.acc, state.acc[:5], state.acc[5:]),
         (table2.matrix, table2.ent, table2.rel),
-        (state2.acc, state2.ent_acc, state2.rel_acc),
+        (state2.acc, state2.acc[:5], state2.acc[5:]),
     ):
         assert_row_slices(whole, ent, rel, 5)
     assert table2.matrix.tobytes() == table.matrix.tobytes()
@@ -519,7 +555,7 @@ def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
         for rows, offset in ((n, 100.0), (n, 200.0), (m, 300.0), (m, 400.0))
     ]
     table = EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
-    state = AdagradState(np.vstack((np.hstack(acc[:2]), np.hstack(acc[2:]))), n, epsilon)
+    state = AdagradState(np.vstack((np.hstack(acc[:2]), np.hstack(acc[2:]))), epsilon)
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, table, state)
     expected = (
@@ -533,8 +569,8 @@ def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
     table2, state2 = load_checkpoint(p)
     assert table2.ent.tobytes() == table.ent.tobytes()
     assert table2.rel.tobytes() == table.rel.tobytes()
-    assert state2.ent_acc.tobytes() == state.ent_acc.tobytes()
-    assert state2.rel_acc.tobytes() == state.rel_acc.tobytes()
+    assert state2.acc[:n].tobytes() == state.acc[:n].tobytes()
+    assert state2.acc[n:].tobytes() == state.acc[n:].tobytes()
 
 
 def checkpoint_at_20k(path):
@@ -542,7 +578,7 @@ def checkpoint_at_20k(path):
     tiny checkpoint has been written to it and read back (so that first-use
     allocations fall outside a measurement)."""
     table = init_table(20_000, 12, 64, seed=1)
-    state = AdagradState(np.vstack((table.ent * 3.0, table.rel + 0.5)), table.num_entities)
+    state = AdagradState(np.vstack((table.ent * 3.0, table.rel + 0.5)))
     save_checkpoint(path, init_table(2, 1, 2), AdagradState.zeros(2, 1, 2))
     load_checkpoint(path)
     return table, state
@@ -570,9 +606,10 @@ def test_load_checkpoint_allocates_little_beyond_its_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrices = (table2.ent, table2.rel, state2.ent_acc, state2.rel_acc)
+    n = table.num_entities
+    matrices = (table2.ent, table2.rel, state2.acc[:n], state2.acc[n:])
     assert peak - sum(a.nbytes for a in matrices) <= 2**20, peak
-    for got, want in zip(matrices, (table.ent, table.rel, state.ent_acc, state.rel_acc)):
+    for got, want in zip(matrices, (table.ent, table.rel, state.acc[:n], state.acc[n:])):
         assert got.tobytes() == want.tobytes()
 
 
