@@ -57,7 +57,6 @@ __all__ = [
     "length_groups",
     "check_relations",
     "Scratch",
-    "take_rows",
     "body_product",
     "gradient_factors",
     "rule_gaps",
@@ -88,11 +87,22 @@ _HALF = np.arange(2)
 
 
 def _check_rows(rows, count, what):
-    """Raise IndexError unless every id in the int64 array ``rows`` lies in
-    [0, count), the ids of ``what`` (entity, relation or row) rows: a
-    negative id, as uint64, exceeds any count."""
+    """``rows``, an int or an int array, as int64; an IndexError unless each
+    id lies in [0, count), the ids of ``what`` (entity, relation or row)
+    rows. As uint64, a negative id exceeds any count."""
+    rows = np.asarray(rows, dtype=np.int64)
     if rows.size and rows.view(np.uint64).max() >= count:
-        raise IndexError(f"{what} index out of range for {count} {what}s")
+        raise IndexError(f"{what} index out of range for {count} {what} ids")
+    return rows
+
+
+def _check_ids(space, entities, relations):
+    """``_check_rows`` of each of ``entities`` and ``relations`` against the
+    ``num_entities`` and ``num_relations`` of ``space``, a table or a graph."""
+    for ids in entities:
+        _check_rows(ids, space.num_entities, "entity")
+    for ids in relations:
+        _check_rows(ids, space.num_relations, "relation")
 
 
 def _halves(matrix, rows):
@@ -243,11 +253,11 @@ def _cut_windows(groups, starts, dim):
 
 @dataclass
 class RowGrads:
-    """Gradient terms for rows of one embedding matrix. Rows may repeat; a
-    row's gradient is the sum of its terms (``training.merge_row_grads``).
-    ``re`` and ``im`` are ``values[0]`` and ``values[1]``."""
+    """Gradient terms for rows of a table's row space (entity i is row i,
+    relation r is row n + r), as every loss of a step gives them. Rows may
+    repeat; a row's gradient is the sum of its terms (``training.merge_row_grads``)."""
 
-    rows: np.ndarray  # (u,) int row indices
+    rows: np.ndarray  # (u,) int64 row-space ids
     values: np.ndarray  # (2, u, d): [re, im]
 
     re = property(lambda self: self.values[0])
@@ -272,16 +282,6 @@ class Scratch:
 
     def reset(self):
         self.used = 0
-
-
-def take_rows(matrix, rows, what, alloc):
-    """Rows ``rows`` (an int64 array) of an (n, 2d) ``[re | im]`` matrix of
-    ``what`` rows, stacked [re, im] on a new first axis: for relation ids of
-    shape (k, r), say, a (2, k, r, d) array. It comes from ``alloc(shape)``.
-    A row outside the matrix is an IndexError."""
-    _check_rows(rows, matrix.shape[0], what)
-    halves, index = _halves(matrix, rows)
-    return halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
 
 
 def body_product(b, out=None):
@@ -352,8 +352,8 @@ def rule_penalty(table, rules):
     packing for another shape is a ValueError naming both shapes. The caller
     applies the global coefficient mu. The subgradient of the hinge at zero
     is taken as zero, so exactly satisfied rules contribute no gradient.
-    Returns (loss, RowGrads over the touched relation rows). A relation id
-    outside the table is a ValueError naming the rule.
+    Returns (loss, RowGrads over the touched relations' rows, n + r for r,
+    ascending). A relation id outside the table is a ValueError naming the rule.
 
     Rules run a window at a time, and within a window one body length at a
     time, in one set of buffers of the sizes the packing records (see the
@@ -397,7 +397,7 @@ def rule_penalty(table, rules):
     loss = 0.0
     for term in losses.tolist():
         loss += term
-    return loss, RowGrads(rules.rows, acc)
+    return loss, RowGrads(rules.rows + table.num_entities, acc)
 
 
 def _arena_rows(k):

@@ -13,6 +13,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .kernel import _check_ids
 from .model import replacing
 
 __all__ = [
@@ -140,6 +141,7 @@ class KnowledgeGraph:
     distinct fact once, as sorted int64 codes (h*m + r)*n + t and
     (r*n + t)*n + h: the tails known for (h, r), or the heads known for
     (r, t), are one contiguous run of codes, found by ``np.searchsorted``.
+    A lookup raises IndexError for an id outside the graph, whose code would alias another fact's.
     """
 
     entity_ids: dict
@@ -175,6 +177,7 @@ class KnowledgeGraph:
     def contains(self, heads, relations, tails):
         """Whether each (heads[i], relations[i], tails[i]) is a known fact,
         as a bool array; the arguments are int arrays that broadcast together."""
+        _check_ids(self, (heads, tails), (relations,))
         codes = self.tail_codes
         wanted = (heads * self.num_relations + relations) * self.num_entities + tails
         if codes.size == 0:
@@ -185,12 +188,14 @@ class KnowledgeGraph:
     def tails_of(self, heads, relations):
         """Arrays (i, t) of every known fact (heads[i], relations[i], t),
         ordered by i, then t; ``relations`` may be a scalar."""
+        _check_ids(self, (heads,), (relations,))
         n = self.num_entities
         return _runs(self.tail_codes, (heads * self.num_relations + relations) * n, n)
 
     def heads_of(self, relations, tails):
         """Arrays (i, h) of every known fact (h, relations[i], tails[i]),
         ordered by i, then h; ``relations`` may be a scalar."""
+        _check_ids(self, (tails,), (relations,))
         n = self.num_entities
         return _runs(self.head_codes, (relations * n + tails) * n, n)
 
@@ -198,6 +203,7 @@ class KnowledgeGraph:
         """Arrays (heads, tails) of every known fact (heads[i], relation,
         tails[i]), ordered by head, then tail: the relation's run of
         ``head_codes``, re-keyed by head."""
+        _check_ids(self, (), (relation,))
         n = self.num_entities
         lo, hi = np.searchsorted(self.head_codes, [relation * n * n, (relation + 1) * n * n])
         run = self.head_codes[lo:hi]  # codes (relation*n + t)*n + h, ordered by t, then h

@@ -6,7 +6,8 @@ is row i and relation r is row n + r. The feasible set is: entity
 components in [0, 1], relation components non-negative with per-dimension
 modulus at most ``bound``. The score of a triple (h, r, t) is
 Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
-bounded by 2 * bound * dim in absolute value.
+bounded by 2 * bound * dim in absolute value. Every scorer but
+``score_triples`` raises IndexError for an id outside the table.
 """
 
 import io
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .kernel import _check_rows, _halves, cmul
+from .kernel import _check_ids, _check_rows, _halves, cmul
 
 __all__ = [
     "EmbeddingTable",
@@ -84,6 +85,7 @@ class EmbeddingTable:
     ``rel_im`` are views of their halves: write into them (``table.ent_re[rows]
     = ...``); rebinding them is an AttributeError. The constructor copies
     the halves into a new matrix; ``from_matrix`` takes a matrix as it is.
+    Either way a ``bound`` that is not positive and finite is a ValueError.
     """
 
     def __init__(self, ent_re, ent_im, rel_re, rel_im, bound):
@@ -113,6 +115,8 @@ class EmbeddingTable:
     def _bind(self, matrix, num_entities, bound):
         """Take ``matrix``, entity rows first, as the row space, with its
         ``ent`` and ``rel`` row slices and the views of their halves."""
+        if not 0 < bound < math.inf:  # NaN fails too
+            raise ValueError("bound must be positive and finite")
         contiguous = matrix.flags.c_contiguous
         if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] % 2 or not contiguous:
             raise ValueError(
@@ -158,8 +162,6 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     ``Generator`` yields the same doubles however its draws are split."""
     if min(num_entities, num_relations, dim) < 1:
         raise ValueError("table dimensions must be at least 1")
-    if not 0 < bound < math.inf:  # NaN fails too
-        raise ValueError("bound must be positive and finite")
     rng = np.random.default_rng(seed)
     matrix = np.empty((num_entities + num_relations, 2 * dim))
     table = EmbeddingTable.from_matrix(matrix, num_entities, float(bound))
@@ -189,7 +191,9 @@ def score_triples(table, heads, relations, tails):
     """Re(<e_h, r, conj(e_t)>) for each (heads[i], relations[i], tails[i]).
 
     Each score is two dot products of length d, one per row: the bits of a
-    score depend only on the three rows, not on the other triples."""
+    score depend only on the three rows, not on the other triples. The ids
+    are not checked (a negative one reads a row from the end): the one caller
+    here, ``evaluation._score_band``, passes ids that ``rank_queries`` checked."""
     v_re, v_im = cmul(
         table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
     )
@@ -198,14 +202,15 @@ def score_triples(table, heads, relations, tails):
 
 def score(table, triple):
     """Re(<e_h, r, conj(e_t)>) for one triple (``score_triples`` of one row)."""
+    _check_ids(table, (triple[0], triple[2]), (triple[1],))
     return float(score_triples(table, [triple[0]], [triple[1]], [triple[2]])[0])
 
 
 def score_dim(table, triple, l):
     """Contribution of dimension ``l`` to the score: Re(e_h[l] r[l] conj(e_t)[l])."""
     h, r, t = triple[0], triple[1], triple[2]
-    if not 0 <= l < table.dim:
-        raise IndexError(f"dimension {l} out of range")
+    _check_ids(table, (h, t), (r,))
+    _check_rows(l, table.dim, "dimension")
     a, b = table.ent_re[h, l], table.ent_im[h, l]
     c, d = table.rel_re[r, l], table.rel_im[r, l]
     e, f = table.ent_re[t, l], table.ent_im[t, l]
@@ -237,12 +242,14 @@ def query_factors(table, triples, tail_side):
 
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
+    _check_ids(table, (head,), (relation,))
     c, s = table.rel_re[relation], table.rel_im[relation]
     return table.ent @ np.concatenate(cmul(table.ent_re[head], table.ent_im[head], c, s))
 
 
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
+    _check_ids(table, (tail,), (relation,))
     c, s = table.rel_re[relation], table.rel_im[relation]
     return table.ent @ np.concatenate(_head_factors(c, s, table.ent_re[tail], table.ent_im[tail]))
 
@@ -272,17 +279,16 @@ def project_relation_components(rel_re, rel_im, bound):
 def project(table, rows=None, alloc=np.empty):
     """Clamp entity components into [0, 1] and project relation components;
     in place. ``rows``, ascending unique ids of the table's row space
-    (entity i is row i, relation r is row n + r), limits it to those rows;
-    by default it covers every row. Each component is projected on its own,
-    so a row gets the same bits either way. The rows are taken, both halves
-    at once, into one array from ``alloc(shape)``: the entity rows are
-    clipped and the relation rows projected there, and all are put back in
-    one. A row outside the table is an IndexError, raised before any write."""
+    (entity i is row i, relation r is row n + r), limits it to those rows,
+    which are checked (an IndexError, raised before any write), taken, both
+    halves at once, into one array from ``alloc(shape)``, projected there
+    and put back in one. By default every row is projected where it lies,
+    since taking every row would copy the whole matrix. Each component is
+    projected on its own, so a row gets the same bits either way."""
     if rows is None:
         ent, re, im = table.ent, table.rel_re, table.rel_im
     else:
-        rows = np.asarray(rows, dtype=np.int64)
-        _check_rows(rows, len(table.matrix), "row")
+        rows = _check_rows(rows, len(table.matrix), "row")
         halves, index = _halves(table.matrix, rows)
         values = halves.take(index, axis=0, out=alloc(index.shape + (table.dim,)), mode="clip")
         split = int(np.searchsorted(rows, table.num_entities))

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RowGrads, RuleArrays, Scratch, _check_rows, _halves, rule_penalty, take_rows
+from .kernel import RowGrads, RuleArrays, Scratch, _check_ids, _check_rows, _halves, rule_penalty
 from .kg import Triple, read_lines
 from .model import (
     init_table,
@@ -144,11 +144,10 @@ class Workspace:
     - temp: at most 4u = 8B + 4m, for N3 (rows [re, im], moduli and cubes)
       and AdaGrad (accumulators, then parameters, and steps), 4 per row
       each. Less for logistic (7B: the 3B rows [re, im] and one product), a
-      merge (2 per term of a block, for its gathered terms, plus 2 per row
-      of more than 8 terms, where reduceat writes, and in a later block 2
-      per row for the rows' totals; 2 per row of a later block with sorted
-      unique rows, the rule penalty's) and the projection ``train`` makes
-      after AdaGrad (2 per row).
+      merge (2 per logistic term, for its gathered terms, plus 2 per row of
+      more than 8 terms, where reduceat writes, then 2 per rule row for the
+      rows' totals: at most 6B + 2B/3 + 2m) and the projection ``train``
+      makes after AdaGrad (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -240,9 +239,7 @@ def logistic_loss(table, batch, *, workspace=None):
     triples, labels = batch.triples, batch.labels
     h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
     size, dim, n = len(batch), table.dim, table.num_entities
-    _check_rows(h, n, "entity")
-    _check_rows(r, table.num_relations, "relation")
-    _check_rows(t, n, "entity")
+    _check_ids(table, (h, t), (r,))
     rows = np.concatenate((h, t, r))
     rows[2 * size :] += n
     # Every row the batch reads, in one gather: a, e and c are the re halves
@@ -290,8 +287,9 @@ def n3_regularization(table, rows, *, workspace=None):
     eta. A row outside the table is an IndexError."""
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
-    rows = np.asarray(rows, dtype=np.int64)
-    values = take_rows(table.matrix, rows, "row", ws.temp)
+    rows = _check_rows(rows, len(table.matrix), "row")
+    halves, index = _halves(table.matrix, rows)
+    values = halves.take(index, axis=0, out=ws.temp(index.shape + halves.shape[1:]), mode="clip")
     mod = np.hypot(values[0], values[1], out=ws.temp(values.shape[1:]))
     cube = np.power(mod, 3, out=ws.temp(mod.shape))  # mod**3
     split = int(np.searchsorted(rows, table.num_entities))
@@ -301,37 +299,30 @@ def n3_regularization(table, rows, *, workspace=None):
     return loss, RowGrads(rows, values)
 
 
-def merge_row_grads(blocks, *, workspace=None):
-    """The gradient of each row the RowGrads ``blocks`` of one matrix (in a
-    step, the table's row space) touch, as RowGrads over the sorted unique
-    rows, in ``workspace.step`` arrays.
-    One ``np.unique`` covers every block. Within a block a row's terms are
-    summed in block order as ``np.add.reduceat`` sums them: the first term
-    plus numpy's pairwise sum of the rest (``_row_sums``). Each row's total
-    starts at +0.0, and the blocks' sums are added to it block by block; a
-    later block whose rows are sorted and unique, as the rule penalty's are,
-    is added where its rows fall."""
+def merge_row_grads(terms, rule, *, workspace=None):
+    """The gradient of each row that a step's two RowGrads blocks touch, as
+    RowGrads over the sorted unique rows, in ``workspace.step`` arrays. Each
+    row sums its ``terms`` (rows may repeat, in any order) in block order as
+    ``np.add.reduceat`` does, the first term plus numpy's pairwise sum of
+    the rest (``_row_sums``), adds the sum to +0.0, then adds its term of
+    ``rule``: None, or the rule penalty's terms on strictly ascending rows,
+    else a ValueError, raised before any write."""
+    if rule is not None and not (rule.rows[1:] > rule.rows[:-1]).all():
+        raise ValueError("the rule block's rows must be strictly ascending")
     ws = Workspace() if workspace is None else workspace
-    rows, inverse = np.unique(np.concatenate([b.rows for b in blocks]), return_inverse=True)
-    dim = blocks[0].values.shape[2]
+    ws.temp.reset()
+    both = terms.rows if rule is None else np.concatenate((terms.rows, rule.rows))
+    rows, inverse = np.unique(both, return_inverse=True)
+    count, dim = terms.rows.size, terms.values.shape[2]
     total = ws.step((2, rows.size, dim))
-    if len(blocks) > 1:
-        total.fill(0.0)  # the rows the first block lacks
-    flat = total.reshape(2 * rows.size, dim)
-    offset = 0
-    for i, block in enumerate(blocks):
-        ws.temp.reset()
-        slots = inverse[offset : offset + block.rows.size]
-        offset += block.rows.size
-        if i and (slots[1:] > slots[:-1]).all():
-            # each term is its row's sum
-            prior = total.take(slots, axis=1, out=ws.temp(block.values.shape), mode="clip")
-            total[:, slots] = np.add(prior, block.values, out=prior)
-            continue
-        at, sums = _row_sums(block.values, slots, rows.size, ws.temp)
-        # the rows' totals start at +0.0
-        sums += flat.take(at, axis=0, out=ws.temp(sums.shape), mode="clip") if i else 0.0
-        flat[at] = sums
+    total.fill(0.0)  # the rows that only the rule block touches
+    at, sums = _row_sums(terms.values, inverse[:count], rows.size, ws.temp)
+    sums += 0.0  # the rows' totals start at +0.0
+    total.reshape(2 * rows.size, dim)[at] = sums
+    if rule is not None:
+        slots = inverse[count:]
+        prior = total.take(slots, axis=1, out=ws.temp(rule.values.shape), mode="clip")
+        total[:, slots] = np.add(prior, rule.values, out=prior)
     return RowGrads(rows, total)
 
 
@@ -413,19 +404,18 @@ def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     eta * N3 over ``batch``; ``rules`` is a ``RuleArrays`` packing, or
     None. Returns ((logistic, rule, N3) losses, RowGrads over the sorted
     unique rows of the table's row space that the step touches): each row
-    sums its logistic terms, then mu times its rule term (the penalty's
-    relation rows, moved to n + r), then eta times its N3 term, in one
-    merge. N3 covers every touched row. The gradients alias ``workspace``,
+    sums its logistic terms, then mu times its rule term, in one merge of
+    the two blocks, then eta times its N3 term. Every block is in row-space
+    rows. N3 covers every touched row. The gradients alias ``workspace``,
     whose ``step`` arena this resets."""
     ws = Workspace() if workspace is None else workspace
     ws.step.reset()
-    l_loss, grads = logistic_loss(table, batch, workspace=ws)
-    r_loss, blocks = 0.0, [grads]
+    l_loss, terms = logistic_loss(table, batch, workspace=ws)
+    r_loss, rule = 0.0, None
     if mu > 0 and rules:
         r_loss, rule = rule_penalty(table, rules)
         rule.values *= mu
-        blocks.append(RowGrads(rule.rows + table.num_entities, rule.values))
-    grads = merge_row_grads(blocks, workspace=ws)
+    grads = merge_row_grads(terms, rule, workspace=ws)
     n_loss = 0.0
     if eta > 0:
         n_loss, n3 = n3_regularization(table, grads.rows, workspace=ws)
@@ -444,8 +434,7 @@ def adagrad_step(table, grads, state, lr, *, workspace=None):
     _check_state(table, state)
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
-    rows = np.asarray(grads.rows, dtype=np.int64)
-    _check_rows(rows, len(table.matrix), "row")
+    rows = _check_rows(grads.rows, len(table.matrix), "row")
     params, index = _halves(table.matrix, rows)
     # The accumulators share the table's layout, so the index serves both.
     accs = state.acc.reshape(params.shape)

@@ -243,24 +243,21 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     'n3', 'total'}. N3 covers every row; 'total' is the objective of one
     training step, ``training.step_gradients``, whose N3 covers the rows the
     step touches. The analytic gradient is ``training.merge_row_grads`` of
-    the loss's own RowGrads over the table's row space (the rule penalty's
-    relation rows moved to n + r). The numeric one moves one coordinate of
-    a copy of ``table``'s row-space matrix at a time, entity rows first.
-    Raises on non-finite values."""
+    the loss's own RowGrads, which every loss gives over the table's row
+    space, as the terms block with no rule block. The numeric one moves one
+    coordinate of a copy of ``table``'s row-space matrix at a time, entity
+    rows first. Raises on non-finite values."""
     if rules is not None:
         rules = RuleArrays.from_rules(rules, table.num_relations, table.dim)
-    n = table.num_entities
-    every_row = np.arange(n + table.num_relations)
 
     def parts(tbl):
         """(loss, RowGrads over the row space)."""
         if function == "logistic":
             return training.logistic_loss(tbl, batch)
         if function == "rule_penalty":
-            loss, rel = training.rule_penalty(tbl, rules)
-            return loss, training.RowGrads(rel.rows + n, rel.values)
+            return training.rule_penalty(tbl, rules)
         if function == "n3":
-            return training.n3_regularization(tbl, every_row)
+            return training.n3_regularization(tbl, np.arange(len(tbl.matrix)))
         if function == "total":
             (l_loss, r_loss, n_loss), grads = training.step_gradients(tbl, batch, rules, mu, eta)
             return l_loss + mu * r_loss + eta * n_loss, grads
@@ -268,7 +265,7 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
 
     work = table.copy()
     loss, grads = parts(work)
-    grads = training.merge_row_grads([grads])
+    grads = training.merge_row_grads(grads, None)
     analytic = np.zeros_like(work.matrix)
     analytic[grads.rows] = np.hstack(grads.values)
     numeric = numerical_gradient(lambda _: parts(work)[0], work.matrix)

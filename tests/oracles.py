@@ -179,7 +179,8 @@ def rule_deltas(table, rule):
 def rule_penalty(table, rules):
     """The Horn-rule penalty of ``hornplex.training.rule_penalty``, one rule
     at a time: prefix and suffix products of each body, and a dict that sums
-    every relation row's gradient terms in rule order (head, then body)."""
+    every relation row's gradient terms in rule order (head, then body). The
+    rows are those of the table's row space: relation r is row n + r."""
     dim = table.dim
     R = table.bound
     loss = 0.0
@@ -235,7 +236,7 @@ def rule_penalty(table, rules):
     rows = np.array(sorted(acc), dtype=np.int64)
     re = np.stack([acc[r][0] for r in rows])
     im = np.stack([acc[r][1] for r in rows])
-    return loss, RowGrads(rows, np.stack((re, im)))
+    return loss, RowGrads(rows + table.num_entities, np.stack((re, im)))
 
 
 def _compact(indices, grads_re, grads_im):
@@ -287,7 +288,10 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
     l_rel = RowGrads(l_all.rows[heads_and_tails:] - n, l_all.values[:, heads_and_tails:])
     ent = _compact(l_ent.rows, l_ent.re, l_ent.im)
     rel = _compact(l_rel.rows, l_rel.re, l_rel.im)
-    r_grads = training.rule_penalty(table, rules)[1] if mu > 0 and rules else None
+    r_grads = None
+    if mu > 0 and rules:
+        r_all = training.rule_penalty(table, rules)[1]
+        r_grads = RowGrads(r_all.rows - n, r_all.values)
     n_ent = n_rel = None
     if eta > 0:
         rel_rows = batch.triples[:, 1]

@@ -350,3 +350,27 @@ def test_build_graph_holds_each_fact_code_array_once():
         tracemalloc.stop()
     assert kg.tail_codes.size > 63_000
     assert peak <= 20 * len(train), peak
+
+
+@pytest.mark.parametrize(
+    "lookup, what",
+    [
+        # (0*m + 2)*n + 0 is the code of the fact (1, 0, 0)
+        (lambda kg: kg.contains(np.array([0]), np.array([2]), np.array([0])), "relation"),
+        (lambda kg: kg.contains(np.array([0]), np.array([0]), np.array([-1])), "entity"),
+        (lambda kg: kg.contains(np.array([3]), np.array([0]), np.array([0])), "entity"),
+        (lambda kg: kg.tails_of(np.array([0]), 2), "relation"),
+        (lambda kg: kg.tails_of(np.array([-1]), 0), "entity"),
+        (lambda kg: kg.heads_of(0, np.array([3])), "entity"),
+        (lambda kg: kg.heads_of(-1, np.array([0])), "relation"),
+        (lambda kg: kg.pairs_of(2), "relation"),
+        (lambda kg: kg.pairs_of(-1), "relation"),
+    ],
+)
+def test_lookups_refuse_ids_outside_the_graph(lookup, what):
+    """Fact codes alias outside the graph: in a graph of 3 entities and 2
+    relations that holds only (1, 0, 0), the code of (0, 2, 0) is that
+    fact's, so each lookup checks its ids first."""
+    kg = build_graph([(1, 0, 0)], [], [], ({"a": 0, "b": 1, "c": 2}, {"r": 0, "s": 1}))
+    with pytest.raises(IndexError, match=f"{what} index out of range"):
+        lookup(kg)

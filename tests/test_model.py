@@ -498,3 +498,37 @@ def test_csv_export(tmp_path):
     first = [float(x) for x in lines[1].split(",")]
     assert first[:3] == pytest.approx(list(table.ent_re[0]))
     assert first[3:] == pytest.approx(list(table.ent_im[0]))
+
+
+@pytest.mark.parametrize("bound", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("how", ["constructor", "from_matrix", "init_table"])
+def test_every_constructor_refuses_a_bound_that_is_not_positive_and_finite(how, bound):
+    halves = [np.full((n, 2), 0.5) for n in (3, 3, 2, 2)]
+    make = {
+        "constructor": lambda: EmbeddingTable(*halves, bound),
+        "from_matrix": lambda: EmbeddingTable.from_matrix(np.full((5, 4), 0.5), 3, bound),
+        "init_table": lambda: init_table(3, 2, 2, bound=bound),
+    }[how]
+    with pytest.raises(ValueError, match="bound must be positive and finite"):
+        make()
+
+
+@pytest.mark.parametrize("bad", ["-1", "count"])
+@pytest.mark.parametrize("slot", ["head", "relation", "tail"])
+def test_scorers_refuse_ids_outside_the_table(slot, bad):
+    """A negative id would read a row from the end, and an entity id of n
+    or more a relation row; each scorer names the kind of id instead."""
+    table = make_feasible_table(seed=2, num_entities=3, num_relations=2, dim=4)
+    what = "relation" if slot == "relation" else "entity"
+    wrong = -1 if bad == "-1" else {"entity": 3, "relation": 2}[what]
+    triple = [0, 1, 2]
+    triple["head relation tail".split().index(slot)] = wrong
+    h, r, t = triple
+    calls = [lambda: score(table, triple), lambda: score_dim(table, triple, 0)]
+    if slot != "tail":
+        calls.append(lambda: score_all_tails(table, h, r))
+    if slot != "head":
+        calls.append(lambda: score_all_heads(table, r, t))
+    for call in calls:
+        with pytest.raises(IndexError, match=f"{what} index out of range"):
+            call()

@@ -348,32 +348,44 @@ def reduceat_merge(blocks):
     return RowGrads(rows, total)
 
 
+ROWS = st.dictionaries(st.integers(0, 9), TERM_COUNTS, min_size=1, max_size=5)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 4),
-    blocks=st.lists(
-        st.tuples(
-            st.dictionaries(st.integers(0, 9), TERM_COUNTS, min_size=1, max_size=5),
-            st.booleans(),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
+    terms=st.tuples(ROWS, st.booleans(), st.booleans()),
+    rule=st.one_of(st.none(), st.tuples(ROWS, st.booleans())),
 )
 @example(
     seed=0,
     dim=3,
-    blocks=[({0: 8, 1: 9, 2: 1}, False, False), ({1: 128, 3: 129}, True, False), ({2: 1, 4: 1}, True, True)],
+    terms=({0: 8, 1: 9, 2: 1, 3: 128, 5: 129}, False, False),
+    rule=({2: 1, 4: 1}, True),
 )
-def test_merge_row_grads_equals_a_reduceat_merge(seed, dim, blocks):
+def test_merge_row_grads_equals_a_reduceat_merge(seed, dim, terms, rule):
     """``merge_row_grads`` gives the bits of the reduceat merge, with and
-    without a workspace, for 1-3 blocks whose rows have 1-300 terms, rows
-    missing from the first block, and blocks passed as transposed views."""
+    without a workspace, for a terms block whose rows have 1-300 terms and
+    no rule block, or a rule block of ascending rows, some missing from the
+    terms, either block passed as a transposed view."""
     rng = np.random.default_rng(seed)
-    made = [random_block(rng, dim, *block) for block in blocks]
+    block = random_block(rng, dim, *terms)
+    rule = None if rule is None else random_block(rng, dim, *rule, True)
+    made = [block] if rule is None else [block, rule]
     want = reduceat_merge(made)
     for workspace in (None, Workspace(sum(b.rows.size for b in made), dim)):
-        got = merge_row_grads(made, workspace=workspace)
+        got = merge_row_grads(block, rule, workspace=workspace)
         assert got.rows.tobytes() == want.rows.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [1, 1, 2], [2, 0, 5]])
+def test_a_rule_block_whose_rows_do_not_ascend_is_refused_before_any_write(rows):
+    rng = np.random.default_rng(7)
+    terms = random_block(rng, 2, {0: 3, 1: 2}, False, False)
+    rule = RowGrads(np.array(rows), np.ones((2, len(rows), 2)))
+    workspace = Workspace(10, 2)
+    workspace.step.buffer[:] = workspace.temp.buffer[:] = 7.0
+    with pytest.raises(ValueError, match="strictly ascending"):
+        merge_row_grads(terms, rule, workspace=workspace)
+    assert (workspace.step.buffer == 7.0).all() and (workspace.temp.buffer == 7.0).all()

@@ -239,10 +239,12 @@ class TestGradientMachinery:
         assert err < 1e-5
 
     def test_total_differentiates_the_merge_of_a_step(self, monkeypatch):
-        # a merge that drops every block after the first loses the rule
-        # term of the relation gradient, and the check must see it
+        # a merge that drops the rule block loses the rule term of the
+        # relation gradient, and the check must see it
         merge = training.merge_row_grads
-        monkeypatch.setattr(training, "merge_row_grads", lambda blocks, **kw: merge(blocks[:1], **kw))
+        monkeypatch.setattr(
+            training, "merge_row_grads", lambda terms, rule, **kw: merge(terms, None, **kw)
+        )
         table, batch = hinge_inactive_point(25, 1.0)
         err = gradient_check("total", table, batch=batch, rules=TOTAL_RULES, mu=0.7, eta=0.05)
         assert err > 1e-3
