@@ -15,6 +15,12 @@ goes to ``BENCH_<label>.json``: the git shas, the numpy version, ``nproc``,
 and per workload and metric every run's value, each side's median and
 quartiles, and the pairs the change won (ties count for neither side), as
 the metric's ``better`` direction in ``BENCHMARK.json`` defines winning.
+
+``test_mrr`` is recorded and summarised the same way (higher wins), but
+``BENCHMARK.json`` gates no bound on it. Training length is fixed by the
+seed and ``--seconds``, so it is the same on both sides of every pair
+while a change keeps the trained bits. A change that alters them, such
+as a new rounding of a loss term, may move it either way within a pair.
 """
 
 import argparse

@@ -142,6 +142,9 @@ class KnowledgeGraph:
     (r*n + t)*n + h: the tails known for (h, r), or the heads known for
     (r, t), are one contiguous run of codes, found by ``np.searchsorted``.
     A lookup raises IndexError for an id outside the graph, whose code would alias another fact's.
+    ``contains``, ``tails_of`` and ``pairs_of`` have unchecked ``_`` twins
+    for callers whose ids are checked or come from the graph
+    (``rules.ground_confidence``).
     """
 
     entity_ids: dict
@@ -178,6 +181,10 @@ class KnowledgeGraph:
         """Whether each (heads[i], relations[i], tails[i]) is a known fact,
         as a bool array; the arguments are int arrays that broadcast together."""
         _check_ids(self, (heads, tails), (relations,))
+        return self._contains(heads, relations, tails)
+
+    def _contains(self, heads, relations, tails):
+        """``contains`` with no id check."""
         codes = self.tail_codes
         wanted = (heads * self.num_relations + relations) * self.num_entities + tails
         if codes.size == 0:
@@ -189,6 +196,10 @@ class KnowledgeGraph:
         """Arrays (i, t) of every known fact (heads[i], relations[i], t),
         ordered by i, then t; ``relations`` may be a scalar."""
         _check_ids(self, (heads,), (relations,))
+        return self._tails_of(heads, relations)
+
+    def _tails_of(self, heads, relations):
+        """``tails_of`` with no id check."""
         n = self.num_entities
         return _runs(self.tail_codes, (heads * self.num_relations + relations) * n, n)
 
@@ -204,6 +215,10 @@ class KnowledgeGraph:
         tails[i]), ordered by head, then tail: the relation's run of
         ``head_codes``, re-keyed by head."""
         _check_ids(self, (), (relation,))
+        return self._pairs_of(relation)
+
+    def _pairs_of(self, relation):
+        """``pairs_of`` with no id check."""
         n = self.num_entities
         lo, hi = np.searchsorted(self.head_codes, [relation * n * n, (relation + 1) * n * n])
         run = self.head_codes[lo:hi]  # codes (relation*n + t)*n + h, ordered by t, then h

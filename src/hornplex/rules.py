@@ -124,17 +124,19 @@ def ground_confidence(kg: KnowledgeGraph, rule: HornRule):
     Chains are counted per (z_0, z_i) pair, exactly (int64, then Python
     integers past 2**62): one per fact of the first body relation
     (``kg.pairs_of``), extended through ``kg.tails_of`` one body relation at
-    a time.
+    a time. A relation outside the graph is a KeyError; the walk then takes
+    the lookups that check no ids, since every entity id comes from the
+    graph's own facts.
     """
     for r in rule.body + (rule.head,):
         if not 0 <= r < kg.num_relations:
             raise KeyError(f"relation {r} not present in graph")
 
     n = kg.num_entities
-    x, z = kg.pairs_of(rule.body[0])
+    x, z = kg._pairs_of(rule.body[0])
     counts = np.ones(x.size, dtype=np.int64)
     for r in rule.body[1:]:
-        i, t = kg.tails_of(z, r)
+        i, t = kg._tails_of(z, r)
         counts = counts[i]
         if counts.dtype != object and counts.sum(dtype=np.float64) >= 2.0**62:
             counts = counts.astype(object)  # Python integers stay exact past int64
@@ -147,5 +149,5 @@ def ground_confidence(kg: KnowledgeGraph, rule: HornRule):
     total = int(counts.sum())
     if total == 0:
         return None
-    supported = int(counts[kg.contains(x, rule.head, z)].sum())
+    supported = int(counts[kg._contains(x, rule.head, z)].sum())
     return supported / total

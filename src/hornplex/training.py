@@ -284,19 +284,41 @@ def n3_regularization(table, rows, *, workspace=None):
     of |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, RowGrads
     over the rows), as ``workspace.temp`` arrays. The loss sums the entity
     rows, then the relation rows, and adds the two sums. The caller applies
-    eta. A row outside the table is an IndexError."""
+    eta. A row outside the table is an IndexError.
+
+    |c| is ``_modulus``'s sqrt(re*re + im*im), and |c|^3 is two multiplies.
+    Multiply, add and sqrt are correctly rounded, so N3's bits depend on no
+    libm, and |c| is within 1 ulp of ``np.hypot`` wherever the squares' sum
+    is normal (|c| >= 2**-511). Below that the squares underflow, but |c|^3
+    rounds to 0 and 3|c|*(re, im) lies below 2**-1020 either way. A
+    feasible table's components lie in [0, 1] (entities) and [0, bound]
+    (relations), so the sum is finite for any bound below 2**511. Past that
+    it overflows only where the larger square does, and there hypot's
+    gradient 3|c|*(re, im) overflows too; |c|^3 already does past 2**341.
+    ``project_relation_components``, ``is_feasible`` and ``load_table`` keep
+    ``np.hypot``: a modulus 1 ulp above it could rescale a component that
+    hypot finds feasible, or refuse a table saved before."""
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     rows = _check_rows(rows, len(table.matrix), "row")
     halves, index = _halves(table.matrix, rows)
     values = halves.take(index, axis=0, out=ws.temp(index.shape + halves.shape[1:]), mode="clip")
-    mod = np.hypot(values[0], values[1], out=ws.temp(values.shape[1:]))
-    cube = np.power(mod, 3, out=ws.temp(mod.shape))  # mod**3
+    mod, cube = ws.temp(values.shape[1:]), ws.temp(values.shape[1:])
+    _modulus(values, mod, cube)
+    np.multiply(np.multiply(mod, mod, out=cube), mod, out=cube)  # mod**3
     split = int(np.searchsorted(rows, table.num_entities))
     loss = float(np.sum(cube[:split])) + float(np.sum(cube[split:]))
     # 3.0 * mod * (re, im), written over the rows' values
     np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
     return loss, RowGrads(rows, values)
+
+
+def _modulus(values, mod, spare):
+    """sqrt(re*re + im*im) of ``values`` = (re, im) into ``mod``, with
+    ``spare``, of its shape, for im*im; returns ``mod``."""
+    np.multiply(values[0], values[0], out=mod)
+    np.add(mod, np.multiply(values[1], values[1], out=spare), out=mod)
+    return np.sqrt(mod, out=mod)
 
 
 def merge_row_grads(terms, rule, *, workspace=None):

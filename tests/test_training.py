@@ -279,6 +279,73 @@ class TestN3:
         assert err < 1e-6
 
 
+# Below this modulus the squares' sum is subnormal or 0, so sqrt(re*re +
+# im*im) keeps only an absolute accuracy, sqrt(2**-1074) = 2**-537 (twice
+# that here, for the rounding of the sum).
+N3_UNDERFLOW = 2.0**-511
+
+
+@st.composite
+def n3_cases(draw):
+    """A feasible table at bound 1.0 or 1.3 and a run of its rows, ascending
+    with repeats. Some rows are set to 0, some components to the box's edge
+    (1 for an entity, re or im = bound for a relation) or to values whose
+    squares underflow, subnormals included. Then some components change
+    sign: N3 reads magnitudes, which stay feasible."""
+    n, m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([1.0, 1.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    table = make_feasible_table(seed, n, m, d, bound)
+    row, col = st.integers(0, n + m - 1), st.integers(0, d - 1)
+    tiny = st.one_of(
+        st.floats(2.0**-1074, 2.0**-1022, exclude_max=True),  # subnormal
+        st.floats(0.0, N3_UNDERFLOW / 2),
+    )
+    for r in draw(st.lists(row, max_size=2)):
+        table.matrix[r] = 0.0
+    for r, c in draw(st.lists(st.tuples(row, col), max_size=3)):
+        edges = [(1.0, 1.0)] if r < n else [(bound, 0.0), (0.0, bound)]
+        table.matrix[r, [c, d + c]] = draw(st.sampled_from(edges))
+    for r, c in draw(st.lists(st.tuples(row, col), max_size=3)):
+        table.matrix[r, [c, d + c]] = draw(tiny), draw(tiny)
+    assert is_feasible(table)
+    flip = np.random.default_rng(seed).random(table.matrix.shape) < 0.5
+    table.matrix[flip] *= -1.0
+    rows = np.sort(draw(st.lists(row, min_size=1, max_size=12)))
+    return table, rows
+
+
+@given(case=n3_cases())
+@example(case=(relation_table(
+    [[0.0, 0.0, 0.0], [5e-324, 1e-170, -1.3]], [[0.0, 0.0, 0.0], [2.2e-308, -1e-160, 0.0]], bound=1.3
+), np.array([0, 2, 2, 3, 3])))
+def test_n3_takes_the_modulus_as_sqrt_of_squares_close_to_hypot_and_complex_abs(case):
+    table, rows = case
+    d = table.dim
+    re, im = table.matrix[rows, :d], table.matrix[rows, d:]
+    loss, grads = n3_regularization(table, rows)
+
+    hypot = np.hypot(re, im)
+    mod = training._modulus(np.stack((re, im)), np.empty(re.shape), np.empty(re.shape))
+    assert (np.abs(mod - hypot) <= np.maximum(np.spacing(hypot), 2.0**-536)).all()
+    assert (np.abs(mod - hypot) <= np.spacing(hypot))[hypot >= N3_UNDERFLOW].all()
+
+    # Each gradient element rounds 3 * mod * re twice, and the reference's
+    # modulus and ours lie within about 1 ulp of |z|: a few ulps in all, so
+    # rtol 1e-14 (about 45 ulps) bounds it. Below N3_UNDERFLOW the gradient
+    # is under 3 * 2**-1022 on both sides, hence atol 2**-1020. The loss sums
+    # nonnegative cubes of a few ulps' error each: rtol 1e-13.
+    z = re + 1j * im
+    reference = 3.0 * np.abs(z) * z
+    np.testing.assert_allclose(grads.values[0], reference.real, rtol=1e-14, atol=2.0**-1020)
+    np.testing.assert_allclose(grads.values[1], reference.imag, rtol=1e-14, atol=2.0**-1020)
+    assert loss == pytest.approx(float(np.sum(np.abs(z) ** 3)), rel=1e-13, abs=2.0**-1020)
+
+    assert not np.isnan(grads.values).any()
+    zero = ~table.matrix[rows].any(axis=1)
+    assert (grads.values[:, zero] == 0.0).all()
+
+
 class TestAdagrad:
     def make(self, dim=1):
         table = relation_table(np.zeros((1, dim)), np.zeros((1, dim)))
