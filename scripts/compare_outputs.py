@@ -13,8 +13,9 @@ and in the working tree. Both runs work in the same relative directory,
 either run wrote (checkpoint, training log, metrics, both diagnostics CSVs,
 embedding CSVs, grounded rule confidences, dictionaries, resolved config)
 is then compared byte for byte, and one line per file says ``same`` or
-``DIFFERS`` (or ``MISSING`` on one side). The exit status is 1 if any file
-is not the same.
+``DIFFERS`` (or ``MISSING`` on one side). The report ends with one line per
+artifact name: on how many of the runs that wrote it the file DIFFERS or is
+MISSING. The exit status is 1 if any file is not the same.
 
 A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
 random rules of body length 1-4, written with ``rules.write_rules``: more
@@ -24,9 +25,9 @@ at d=16, where the penalty's window cut allows 4,096 terms and 12,288
 arena rows instead of 1,024 and 3,072, so the check covers a packing cut
 for a second dimension. A sixth, planted-small-b1024, trains on the
 planted-small files in batches of 1,024 positives with 10 negatives each:
-11,264 triples a step, so entity rows get more than 8 gradient terms and
-relation rows more than 128, and the gradient merge takes its
-``np.add.reduceat`` path and numpy's pairwise recursion. A seventh,
+11,264 triples a step, so relation rows get thousands of gradient terms
+each, and the gradient merge adds rows far longer than the other inputs
+make. A seventh,
 planted-small-mu0, trains on the planted-small files with mu = 0: ``train``
 then packs no rules, and relation rows get only logistic and N3 terms.
 
@@ -44,6 +45,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,7 +175,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the revision to compare the working tree with")
     args = parser.parse_args(argv)
-    differ = 0
+    tally = {}
     with tempfile.TemporaryDirectory() as tmp:
         old_tree = export(args.rev, tmp)
         for workload, settings in INPUTS.items():
@@ -193,8 +195,14 @@ def main(argv=None):
                 old = run_case(old_tree, workload, bound, ground)
                 new = run_case(ROOT, workload, bound, ground)
                 for name, verdict in compare(old, new):
-                    differ += verdict != "same"
+                    tally.setdefault(name, Counter())[verdict] += 1
                     print(f"{workload} bound={bound} {name}: {verdict}", flush=True)
+    for name, verdicts in sorted(tally.items()):
+        print(
+            f"{name}: DIFFERS on {verdicts['DIFFERS']}, MISSING on {verdicts['MISSING']} "
+            f"of {verdicts.total()} runs"
+        )
+    differ = sum(v["DIFFERS"] + v["MISSING"] for v in tally.values())
     print(f"{differ} file(s) not the same" if differ else "every file is the same")
     return 1 if differ else 0
 

@@ -144,10 +144,8 @@ class Workspace:
     - temp: at most 4u = 8B + 4m, for N3 (rows [re, im], moduli and cubes)
       and AdaGrad (accumulators, then parameters, and steps), 4 per row
       each. Less for logistic (7B: the 3B rows [re, im] and one product), a
-      merge (2 per logistic term, for its gathered terms, plus 2 per row of
-      more than 8 terms, where reduceat writes, then 2 per rule row for the
-      rows' totals: at most 6B + 2B/3 + 2m) and the projection ``train``
-      makes after AdaGrad (2 per row).
+      merge (one int64 index row per term, 3B + m) and the projection
+      ``train`` makes after AdaGrad (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -249,8 +247,8 @@ def logistic_loss(table, batch, *, workspace=None):
     (a, e, c), (b, f, d) = values.reshape(2, 3, size, dim)
     tmp = ws.temp((size, dim))
     # The score's gradients [re, im] in the heads', the tails' and the
-    # relations' rows: C-contiguous, since ``take`` along axis 1, in
-    # ``merge_row_grads``, would first copy a strided block whole.
+    # relations' rows: C-contiguous, so that ``merge_row_grads`` reads each
+    # half flat through ``values[half].reshape(-1)``, a view.
     grads = ws.step((2, 3, size, dim))
     (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = grads
 
@@ -282,9 +280,9 @@ def n3_regularization(table, rows, *, workspace=None):
     """Sum of cubed component moduli over the given rows of the table's row
     space (ascending ids, as ``merge_row_grads`` returns them); the gradient
     of |c|^3 is 3|c|*(re, im), zero at the origin. Returns (loss, RowGrads
-    over the rows), as ``workspace.temp`` arrays. The loss sums the entity
-    rows, then the relation rows, and adds the two sums. The caller applies
-    eta. A row outside the table is an IndexError.
+    over the rows), as ``workspace.temp`` arrays. The loss is one sum over
+    every row's cubes. The caller applies eta. A row outside the table is an
+    IndexError.
 
     |c| is ``_modulus``'s sqrt(re*re + im*im), and |c|^3 is two multiplies.
     Multiply, add and sqrt are correctly rounded, so N3's bits depend on no
@@ -306,8 +304,7 @@ def n3_regularization(table, rows, *, workspace=None):
     mod, cube = ws.temp(values.shape[1:]), ws.temp(values.shape[1:])
     _modulus(values, mod, cube)
     np.multiply(np.multiply(mod, mod, out=cube), mod, out=cube)  # mod**3
-    split = int(np.searchsorted(rows, table.num_entities))
-    loss = float(np.sum(cube[:split])) + float(np.sum(cube[split:]))
+    loss = float(np.sum(cube))
     # 3.0 * mod * (re, im), written over the rows' values
     np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
     return loss, RowGrads(rows, values)
@@ -324,101 +321,28 @@ def _modulus(values, mod, spare):
 def merge_row_grads(terms, rule, *, workspace=None):
     """The gradient of each row that a step's two RowGrads blocks touch, as
     RowGrads over the sorted unique rows, in ``workspace.step`` arrays. Each
-    row sums its ``terms`` (rows may repeat, in any order) in block order as
-    ``np.add.reduceat`` does, the first term plus numpy's pairwise sum of
-    the rest (``_row_sums``), adds the sum to +0.0, then adds its term of
-    ``rule``: None, or the rule penalty's terms on strictly ascending rows,
-    else a ValueError, raised before any write."""
-    if rule is not None and not (rule.rows[1:] > rule.rows[:-1]).all():
-        raise ValueError("the rule block's rows must be strictly ascending")
+    row adds its terms in turn to +0.0: first those of ``terms``, then those
+    of ``rule`` (None, or the rule penalty's terms), each block in its own
+    order. Rows may repeat and come in any order in either block."""
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     both = terms.rows if rule is None else np.concatenate((terms.rows, rule.rows))
     rows, inverse = np.unique(both, return_inverse=True)
     count, dim = terms.rows.size, terms.values.shape[2]
     total = ws.step((2, rows.size, dim))
-    total.fill(0.0)  # the rows that only the rule block touches
-    at, sums = _row_sums(terms.values, inverse[:count], rows.size, ws.temp)
-    sums += 0.0  # the rows' totals start at +0.0
-    total.reshape(2 * rows.size, dim)[at] = sums
-    if rule is not None:
-        slots = inverse[count:]
-        prior = total.take(slots, axis=1, out=ws.temp(rule.values.shape), mode="clip")
-        total[:, slots] = np.add(prior, rule.values, out=prior)
+    total.fill(0.0)
+    # Each term's d positions in a half of the total, viewed flat: np.add.at
+    # runs far faster on 1-d arrays, and adds in index order all the same.
+    index = ws.temp((both.size, dim)).view(np.int64)
+    np.multiply(inverse[:, None], dim, out=index)
+    index += np.arange(dim)
+    index = index.reshape(-1)
+    for half in range(2):
+        flat = total[half].reshape(-1)
+        np.add.at(flat, index[: count * dim], terms.values[half].reshape(-1))
+        if rule is not None:
+            np.add.at(flat, index[count * dim :], rule.values[half].reshape(-1))
     return RowGrads(rows, total)
-
-
-# The most terms a row may have for ``_row_sums`` to add them in turn: that
-# leaves at most 7 after the first, and numpy's pairwise sum of fewer than 8
-# terms is a plain sequential sum.
-FOLD_TERMS = 8
-
-
-def _row_sums(values, slots, size, alloc):
-    """Each row's sum of a block's (2, k, d) terms ``values``, whose terms
-    fall on the rows ``slots`` of a (2, size, d) total, with the bits of
-    ``np.add.reduceat`` over the row's terms in block order: the first term
-    plus the pairwise sum of the rest. Returns (at, sums): the sums as a
-    (2u, d) ``alloc`` array, re and im of each row in turn, and ``at`` their
-    rows in the total viewed as (2 size, d).
-
-    reduceat runs one inner loop per row and column however few terms a row
-    has. So one stable sort puts the terms row by row, rows by falling
-    count, and one gather takes each term's re and im side by side into the
-    arena: first the rows of more than FOLD_TERMS terms, row by row, for
-    reduceat, then the others rank by rank (every row's first term, then
-    every second term, and so on). The rows with a j-th term are then a
-    prefix of the rows, so one add per rank folds the rest of every such row
-    at once, and one more adds the first term. Between the two parts the
-    gather leaves a row per long row, where reduceat writes, so that the sums
-    of all rows end up side by side. (``values`` that is not C-contiguous is
-    copied first.)"""
-    counts = np.bincount(slots)
-    order = np.argsort(slots - counts[slots] * counts.size, kind="stable")
-    present = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    counts = counts[present]
-    starts = np.cumsum(counts) - counts
-    long = int(np.count_nonzero(counts > FOLD_TERMS))
-    split = int(starts[long]) if long < counts.size else order.size
-    # Each short term's rank in its row (below 8, so a uint8 radix sort
-    # takes them rank by rank).
-    rank = np.arange(split, order.size) - np.repeat(starts[long:], counts[long:])
-    index = order[split:][np.argsort(rank.astype(np.uint8), kind="stable")]
-    if long:
-        index = np.concatenate([order[:split], order[:long], index])
-    dim = values.shape[2]
-    terms = alloc((index.size, 2, dim))
-    values.reshape(-1, dim).take(
-        _pairs(index, values.shape[1]), axis=0, out=terms.reshape(-1, dim), mode="clip"
-    )
-    base = split + long
-    if long:
-        np.add.reduceat(terms[:split], starts[:long], axis=0, out=terms[split:base])
-    # The widths of the ranks: the short rows with more than j terms.
-    widths, left = [], counts.size - long
-    for ending in np.bincount(counts[long:]).tolist()[:-1]:
-        left -= ending
-        widths.append(left)
-    if len(widths) > 1:
-        at = base + widths[0]
-        rest = terms[at : at + widths[1]]
-        at += widths[1]
-        for width in widths[2:]:
-            part = rest[:width]
-            part += terms[at : at + width]
-            at += width
-        firsts = terms[base : base + widths[1]]
-        firsts += rest
-    return _pairs(present, size), terms[split : split + counts.size].reshape(-1, dim)
-
-
-def _pairs(index, stride):
-    """Each entry i of ``index`` followed by i + stride: the rows of the re
-    and im halves of row i of a (2, stride, d) array viewed as (2 stride, d)."""
-    pairs = np.empty((index.size, 2), dtype=np.int64)
-    pairs[:, 0] = index
-    np.add(index, stride, out=pairs[:, 1])
-    return pairs.reshape(-1)
 
 
 def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
@@ -426,10 +350,10 @@ def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     eta * N3 over ``batch``; ``rules`` is a ``RuleArrays`` packing, or
     None. Returns ((logistic, rule, N3) losses, RowGrads over the sorted
     unique rows of the table's row space that the step touches): each row
-    sums its logistic terms, then mu times its rule term, in one merge of
-    the two blocks, then eta times its N3 term. Every block is in row-space
-    rows. N3 covers every touched row. The gradients alias ``workspace``,
-    whose ``step`` arena this resets."""
+    adds its logistic terms, then mu times its rule term, in turn to +0.0 in
+    one merge of the two blocks, then eta times its N3 term. Every block is
+    in row-space rows. N3 covers every touched row. The gradients alias
+    ``workspace``, whose ``step`` arena this resets."""
     ws = Workspace() if workspace is None else workspace
     ws.step.reset()
     l_loss, terms = logistic_loss(table, batch, workspace=ws)

@@ -240,15 +240,14 @@ def rule_penalty(table, rules):
 
 
 def _compact(indices, grads_re, grads_im):
-    """Per-row sums of one loss term's gradient terms, over the sorted rows.
-    A stable sort keeps each row's terms in order; ``np.add.reduceat`` then
-    adds the first term to numpy's pairwise sum of the rest."""
+    """Per-row sums of one loss term's gradient terms, over the sorted rows:
+    each row adds its terms in order, one at a time, to +0.0."""
     rows, inverse = np.unique(indices, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(rows.size))
-    re = np.add.reduceat(grads_re[order], starts, axis=0)
-    im = np.add.reduceat(grads_im[order], starts, axis=0)
-    return RowGrads(rows, np.stack((re, im)))
+    sums = np.zeros((2, rows.size, grads_re.shape[1]))
+    for slot, re, im in zip(inverse, grads_re, grads_im):
+        sums[0, slot] += re
+        sums[1, slot] += im
+    return RowGrads(rows, sums)
 
 
 def _merge(dim, parts):
@@ -277,11 +276,12 @@ def accumulator_halves(state, num_entities):
 
 def sparse_step(table, state, batch, rules, mu, eta, lr):
     """One step of ``hornplex.training.train`` on ``batch``, taken term by
-    term: the logistic gradients compacted per row, merged per table with mu
-    times the rule gradients and eta times N3 over the rows the batch and the
-    rules touch, AdaGrad on the merged rows, then a projection of the whole
-    table. ``rules`` is a rule list or None. Returns a copy of the table as
-    it was before the projection."""
+    term: the logistic gradients summed per row, each row adding its terms
+    in order to +0.0 (``_compact``), merged per table with mu times the rule
+    gradients and eta times N3 over the rows the batch and the rules touch,
+    AdaGrad on the merged rows, then a projection of the whole table.
+    ``rules`` is a rule list or None. Returns a copy of the table as it was
+    before the projection."""
     _, l_all = training.logistic_loss(table, batch)
     n, heads_and_tails = table.num_entities, 2 * len(batch)
     l_ent = RowGrads(l_all.rows[:heads_and_tails], l_all.values[:, :heads_and_tails])
