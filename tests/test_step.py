@@ -374,3 +374,19 @@ def test_merge_row_grads_equals_a_term_by_term_merge(seed, dim, terms, rule):
         got = merge_row_grads(block, rule, workspace=workspace)
         assert got.rows.tobytes() == want.rows.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [1, 1, 2], [2, 0, 5]])
+def test_a_rule_block_whose_rows_do_not_ascend_is_merged_term_by_term(rows):
+    """A rule block of descending, repeated or unsorted rows, one of them
+    missing from the terms, merges to the term-by-term bits through a
+    workspace whose buffers hold stale values from an earlier use."""
+    rng = np.random.default_rng(7)
+    terms = random_block(rng, 2, {0: 3, 1: 2}, False, False)
+    rule = RowGrads(np.array(rows), rng.standard_normal((2, len(rows), 2)))
+    workspace = Workspace(10, 2)
+    workspace.step.buffer[:] = workspace.temp.buffer[:] = 7.0
+    want = term_by_term_merge([terms, rule])
+    got = merge_row_grads(terms, rule, workspace=workspace)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
