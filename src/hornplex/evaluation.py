@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _halves, body_product, check_relations, length_groups, rule_gaps
+from .kernel import _parts, body_product, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -354,14 +354,10 @@ def relation_rule_diagnostics(table, rules):
     for start in range(0, len(rules), step):
         ids, groups = length_groups(rules, start, start + step)
         check_relations(ids, groups, table.num_relations)
-        halves, index = _halves(table.rel, ids)
-        at = 0
         row = start
         for members, group_ids in groups:
             # The group's relation vectors: its heads, then each body position.
-            b = halves.take(index[:, at : at + group_ids.size], axis=0, mode="clip")
-            b = b.reshape((2,) + group_ids.shape + (-1,))
-            at += group_ids.size
+            b = _parts(table.crel.take(group_ids, axis=0, mode="clip"))
             rows = deltas[:, row : row + members.size]
             row += members.size
             rk = table.bound ** (group_ids.shape[0] - 1)

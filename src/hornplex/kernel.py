@@ -83,9 +83,6 @@ def cmul_into(a, b, out, scratch):
     return out
 
 
-_HALF = np.arange(2)
-
-
 def _check_rows(rows, count, what):
     """``rows``, an int or an int array, as int64; an IndexError unless each
     id lies in [0, count), the ids of ``what`` (entity, relation or row)
@@ -105,16 +102,17 @@ def _check_ids(space, entities, relations):
         _check_rows(ids, space.num_relations, "relation")
 
 
-def _halves(matrix, rows):
-    """``matrix``, a C-contiguous (n, 2d) array of ``[re | im]`` rows, as
-    (2n, d) rows, row 2i the re half of row i and row 2i+1 its im half, and
-    the indices in it of the halves of the int64 ``rows``, stacked [re, im]
-    on a new first axis: taking them copies no whole half, as taking from
-    the strided half views would. ``rows`` must lie in [0, n)
-    (``_check_rows``, or ``check_relations`` for the relation ids of rules),
-    so the indices may be taken with mode="clip", which needs no buffer."""
-    index = np.add.outer(_HALF, 2 * rows)
-    return matrix.reshape(2 * matrix.shape[0], matrix.shape[1] // 2), index
+def complex_array(alloc, shape):
+    """A complex128 array of ``shape`` from ``alloc``, which hands out
+    float64 arrays (``Scratch``, or ``np.empty``): the complex view of a
+    float array of twice the last axis."""
+    return alloc(shape[:-1] + (2 * shape[-1],)).view(np.complex128)
+
+
+def _parts(z):
+    """A complex array as its (2, ...) float64 view, [re, im] on a new first
+    axis: strided views of its real and imaginary parts."""
+    return np.moveaxis(z.view(np.float64).reshape(z.shape + (2,)), -1, 0)
 
 
 def length_groups(rules, start=0, stop=None):
@@ -258,10 +256,10 @@ class RowGrads:
     repeat; a row's gradient is the sum of its terms (``training.merge_row_grads``)."""
 
     rows: np.ndarray  # (u,) int64 row-space ids
-    values: np.ndarray  # (2, u, d): [re, im]
+    values: np.ndarray  # (u, d) complex128
 
-    re = property(lambda self: self.values[0])
-    im = property(lambda self: self.values[1])
+    re = property(lambda self: self.values.real)
+    im = property(lambda self: self.values.imag)
 
 
 class Scratch:
@@ -367,16 +365,14 @@ def rule_penalty(table, rules):
         rules = RuleArrays.from_rules(rules, *shape)
     elif rules.shape != shape:
         raise ValueError(f"rules packed for (relations, dim) {rules.shape}, the table is {shape}")
-    # The terms and the row sums keep each re beside its im, so that the
-    # scatter can take the pair as one complex128, whose sum adds each part
-    # on its own: one np.add.at call per window does both halves.
-    pairs = np.empty((rules.width, dim, 2))
-    terms = pairs.transpose(2, 0, 1)
+    # One np.add.at call per window sums the complex terms, each part on
+    # its own.
+    pairs = np.empty((rules.width, dim), dtype=np.complex128)
+    terms = _parts(pairs)
     scratch = Scratch(rules.arena * dim)
     span = np.arange(dim)
     losses = np.empty(len(rules))
-    sums = np.zeros((rules.rows.size, dim, 2))
-    acc = sums.transpose(2, 0, 1)
+    sums = np.zeros((rules.rows.size, dim), dtype=np.complex128)
 
     for first, count, parts in rules.windows:
         for group, lo, hi in parts:
@@ -388,16 +384,12 @@ def rule_penalty(table, rules):
         index = scratch((count, dim)).view(np.int64)
         np.multiply(rules.slots[first : first + count, None], dim, out=index)
         index += span
-        np.add.at(
-            sums.view(np.complex128).reshape(-1),
-            index.reshape(-1),
-            pairs[:count].view(np.complex128).reshape(-1),
-        )
+        np.add.at(sums.reshape(-1), index.reshape(-1), pairs[:count].reshape(-1))
 
     loss = 0.0
     for term in losses.tolist():
         loss += term
-    return loss, RowGrads(rules.rows + table.num_entities, acc)
+    return loss, RowGrads(rules.rows + table.num_entities, sums)
 
 
 def _arena_rows(k):
@@ -427,8 +419,9 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     k = group.length
     rk = R**k
     lam = group.confidences[lo:hi]
-    halves, index = _halves(table.rel, group.ids[:, lo:hi])  # ids checked at packing
-    b = halves.take(index, axis=0, out=alloc(index.shape + halves.shape[1:]), mode="clip")
+    ids = group.ids[:, lo:hi]  # checked at packing
+    b = table.crel.take(ids, axis=0, out=complex_array(alloc, ids.shape + (table.dim,)), mode="clip")
+    b = _parts(b)
     body = b[:, 1:]
     hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
     u, v = rule_gaps(table, b[:, 0], hb, rk, out=hb)

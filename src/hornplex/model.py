@@ -1,10 +1,10 @@
 """Complex-valued embedding tables, bilinear scoring, and constraint projection.
 
-Entities and relations are complex vectors stored as real and imaginary
-float64 parts, all in one (n+m, 2d) matrix of ``[re | im]`` rows: entity i
-is row i and relation r is row n + r. The feasible set is: entity
-components in [0, 1], relation components non-negative with per-dimension
-modulus at most ``bound``. The score of a triple (h, r, t) is
+Entities and relations are complex vectors, all rows of one (n+m, d)
+complex128 array: entity i is row i and relation r is row n + r. Its
+float64 view, the (n+m, 2d) ``matrix``, holds each component's re and im
+side by side. The feasible set is: entity components in [0, 1], relation
+components non-negative with per-dimension modulus at most ``bound``. The score of a triple (h, r, t) is
 Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
 bounded by 2 * bound * dim in absolute value. Every scorer but
 ``score_triples`` raises IndexError for an id outside the table.
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .kernel import _check_ids, _check_rows, _halves, cmul
+from .kernel import _check_ids, _check_rows, cmul
 
 __all__ = [
     "EmbeddingTable",
@@ -76,15 +76,17 @@ def _row_blocks(rows, dim):
 class EmbeddingTable:
     """Entity and relation embeddings with the relation modulus ``bound``.
 
-    Every embedding is a row of one C-contiguous (n+m, 2d) float64 array
-    ``matrix`` of ``[re | im]`` rows, the row space of a step: entity i is
-    row i and relation r is row n + r. ``ent`` (rows 0 to n) and ``rel``
-    (rows n to n+m) are C-contiguous row-slice views of it, so scoring every
-    entity is one matrix product, and a step gathers and puts the rows it
-    touches, of either kind, at once. ``ent_re``, ``ent_im``, ``rel_re`` and
-    ``rel_im`` are views of their halves: write into them (``table.ent_re[rows]
-    = ...``); rebinding them is an AttributeError. The constructor copies
-    the halves into a new matrix; ``from_matrix`` takes a matrix as it is.
+    Every embedding is a row of one C-contiguous (n+m, d) complex128 array
+    ``cmatrix``, the row space of a step: entity i is row i and relation r
+    is row n + r. ``matrix`` is its (n+m, 2d) float64 view, each component's
+    re beside its im. ``ent`` (rows 0 to n) and ``rel`` (rows n to n+m) are
+    C-contiguous row-slice views of ``matrix``, so scoring every entity is
+    one matrix product, and ``crel`` is the relation rows of ``cmatrix``. A
+    step gathers and puts the rows it touches, of either kind, at once.
+    ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are strided views of
+    the parts: write into them (``table.ent_re[rows] = ...``); rebinding
+    them is an AttributeError. The constructor copies the halves into a new
+    matrix; ``from_matrix`` takes a matrix as it is.
     Either way a ``bound`` that is not positive and finite is a ValueError.
     """
 
@@ -107,7 +109,8 @@ class EmbeddingTable:
     @classmethod
     def from_matrix(cls, matrix, num_entities, bound):
         """A table that takes ``matrix``, a C-contiguous float64 (n+m, 2d)
-        array with its ``num_entities`` entity rows first, as it is."""
+        array of interleaved re and im parts with its ``num_entities``
+        entity rows first, as it is."""
         table = cls.__new__(cls)
         table._bind(matrix, num_entities, bound)
         return table
@@ -124,13 +127,16 @@ class EmbeddingTable:
             )
         if not 0 <= num_entities <= matrix.shape[0]:
             raise ValueError(f"{num_entities} entities do not fit matrix {matrix.shape}")
-        d = matrix.shape[1] // 2
         self._matrix, self._num_entities, self.bound = matrix, num_entities, bound
+        self._cmatrix = matrix.view(np.complex128)
+        self._crel = self._cmatrix[num_entities:]
         for part, rows in (("ent", matrix[:num_entities]), ("rel", matrix[num_entities:])):
             setattr(self, "_" + part, rows)
-            setattr(self, f"_{part}_halves", (rows[:, :d], rows[:, d:]))
+            setattr(self, f"_{part}_halves", (rows[:, 0::2], rows[:, 1::2]))
 
     matrix = property(lambda self: self._matrix)
+    cmatrix = property(lambda self: self._cmatrix)
+    crel = property(lambda self: self._crel)
     ent = property(lambda self: self._ent)
     rel = property(lambda self: self._rel)
     ent_re = _matrix_half("ent", 0)
@@ -166,7 +172,7 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     matrix = np.empty((num_entities + num_relations, 2 * dim))
     table = EmbeddingTable.from_matrix(matrix, num_entities, float(bound))
     for rows, scale in ((table.ent, 1.0), (table.rel, bound / np.sqrt(2.0))):
-        for half in (rows[:, :dim], rows[:, dim:]):
+        for half in (rows[:, 0::2], rows[:, 1::2]):
             for block in _row_blocks(len(half), dim):
                 view = half[block]
                 np.multiply(rng.random(view.shape), scale, out=view)  # x * 1.0 is x
@@ -220,7 +226,8 @@ def score_dim(table, triple, l):
 def query_factors(table, triples, tail_side):
     """Factor rows and true scores of ranking queries, each row built once.
 
-    Row q of the (Q, 2d) ``rows`` is [v_re | v_im] with ent[j] . row the
+    Row q of the (Q, 2d) ``rows`` is v with its parts interleaved, as in
+    ``matrix``, with ent[j] . row the
     score of ``triples[q]`` (an (Q, 3) int array) with its tail replaced by
     j where ``tail_side[q]``, and its head otherwise. ``true[q]`` is the
     score of ``triples[q]`` itself, with the bits of ``score_triples``: it
@@ -233,25 +240,25 @@ def query_factors(table, triples, tail_side):
     e, f = table.ent_re[t], table.ent_im[t]
     v_re, v_im = cmul(table.ent_re[h], table.ent_im[h], c, s)
     true = _tail_dot(e, f, v_re, v_im)
-    rows = np.concatenate((v_re, v_im), axis=1)
+    rows = np.stack((v_re, v_im), axis=-1)
     head = np.nonzero(~tail_side)[0]
     if head.size:
-        rows[head] = np.concatenate(_head_factors(c[head], s[head], e[head], f[head]), axis=1)
-    return rows, true
+        rows[head] = np.stack(_head_factors(c[head], s[head], e[head], f[head]), axis=-1)
+    return rows.reshape(len(rows), -1), true
 
 
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
     _check_ids(table, (head,), (relation,))
     c, s = table.rel_re[relation], table.rel_im[relation]
-    return table.ent @ np.concatenate(cmul(table.ent_re[head], table.ent_im[head], c, s))
+    return table.ent @ np.stack(cmul(table.ent_re[head], table.ent_im[head], c, s), axis=-1).reshape(-1)
 
 
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
     _check_ids(table, (tail,), (relation,))
     c, s = table.rel_re[relation], table.rel_im[relation]
-    return table.ent @ np.concatenate(_head_factors(c, s, table.ent_re[tail], table.ent_im[tail]))
+    return table.ent @ np.stack(_head_factors(c, s, table.ent_re[tail], table.ent_im[tail]), axis=-1).reshape(-1)
 
 
 def project_relation_components(rel_re, rel_im, bound):
@@ -280,23 +287,22 @@ def project(table, rows=None, alloc=np.empty):
     """Clamp entity components into [0, 1] and project relation components;
     in place. ``rows``, ascending unique ids of the table's row space
     (entity i is row i, relation r is row n + r), limits it to those rows,
-    which are checked (an IndexError, raised before any write), taken, both
-    halves at once, into one array from ``alloc(shape)``, projected there
-    and put back in one. By default every row is projected where it lies,
-    since taking every row would copy the whole matrix. Each component is
+    which are checked (an IndexError, raised before any write), taken into
+    one array from ``alloc(shape)``, projected there and put back in one.
+    By default every row is projected where it lies, since taking every row
+    would copy the whole matrix. Each component is
     projected on its own, so a row gets the same bits either way."""
     if rows is None:
         ent, re, im = table.ent, table.rel_re, table.rel_im
     else:
         rows = _check_rows(rows, len(table.matrix), "row")
-        halves, index = _halves(table.matrix, rows)
-        values = halves.take(index, axis=0, out=alloc(index.shape + (table.dim,)), mode="clip")
+        values = table.matrix.take(rows, axis=0, out=alloc((rows.size, 2 * table.dim)), mode="clip")
         split = int(np.searchsorted(rows, table.num_entities))
-        ent, (re, im) = values[:, :split], values[:, split:]
+        ent, re, im = values[:split], values[split:, 0::2], values[split:, 1::2]
     ent.clip(0.0, 1.0, out=ent)
     project_relation_components(re, im, table.bound)
     if rows is not None:
-        halves[index] = values
+        table.matrix[rows] = values
     return table
 
 
@@ -332,13 +338,13 @@ def save_table(path_or_file, table):
 
 
 def _write_rows(handle, matrix, num_entities):
-    """Write ``matrix``, (n+m, 2d) ``[re | im]`` rows split after its
-    ``num_entities`` entity rows, to a binary ``handle`` as four row-major
-    float64 halves, ent re and im then rel re and im, one block (see
-    ``_row_blocks``) at a time."""
+    """Write ``matrix``, (n+m, 2d) rows of interleaved re and im parts split
+    after its ``num_entities`` entity rows, to a binary ``handle`` as four
+    row-major float64 halves, ent re and im then rel re and im, each read
+    through its strided view one block (see ``_row_blocks``) at a time."""
     d = matrix.shape[1] // 2
     for rows in (matrix[:num_entities], matrix[num_entities:]):
-        for half in (rows[:, :d], rows[:, d:]):
+        for half in (rows[:, 0::2], rows[:, 1::2]):
             for block in _row_blocks(len(half), d):
                 handle.write(np.ascontiguousarray(half[block], dtype=np.float64))
 
@@ -372,7 +378,7 @@ def read_array(handle, shape, what):
 
 
 def _read_rows(handle, dim, parts):
-    """A (rows, 2 * dim) matrix of ``[re | im]`` rows, read from a binary
+    """A (rows, 2 * dim) matrix of interleaved re and im parts, read from a binary
     ``handle`` a row slice at a time: ``parts`` lists (rows, names, valid,
     kind, rule) per slice, in row order, each stored as two row-major
     (rows, dim) float64 halves named ``names`` and read one block (see
@@ -399,7 +405,7 @@ def _read_rows(handle, dim, parts):
                 offset = handle.tell()
                 count = 8 * (block.stop - block.start) * dim
                 values = np.frombuffer(handle.read(count), dtype=np.float64).reshape(-1, dim)
-                re = out[block, :dim] if half and out is not None else None
+                re = out[block, 0::2] if half and out is not None else None
                 bad = np.flatnonzero(~valid(values, re))
                 if bad.size:
                     value = values.flat[bad[0]]
@@ -408,7 +414,7 @@ def _read_rows(handle, dim, parts):
                         f"value {value} at byte {offset + 8 * int(bad[0])} ({rule})"
                     )
                 if out is not None:
-                    out[block, half * dim : (half + 1) * dim] = values
+                    out[block, half::2] = values
     return matrix
 
 

@@ -26,7 +26,16 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .evaluation import evaluate
-from .kernel import RowGrads, RuleArrays, Scratch, _check_ids, _check_rows, _halves, rule_penalty
+from .kernel import (
+    RowGrads,
+    RuleArrays,
+    Scratch,
+    _check_ids,
+    _check_rows,
+    _parts,
+    complex_array,
+    rule_penalty,
+)
 from .kg import Triple, read_lines
 from .model import (
     init_table,
@@ -240,17 +249,16 @@ def logistic_loss(table, batch, *, workspace=None):
     _check_ids(table, (h, t), (r,))
     rows = np.concatenate((h, t, r))
     rows[2 * size :] += n
-    # Every row the batch reads, in one gather: a, e and c are the re halves
-    # of the heads, tails and relations, b, f and d their im halves.
-    halves, index = _halves(table.matrix, rows)
-    values = halves.take(index, axis=0, out=ws.temp((2, 3 * size, dim)), mode="clip")
-    (a, e, c), (b, f, d) = values.reshape(2, 3, size, dim)
-    tmp = ws.temp((size, dim))
-    # The score's gradients [re, im] in the heads', the tails' and the
-    # relations' rows: C-contiguous, so that ``merge_row_grads`` reads each
-    # half flat through ``values[half].reshape(-1)``, a view.
-    grads = ws.step((2, 3, size, dim))
-    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = grads
+    # Every row the batch reads, in one gather: a, e and c are the re parts
+    # of the heads, tails and relations, b, f and d their im parts.
+    values = complex_array(ws.temp, (3 * size, dim))
+    table.cmatrix.take(rows, axis=0, out=values, mode="clip")
+    (a, e, c), (b, f, d) = _parts(values.reshape(3, size, dim))
+    tmp, tmp2 = ws.temp((size, dim)), ws.temp((size, dim))
+    # The score's gradients in the heads', the tails' and the relations'
+    # rows.
+    grads = complex_array(ws.step, (3, size, dim))
+    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = _parts(grads)
 
     def combine(out, x, y, op, z, w):
         """out = op(x * y, z * w)."""
@@ -260,7 +268,8 @@ def logistic_loss(table, batch, *, workspace=None):
     # The tail factors v = (a + ib)(c + id), as in ``model.score_triples``.
     combine(v_re, a, c, np.subtract, b, d)
     combine(v_im, a, d, np.add, b, c)
-    phi = np.einsum("ij,ij->i", v_re, e) + np.einsum("ij,ij->i", v_im, f)
+    phi = np.einsum("ij,ij->i", _copy(v_re, tmp), _copy(e, tmp2))
+    phi += np.einsum("ij,ij->i", _copy(v_im, tmp), _copy(f, tmp2))
     z = labels * phi
     exp_neg = np.exp(-np.abs(z))
     loss = float(np.sum(np.maximum(-z, 0.0) + np.log1p(exp_neg)))
@@ -272,8 +281,13 @@ def logistic_loss(table, batch, *, workspace=None):
     combine(dh_im, c, f, np.subtract, d, e)
     combine(dr_re, a, e, np.add, b, f)
     combine(dr_im, a, f, np.subtract, b, e)
-    grads *= coeff
-    return loss, RowGrads(rows, grads.reshape(2, 3 * size, dim))
+    grads.view(np.float64)[...] *= coeff
+    return loss, RowGrads(rows, grads.reshape(3 * size, dim))
+
+
+def _copy(x, out):
+    np.copyto(out, x)
+    return out
 
 
 def n3_regularization(table, rows, *, workspace=None):
@@ -299,14 +313,15 @@ def n3_regularization(table, rows, *, workspace=None):
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     rows = _check_rows(rows, len(table.matrix), "row")
-    halves, index = _halves(table.matrix, rows)
-    values = halves.take(index, axis=0, out=ws.temp(index.shape + halves.shape[1:]), mode="clip")
-    mod, cube = ws.temp(values.shape[1:]), ws.temp(values.shape[1:])
-    _modulus(values, mod, cube)
+    values = complex_array(ws.temp, (rows.size, table.dim))
+    table.cmatrix.take(rows, axis=0, out=values, mode="clip")
+    parts = _parts(values)
+    mod, cube = ws.temp(values.shape), ws.temp(values.shape)
+    _modulus(parts, mod, cube)
     np.multiply(np.multiply(mod, mod, out=cube), mod, out=cube)  # mod**3
     loss = float(np.sum(cube))
     # 3.0 * mod * (re, im), written over the rows' values
-    np.multiply(np.multiply(mod, 3.0, out=cube), values, out=values)
+    np.multiply(np.multiply(mod, 3.0, out=cube), parts, out=parts)
     return loss, RowGrads(rows, values)
 
 
@@ -328,20 +343,20 @@ def merge_row_grads(terms, rule, *, workspace=None):
     ws.temp.reset()
     both = terms.rows if rule is None else np.concatenate((terms.rows, rule.rows))
     rows, inverse = np.unique(both, return_inverse=True)
-    count, dim = terms.rows.size, terms.values.shape[2]
-    total = ws.step((2, rows.size, dim))
+    count, dim = terms.rows.size, terms.values.shape[1]
+    total = complex_array(ws.step, (rows.size, dim))
     total.fill(0.0)
-    # Each term's d positions in a half of the total, viewed flat: np.add.at
-    # runs far faster on 1-d arrays, and adds in index order all the same.
+    # Each term's d positions in the total, viewed flat: np.add.at runs far
+    # faster on 1-d arrays, and adds in index order all the same. A complex
+    # sum adds each part on its own, so one call per block does both.
     index = ws.temp((both.size, dim)).view(np.int64)
     np.multiply(inverse[:, None], dim, out=index)
     index += np.arange(dim)
     index = index.reshape(-1)
-    for half in range(2):
-        flat = total[half].reshape(-1)
-        np.add.at(flat, index[: count * dim], terms.values[half].reshape(-1))
-        if rule is not None:
-            np.add.at(flat, index[count * dim :], rule.values[half].reshape(-1))
+    flat = total.reshape(-1)
+    np.add.at(flat, index[: count * dim], terms.values.reshape(-1))
+    if rule is not None:
+        np.add.at(flat, index[count * dim :], rule.values.reshape(-1))
     return RowGrads(rows, total)
 
 
@@ -360,12 +375,12 @@ def step_gradients(table, batch, rules, mu, eta, *, workspace=None):
     r_loss, rule = 0.0, None
     if mu > 0 and rules:
         r_loss, rule = rule_penalty(table, rules)
-        rule.values *= mu
+        rule.values.view(np.float64)[...] *= mu
     grads = merge_row_grads(terms, rule, workspace=ws)
     n_loss = 0.0
     if eta > 0:
         n_loss, n3 = n3_regularization(table, grads.rows, workspace=ws)
-        n3.values *= eta
+        n3.values.view(np.float64)[...] *= eta
         grads.values += n3.values
     return (l_loss, r_loss, n_loss), grads
 
@@ -381,21 +396,20 @@ def adagrad_step(table, grads, state, lr, *, workspace=None):
     ws = Workspace() if workspace is None else workspace
     ws.temp.reset()
     rows = _check_rows(grads.rows, len(table.matrix), "row")
-    params, index = _halves(table.matrix, rows)
-    # The accumulators share the table's layout, so the index serves both.
-    accs = state.acc.reshape(params.shape)
-    total, step = ws.temp((2,) + index.shape + params.shape[1:])
-    accs.take(index, axis=0, out=total, mode="clip")
-    total += np.multiply(grads.values, grads.values, out=step)
-    accs[index] = total
+    # The accumulators share the table's layout, so the rows serve both.
+    g = grads.values.view(np.float64)
+    total, step = ws.temp((2,) + g.shape)
+    state.acc.take(rows, axis=0, out=total, mode="clip")
+    total += np.multiply(g, g, out=step)
+    state.acc[rows] = total
     np.sqrt(total, out=total)
     total += state.epsilon
-    np.multiply(grads.values, lr, out=step)
+    np.multiply(g, lr, out=step)
     step /= total
     # ``total`` is spent: the rows' parameters go there.
-    p = params.take(index, axis=0, out=total, mode="clip")
+    p = table.matrix.take(rows, axis=0, out=total, mode="clip")
     p -= step
-    params[index] = p
+    table.matrix[rows] = p
 
 
 @dataclass

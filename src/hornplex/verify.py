@@ -267,7 +267,7 @@ def gradient_check(function, table, batch=None, rules=None, mu=1.0, eta=1.0):
     loss, grads = parts(work)
     grads = training.merge_row_grads(grads, None)
     analytic = np.zeros_like(work.matrix)
-    analytic[grads.rows] = np.hstack(grads.values)
+    analytic[grads.rows] = grads.values.view(np.float64)
     numeric = numerical_gradient(lambda _: parts(work)[0], work.matrix)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all() and np.isfinite(loss)):
         raise ValueError("non-finite values encountered during gradient check")

@@ -232,11 +232,18 @@ def rule_penalty(table, rules):
             )
 
     if not acc:
-        return 0.0, RowGrads(np.empty(0, dtype=np.int64), np.empty((2, 0, dim)))
+        return 0.0, RowGrads(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
     rows = np.array(sorted(acc), dtype=np.int64)
     re = np.stack([acc[r][0] for r in rows])
     im = np.stack([acc[r][1] for r in rows])
-    return loss, RowGrads(rows + table.num_entities, np.stack((re, im)))
+    return loss, RowGrads(rows + table.num_entities, _complex(re, im))
+
+
+def _complex(re, im):
+    """The complex128 array of parts ``re`` and ``im``, each copied as it is."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _compact(indices, grads_re, grads_im):
@@ -247,7 +254,7 @@ def _compact(indices, grads_re, grads_im):
     for slot, re, im in zip(inverse, grads_re, grads_im):
         sums[0, slot] += re
         sums[1, slot] += im
-    return RowGrads(rows, sums)
+    return RowGrads(rows, _complex(*sums))
 
 
 def _merge(dim, parts):
@@ -262,16 +269,16 @@ def _merge(dim, parts):
         re[sl] += g.re * s
         im[sl] += g.im * s
         offset += g.rows.size
-    return RowGrads(rows, np.stack((re, im)))
+    return RowGrads(rows, _complex(re, im))
 
 
 def accumulator_halves(state, num_entities):
     """The ent_re, ent_im, rel_re and rel_im halves of ``state.acc``, as
-    views of its rows split by the table's ``num_entities``."""
+    views of its rows split by the table's ``num_entities``, each row's re
+    and im parts interleaved."""
     acc = state.acc
-    d = acc.shape[1] // 2
     ent, rel = acc[:num_entities], acc[num_entities:]
-    return ent[:, :d], ent[:, d:], rel[:, :d], rel[:, d:]
+    return ent[:, 0::2], ent[:, 1::2], rel[:, 0::2], rel[:, 1::2]
 
 
 def sparse_step(table, state, batch, rules, mu, eta, lr):
@@ -284,8 +291,8 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
     before the projection."""
     _, l_all = training.logistic_loss(table, batch)
     n, heads_and_tails = table.num_entities, 2 * len(batch)
-    l_ent = RowGrads(l_all.rows[:heads_and_tails], l_all.values[:, :heads_and_tails])
-    l_rel = RowGrads(l_all.rows[heads_and_tails:] - n, l_all.values[:, heads_and_tails:])
+    l_ent = RowGrads(l_all.rows[:heads_and_tails], l_all.values[:heads_and_tails])
+    l_rel = RowGrads(l_all.rows[heads_and_tails:] - n, l_all.values[heads_and_tails:])
     ent = _compact(l_ent.rows, l_ent.re, l_ent.im)
     rel = _compact(l_rel.rows, l_rel.re, l_rel.im)
     r_grads = None
@@ -300,8 +307,8 @@ def sparse_step(table, state, batch, rules, mu, eta, lr):
         ent_rows, rel_rows = np.unique(batch.triples[:, (0, 2)]), np.unique(rel_rows)
         _, n_all = training.n3_regularization(table, np.concatenate([ent_rows, n + rel_rows]))
         k = ent_rows.size
-        n_ent = RowGrads(n_all.rows[:k], n_all.values[:, :k])
-        n_rel = RowGrads(n_all.rows[k:] - n, n_all.values[:, k:])
+        n_ent = RowGrads(n_all.rows[:k], n_all.values[:k])
+        n_rel = RowGrads(n_all.rows[k:] - n, n_all.values[k:])
     ent = _merge(table.dim, [(ent, 1.0), (n_ent, eta)])
     rel = _merge(table.dim, [(rel, 1.0), (r_grads, mu), (n_rel, eta)])
 

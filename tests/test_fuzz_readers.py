@@ -175,8 +175,8 @@ def test_load_table_returns_or_raises_on_patched_dumps(scratch_file, patches, cu
 
 def intact_checkpoint():
     state = AdagradState.zeros(3, 2, 2)
-    state.acc[:3, :2] += 0.5  # ent_re_acc
-    state.acc[3:, 2:] += 2.0  # rel_im_acc
+    state.acc[:3, 0::2] += 0.5  # ent_re_acc
+    state.acc[3:, 1::2] += 2.0  # rel_im_acc
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.bin"
         save_checkpoint(path, init_table(3, 2, 2, bound=1.5, seed=0), state)

@@ -339,7 +339,8 @@ def test_load_accepts_exactly_the_tables_is_feasible_accepts(ent, rel):
     save_table(buf, table)
     buf.seek(0)
     if is_feasible(table):
-        assert np.array_equal(load_table(buf).ent, ent)
+        loaded = load_table(buf)
+        assert np.array_equal(loaded.ent_re, ent[:, :2]) and np.array_equal(loaded.ent_im, ent[:, 2:])
     else:
         with pytest.raises(ValueError, match="infeasible value"):
             load_table(buf)
@@ -351,10 +352,11 @@ def test_each_matrix_is_one_array_with_views_for_its_halves(name, rows):
     matrix, re, im = (getattr(table, name + suffix) for suffix in ("", "_re", "_im"))
     assert matrix.shape == (rows, 6) and matrix.flags.c_contiguous
     assert matrix.base is table.matrix and re.base is table.matrix and im.base is table.matrix
-    assert np.array_equal(matrix, np.hstack([re, im]))
+    assert np.array_equal(matrix, np.stack([re, im], axis=-1).reshape(rows, 6))
+    assert np.array_equal(getattr(table, "c" + name), re + 1j * im) if name == "rel" else True
     re[2] = 0.25
     setattr(table, f"{name}_im", im.__iadd__(1.0))  # ``table.x_im += 1.0``: in place, so allowed
-    assert np.all(matrix[2, :3] == 0.25) and np.all(matrix[:, 3:] >= 1.0)
+    assert np.all(matrix[2, 0::2] == 0.25) and np.all(matrix[:, 1::2] >= 1.0)
     with pytest.raises(AttributeError, match="view"):
         setattr(table, f"{name}_re", np.zeros((rows, 3)))
     with pytest.raises(AttributeError):
@@ -471,7 +473,7 @@ def test_every_table_is_one_row_space(how):
 def test_constructor_copies_entity_halves_into_one_matrix():
     ent_re, ent_im = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
     table = EmbeddingTable(ent_re, ent_im, np.ones((1, 2)), np.zeros((1, 2)), 1.0)
-    assert np.array_equal(table.ent, np.hstack([ent_re, ent_im]))
+    assert np.array_equal(table.ent, np.stack([ent_re, ent_im], axis=-1).reshape(3, 4))
     ent_re[0, 0] = 99.0
     assert table.ent[0, 0] == 0.0
     with pytest.raises(ValueError):

@@ -204,7 +204,7 @@ def test_ids_outside_their_range_raise_before_any_byte_changes():
         ("relation", logistic([0, -1, 0])),
     ]
     for rows in (np.array([-1, 0, n]), np.array([0, n, n + m])):  # n + m: relation m
-        grads = RowGrads(rows, np.ones((2, rows.size, dim)))
+        grads = RowGrads(rows, np.ones((rows.size, dim), dtype=complex))
         cases += [
             ("row", lambda rows=rows: n3_regularization(table, rows)),
             ("row", lambda grads=grads: adagrad_step(table, grads, state, 0.5)),
@@ -309,10 +309,10 @@ TERM_COUNTS = st.one_of(st.integers(1, 10), st.integers(126, 131), st.integers(1
 SPECIAL_TERMS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308])
 
 
-def random_block(rng, dim, counts, transposed, unique):
+def random_block(rng, dim, counts, strided, unique):
     """RowGrads with ``counts[row]`` terms on each row, in random order, or
-    one term per row in sorted order if ``unique``; its values a transposed
-    view of (k, d, 2) pairs, as ``rule_penalty``'s are, if ``transposed``.
+    one term per row in sorted order if ``unique``; its values a strided
+    view, every other column of (k, 2d) complex rows, if ``strided``.
     Normal terms of magnitudes 1e-3 to 1e3, a fifth replaced by signed zeros
     and subnormals, and some rows all zeros of either sign."""
     if unique:
@@ -326,10 +326,11 @@ def random_block(rng, dim, counts, transposed, unique):
         if rng.random() < 0.2:
             zeros = values[:, rows == row]
             values[:, rows == row] = rng.choice(SPECIAL_TERMS[:2], zeros.shape)
-    if transposed:
-        pairs = np.empty((rows.size, dim, 2))
-        pairs.transpose(2, 0, 1)[...] = values
-        values = pairs.transpose(2, 0, 1)
+    values = oracles._complex(*values)
+    if strided:
+        wide = np.zeros((rows.size, 2 * dim), dtype=complex)
+        wide[:, ::2] = values
+        values = wide[:, ::2]
     return RowGrads(rows, values)
 
 
@@ -337,12 +338,13 @@ def term_by_term_merge(blocks):
     """The merge one term at a time: each term added to its row's total,
     which starts at +0.0, block after block, each block in its own order."""
     rows = np.unique(np.concatenate([b.rows for b in blocks]))
-    total = np.zeros((2, rows.size, blocks[0].values.shape[2]))
+    total = np.zeros((2, rows.size, blocks[0].values.shape[1]))
     for block in blocks:
-        for row, term in zip(block.rows, block.values.transpose(1, 0, 2)):
+        for row, re, im in zip(block.rows, block.re, block.im):
             slot = np.searchsorted(rows, row)
-            total[:, slot] = total[:, slot] + term
-    return RowGrads(rows, total)
+            total[0, slot] = total[0, slot] + re
+            total[1, slot] = total[1, slot] + im
+    return RowGrads(rows, oracles._complex(*total))
 
 
 ROWS = st.dictionaries(st.integers(0, 9), TERM_COUNTS, min_size=1, max_size=5)
@@ -364,7 +366,7 @@ def test_merge_row_grads_equals_a_term_by_term_merge(seed, dim, terms, rule):
     """``merge_row_grads`` gives the bits of the term-by-term merge, with and
     without a workspace, for a terms block whose rows have 1-300 terms and
     no rule block, or a rule block whose rows may repeat and come unsorted,
-    some missing from the terms, either block passed as a transposed view."""
+    some missing from the terms, either block passed as a strided view."""
     rng = np.random.default_rng(seed)
     block = random_block(rng, dim, *terms)
     rule = None if rule is None else random_block(rng, dim, *rule, False)
@@ -383,7 +385,7 @@ def test_a_rule_block_whose_rows_do_not_ascend_is_merged_term_by_term(rows):
     workspace whose buffers hold stale values from an earlier use."""
     rng = np.random.default_rng(7)
     terms = random_block(rng, 2, {0: 3, 1: 2}, False, False)
-    rule = RowGrads(np.array(rows), rng.standard_normal((2, len(rows), 2)))
+    rule = RowGrads(np.array(rows), oracles._complex(*rng.standard_normal((2, len(rows), 2))))
     workspace = Workspace(10, 2)
     workspace.step.buffer[:] = workspace.temp.buffer[:] = 7.0
     want = term_by_term_merge([terms, rule])

@@ -305,9 +305,9 @@ def n3_cases(draw):
         table.matrix[r] = 0.0
     for r, c in draw(st.lists(st.tuples(row, col), max_size=3)):
         edges = [(1.0, 1.0)] if r < n else [(bound, 0.0), (0.0, bound)]
-        table.matrix[r, [c, d + c]] = draw(st.sampled_from(edges))
+        table.matrix[r, [2 * c, 2 * c + 1]] = draw(st.sampled_from(edges))
     for r, c in draw(st.lists(st.tuples(row, col), max_size=3)):
-        table.matrix[r, [c, d + c]] = draw(tiny), draw(tiny)
+        table.matrix[r, [2 * c, 2 * c + 1]] = draw(tiny), draw(tiny)
     assert is_feasible(table)
     flip = np.random.default_rng(seed).random(table.matrix.shape) < 0.5
     table.matrix[flip] *= -1.0
@@ -322,7 +322,7 @@ def n3_cases(draw):
 def test_n3_takes_the_modulus_as_sqrt_of_squares_close_to_hypot_and_complex_abs(case):
     table, rows = case
     d = table.dim
-    re, im = table.matrix[rows, :d], table.matrix[rows, d:]
+    re, im = table.matrix[rows, 0::2], table.matrix[rows, 1::2]
     loss, grads = n3_regularization(table, rows)
 
     hypot = np.hypot(re, im)
@@ -337,13 +337,13 @@ def test_n3_takes_the_modulus_as_sqrt_of_squares_close_to_hypot_and_complex_abs(
     # nonnegative cubes of a few ulps' error each: rtol 1e-13.
     z = re + 1j * im
     reference = 3.0 * np.abs(z) * z
-    np.testing.assert_allclose(grads.values[0], reference.real, rtol=1e-14, atol=2.0**-1020)
-    np.testing.assert_allclose(grads.values[1], reference.imag, rtol=1e-14, atol=2.0**-1020)
+    np.testing.assert_allclose(grads.re, reference.real, rtol=1e-14, atol=2.0**-1020)
+    np.testing.assert_allclose(grads.im, reference.imag, rtol=1e-14, atol=2.0**-1020)
     assert loss == pytest.approx(float(np.sum(np.abs(z) ** 3)), rel=1e-13, abs=2.0**-1020)
 
     assert not np.isnan(grads.values).any()
     zero = ~table.matrix[rows].any(axis=1)
-    assert (grads.values[:, zero] == 0.0).all()
+    assert (grads.values[zero] == 0.0).all()
 
 
 class TestAdagrad:
@@ -354,13 +354,13 @@ class TestAdagrad:
 
     def grads(self, value, dim=1):
         re = np.full((1, dim), float(value))
-        return RowGrads(np.array([2]), np.stack((re, np.zeros((1, dim)))))  # relation 0
+        return RowGrads(np.array([2]), re + 0j)  # relation 0
 
     def test_first_step(self):
         table, state = self.make()
         adagrad_step(table, self.grads(1.0), state, lr=0.5)
         assert table.rel_re[0, 0] == pytest.approx(-0.5, abs=1e-9)
-        assert state.acc[2, 0] == 1.0  # relation 0's re half
+        assert state.acc[2, 0] == 1.0  # relation 0's first re part
 
     def test_zero_gradient_is_noop(self):
         table, state = self.make()
@@ -379,7 +379,7 @@ class TestAdagrad:
     @pytest.mark.parametrize("row", [3, -1])
     def test_rows_outside_the_table_are_index_errors(self, row):
         table, state = self.make()
-        grads = RowGrads(np.array([row]), np.ones((2, 1, 1)))
+        grads = RowGrads(np.array([row]), np.ones((1, 1), dtype=complex))
         with pytest.raises(IndexError, match="row index out of range"):
             adagrad_step(table, grads, state, lr=0.5)
         assert table.rel_re[0, 0] == 0.0 and state.acc[2, 0] == 0.0
@@ -387,9 +387,9 @@ class TestAdagrad:
     def test_accumulators_monotone(self):
         table, state = self.make(dim=3)
         for value in (0.5, -1.0, 2.0):
-            before = state.acc[2:, :3].copy()  # the relation's re half
+            before = state.acc[2:, 0::2].copy()  # the relation's re parts
             adagrad_step(table, self.grads(value, dim=3), state, lr=0.1)
-            assert np.all(state.acc[2:, :3] >= before)
+            assert np.all(state.acc[2:, 0::2] >= before)
 
 
 class TestNegativeSampling:
@@ -576,7 +576,7 @@ def test_a_state_that_does_not_fit_its_table_is_refused_before_any_write(checkpo
     table, state = misfit
     checkpoint_path.write_bytes(b"an earlier checkpoint")
     row %= len(table.matrix)
-    grads = RowGrads(np.array([row]), np.ones((2, 1, table.dim)))
+    grads = RowGrads(np.array([row]), np.ones((1, table.dim), dtype=complex))
     before = table.matrix.tobytes(), state.acc.tobytes(), state.epsilon
     calls = (
         lambda: adagrad_step(table, grads, state, 0.5),
@@ -622,7 +622,10 @@ def test_checkpoint_bytes_are_the_header_then_each_half_in_file_order(tmp_path):
         for rows, offset in ((n, 100.0), (n, 200.0), (m, 300.0), (m, 400.0))
     ]
     table = EmbeddingTable(ent_re, ent_im, rel_re, rel_im, bound)
-    state = AdagradState(np.vstack((np.hstack(acc[:2]), np.hstack(acc[2:]))), epsilon)
+    state = AdagradState(
+        np.vstack([np.stack(pair, axis=-1).reshape(len(pair[0]), 2 * d) for pair in (acc[:2], acc[2:])]),
+        epsilon,
+    )
     p = tmp_path / "ckpt.bin"
     save_checkpoint(p, table, state)
     expected = (
