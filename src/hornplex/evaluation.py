@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _parts, body_product, check_relations, length_groups, rule_gaps
+from .kernel import body_product, check_relations, length_groups, rule_gaps
 from .kg import Triple, read_lines, run_positions
 from .model import query_factors, replacing, score_triples, write_provenance
 
@@ -178,18 +178,31 @@ def _rank_block(table, kg, triples, tail_side, frobenius):
     Row q of ``V @ ent.T`` holds query q's score g_c of every entity c, and
     the true score o is computed as ``model.score`` does. Let o_c be c's
     score computed that way, u = 2**-53 and gamma_k = k*u / (1 - k*u). Both
-    g_c and o_c sum the terms of Re(sum_l h_l r_l conj(t_l)), with 2d + 2
-    and d + 3 roundings per term, so without underflow |g_c - o_c| <=
-    gamma_(3d+5) * P, where P = sum_l (|c_re| + |c_im|) w_l <= sqrt(2) *
-    ||ent_c|| * ||w|| over the candidate's row, and w_l = (|r_re| + |r_im|)
-    * (|x_re| + |x_im|) over the query's relation r and its kept entity x.
-    As w_l <= 2 |r_l| |x_l|, and V[q] holds the parts of the products r_l
-    x_l or r_l conj(x_l), ||w|| <= 2 ||V[q]|| up to rounding. ``eps`` is
-    2**-48 * (d + 2) * ||ent||_F * ||V[q]||, at least 3.7 times that bound,
-    plus 2**-1070 * (d + 2) * (1 + ||ent||_F), which covers the products
-    that underflow. (eps is computed as ||V[q]|| * a + b, with the scalars a
+    g_c and o_c sum the terms of Re(sum_l h_l r_l conj(t_l)), each a product
+    of three parts, and count their roundings per term as follows.
+    - numpy's complex product rounds each part twice: fma(a, c, -(b*d)) and
+      fma(a, d, b*c) (``tests/test_evaluation.py`` checks the bound this
+      gives on the running SIMD target). So V[q], and the tail factors of
+      o, put 2 roundings on each term.
+    - g_c is a real dot product of 2d products of V[q] with ent[c]; o_c the
+      real part of ``np.vecdot``, a sum of the 2d products of the parts of
+      t and of the tail factors. Each product is rounded at most once and
+      each of the 2d - 1 additions once, in whatever order or fusion BLAS
+      takes: at most 2d roundings per term.
+    So each of g_c and o_c is within gamma_(2d+2) * P of the exact score,
+    and without underflow |g_c - o_c| <= gamma_(4d+4) * P, where P =
+    sum_l (|c_re| + |c_im|) w_l <= sqrt(2) * ||ent_c|| * ||w|| over the
+    candidate's row, and w_l = (|r_re| + |r_im|) * (|x_re| + |x_im|) over
+    the query's relation r and its kept entity x. As w_l <= 2 |r_l| |x_l|,
+    and V[q] holds the products r_l x_l or conj(r_l) x_l, ||w|| <= 2
+    ||V[q]|| up to rounding. ``eps`` is 2**-48 * (d + 2) * ||ent||_F *
+    ||V[q]||, at least 2.8 times that bound, plus 2**-1070 * (d + 2) * (1 +
+    ||ent||_F), at least 4 times what roundings below 2**-1022 can lose:
+    2**-1075 each, for 4d in V[q] and 4d in the tail factors, each then
+    multiplied by an entity component of at most ||ent||_F, and 2d in each
+    dot product. (eps is computed as ||V[q]|| * a + b, with the scalars a
     and b rounded first: a few ulps against the ratio of eps to the bound,
-    32 (d + 2) / (2 sqrt(2) (3d + 5)), which falls with d towards 3.77.) A
+    32 (d + 2) / (2 sqrt(2) (4d + 4)), which falls with d towards 2.83.) A
     candidate with g_c above o + eps is certainly better, one below o - eps
     certainly worse, and those in between, the tie band, are scored again
     as ``model.score`` does. The band is built only when it holds a
@@ -340,15 +353,15 @@ def relation_rule_diagnostics(table, rules):
     delta_im == 0. A relation id outside the table is a ValueError naming
     the rule.
 
-    The gaps go into one (2, r, d) array, allocated before any gather, and
-    each record's delta_re and delta_im are views of its two rows, so the
-    records hold two d-vectors per rule. The rules run in chunks of
+    The gaps go into one (r, d) complex array, allocated before any gather,
+    and each record's delta_re and delta_im are views of the parts of its
+    row, so the records hold two d-vectors per rule. The rules run in chunks of
     max(1, DIAGNOSTIC_ELEMENTS // d) whole rules: a chunk's relation ids are
     checked and indexed once, and each of its length groups takes its
     vectors on its own, so one group's copy is alive at a time.
     """
     rules = list(rules)
-    deltas = np.empty((2, len(rules), table.dim))
+    deltas = np.empty((len(rules), table.dim), dtype=np.complex128)
     out = [None] * len(rules)
     step = max(1, DIAGNOSTIC_ELEMENTS // table.dim)
     for start in range(0, len(rules), step):
@@ -357,13 +370,13 @@ def relation_rule_diagnostics(table, rules):
         row = start
         for members, group_ids in groups:
             # The group's relation vectors: its heads, then each body position.
-            b = _parts(table.crel.take(group_ids, axis=0, mode="clip"))
-            rows = deltas[:, row : row + members.size]
+            b = table.crel.take(group_ids, axis=0, mode="clip")
+            rows = deltas[row : row + members.size]
             row += members.size
             rk = table.bound ** (group_ids.shape[0] - 1)
-            rule_gaps(table, b[:, 0], body_product(b[:, 1:], out=rows), rk, out=rows)
-            for i, delta_re, delta_im in zip(members.tolist(), *rows):
-                out[i] = RuleDiagnostics(i, rules[i], delta_re, delta_im)
+            rule_gaps(table, b[0], body_product(b[1:], out=rows), rk, out=rows)
+            for i, delta in zip(members.tolist(), rows):
+                out[i] = RuleDiagnostics(i, rules[i], delta.real, delta.imag)
             del b  # so that the next group's take does not overlap it
     return out
 

@@ -37,8 +37,14 @@ suffix of position k-1, both of them when k = 1), the kernel takes the other
 factor as it is. That can change at most the sign of a zero, and the
 penalty's gradient sums start at +0, where +0 + (-0) is +0, so no summed
 byte changes. A division by a bound or power that is exactly 1.0 is
-skipped, since x / 1.0 is x. Complex arrays are stacked [re, im] on their
-first axis, so one call works on both parts.
+skipped, since x / 1.0 is x.
+
+Vectors are complex128 arrays, and each product is one ``np.multiply``.
+numpy rounds a complex product as a fused multiply-add would: the real part
+is fma(a, c, -(b*d)) and the imaginary part fma(a, d, b*c), two roundings
+each, so its bits follow the SIMD target numpy dispatches to. A real factor
+(a bound, a confidence) scales the float64 view of a complex array, so that
+each part is multiplied or divided on its own, as a real number.
 """
 
 import math
@@ -49,8 +55,6 @@ import numpy as np
 __all__ = [
     "WINDOW_ELEMENTS",
     "ARENA_ELEMENTS",
-    "cmul",
-    "cmul_into",
     "LengthGroup",
     "RuleArrays",
     "RowGrads",
@@ -65,22 +69,6 @@ __all__ = [
 
 WINDOW_ELEMENTS = 1 << 16
 ARENA_ELEMENTS = 3 << 16
-
-
-def cmul(a_re, a_im, b_re, b_im):
-    """Element-wise complex product, on separate real and imaginary parts."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def cmul_into(a, b, out, scratch):
-    """The products of ``cmul`` for complex arrays stacked as [re, im] on
-    the first axis, written to ``out``. ``scratch`` has the shape of ``out``;
-    neither may overlap ``a`` or ``b``."""
-    np.multiply(a, b, out=scratch)  # a_re*b_re, a_im*b_im
-    np.subtract(scratch[0], scratch[1], out=out[0])
-    np.multiply(a, b[::-1], out=scratch)  # a_re*b_im, a_im*b_re
-    np.add(scratch[0], scratch[1], out=out[1])
-    return out
 
 
 def _check_rows(rows, count, what):
@@ -109,10 +97,10 @@ def complex_array(alloc, shape):
     return alloc(shape[:-1] + (2 * shape[-1],)).view(np.complex128)
 
 
-def _parts(z):
-    """A complex array as its (2, ...) float64 view, [re, im] on a new first
-    axis: strided views of its real and imaginary parts."""
-    return np.moveaxis(z.view(np.float64).reshape(z.shape + (2,)), -1, 0)
+def _floats(z):
+    """The float64 view of a complex array whose last axis is contiguous:
+    each component's re beside its im, so a real factor scales both."""
+    return z.view(np.float64)
 
 
 def length_groups(rules, start=0, stop=None):
@@ -283,58 +271,53 @@ class Scratch:
 
 
 def body_product(b, out=None):
-    """b[0] x ... x b[k-1] of (2, k, r, d) body vectors, multiplied left to
-    right; a (2, r, d) array: for k = 1 the view b[:, 0], else ``out`` if
-    given. The products share one scratch array."""
-    k = b.shape[1]
-    hb = b[:, 0]
-    if k == 1:
-        return hb
-    scratch = np.empty(hb.shape)
-    for i in range(1, k):
-        last = i == k - 1 and out is not None
-        hb = cmul_into(hb, b[:, i], out if last else np.empty(hb.shape), scratch)
+    """b[0] x ... x b[k-1] of (k, r, d) complex body vectors, multiplied
+    left to right; an (r, d) array: for k = 1 the view b[0], else ``out`` if
+    given. No product writes over one of its factors: numpy multiplies a
+    one-element array in place without the fused rounding."""
+    hb = b[0]
+    for i in range(1, len(b)):
+        hb = np.multiply(hb, b[i], out=out if i == len(b) - 1 else None)
     return hb
 
 
 def gradient_factors(b, alloc):
-    """The body product of (2, k, r, d) body vectors, k >= 2, multiplied as
-    in ``body_product``, and for each position j the product of the other
-    factors: the prefix pre[j] = b[0] x ... x b[j-1] times the suffix
-    suf[j+1] = b[j+1] x ... x b[k-1]. Returns (hb, c): hb a (2, r, d) array,
-    c a (2, k, r, d) one whose c[:, 0] is suf[1] and c[:, k-1] is pre[k-1].
-    New arrays come from ``alloc(shape)``."""
-    k = b.shape[1]
-    shape = (2,) + b.shape[2:]
-    scratch = alloc(shape)
+    """The body product of (k, r, d) complex body vectors, k >= 2,
+    multiplied as in ``body_product``, and for each position j the product
+    of the other factors: the prefix pre[j] = b[0] x ... x b[j-1] times the
+    suffix suf[j+1] = b[j+1] x ... x b[k-1]. Returns (hb, c): hb an (r, d)
+    array, c a (k, r, d) one whose c[0] is suf[1] and c[k-1] is pre[k-1].
+    New arrays come from ``complex_array(alloc, shape)``."""
+    k = len(b)
 
     def product(x, y, out=None):
-        return cmul_into(x, y, alloc(shape) if out is None else out, scratch)
+        return np.multiply(x, y, out=complex_array(alloc, x.shape) if out is None else out)
 
     if k == 2:
-        return product(b[:, 0], b[:, 1]), b[:, ::-1]
-    c = alloc(b.shape)
-    pre = [None, b[:, 0]]
+        return product(b[0], b[1]), b[::-1]
+    c = complex_array(alloc, b.shape)
+    pre = [None, b[0]]
     for i in range(2, k):
-        pre.append(product(pre[i - 1], b[:, i - 1], c[:, k - 1] if i == k - 1 else None))
-    hb = product(pre[k - 1], b[:, k - 1])
-    suf = {k - 1: b[:, k - 1]}
+        pre.append(product(pre[i - 1], b[i - 1], c[k - 1] if i == k - 1 else None))
+    hb = product(pre[k - 1], b[k - 1])
+    suf = {k - 1: b[k - 1]}
     for i in range(k - 2, 0, -1):
-        suf[i] = product(b[:, i], suf[i + 1], c[:, 0] if i == 1 else None)
+        suf[i] = product(b[i], suf[i + 1], c[0] if i == 1 else None)
     for j in range(1, k - 1):
-        product(pre[j], suf[j + 1], c[:, j])
+        product(pre[j], suf[j + 1], c[j])
     return hb, c
 
 
 def rule_gaps(table, head, hb, rk, out):
-    """Per-dimension gaps Re(hb)/R^k - Re(r)/R and Im(hb)/R^k - Im(r)/R of
-    rules with (2, r, d) head vectors r, which this overwrites, and body
-    products hb, rk = R**k, written to the (2, r, d) array ``out``, which
-    may be ``hb``."""
+    """Per-dimension gaps hb/R^k - r/R, Re(hb)/R^k - Re(r)/R in the real
+    part and Im(hb)/R^k - Im(r)/R in the imaginary one, of rules with
+    (r, d) complex head vectors r, which this overwrites, and body products
+    hb, rk = R**k, written to the (r, d) complex array ``out``, which may be
+    ``hb``. Each part is divided on its own."""
     if table.bound != 1.0:  # x / 1.0 is x
-        head /= table.bound
+        np.divide(_floats(head), table.bound, out=_floats(head))
     if rk != 1.0:
-        hb = np.divide(hb, rk, out=out)
+        hb = np.divide(_floats(hb), rk, out=_floats(out)).view(np.complex128)
     return np.subtract(hb, head, out=out)
 
 
@@ -367,8 +350,7 @@ def rule_penalty(table, rules):
         raise ValueError(f"rules packed for (relations, dim) {rules.shape}, the table is {shape}")
     # One np.add.at call per window sums the complex terms, each part on
     # its own.
-    pairs = np.empty((rules.width, dim), dtype=np.complex128)
-    terms = _parts(pairs)
+    terms = np.empty((rules.width, dim), dtype=np.complex128)
     scratch = Scratch(rules.arena * dim)
     span = np.arange(dim)
     losses = np.empty(len(rules))
@@ -377,14 +359,14 @@ def rule_penalty(table, rules):
     for first, count, parts in rules.windows:
         for group, lo, hi in parts:
             scratch.reset()
-            terms[:, group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
+            terms[group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
         # Scatter in rule order through flat indices: np.add.at runs far
         # faster on 1-d arrays, and adds in index order all the same.
         scratch.reset()
         index = scratch((count, dim)).view(np.int64)
         np.multiply(rules.slots[first : first + count, None], dim, out=index)
         index += span
-        np.add.at(sums.reshape(-1), index.reshape(-1), pairs[:count].reshape(-1))
+        np.add.at(sums.reshape(-1), index.reshape(-1), terms[:count].reshape(-1))
 
     loss = 0.0
     for term in losses.tolist():
@@ -393,61 +375,61 @@ def rule_penalty(table, rules):
 
 
 def _arena_rows(k):
-    """The rows of ``dim`` elements that ``_rule_terms`` takes from its arena
-    per rule of body length k:
-    - for every k, the (2, k+1) body vectors (heads included), the (2, k+1)
-      gradient terms and the (2,) active and 2v arrays: 4k + 6;
-    - for k = 2, the scratch and body product of ``gradient_factors`` and
-      the (2, 2) products with c: 8 more, 22 in all;
-    - for k >= 3, ``gradient_factors``' scratch (2), c (2k), body product
-      (2) and the prefixes and suffixes that do not go into c (4k - 12):
-      6k - 8 more, 10k - 2 in all.
-    The gaps overwrite the body product. ``_cut_windows`` cuts the windows
+    """The rows of ``dim`` float64 elements that ``_rule_terms`` takes from
+    its arena per rule of body length k, two per complex vector:
+    - for every k, the k+1 body vectors (heads included), the k+1 gradient
+      terms and the active + 2vi array: 4k + 6;
+    - for k = 2, the body product of ``gradient_factors``: 2 more, 16 in all;
+    - for k >= 3, ``gradient_factors``' c (2k), body product (2) and the
+      prefixes and suffixes that do not go into c (4k - 12): 6k - 10 more,
+      10k - 4 in all.
+    The gaps overwrite the body product, and the hinges and squares of the
+    loss the body terms' rows before those are written. ``_cut_windows`` cuts the windows
     by this count and ``RuleArrays.from_rules`` sizes the penalty's arena by
     it, so any change to the arrays ``_rule_terms`` takes must change it
     too."""
-    return 10 if k == 1 else 22 if k == 2 else 10 * k - 2
+    return 10 if k == 1 else 16 if k == 2 else 10 * k - 4
 
 
 def _rule_terms(table, group, lo, hi, losses, alloc):
     """The penalty of rules lo:hi of a length group: their losses go into
     ``losses`` at their rule ids, and their gradient terms are returned as a
-    (2, k+1, r, d) array, [re, im] of the head's term and then of each body
+    (k+1, r, d) complex array, the head's term and then each body
     position's. Arrays come from ``alloc(shape)``: ``_arena_rows`` rows of
-    d elements per rule."""
+    d float64 elements per rule."""
     R = table.bound
     k = group.length
     rk = R**k
     lam = group.confidences[lo:hi]
     ids = group.ids[:, lo:hi]  # checked at packing
     b = table.crel.take(ids, axis=0, out=complex_array(alloc, ids.shape + (table.dim,)), mode="clip")
-    b = _parts(b)
-    body = b[:, 1:]
-    hb, c = (body[:, 0], None) if k == 1 else gradient_factors(body, alloc)
-    u, v = rule_gaps(table, b[:, 0], hb, rk, out=hb)
-    g = alloc((2, k + 1) + u.shape)
-    aw = alloc((2,) + u.shape)  # active = [u > 0], then w = 2v
-    np.greater(u, 0.0, out=aw[0], casting="unsafe")
-    np.multiply(u, aw[0], out=g[0, 0])
-    np.multiply(v, v, out=g[1, 0])
-    sums = g[:, 0].sum(axis=2)
+    body = b[1:]
+    hb, c = (body[0], None) if k == 1 else gradient_factors(body, alloc)
+    gap = rule_gaps(table, b[0], hb, rk, out=hb)
+    u, v = gap.real, gap.imag
+    g = complex_array(alloc, b.shape)
+    aw = complex_array(alloc, gap.shape)  # active + 2vi, active = [u > 0]
+    active, w = aw.real, aw.imag
+    # The hinges u * active and the squares v * v, each a contiguous row
+    # per rule for its sum, in rows of g that the body terms fill later.
+    hinge_square = _floats(g[1]).reshape((2,) + gap.shape)
+    np.greater(u, 0.0, out=active, casting="unsafe")
+    np.multiply(u, active, out=hinge_square[0])
+    np.multiply(v, v, out=hinge_square[1])
+    sums = hinge_square.sum(axis=2)
     losses[group.rules[lo:hi]] = lam[:, 0] * (sums[0] + sums[1])
 
-    # The head's term is lam * (-active/R, -2v/R), taken as (active, 2v) /
-    # -R, the same bits. Body position j's is lam * (active*c_re + 2v*c_im,
-    # -active*c_im + 2v*c_re) / R^k, with c the product of the other
-    # factors: 1+0i when k = 1.
-    np.multiply(v, 2.0, out=aw[1])
-    np.divide(aw, -R, out=g[:, 0])
+    # The head's term is lam * (-active/R - 2v/R i), taken as (active +
+    # 2vi) / -R, the same bits. Body position j's is lam * (active + 2vi) *
+    # conj(c_j) / R^k, with c_j the product of the other factors: 1+0i when
+    # k = 1.
+    np.multiply(v, 2.0, out=w)
+    np.divide(_floats(aw), -R, out=_floats(g[0]))
     if c is None:
-        g[:, 1] = aw
+        g[1] = aw
     else:
-        t = body if k > 2 else alloc(c.shape)  # spent once c is made, unless k = 2
-        np.multiply(c, aw[:, None], out=t)  # c_re*active, c_im*w
-        np.add(t[0], t[1], out=g[0, 1:])
-        np.multiply(c, aw[::-1, None], out=t)  # c_re*w, c_im*active
-        np.subtract(t[0], t[1], out=g[1, 1:])
-    g *= lam
+        np.multiply(aw, np.conjugate(c, out=c), out=g[1:])  # c is spent
+    np.multiply(_floats(g), lam, out=_floats(g))
     if rk != 1.0:
-        g[:, 1:] /= rk
+        np.divide(_floats(g[1:]), rk, out=_floats(g[1:]))
     return g

@@ -6,8 +6,11 @@ float64 view, the (n+m, 2d) ``matrix``, holds each component's re and im
 side by side. The feasible set is: entity components in [0, 1], relation
 components non-negative with per-dimension modulus at most ``bound``. The score of a triple (h, r, t) is
 Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
-bounded by 2 * bound * dim in absolute value. Every scorer but
-``score_triples`` raises IndexError for an id outside the table.
+bounded by 2 * bound * dim in absolute value. It is formed with numpy's
+complex ufuncs: the tail factors v = e_h * r, one ``np.multiply``, then
+``np.vecdot(e_t, v).real`` (``vecdot`` conjugates its first argument).
+Every scorer but ``score_triples`` raises IndexError for an id outside the
+table.
 """
 
 import io
@@ -18,7 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .kernel import _check_ids, _check_rows, cmul
+from .kernel import _check_ids, _check_rows
 
 __all__ = [
     "EmbeddingTable",
@@ -81,8 +84,9 @@ class EmbeddingTable:
     is row n + r. ``matrix`` is its (n+m, 2d) float64 view, each component's
     re beside its im. ``ent`` (rows 0 to n) and ``rel`` (rows n to n+m) are
     C-contiguous row-slice views of ``matrix``, so scoring every entity is
-    one matrix product, and ``crel`` is the relation rows of ``cmatrix``. A
-    step gathers and puts the rows it touches, of either kind, at once.
+    one matrix product; ``cent`` and ``crel`` are the same row slices of
+    ``cmatrix``. A step gathers and puts the rows it touches, of either
+    kind, at once.
     ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are strided views of
     the parts: write into them (``table.ent_re[rows] = ...``); rebinding
     them is an AttributeError. The constructor copies the halves into a new
@@ -129,13 +133,14 @@ class EmbeddingTable:
             raise ValueError(f"{num_entities} entities do not fit matrix {matrix.shape}")
         self._matrix, self._num_entities, self.bound = matrix, num_entities, bound
         self._cmatrix = matrix.view(np.complex128)
-        self._crel = self._cmatrix[num_entities:]
         for part, rows in (("ent", matrix[:num_entities]), ("rel", matrix[num_entities:])):
             setattr(self, "_" + part, rows)
+            setattr(self, "_c" + part, rows.view(np.complex128))
             setattr(self, f"_{part}_halves", (rows[:, 0::2], rows[:, 1::2]))
 
     matrix = property(lambda self: self._matrix)
     cmatrix = property(lambda self: self._cmatrix)
+    cent = property(lambda self: self._cent)
     crel = property(lambda self: self._crel)
     ent = property(lambda self: self._ent)
     rel = property(lambda self: self._rel)
@@ -179,31 +184,16 @@ def init_table(num_entities, num_relations, dim, bound=1.0, seed=0):
     return table
 
 
-def _head_factors(c, d, e, f):
-    """Halves v_re, v_im of (c - id)(e + if), from a relation's halves c, d
-    and a tail's e, f: score(h, r, t) = e_h_re . v_re + e_h_im . v_im. With
-    a head's halves for c, d, score(h, r, t) = r_re . v_re + r_im . v_im.
-    (The tail factors, (a + ib)(c + id) from a head and a relation, are
-    ``kernel.cmul``.)"""
-    return c * e + d * f, c * f - d * e
-
-
-def _tail_dot(e_re, e_im, v_re, v_im):
-    """Row-wise e_re . v_re + e_im . v_im: two dot products of length d."""
-    return np.vecdot(e_re, v_re) + np.vecdot(e_im, v_im)
-
-
 def score_triples(table, heads, relations, tails):
     """Re(<e_h, r, conj(e_t)>) for each (heads[i], relations[i], tails[i]).
 
-    Each score is two dot products of length d, one per row: the bits of a
-    score depend only on the three rows, not on the other triples. The ids
-    are not checked (a negative one reads a row from the end): the one caller
-    here, ``evaluation._score_band``, passes ids that ``rank_queries`` checked."""
-    v_re, v_im = cmul(
-        table.ent_re[heads], table.ent_im[heads], table.rel_re[relations], table.rel_im[relations]
-    )
-    return _tail_dot(table.ent_re[tails], table.ent_im[tails], v_re, v_im)
+    Each score is one complex dot product of length d per row,
+    ``np.vecdot(e_t, e_h * r).real``: the bits of a score depend only on
+    the three rows, not on the other triples. The ids are not checked (a
+    negative one reads a row from the end): the one caller here,
+    ``evaluation._score_band``, passes ids that ``rank_queries`` checked."""
+    v = np.multiply(table.cent[heads], table.crel[relations])
+    return np.vecdot(table.cent[tails], v).real
 
 
 def score(table, triple):
@@ -226,39 +216,33 @@ def score_dim(table, triple, l):
 def query_factors(table, triples, tail_side):
     """Factor rows and true scores of ranking queries, each row built once.
 
-    Row q of the (Q, 2d) ``rows`` is v with its parts interleaved, as in
-    ``matrix``, with ent[j] . row the
-    score of ``triples[q]`` (an (Q, 3) int array) with its tail replaced by
-    j where ``tail_side[q]``, and its head otherwise. ``true[q]`` is the
-    score of ``triples[q]`` itself, with the bits of ``score_triples``: it
-    is taken from the tail factors that every row holds first."""
+    Row q of the (Q, 2d) ``rows`` is the float64 view of a complex vector
+    v, its parts interleaved as in ``matrix``, with ent[j] . row =
+    Re(sum_l e_j[l] * conj(v[l])) the score of ``triples[q]`` (an (Q, 3) int
+    array) with its tail replaced by j where ``tail_side[q]`` (v = e_h * r),
+    and its head otherwise (v = conj(r) * e_t). ``true[q]`` is the score of
+    ``triples[q]`` itself, with the bits of ``score_triples``: it is taken
+    from the tail factors that every row holds first."""
     h, r, t = triples.T
-    # Gathered halves are contiguous: elementwise calls on the strided halves
-    # of gathered ``ent`` rows cost about twice as much. (``ent_re.take``
-    # would first copy the whole strided half.)
-    c, s = table.rel_re[r], table.rel_im[r]
-    e, f = table.ent_re[t], table.ent_im[t]
-    v_re, v_im = cmul(table.ent_re[h], table.ent_im[h], c, s)
-    true = _tail_dot(e, f, v_re, v_im)
-    rows = np.stack((v_re, v_im), axis=-1)
-    head = np.nonzero(~tail_side)[0]
+    rel, tails = table.crel[r], table.cent[t]
+    v = np.multiply(table.cent[h], rel)
+    true = np.vecdot(tails, v).real
+    head = np.flatnonzero(~tail_side)
     if head.size:
-        rows[head] = np.stack(_head_factors(c[head], s[head], e[head], f[head]), axis=-1)
-    return rows.reshape(len(rows), -1), true
+        v[head] = np.multiply(np.conjugate(rel[head]), tails[head])
+    return v.view(np.float64), true
 
 
 def score_all_tails(table, head, relation):
     """Scores of (head, relation, j) for every entity j, as one array."""
     _check_ids(table, (head,), (relation,))
-    c, s = table.rel_re[relation], table.rel_im[relation]
-    return table.ent @ np.stack(cmul(table.ent_re[head], table.ent_im[head], c, s), axis=-1).reshape(-1)
+    return table.ent @ np.multiply(table.cent[head], table.crel[relation]).view(np.float64)
 
 
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
     _check_ids(table, (tail,), (relation,))
-    c, s = table.rel_re[relation], table.rel_im[relation]
-    return table.ent @ np.stack(_head_factors(c, s, table.ent_re[tail], table.ent_im[tail]), axis=-1).reshape(-1)
+    return table.ent @ np.multiply(np.conjugate(table.crel[relation]), table.cent[tail]).view(np.float64)
 
 
 def project_relation_components(rel_re, rel_im, bound):

@@ -14,6 +14,12 @@ penalty is zero exactly when every rule satisfies the real-part entailment
 inequality component-wise and the imaginary parts match. After every AdaGrad
 step the embeddings are projected back onto the feasible set, so the
 constraints hold exactly throughout training.
+
+A step's arrays are (u, d) complex128 rows of the table's row space, or
+their (u, 2d) float64 views. Its complex products are numpy's complex
+ufuncs: the score is ``np.vecdot(t, h * r).real``, and the gradients in
+the head, tail and relation rows are conj(r) * t, h * r and conj(h) * t.
+Real coefficients scale the float64 views; N3 and AdaGrad work on them.
 """
 
 import io
@@ -32,7 +38,6 @@ from .kernel import (
     Scratch,
     _check_ids,
     _check_rows,
-    _parts,
     complex_array,
     rule_penalty,
 )
@@ -146,15 +151,16 @@ class Workspace:
 
     The sizes fit a step of up to ``rows`` triples over ``relations``
     relations in dimension ``dim``, with B = rows and m = relations, in
-    units of ``dim`` floats. A step touches at most u = 2B + m rows of the
-    row space (``EmbeddingTable``), 2B entity and m relation rows:
+    units of ``dim`` float64s; a complex128 row of d components takes 2. A
+    step touches at most u = 2B + m rows of the row space
+    (``EmbeddingTable``), 2B entity and m relation rows:
     - step: the logistic terms of heads, tails and relations, 6B, and the
       merged gradients, 2u: 10B + 2m in all;
-    - temp: at most 4u = 8B + 4m, for N3 (rows [re, im], moduli and cubes)
+    - temp: at most 4u = 8B + 4m, for N3 (complex rows, moduli and cubes)
       and AdaGrad (accumulators, then parameters, and steps), 4 per row
-      each. Less for logistic (7B: the 3B rows [re, im] and one product), a
-      merge (one int64 index row per term, 3B + m) and the projection
-      ``train`` makes after AdaGrad (2 per row).
+      each. Less for logistic (6B for the 3B complex rows, and 2B float64s,
+      not rows, for the scores), a merge (one int64 index row per term,
+      3B + m) and the projection ``train`` makes after AdaGrad (2 per row).
     """
 
     def __init__(self, rows=0, dim=0, relations=0):
@@ -249,45 +255,31 @@ def logistic_loss(table, batch, *, workspace=None):
     _check_ids(table, (h, t), (r,))
     rows = np.concatenate((h, t, r))
     rows[2 * size :] += n
-    # Every row the batch reads, in one gather: a, e and c are the re parts
-    # of the heads, tails and relations, b, f and d their im parts.
+    # Every row the batch reads, in one gather: the heads, the tails and the
+    # relations.
     values = complex_array(ws.temp, (3 * size, dim))
     table.cmatrix.take(rows, axis=0, out=values, mode="clip")
-    (a, e, c), (b, f, d) = _parts(values.reshape(3, size, dim))
-    tmp, tmp2 = ws.temp((size, dim)), ws.temp((size, dim))
+    head, tail, rel = values.reshape(3, size, dim)
     # The score's gradients in the heads', the tails' and the relations'
-    # rows.
+    # rows: conj(r) * t, the tail factors v = h * r, and conj(h) * t.
     grads = complex_array(ws.step, (3, size, dim))
-    (dh_re, v_re, dr_re), (dh_im, v_im, dr_im) = _parts(grads)
+    dh, v, dr = grads
 
-    def combine(out, x, y, op, z, w):
-        """out = op(x * y, z * w)."""
-        np.multiply(x, y, out=out)
-        return op(out, np.multiply(z, w, out=tmp), out=out)
-
-    # The tail factors v = (a + ib)(c + id), as in ``model.score_triples``.
-    combine(v_re, a, c, np.subtract, b, d)
-    combine(v_im, a, d, np.add, b, c)
-    phi = np.einsum("ij,ij->i", _copy(v_re, tmp), _copy(e, tmp2))
-    phi += np.einsum("ij,ij->i", _copy(v_im, tmp), _copy(f, tmp2))
+    # The score Re(sum_l conj(t_l) * v_l), as in ``model.score_triples``.
+    np.multiply(head, rel, out=v)
+    phi = np.vecdot(tail, v, out=complex_array(ws.temp, (size,))).real
     z = labels * phi
     exp_neg = np.exp(-np.abs(z))
     loss = float(np.sum(np.maximum(-z, 0.0) + np.log1p(exp_neg)))
     sigma_neg = np.where(z >= 0, exp_neg / (1.0 + exp_neg), 1.0 / (1.0 + exp_neg))
     coeff = (-labels * sigma_neg)[:, None]
 
-    # The head and relation factors, as ``model._head_factors`` makes them.
-    combine(dh_re, c, e, np.add, d, f)
-    combine(dh_im, c, f, np.subtract, d, e)
-    combine(dr_re, a, e, np.add, b, f)
-    combine(dr_im, a, f, np.subtract, b, e)
-    grads.view(np.float64)[...] *= coeff
+    # The head and relation factors, the head's as ``model.query_factors``
+    # makes it; the gathered rows are spent.
+    np.multiply(np.conjugate(rel, out=rel), tail, out=dh)
+    np.multiply(np.conjugate(head, out=head), tail, out=dr)
+    np.multiply(grads.view(np.float64), coeff, out=grads.view(np.float64))
     return loss, RowGrads(rows, grads.reshape(3 * size, dim))
-
-
-def _copy(x, out):
-    np.copyto(out, x)
-    return out
 
 
 def n3_regularization(table, rows, *, workspace=None):
@@ -315,13 +307,15 @@ def n3_regularization(table, rows, *, workspace=None):
     rows = _check_rows(rows, len(table.matrix), "row")
     values = complex_array(ws.temp, (rows.size, table.dim))
     table.cmatrix.take(rows, axis=0, out=values, mode="clip")
-    parts = _parts(values)
+    parts = (values.real, values.imag)
     mod, cube = ws.temp(values.shape), ws.temp(values.shape)
     _modulus(parts, mod, cube)
     np.multiply(np.multiply(mod, mod, out=cube), mod, out=cube)  # mod**3
     loss = float(np.sum(cube))
     # 3.0 * mod * (re, im), written over the rows' values
-    np.multiply(np.multiply(mod, 3.0, out=cube), parts, out=parts)
+    np.multiply(mod, 3.0, out=cube)
+    for part in parts:
+        np.multiply(cube, part, out=part)
     return loss, RowGrads(rows, values)
 
 

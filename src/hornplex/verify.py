@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
-from .kernel import RuleArrays, body_product, cmul
+from .kernel import RuleArrays, body_product
 from .model import project_relation_components, replacing, write_provenance
 
 __all__ = [
@@ -76,11 +76,16 @@ _FORMS = {
 }
 
 
+def _complex(x):
+    """A complex array from one stacked [re, im] on its first axis."""
+    return x[0] + 1j * x[1]
+
+
 def _phi(z0, r, z1):
     """Re(z0 * r * conj(z1)) element-wise, for complex arrays stacked
     [re, im] on their first axis."""
-    p_re, p_im = cmul(*z0, *r)
-    return p_re * z1[0] + p_im * z1[1]
+    p = _complex(z0) * _complex(r)
+    return p.real * z1[0] + p.imag * z1[1]
 
 
 def _sample_chain(rng, trials, k, d, bound):
@@ -109,7 +114,8 @@ def _construct_head(rng, r, bound, negative_control):
     trials to skip."""
     k = r.shape[3]
     # normalized product R * prod(r_i / R)
-    hat_re, hat_im = body_product(r.transpose(0, 3, 1, 2)) / bound ** (k - 1)
+    hat = body_product(np.moveaxis(_complex(r), -1, 0))
+    hat_re, hat_im = hat.real / bound ** (k - 1), hat.imag / bound ** (k - 1)
 
     if negative_control:
         head_re = np.zeros_like(hat_re)

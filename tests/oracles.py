@@ -155,41 +155,45 @@ def enumerate_confidence(kg, rule):
     return supported / len(chains)
 
 
-def _cmul(a_re, a_im, b_re, b_im):
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+def _relations(table):
+    """The relation vectors as one complex128 array, built from the halves."""
+    return _complex(table.rel_re, table.rel_im)
 
 
 def body_product(table, body):
-    """Element-wise complex product of the body relation vectors."""
-    hb_re = table.rel_re[body[0]].copy()
-    hb_im = table.rel_im[body[0]].copy()
-    for rel in body[1:]:
-        hb_re, hb_im = _cmul(hb_re, hb_im, table.rel_re[rel], table.rel_im[rel])
-    return hb_re, hb_im
+    """Element-wise complex product of the body relation vectors, one
+    complex128 multiply per body position, left to right."""
+    rel = _relations(table)
+    hb = rel[body[0]].copy()
+    for r in body[1:]:
+        hb = hb * rel[r]
+    return hb
 
 
 def rule_deltas(table, rule):
     """The rule's per-dimension gaps (delta_re, delta_im) from one body product."""
-    hb_re, hb_im = body_product(table, rule.body)
+    hb = body_product(table, rule.body)
     R = table.bound
     rk = R**rule.length
-    return hb_re / rk - table.rel_re[rule.head] / R, hb_im / rk - table.rel_im[rule.head] / R
+    return hb.real / rk - table.rel_re[rule.head] / R, hb.imag / rk - table.rel_im[rule.head] / R
 
 
 def rule_penalty(table, rules):
     """The Horn-rule penalty of ``hornplex.training.rule_penalty``, one rule
-    at a time: prefix and suffix products of each body, and a dict that sums
-    every relation row's gradient terms in rule order (head, then body). The
-    rows are those of the table's row space: relation r is row n + r."""
+    at a time: prefix and suffix products of each body, complex128 products
+    of one rule's vectors, and a dict that sums every relation row's
+    gradient terms in rule order (head, then body), each part on its own.
+    The rows are those of the table's row space: relation r is row n + r."""
     dim = table.dim
     R = table.bound
+    rel = _relations(table)
     loss = 0.0
     acc: dict = {}
 
-    def add(rel, d_re, d_im):
-        slot = acc.get(rel)
+    def add(r, d_re, d_im):
+        slot = acc.get(r)
         if slot is None:
-            acc[rel] = [d_re.copy(), d_im.copy()]
+            acc[r] = [d_re.copy(), d_im.copy()]
         else:
             slot[0] += d_re
             slot[1] += d_im
@@ -201,35 +205,25 @@ def rule_penalty(table, rules):
         body = rule.body
 
         # prefix[i] = product of body[:i]; suffix[i] = product of body[i:]
-        pre_re = np.empty((k + 1, dim))
-        pre_im = np.empty((k + 1, dim))
-        suf_re = np.empty((k + 1, dim))
-        suf_im = np.empty((k + 1, dim))
-        pre_re[0], pre_im[0] = 1.0, 0.0
-        suf_re[k], suf_im[k] = 1.0, 0.0
+        pre = np.empty((k + 1, dim), dtype=complex)
+        suf = np.empty((k + 1, dim), dtype=complex)
+        pre[0] = suf[k] = 1.0
         for i in range(k):
-            pre_re[i + 1], pre_im[i + 1] = _cmul(
-                pre_re[i], pre_im[i], table.rel_re[body[i]], table.rel_im[body[i]]
-            )
+            pre[i + 1] = pre[i] * rel[body[i]]
         for i in reversed(range(k)):
-            suf_re[i], suf_im[i] = _cmul(
-                table.rel_re[body[i]], table.rel_im[body[i]], suf_re[i + 1], suf_im[i + 1]
-            )
-        hb_re, hb_im = pre_re[k], pre_im[k]
+            suf[i] = rel[body[i]] * suf[i + 1]
+        hb = pre[k]
 
-        u = hb_re / rk - table.rel_re[rule.head] / R
-        v = hb_im / rk - table.rel_im[rule.head] / R
+        u = hb.real / rk - table.rel_re[rule.head] / R
+        v = hb.imag / rk - table.rel_im[rule.head] / R
         active = (u > 0).astype(np.float64)
         loss += lam * (float(np.sum(u * active)) + float(np.sum(v * v)))
 
         add(rule.head, lam * (-active / R), lam * (-2.0 * v / R))
         for j in range(k):
-            c_re, c_im = _cmul(pre_re[j], pre_im[j], suf_re[j + 1], suf_im[j + 1])
-            add(
-                body[j],
-                lam * (active * c_re + 2.0 * v * c_im) / rk,
-                lam * (-active * c_im + 2.0 * v * c_re) / rk,
-            )
+            # d/d(body_j) of the hinge and the square: (active + 2vi) * conj(c)
+            term = _complex(active, 2.0 * v) * np.conj(pre[j] * suf[j + 1])
+            add(body[j], lam * term.real / rk, lam * term.imag / rk)
 
     if not acc:
         return 0.0, RowGrads(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))

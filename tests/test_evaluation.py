@@ -1,7 +1,10 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hornplex.evaluation import (
     evaluate,
@@ -21,6 +24,54 @@ from hornplex.rules import HornRule
 
 from conftest import make_feasible_table, make_random_kg
 from oracles import brute_force_filtered_rank, brute_force_report
+
+
+U = Fraction(1, 2**53)  # the unit roundoff of float64
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+# Zeros and normal parts of either sign, from 2**-300 to 2**300: no product
+# of two or three of them overflows or falls below 2**-1022.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(2.0**-300, 2.0**300).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+def complex_arrays(size):
+    return st.lists(PARTS, min_size=2 * size, max_size=2 * size).map(
+        lambda parts: np.array(parts).view(np.complex128)
+    )
+
+
+@given(st.integers(1, 40).flatmap(lambda size: st.tuples(complex_arrays(size), complex_arrays(size))))
+def test_a_complex_product_rounds_each_part_at_most_twice(pair):
+    """numpy's complex multiply, on arrays of every length its SIMD loops
+    and their tails see: each part of (a + bi)(c + di) is within
+    gamma_2 * (|a c| + |b d|) or gamma_2 * (|a d| + |b c|) of the exact
+    value, the per-term count ``evaluation._rank_block``'s bound takes."""
+    x, y = pair
+    z = np.multiply(x, y)
+    for (a, b), (c, d), (re, im) in zip(x.view(np.float64).reshape(-1, 2).tolist(),
+                                        y.view(np.float64).reshape(-1, 2).tolist(),
+                                        z.view(np.float64).reshape(-1, 2).tolist()):
+        a, b, c, d = map(Fraction, (a, b, c, d))
+        assert abs(Fraction(re) - (a * c - b * d)) <= gamma(2) * (abs(a * c) + abs(b * d))
+        assert abs(Fraction(im) - (a * d + b * c)) <= gamma(2) * (abs(a * d) + abs(b * c))
+
+
+@given(st.integers(1, 70).flatmap(lambda size: st.tuples(complex_arrays(size), complex_arrays(size))))
+def test_the_real_part_of_a_complex_dot_is_a_dot_of_2d_products(pair):
+    """The real part of ``np.vecdot(t, v)`` over d components is within
+    gamma_2d * sum_l (|t_re v_re| + |t_im v_im|) of the exact value: at most
+    2d roundings per term, whatever order BLAS sums in."""
+    t, v = pair
+    got = Fraction(float(np.vecdot(t, v).real))
+    terms = [Fraction(p) * Fraction(q) for p, q in zip(t.view(np.float64).tolist(), v.view(np.float64).tolist())]
+    assert abs(got - sum(terms)) <= gamma(2 * t.size) * sum(map(abs, terms))
 
 
 def singleton_kg(num_entities=5):

@@ -17,11 +17,13 @@ from hornplex.model import (
     load_table,
     project,
     project_relation_components,
+    query_factors,
     save_table,
     score,
     score_all_heads,
     score_all_tails,
     score_dim,
+    score_triples,
 )
 
 import oracles
@@ -114,6 +116,27 @@ def test_score_all_heads_matches_scalar():
     vec = score_all_heads(table, 1, 4)
     worst = max(abs(vec[i] - score(table, Triple(i, 1, 4))) for i in range(50))
     assert worst < 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 70)),
+    queries=st.integers(1, 40),
+)
+def test_a_triples_score_has_one_arithmetic(seed, shape, queries):
+    """``score``, ``score_triples`` and the true scores of ``query_factors``
+    give a triple the same bits, whatever rows, offsets and batch sizes the
+    triple comes with: ``evaluation._rank_block`` compares the one against
+    the others, so its error bound assumes they share their arithmetic."""
+    n, m, d = shape
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable.from_matrix(rng.standard_normal((n + m, 2 * d)), n, 1.0)
+    triples = np.stack([rng.integers(0, n, queries), rng.integers(0, m, queries), rng.integers(0, n, queries)], 1)
+    _, true = query_factors(table, triples, rng.random(queries) < 0.5)
+    assert score_triples(table, *triples.T).tobytes() == true.tobytes()
+    for q, triple in enumerate(triples.tolist()):
+        assert np.float64(score(table, Triple(*triple))).tobytes() == true[q].tobytes()
+        assert score_triples(table, *triples[q:].T)[0].tobytes() == true[q].tobytes()
 
 
 def test_score_all_tails_zero_head_row():

@@ -392,3 +392,39 @@ def test_a_rule_block_whose_rows_do_not_ascend_is_merged_term_by_term(rows):
     got = merge_row_grads(terms, rule, workspace=workspace)
     assert got.rows.tobytes() == want.rows.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
+
+
+# Values of either sign across the range: signed zeros, subnormals, normals
+# of any exponent and infinities, so that sums overflow, cancel to zero and
+# meet inf + -inf.
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(
+    rows=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+def test_complex_scatter_adds_each_part_as_two_float_scatters(rows, dim, data):
+    """One ``np.add.at`` on the flat complex128 view, as ``merge_row_grads``
+    and the rule penalty take it, gives the bits of two float64 ones, one
+    per part, over repeated and unsorted rows: a complex add is two
+    independent float adds, on whatever SIMD target numpy dispatches to."""
+
+    def draw(count):
+        return np.array(data.draw(st.lists(SCATTER_VALUES, min_size=count, max_size=count)))
+
+    terms = oracles._complex(*draw(2 * len(rows) * dim).reshape(2, len(rows), dim))
+    total = oracles._complex(*draw(12 * dim).reshape(2, 6, dim))
+    index = (np.array(rows)[:, None] * dim + np.arange(dim)).reshape(-1)
+
+    parts = [total.real.copy(), total.imag.copy()]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for part, term in zip(parts, (terms.real, terms.imag)):
+            np.add.at(part.reshape(-1), index, np.ascontiguousarray(term).reshape(-1))
+        np.add.at(total.reshape(-1), index, terms.reshape(-1))
+    assert total.real.tobytes() == parts[0].tobytes()
+    assert total.imag.tobytes() == parts[1].tobytes()
