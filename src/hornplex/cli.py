@@ -297,6 +297,10 @@ def main(argv=None):
     except (CliError, OSError, ValueError, KeyError, training.TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        command = " ".join(filter(None, (args.command, getattr(args, "rules_command", None))))
+        print(f"error: {command}: out of memory: {err}", file=sys.stderr)
+        return 2
 
 
 def entry_point():

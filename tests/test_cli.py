@@ -1,6 +1,10 @@
 import configparser
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +88,28 @@ def test_train_writes_artifacts(workspace, capsys):
     records, echo = read_training_log(out / "training_log.jsonl")
     assert len(records) == 3
     assert echo["train.mu"] == 0.5
+
+
+def test_a_table_that_does_not_fit_in_memory_is_one_error_line(workspace):
+    """A dim whose table needs far more memory than the process may map:
+    ``hornplex train`` exits 2 with an error line naming the command, not a
+    traceback. The address-space limit is set in the child only."""
+    big = workspace["tmp"] / "big.ini"
+    big.write_text(workspace["config"].read_text().replace("dim = 6", f"dim = {2**28}"), encoding="utf-8")
+    limit = 1 << 30  # 1 GiB of address space; the table alone needs 64 GiB
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "hornplex", "--config", str(big), "train"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: train: out of memory")
 
 
 def test_train_missing_rules_with_mu_errors(workspace, capsys):
