@@ -97,12 +97,6 @@ def complex_array(alloc, shape):
     return alloc(shape[:-1] + (2 * shape[-1],)).view(np.complex128)
 
 
-def _floats(z):
-    """The float64 view of a complex array whose last axis is contiguous:
-    each component's re beside its im, so a real factor scales both."""
-    return z.view(np.float64)
-
-
 def length_groups(rules, start=0, stop=None):
     """``rules[start:stop]`` grouped by body length k, shortest first, as
     (ids, groups). Each group is (its rules' indices in ``rules``, in rule
@@ -315,9 +309,9 @@ def rule_gaps(table, head, hb, rk, out):
     hb, rk = R**k, written to the (r, d) complex array ``out``, which may be
     ``hb``. Each part is divided on its own."""
     if table.bound != 1.0:  # x / 1.0 is x
-        np.divide(_floats(head), table.bound, out=_floats(head))
+        np.divide(head.view(np.float64), table.bound, out=head.view(np.float64))
     if rk != 1.0:
-        hb = np.divide(_floats(hb), rk, out=_floats(out)).view(np.complex128)
+        hb = np.divide(hb.view(np.float64), rk, out=out.view(np.float64)).view(np.complex128)
     return np.subtract(hb, head, out=out)
 
 
@@ -384,10 +378,10 @@ def _arena_rows(k):
       prefixes and suffixes that do not go into c (4k - 12): 6k - 10 more,
       10k - 4 in all.
     The gaps overwrite the body product, and the hinges and squares of the
-    loss the body terms' rows before those are written. ``_cut_windows`` cuts the windows
-    by this count and ``RuleArrays.from_rules`` sizes the penalty's arena by
-    it, so any change to the arrays ``_rule_terms`` takes must change it
-    too."""
+    loss the body terms' rows before those are written. ``_cut_windows``
+    cuts the windows by this count and ``RuleArrays.from_rules`` sizes the
+    penalty's arena by it, so any change to the arrays ``_rule_terms`` takes
+    must change it too."""
     return 10 if k == 1 else 16 if k == 2 else 10 * k - 4
 
 
@@ -402,7 +396,8 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     rk = R**k
     lam = group.confidences[lo:hi]
     ids = group.ids[:, lo:hi]  # checked at packing
-    b = table.crel.take(ids, axis=0, out=complex_array(alloc, ids.shape + (table.dim,)), mode="clip")
+    b = complex_array(alloc, ids.shape + (table.dim,))
+    table.crel.take(ids, axis=0, out=b, mode="clip")
     body = b[1:]
     hb, c = (body[0], None) if k == 1 else gradient_factors(body, alloc)
     gap = rule_gaps(table, b[0], hb, rk, out=hb)
@@ -412,7 +407,7 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     active, w = aw.real, aw.imag
     # The hinges u * active and the squares v * v, each a contiguous row
     # per rule for its sum, in rows of g that the body terms fill later.
-    hinge_square = _floats(g[1]).reshape((2,) + gap.shape)
+    hinge_square = g[1].view(np.float64).reshape((2,) + gap.shape)
     np.greater(u, 0.0, out=active, casting="unsafe")
     np.multiply(u, active, out=hinge_square[0])
     np.multiply(v, v, out=hinge_square[1])
@@ -424,12 +419,12 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     # conj(c_j) / R^k, with c_j the product of the other factors: 1+0i when
     # k = 1.
     np.multiply(v, 2.0, out=w)
-    np.divide(_floats(aw), -R, out=_floats(g[0]))
+    np.divide(aw.view(np.float64), -R, out=g[0].view(np.float64))
     if c is None:
         g[1] = aw
     else:
         np.multiply(aw, np.conjugate(c, out=c), out=g[1:])  # c is spent
-    np.multiply(_floats(g), lam, out=_floats(g))
+    np.multiply(g.view(np.float64), lam, out=g.view(np.float64))
     if rk != 1.0:
-        np.divide(_floats(g[1:]), rk, out=_floats(g[1:]))
+        np.divide(g[1:].view(np.float64), rk, out=g[1:].view(np.float64))
     return g

@@ -4,8 +4,9 @@ Entities and relations are complex vectors, all rows of one (n+m, d)
 complex128 array: entity i is row i and relation r is row n + r. Its
 float64 view, the (n+m, 2d) ``matrix``, holds each component's re and im
 side by side. The feasible set is: entity components in [0, 1], relation
-components non-negative with per-dimension modulus at most ``bound``. The score of a triple (h, r, t) is
-Re(sum_l e_h[l] * r[l] * conj(e_t)[l]), which under the constraints is
+components non-negative with per-dimension modulus at most ``bound``. The
+score of a triple (h, r, t) is Re(sum_l e_h[l] * r[l] * conj(e_t)[l]),
+which under the constraints is
 bounded by 2 * bound * dim in absolute value. It is formed with numpy's
 complex ufuncs: the tail factors v = e_h * r, one ``np.multiply``, then
 ``np.vecdot(e_t, v).real`` (``vecdot`` conjugates its first argument).
@@ -86,11 +87,10 @@ class EmbeddingTable:
     C-contiguous row-slice views of ``matrix``, so scoring every entity is
     one matrix product; ``cent`` and ``crel`` are the same row slices of
     ``cmatrix``. A step gathers and puts the rows it touches, of either
-    kind, at once.
-    ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are strided views of
-    the parts: write into them (``table.ent_re[rows] = ...``); rebinding
-    them is an AttributeError. The constructor copies the halves into a new
-    matrix; ``from_matrix`` takes a matrix as it is.
+    kind, at once. ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are
+    strided views of the parts: write into them (``table.ent_re[rows] =
+    ...``); rebinding them is an AttributeError. The constructor copies the
+    halves into a new matrix; ``from_matrix`` takes a matrix as it is.
     Either way a ``bound`` that is not positive and finite is a ValueError.
     """
 
@@ -242,7 +242,8 @@ def score_all_tails(table, head, relation):
 def score_all_heads(table, relation, tail):
     """Scores of (i, relation, tail) for every entity i, as one array."""
     _check_ids(table, (tail,), (relation,))
-    return table.ent @ np.multiply(np.conjugate(table.crel[relation]), table.cent[tail]).view(np.float64)
+    factors = np.multiply(np.conjugate(table.crel[relation]), table.cent[tail])
+    return table.ent @ factors.view(np.float64)
 
 
 def project_relation_components(rel_re, rel_im, bound):
@@ -274,8 +275,8 @@ def project(table, rows=None, alloc=np.empty):
     which are checked (an IndexError, raised before any write), taken into
     one array from ``alloc(shape)``, projected there and put back in one.
     By default every row is projected where it lies, since taking every row
-    would copy the whole matrix. Each component is
-    projected on its own, so a row gets the same bits either way."""
+    would copy the whole matrix. Each component is projected on its own, so
+    a row gets the same bits either way."""
     if rows is None:
         ent, re, im = table.ent, table.rel_re, table.rel_im
     else:
@@ -362,8 +363,8 @@ def read_array(handle, shape, what):
 
 
 def _read_rows(handle, dim, parts):
-    """A (rows, 2 * dim) matrix of interleaved re and im parts, read from a binary
-    ``handle`` a row slice at a time: ``parts`` lists (rows, names, valid,
+    """A (rows, 2 * dim) matrix of interleaved re and im parts, read from a
+    binary ``handle`` a row slice at a time: ``parts`` lists (rows, names, valid,
     kind, rule) per slice, in row order, each stored as two row-major
     (rows, dim) float64 halves named ``names`` and read one block (see
     ``_row_blocks``) at a time. A half the file does not hold whole raises
