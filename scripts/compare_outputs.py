@@ -15,15 +15,17 @@ embedding CSVs, grounded rule confidences, dictionaries, resolved config)
 is then compared byte for byte, and one line per file says ``same`` or
 ``DIFFERS`` (or ``MISSING`` on one side). The report ends with one line per
 artifact name: on how many of the runs that wrote it the file DIFFERS or is
-MISSING. The exit status is 1 if any file is not the same.
+MISSING; then one line per input: whether every file of its runs, at both
+bounds, is the same, so a declared change of output bytes shows its reach.
+The exit status is 1 if any file is not the same.
 
 A fourth input, rules-1200, is the rules-500 graph with 1,200 seeded
 random rules of body length 1-4, written with ``rules.write_rules``: more
 rules than one chunk of the rule diagnostics (512 at d=64) and several
-windows of the rule penalty. A fifth, rules-1200-d16, runs the same files
-at d=16, where the penalty's window cut allows 4,096 terms and 12,288
-arena rows instead of 1,024 and 3,072, so the check covers a packing cut
-for a second dimension. A sixth, planted-small-b1024, trains on the
+slices of each length group in the rule penalty. A fifth, rules-1200-d16,
+runs the same files at d=16, where the penalty's arena holds 12,288 rows
+of d elements instead of 3,072, four times the rules a slice, so the check
+covers a packing cut for a second dimension. A sixth, planted-small-b1024, trains on the
 planted-small files in batches of 1,024 positives with 10 negatives each:
 11,264 triples a step, so relation rows get thousands of gradient terms
 each, and the gradient merge adds rows far longer than the other inputs
@@ -175,7 +177,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the revision to compare the working tree with")
     args = parser.parse_args(argv)
-    tally = {}
+    tally, inputs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         old_tree = export(args.rev, tmp)
         for workload, settings in INPUTS.items():
@@ -196,12 +198,17 @@ def main(argv=None):
                 new = run_case(ROOT, workload, bound, ground)
                 for name, verdict in compare(old, new):
                     tally.setdefault(name, Counter())[verdict] += 1
+                    inputs.setdefault(workload, Counter())[verdict] += 1
                     print(f"{workload} bound={bound} {name}: {verdict}", flush=True)
     for name, verdicts in sorted(tally.items()):
         print(
             f"{name}: DIFFERS on {verdicts['DIFFERS']}, MISSING on {verdicts['MISSING']} "
             f"of {verdicts.total()} runs"
         )
+    for workload, verdicts in inputs.items():
+        same = verdicts["same"] == verdicts.total()
+        print(f"{workload}: {'all same' if same else 'not all same'} ({verdicts['same']} of "
+              f"{verdicts.total()} files)")
     differ = sum(v["DIFFERS"] + v["MISSING"] for v in tally.values())
     print(f"{differ} file(s) not the same" if differ else "every file is the same")
     return 1 if differ else 0

@@ -3,30 +3,28 @@
 A rule list is packed once into index arrays (``RuleArrays``), with one
 ``LengthGroup`` per body length k (``length_groups``). A group holds, in
 rule order, the ids of its rules, their relation ids as a (k+1, r) array
-(the heads, then each body position), their confidences, and the rows their
-gradient terms take in the rule-major term sequence of the whole list: each
-rule's head term, then one term per body position. Nothing is padded, so a
-group of length k does only the products its bodies need.
+(the heads, then each body position) and their confidences. Nothing is
+padded, so a group of length k does only the products its bodies need.
 
 A list is packed for a table of m relations of dimension d: the packing
-checks the relation ids against m (``check_relations``), cuts the rules
-into windows of consecutive rules (``_cut_windows``) and records the sizes
-of the penalty's buffers. A window is the slice of each length group that
-falls into it. It ends where its Σ(k+1)·d gradient terms would pass
-``WINDOW_ELEMENTS``, or where one group's slice would need more of an arena
-of ``ARENA_ELEMENTS`` than it holds, as ``_arena_rows`` counts that need per
-rule; a rule that breaks a limit on its own gets a window to itself. The
-penalty (``rule_penalty``, which ``training`` imports for its step) checks
-only the table's shape and works a window at a time: each group's slice
-takes its arrays from the arena (``_rule_terms``), and the window's scatter
-index, one int64 row a term, takes the arena once the groups are done. One
-set of buffers is sized to the largest window's need, so the memory a call
-needs does not grow with the rule count. The arrays a slice takes, their
-count, the cut that uses the count and the sizes taken from it all live in
-this module. The rule
-diagnostics (``evaluation.relation_rule_diagnostics``) group a chunk of
-rules at a time with ``length_groups``, take each group's vectors on their
-own and write its ``rule_gaps`` into the rows of their one output array.
+checks the relation ids against m (``check_relations``), cuts each length
+group into slices of consecutive rules that fit an arena of
+``ARENA_ELEMENTS``, as ``_arena_rows`` counts the need per rule (a rule
+that needs more on its own gets a slice to itself), and holds each slice's
+scatter index. The penalty's gradient sums lie in a (K+1, u, d) array, K
+the longest body and u the relations the rules touch: plane 0 for the
+heads' terms and plane j for body position j's. A slice's index holds, for
+each element of its (k+1, r, d) terms, its flat position in those sums:
+one int64 a term element, 8·d bytes a term. The penalty (``rule_penalty``,
+which ``training`` imports for its step) checks only the table's shape and
+works a slice at a time, shortest body first: the slice's arrays come from
+the arena (``_rule_terms``), sized to the largest slice's need, so the
+memory a call needs does not grow with the rule count. The arrays a slice
+takes, their count, the cut that uses the count and the sizes taken from
+it all live in this module. The rule diagnostics
+(``evaluation.relation_rule_diagnostics``) group a chunk of rules at a time
+with ``length_groups``, take each group's vectors on their own and write
+its ``rule_gaps`` into the rows of their one output array.
 
 Products follow the per-rule formulas: the body product is
 ((b[0] x b[1]) x b[2]) x ..., and the factor of body position j in its
@@ -53,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "WINDOW_ELEMENTS",
     "ARENA_ELEMENTS",
     "LengthGroup",
     "RuleArrays",
@@ -67,8 +64,8 @@ __all__ = [
     "rule_penalty",
 ]
 
-WINDOW_ELEMENTS = 1 << 16
 ARENA_ELEMENTS = 3 << 16
+LOSS_CHUNK = 1 << 10
 
 
 def _check_rows(rows, count, what):
@@ -144,7 +141,6 @@ class LengthGroup:
     rules: np.ndarray  # (r,) int64 rule indices, ascending
     ids: np.ndarray  # (k+1, r) int64 relation ids: the head, then each body position
     confidences: np.ndarray  # (r, 1) float64
-    terms: np.ndarray  # (k+1, r) int64 rows of the same terms in the term sequence
 
     @property
     def length(self):
@@ -154,81 +150,49 @@ class LengthGroup:
 @dataclass(frozen=True)
 class RuleArrays:
     """Horn rules packed for a table of ``shape`` (relations, dimension):
-    where each rule's terms start in the rule-major term sequence (a rule's
-    head, then its body), the sorted relation ids the rules touch with, per
-    term, the position of its relation among them, and their windows
-    (``_cut_windows``), which hold their length groups, and buffer sizes."""
+    the sorted relation ids the rules touch, the slices of their length
+    groups, shortest body first, each with its scatter index into the
+    penalty's ``planes`` planes of sums, and the arena rows of the largest
+    slice's need."""
 
-    starts: np.ndarray  # (n+1,) int64; rule i's terms are rows starts[i]:starts[i+1]
     rows: np.ndarray  # (u,) int64 sorted relation ids of heads and bodies
-    slots: np.ndarray  # (starts[n],) int64 position in rows of each term's relation
     shape: tuple  # (num_relations, dim) of the table
-    windows: list  # (first, count, parts) per window, in rule order
-    width: int  # the terms of the largest window
-    arena: int  # the rows of dim elements of the largest need of a window
+    slices: list  # (group, lo, hi, index) per slice: rules lo:hi of a group
+    planes: int  # K+1 for the longest body length K; 1 for no rules
+    arena: int  # the rows of dim elements of the largest slice's need
 
     @classmethod
     def from_rules(cls, rules, num_relations, dim):
         """``rules`` packed for a table of ``num_relations`` relations of
         dimension ``dim``; a relation id outside the table is a ValueError
-        naming the first rule that has one."""
+        naming the first rule that has one. Each length group is cut into
+        slices of consecutive rules of at most the ``_arena_rows`` an arena
+        of ARENA_ELEMENTS holds; a rule that needs more gets a slice to
+        itself. A slice's index is int64, (k+1)·r·d entries: for term
+        element (p, i, l), the flat position of relation ids[p, i]'s row,
+        element l, in plane p of the (planes, u, d) sums."""
         rules = list(rules)
-        lengths = np.fromiter((len(rule.body) for rule in rules), np.int64, len(rules))
-        starts = np.zeros(len(rules) + 1, dtype=np.int64)
-        np.cumsum(lengths + 1, out=starts[1:])
-        relations = np.empty(starts[-1], dtype=np.int64)
-        groups = []
-        for members, ids in length_groups(rules)[1]:
-            terms = starts[members] + np.arange(ids.shape[0])[:, None]
-            relations[terms] = ids
+        ids, groups = length_groups(rules)
+        check_relations(ids, groups, num_relations)
+        rows, slots = np.unique(ids, return_inverse=True)
+        slices, at = [], 0
+        for members, group_ids in groups:
             confidences = np.array([[rules[i].confidence] for i in members.tolist()])
-            groups.append(LengthGroup(members, ids, confidences, terms))
-        rows, slots = np.unique(relations, return_inverse=True)
-        check_relations(rows, [(group.rules, group.ids) for group in groups], num_relations)
-        windows = _cut_windows(groups, starts, dim)
-        # The penalty's buffers: the rule-major gradient terms of a window,
-        # [re, im], and an arena for the arrays of one length group in a
-        # window, then for the window's scatter index, one row a term.
-        width = max((count for _, count, _ in windows), default=0)
-        need = [_arena_rows(group.length) * (hi - lo) for _, _, parts in windows for group, lo, hi in parts]
-        shape, arena = (num_relations, dim), max([width] + need)
-        return cls(starts, rows, slots.reshape(-1), shape, windows, width, arena)
+            group = LengthGroup(members, group_ids, confidences)
+            # Each term's row of the sums: its relation's slot, in its position's plane.
+            slot = slots[at : at + group_ids.size].reshape(group_ids.shape)
+            at += group_ids.size
+            flat = (slot + rows.size * np.arange(group.length + 1)[:, None]) * dim
+            step = max(1, ARENA_ELEMENTS // dim // _arena_rows(group.length))
+            for lo in range(0, members.size, step):
+                index = (flat[:, lo : lo + step, None] + np.arange(dim)).reshape(-1)
+                slices.append((group, lo, min(lo + step, members.size), index))
+        planes = groups[-1][1].shape[0] if groups else 1
+        arena = max((_arena_rows(group.length) * (hi - lo) for group, lo, hi, _ in slices), default=0)
+        return cls(rows, (num_relations, dim), slices, planes, arena)
 
     def __len__(self):
-        return self.starts.size - 1
-
-
-def _cut_windows(groups, starts, dim):
-    """Rules, as length groups and term starts, cut into windows of
-    consecutive rules for a table of dimension ``dim``, in rule order, as
-    (first, count, parts): the window's terms are rows first:first+count of
-    the term sequence, and ``parts`` lists (group, lo, hi) for each group
-    with rules lo:hi in it. A window holds at most WINDOW_ELEMENTS // dim
-    terms, each group's slice of it needs at most the rows of ``dim``
-    elements that an arena of ARENA_ELEMENTS holds (``_arena_rows`` per
-    rule), and so does the window's scatter index, one row a term. A rule
-    that breaks a limit on its own gets a window to itself."""
-    rows = ARENA_ELEMENTS // dim
-    cap = max(1, min(WINDOW_ELEMENTS // dim, rows))
-    most = [rows // _arena_rows(group.length) for group in groups]
-    cuts = [0]
-    while cuts[-1] < starts.size - 1:
-        lo = cuts[-1]
-        hi = int(np.searchsorted(starts, starts[lo] + cap, side="right")) - 1
-        for group, count in zip(groups, most):
-            at = int(np.searchsorted(group.rules, lo)) + count
-            if at < group.rules.size:
-                hi = min(hi, int(group.rules[at]))
-        cuts.append(max(hi, lo + 1))
-    bounds = [np.searchsorted(group.rules, cuts).tolist() for group in groups]
-    return [
-        (
-            int(starts[lo]),
-            int(starts[hi] - starts[lo]),
-            [(group, at[w], at[w + 1]) for group, at in zip(groups, bounds) if at[w] < at[w + 1]],
-        )
-        for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-    ]
+        return sum(hi - lo for _, lo, hi, _ in self.slices)
 
 
 @dataclass
@@ -330,11 +294,14 @@ def rule_penalty(table, rules):
     Returns (loss, RowGrads over the touched relations' rows, n + r for r,
     ascending). A relation id outside the table is a ValueError naming the rule.
 
-    Rules run a window at a time, and within a window one body length at a
-    time, in one set of buffers of the sizes the packing records (see the
-    module docstring). Per-rule losses are added in rule order, and each
-    row's gradient sums its terms in rule order (head, then body positions),
-    so the result does not depend on the windows.
+    Rules run a slice at a time, shortest body first, in one arena of the
+    size the packing records (see the module docstring). Per-rule losses
+    are added in rule order. Each row's gradient is A_0 + A_1 + ... + A_K,
+    added in that order, where A_p sums, from +0.0 and in turn, the terms
+    of body position p (p = 0: the head's) of the rules taken shortest body
+    first and in rule order within one body length. So the gradient does
+    not depend on d, the arena or the slices, nor on how rules of different
+    body lengths interleave in the list.
     """
     dim = table.dim
     shape = (table.num_relations, dim)
@@ -342,30 +309,26 @@ def rule_penalty(table, rules):
         rules = RuleArrays.from_rules(rules, *shape)
     elif rules.shape != shape:
         raise ValueError(f"rules packed for (relations, dim) {rules.shape}, the table is {shape}")
-    # One np.add.at call per window sums the complex terms, each part on
-    # its own.
-    terms = np.empty((rules.width, dim), dtype=np.complex128)
     scratch = Scratch(rules.arena * dim)
-    span = np.arange(dim)
     losses = np.empty(len(rules))
-    sums = np.zeros((rules.rows.size, dim), dtype=np.complex128)
-
-    for first, count, parts in rules.windows:
-        for group, lo, hi in parts:
-            scratch.reset()
-            terms[group.terms[:, lo:hi] - first] = _rule_terms(table, group, lo, hi, losses, scratch)
-        # Scatter in rule order through flat indices: np.add.at runs far
-        # faster on 1-d arrays, and adds in index order all the same.
+    # One plane of sums per body position, the heads' first. A slice's terms
+    # go to theirs in one np.add.at through its flat index: np.add.at runs
+    # far faster on 1-d arrays, and adds in index order all the same, each
+    # part of a complex term on its own.
+    sums = np.zeros((rules.planes, rules.rows.size, dim), dtype=np.complex128)
+    flat = sums.reshape(-1)
+    for group, lo, hi, index in rules.slices:
         scratch.reset()
-        index = scratch((count, dim)).view(np.int64)
-        np.multiply(rules.slots[first : first + count, None], dim, out=index)
-        index += span
-        np.add.at(sums.reshape(-1), index.reshape(-1), terms[:count].reshape(-1))
+        np.add.at(flat, index, _rule_terms(table, group, lo, hi, losses, scratch).reshape(-1))
+    for plane in sums[1:]:
+        sums[0] += plane
 
+    # In chunks, so that no list of a Python float per rule is held.
     loss = 0.0
-    for term in losses.tolist():
-        loss += term
-    return loss, RowGrads(rules.rows + table.num_entities, sums)
+    for at in range(0, losses.size, LOSS_CHUNK):
+        for term in losses[at : at + LOSS_CHUNK].tolist():
+            loss += term
+    return loss, RowGrads(rules.rows + table.num_entities, sums[0])
 
 
 def _arena_rows(k):
@@ -378,8 +341,8 @@ def _arena_rows(k):
       prefixes and suffixes that do not go into c (4k - 12): 6k - 10 more,
       10k - 4 in all.
     The gaps overwrite the body product, and the hinges and squares of the
-    loss the body terms' rows before those are written. ``_cut_windows``
-    cuts the windows by this count and ``RuleArrays.from_rules`` sizes the
+    loss the body terms' rows before those are written.
+    ``RuleArrays.from_rules`` cuts the slices by this count and sizes the
     penalty's arena by it, so any change to the arrays ``_rule_terms`` takes
     must change it too."""
     return 10 if k == 1 else 16 if k == 2 else 10 * k - 4
@@ -414,17 +377,16 @@ def _rule_terms(table, group, lo, hi, losses, alloc):
     sums = hinge_square.sum(axis=2)
     losses[group.rules[lo:hi]] = lam[:, 0] * (sums[0] + sums[1])
 
-    # The head's term is lam * (-active/R - 2v/R i), taken as (active +
-    # 2vi) / -R, the same bits. Body position j's is lam * (active + 2vi) *
-    # conj(c_j) / R^k, with c_j the product of the other factors: 1+0i when
-    # k = 1.
+    # lam scales aw = active + 2vi once. The head's term is then aw / -R,
+    # and body position j's is aw * conj(c_j) / R^k, with c_j the product
+    # of the other factors: 1+0i when k = 1.
     np.multiply(v, 2.0, out=w)
+    np.multiply(aw.view(np.float64), lam, out=aw.view(np.float64))
     np.divide(aw.view(np.float64), -R, out=g[0].view(np.float64))
     if c is None:
         g[1] = aw
     else:
         np.multiply(aw, np.conjugate(c, out=c), out=g[1:])  # c is spent
-    np.multiply(g.view(np.float64), lam, out=g.view(np.float64))
     if rk != 1.0:
         np.divide(g[1:].view(np.float64), rk, out=g[1:].view(np.float64))
     return g

@@ -180,25 +180,25 @@ def rule_deltas(table, rule):
 
 def rule_penalty(table, rules):
     """The Horn-rule penalty of ``hornplex.training.rule_penalty``, one rule
-    at a time: prefix and suffix products of each body, complex128 products
-    of one rule's vectors, and a dict that sums every relation row's
-    gradient terms in rule order (head, then body), each part on its own.
+    at a time: prefix and suffix products of each body and complex128
+    products of one rule's vectors. The loss adds each rule's in rule order.
+    The gradient terms go to one dict per body position (0: the head), over
+    the rules taken shortest body first and in rule order within a body
+    length; each dict sums a row's terms in turn from +0.0, each part on its
+    own, and a row's gradient adds its positions' sums in position order.
     The rows are those of the table's row space: relation r is row n + r."""
     dim = table.dim
     R = table.bound
     rel = _relations(table)
-    loss = 0.0
-    acc: dict = {}
+    losses = [0.0] * len(rules)
+    positions = [{} for _ in range(1 + max((rule.length for rule in rules), default=0))]
 
-    def add(r, d_re, d_im):
-        slot = acc.get(r)
-        if slot is None:
-            acc[r] = [d_re.copy(), d_im.copy()]
-        else:
-            slot[0] += d_re
-            slot[1] += d_im
+    def add(p, r, d_re, d_im):
+        slot = positions[p].setdefault(r, [np.zeros(dim), np.zeros(dim)])
+        slot[0] += d_re
+        slot[1] += d_im
 
-    for rule in rules:
+    for i, rule in sorted(enumerate(rules), key=lambda item: item[1].length):
         k = rule.length
         rk = R**k
         lam = rule.confidence
@@ -208,29 +208,39 @@ def rule_penalty(table, rules):
         pre = np.empty((k + 1, dim), dtype=complex)
         suf = np.empty((k + 1, dim), dtype=complex)
         pre[0] = suf[k] = 1.0
-        for i in range(k):
-            pre[i + 1] = pre[i] * rel[body[i]]
-        for i in reversed(range(k)):
-            suf[i] = rel[body[i]] * suf[i + 1]
+        for j in range(k):
+            pre[j + 1] = pre[j] * rel[body[j]]
+        for j in reversed(range(k)):
+            suf[j] = rel[body[j]] * suf[j + 1]
         hb = pre[k]
 
         u = hb.real / rk - table.rel_re[rule.head] / R
         v = hb.imag / rk - table.rel_im[rule.head] / R
         active = (u > 0).astype(np.float64)
-        loss += lam * (float(np.sum(u * active)) + float(np.sum(v * v)))
+        losses[i] = lam * (float(np.sum(u * active)) + float(np.sum(v * v)))
 
-        add(rule.head, lam * (-active / R), lam * (-2.0 * v / R))
+        # d/d(head) and d/d(body_j) of the hinge and the square, lam folded
+        # into aw = lam * (active + 2vi) first: aw / -R and aw * conj(c) / R^k.
+        aw = _complex(lam * active, lam * (2.0 * v))
+        add(0, rule.head, aw.real / -R, aw.imag / -R)
         for j in range(k):
-            # d/d(body_j) of the hinge and the square: (active + 2vi) * conj(c)
-            term = _complex(active, 2.0 * v) * np.conj(pre[j] * suf[j + 1])
-            add(body[j], lam * term.real / rk, lam * term.imag / rk)
+            term = aw * np.conj(pre[j] * suf[j + 1])
+            add(j + 1, body[j], term.real / rk, term.imag / rk)
 
-    if not acc:
-        return 0.0, RowGrads(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
-    rows = np.array(sorted(acc), dtype=np.int64)
-    re = np.stack([acc[r][0] for r in rows])
-    im = np.stack([acc[r][1] for r in rows])
-    return loss, RowGrads(rows + table.num_entities, _complex(re, im))
+    loss = 0.0
+    for term in losses:
+        loss += term
+    rows = sorted(set().union(*positions))
+    if not rows:
+        return loss, RowGrads(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
+    re = np.zeros((len(rows), dim))
+    im = np.zeros((len(rows), dim))
+    for at, r in enumerate(rows):
+        for sums in positions:
+            if r in sums:
+                re[at] += sums[r][0]
+                im[at] += sums[r][1]
+    return loss, RowGrads(np.array(rows, dtype=np.int64) + table.num_entities, _complex(re, im))
 
 
 def _complex(re, im):

@@ -1,5 +1,5 @@
-"""The rule kernel, in windows and length groups, against the per-rule
-loops in ``oracles``.
+"""The rule kernel, in length groups and their slices, against the
+per-rule loops in ``oracles``.
 
 The kernel multiplies and sums in the same order as the loops, so losses,
 gradients and gaps must be equal, not merely close.
@@ -67,12 +67,13 @@ def test_diagnostics_equal_per_rule_products(case):
         assert np.array_equal(diag.delta_im, delta_im)
 
 
-@given(rule_sets(), st.sampled_from([8, 64]))
-def test_small_windows_change_nothing(case, budget):
-    """A budget of 8 or 64 elements cuts the rules into windows of one to a
-    few rules, which end inside length groups and hold several of them."""
+@given(rule_sets(), st.sampled_from([8, 64, 512]))
+def test_small_arenas_change_nothing(case, budget):
+    """An arena of 8 elements cuts every rule into a slice of its own, and
+    one of 64 or 512 into slices of one to a few dozen rules, which end
+    inside length groups."""
     table, rules = case
-    with mock.patch.object(kernel, "WINDOW_ELEMENTS", budget):
+    with mock.patch.object(kernel, "ARENA_ELEMENTS", budget):
         loss, grads = rule_penalty(table, rules)
         diagnostics = relation_rule_diagnostics(table, rules)
     expected_loss, expected = oracles.rule_penalty(table, rules)
@@ -85,25 +86,59 @@ def test_small_windows_change_nothing(case, budget):
         assert np.array_equal(diag.delta_im, delta_im)
 
 
-def test_windows_cut_the_length_groups_in_rule_order():
-    lengths = [1, 2, 1, 3, 3, 1, 4, 2, 2, 1, 6]
-    with mock.patch.object(kernel, "WINDOW_ELEMENTS", 6 * 2):
+@given(rule_sets(), st.data())
+def test_gradients_do_not_depend_on_how_body_lengths_interleave(case, data):
+    """Rules reordered so that each body length keeps its rules' relative
+    order give the same gradient rows, bit for bit: every row sums each
+    body position's terms shortest body first, in rule order within a
+    length."""
+    table, rules = case
+    lengths = data.draw(st.permutations([rule.length for rule in rules]))
+    by_length = {}
+    for rule in rules:
+        by_length.setdefault(rule.length, []).append(rule)
+    queues = {k: iter(group) for k, group in by_length.items()}
+    shuffled = [next(queues[k]) for k in lengths]
+    _, grads = rule_penalty(table, rules)
+    _, other = rule_penalty(table, shuffled)
+    assert np.array_equal(grads.rows, other.rows)
+    assert grads.values.tobytes() == other.values.tobytes()
+
+
+def test_slices_cut_each_length_group_in_rule_order():
+    """An arena of 40 rows at d = 2 holds 4 rules of length 1, 2 of length
+    2, 1 of length 3 and none of length 6, which gets a slice to itself."""
+    lengths = [1, 2, 1, 3, 3, 1, 4, 2, 2, 1, 6, 1, 1, 2]
+    with mock.patch.object(kernel, "ARENA_ELEMENTS", 40 * 2):
         arrays = kernel.RuleArrays.from_rules(
             (HornRule(body=(0,) * k, head=1, confidence=1.0) for k in lengths), 2, 2
         )
-    windows = arrays.windows
-    seen = []
-    for first, count, parts in windows:
-        ids = sorted(i for group, lo, hi in parts for i in group.rules[lo:hi].tolist())
-        assert first == arrays.starts[ids[0]]
-        assert count == sum(lengths[i] + 1 for i in ids)
-        assert count <= 6 or len(ids) == 1
-        seen += ids
-    assert seen == list(range(len(lengths)))
-    cut = [(group.length, lo, hi) for _, _, parts in windows for group, lo, hi in parts]
-    assert any(lo > 0 for _, lo, _ in cut)  # a group split between windows
-    assert any(len(parts) > 1 for _, _, parts in windows)  # a window of several lengths
-    assert windows[-1][1] == 7 and len(windows[-1][2]) == 1  # rule 10 alone, over budget
+    cut = [(group.length, group.rules[lo:hi].tolist()) for group, lo, hi, _ in arrays.slices]
+    assert cut == [
+        (1, [0, 2, 5, 9]),
+        (1, [11, 12]),
+        (2, [1, 7]),
+        (2, [8, 13]),
+        (3, [3]),
+        (3, [4]),
+        (4, [6]),
+        (6, [10]),
+    ]
+    assert len(arrays) == len(lengths) and arrays.planes == 7
+    assert arrays.arena == max(kernel._arena_rows(k) * len(ids) for k, ids in cut)
+
+
+def test_a_slice_holds_one_int64_index_entry_per_term_element():
+    """A packing holds, per slice of r rules of body length k, exactly
+    (k+1)·r·d int64 index entries: 8·d bytes a term, and no more."""
+    dim = 64
+    rules = _random_rules(700, 24, seed=7, max_length=5)
+    arrays = kernel.RuleArrays.from_rules(rules, 24, dim)
+    assert len(arrays.slices) > 5
+    for group, lo, hi, index in arrays.slices:
+        assert index.dtype == np.int64 and index.shape == ((group.length + 1) * (hi - lo) * dim,)
+    terms = sum(rule.length + 1 for rule in rules)
+    assert sum(index.nbytes for *_, index in arrays.slices) == 8 * dim * terms
 
 
 def test_a_packing_is_for_one_relation_count_and_dimension():
@@ -120,13 +155,12 @@ def test_a_packing_is_for_one_relation_count_and_dimension():
             rule_penalty(other, arrays)
 
 
-@given(rule_sets(), st.sampled_from([8, 1000]))
-def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
+@given(rule_sets())
+def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case):
     """For arenas of rows of ``dim`` elements that hold 1-3 rules of a
-    length the rules have, or a row less, and windows of at most ``terms``
-    terms, every request of a length group's slice of a window, and of the
-    window's scatter index, fits the arena, a window of one rule over the
-    budgets included; the penalty is that of the per-rule loop."""
+    length the rules have, or a row less, every request of a length group's
+    slice fits the arena, a slice of one rule over the budget included; the
+    penalty is that of the per-rule loop."""
     table, rules = case
     dim = table.dim
     expected_loss, expected = oracles.rule_penalty(table, rules)
@@ -147,7 +181,6 @@ def test_no_group_slice_asks_the_arena_for_more_than_it_holds(case, terms):
     lengths = {len(rule.body) for rule in rules}
     for rows in sorted({need(k) * r - less for k in lengths for r in (1, 2, 3) for less in (0, 1)}):
         with (
-            mock.patch.object(kernel, "WINDOW_ELEMENTS", terms * dim),
             mock.patch.object(kernel, "ARENA_ELEMENTS", rows * dim),
             mock.patch.object(kernel, "Scratch", Fits),
             mock.patch.object(kernel, "_rule_terms", recorded),
