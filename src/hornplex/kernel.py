@@ -166,9 +166,9 @@ class RuleArrays:
         """``rules`` packed for a table of ``num_relations`` relations of
         dimension ``dim``; a relation id outside the table is a ValueError
         naming the first rule that has one. Each length group is cut into
-        slices of consecutive rules of at most the ``_arena_rows`` an arena
-        of ARENA_ELEMENTS holds; a rule that needs more gets a slice to
-        itself. A slice's index is int64, (k+1)·r·d entries: for term
+        slices of consecutive rules whose ``_arena_rows`` fit an arena of
+        ARENA_ELEMENTS; a rule that needs more gets a slice to itself. A
+        slice's index is int64, (k+1)·r·d entries: for term
         element (p, i, l), the flat position of relation ids[p, i]'s row,
         element l, in plane p of the (planes, u, d) sums."""
         rules = list(rules)
